@@ -19,7 +19,13 @@ import numpy as np
 
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
-from .features import extract_features, fit_nvht_thresholds, FeatureConfig
+from .features import (
+    FeatureConfig,
+    SegmentFeatures,
+    SliceFeatures,
+    extract_features,
+    fit_nvht_thresholds,
+)
 from .infer import infer_trace, infer_with_segment_tolerance
 from .model import MetroNetwork
 from .pipeline import (
@@ -136,12 +142,16 @@ def predict_subtrip(
     segmenter: str = "pipeline",
     classifier: str = "model",
     mode: str = "full",
+    featurize: Callable[[int, int], SegmentFeatures] | None = None,
 ):
     """Run segmentation plus inference on one subtrip.
 
     segmenter="oracle" injects the true dwell centers; classifier="oracle"
     replaces the ensemble with overlap-true one-hot rows (and scores the
     detected cut layout only, since there is nothing to re-featurize with).
+    ``featurize(lo, hi)`` returns the features of ``series`` samples
+    ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip can
+    share one that remembers what it computed.
     """
     sub = series.view(*st.span)
     if segmenter == "oracle":
@@ -153,15 +163,20 @@ def predict_subtrip(
         if classifier == "oracle":
             P = _overlap_onehot(points, sub.n_samples, st.cuts_rel, st.uids, network.num_intervals)
             return infer_trace(P), len(points) + 1
+        if featurize is None:
+            featurize = SliceFeatures(series.components(), ensemble.config)
+        off = st.span[0]
+
+        def featurize_sub(lo: int, hi: int) -> SegmentFeatures:
+            return featurize(off + lo, off + hi)
+
         if mode == "full":
-            res = infer_with_segment_tolerance(sub, ensemble, network, points=points)
+            res = infer_with_segment_tolerance(
+                sub, ensemble, network, points=points, featurize=featurize_sub
+            )
             return res.best, len(points) + 1
-        comp = sub.components()
         bounds = [0, *points, sub.n_samples]
-        feats = [
-            extract_features(comp[a:b], ensemble.config)
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
+        feats = [featurize_sub(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         return infer_trace(ensemble.predict_matrix(feats)), len(points) + 1
     except ValueError:
         return None, len(points) + 1
@@ -202,10 +217,22 @@ def evaluate_subtrips(
     totals = {L: 0 for L in lengths}
     pairs: list[tuple[int, int]] = []
     preds = []
+    # features of the current trip's slices; a new trip or feature config
+    # starts a new memo, so no entry outlives the trip it was cut from
+    memo, memo_key = None, None
     for st in enumerate_subtrips(corpus, lengths):
+        ensemble = ensemble_for(st.trip)
+        series = series_by_trip[st.trip]
+        key = None if ensemble is None else (st.trip, ensemble.config)
+        if key != memo_key:
+            memo_key = key
+            memo = (
+                None if ensemble is None
+                else SliceFeatures(series.components(), ensemble.config)
+            )
         hyp, _ = predict_subtrip(
-            series_by_trip[st.trip], st, ensemble_for(st.trip), corpus.network,
-            seg_params, segmenter, classifier, mode,
+            series, st, ensemble, corpus.network,
+            seg_params, segmenter, classifier, mode, memo,
         )
         totals[st.length] += 1
         ok = (

@@ -4,6 +4,19 @@ Each detected segment yields an 82-dimensional vector: fifteen statistical
 and spectral features per Earth-frame component (east, north, vertical),
 the segment length in samples, and six ranked extrema (three peaks, three
 valleys) per component with their amplitudes and relative positions.
+
+The extractor works on all three components at once:
+
+- one cumulative sum along the samples smooths the ``(n, 3)`` segment;
+- the statistics reduce the rows of the smoothed ``(3, n)`` array, each a
+  contiguous row, so every sum adds in the order it would for one series;
+- for each peak window size ``w``, the three components and their negations
+  (peaks, then valleys) form a ``(6, n // w, w)`` block with one ``argmax``
+  per window, plus one ``argmax`` over the partial window at the end. A
+  window nominates its first maximum, and each row keeps its three
+  strongest nominees: amplitude descending, then sample index ascending.
+
+Vectors are bit-identical to featurising each component on its own.
 """
 
 from __future__ import annotations
@@ -65,7 +78,11 @@ class FeatureConfig:
 
 
 def smooth(series: np.ndarray, k: int = DEFAULT_SMOOTH_K) -> np.ndarray:
-    """Centered moving average; even k is widened by one, edges truncate."""
+    """Centered moving average along the first axis; even k is widened by one, edges truncate.
+
+    An ``(n, c)`` array smooths each column with one cumulative sum, which
+    adds each column's samples in the same order as smoothing it alone.
+    """
     if k < 1:
         raise ValueError("smoothing width must be >= 1")
     if k % 2 == 0:
@@ -75,17 +92,20 @@ def smooth(series: np.ndarray, k: int = DEFAULT_SMOOTH_K) -> np.ndarray:
     if n == 0 or k == 1:
         return x.copy()
     h = k // 2
-    cs = np.concatenate([[0.0], np.cumsum(x)])
+    cs = np.concatenate([np.zeros((1, *x.shape[1:])), np.cumsum(x, axis=0)])
     idx = np.arange(n)
     lo = np.maximum(idx - h, 0)
     hi = np.minimum(idx + h + 1, n)
-    return (cs[hi] - cs[lo]) / (hi - lo)
+    width = (hi - lo).reshape(n, *[1] * (x.ndim - 1))
+    return (cs[hi] - cs[lo]) / width
 
 
-def statistical_features(
-    series: np.ndarray, thresholds: tuple[float, float, float]
-) -> np.ndarray:
-    """Fifteen stats of one smoothed component.
+def statistical_features(series: np.ndarray, thresholds: tuple | np.ndarray) -> np.ndarray:
+    """Fifteen stats of one smoothed component, or of each row of several.
+
+    ``series`` is one component ``(n,)`` with ``thresholds`` ``(3,)``, or
+    one component per row ``(c, n)`` with ``thresholds`` ``(c, 3)``; the
+    result is ``(15,)`` or ``(c, 15)`` to match.
 
     Layout: mean, max, std, mean absolute value, three exceedance counts,
     magnitudes of FFT bins 1..6 (mean removed, zero-padded to a power of
@@ -94,54 +114,64 @@ def statistical_features(
     reports entropy 0 and peak position 0.
     """
     x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n == 0:
+    if x.shape[-1] == 0:
         raise ValueError("empty series")
-    mean = float(np.mean(x))
-    counts = [float(np.sum(np.abs(x) > t)) for t in thresholds]
+    rows = np.atleast_2d(x)
+    thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
+    n = rows.shape[1]
+    # every reduction runs along a contiguous row, so it sums in the order
+    # a single series would
+    mean = np.mean(rows, axis=1)
+    absx = np.abs(rows)
+    counts = np.count_nonzero(absx[:, None, :] > thr[:, :, None], axis=2)
 
     nfft = max(16, 1 << (n - 1).bit_length())
-    spec = np.abs(np.fft.rfft(x - mean, nfft))
-    bins = spec[1 : N_FFT_BINS + 1]
-    power = spec[1 : nfft // 2 + 1] ** 2
-    total = float(power.sum())
-    if total > 0.0:
-        p = power / total
+    spec = np.abs(np.fft.rfft(rows - mean[:, None], nfft, axis=1))
+    power = spec[:, 1 : nfft // 2 + 1] ** 2
+    total = power.sum(axis=1)
+    entropy = np.zeros(len(rows))
+    peak_pos = np.zeros(len(rows))
+    for r in np.flatnonzero(total > 0.0):
+        p = power[r] / total[r]
         p = p[p > 0]
-        entropy = float(-np.sum(p * np.log(p)))
-        peak_pos = float(np.argmax(power) + 1)
-    else:
-        entropy = 0.0
-        peak_pos = 0.0
+        entropy[r] = -np.sum(p * np.log(p))
+        peak_pos[r] = np.argmax(power[r]) + 1
 
-    return np.array(
+    out = np.column_stack(
         [
             mean,
-            float(np.max(x)),
-            float(np.std(x)),
-            float(np.mean(np.abs(x))),
-            *counts,
-            *bins,
+            np.max(rows, axis=1),
+            np.std(rows, axis=1),
+            np.mean(absx, axis=1),
+            counts,
+            spec[:, 1 : N_FFT_BINS + 1],
             entropy,
             peak_pos,
         ]
     )
+    return out[0] if x.ndim == 1 else out
 
 
-def _window_extrema(x: np.ndarray, w: int, sign: int) -> list[tuple[float, int]]:
-    """Top extrema of equal chopped windows: up to 3 (value, index) pairs."""
-    n = len(x)
+def _window_extrema(signed: np.ndarray, w: int) -> np.ndarray:
+    """Each row's top extrema of equal chopped windows: up to 3 indices.
+
+    ``signed`` holds one series per row, negated where valleys are wanted.
+    Every window of w samples, and the partial window at the end, nominates
+    its maximum (first on ties); a row's nominees are ordered by amplitude,
+    strongest first, then by index.
+    """
+    m, n = signed.shape
     n_full = n // w
-    idx: list[int] = []
+    parts = []
     if n_full:
-        blocks = (sign * x[: n_full * w]).reshape(n_full, w)
-        idx.extend((np.argmax(blocks, axis=1) + np.arange(n_full) * w).tolist())
+        blocks = signed[:, : n_full * w].reshape(m, n_full, w)
+        parts.append(np.argmax(blocks, axis=2) + np.arange(n_full) * w)
     if n_full * w < n:
-        tail = x[n_full * w :]
-        idx.append(n_full * w + int(np.argmax(sign * tail)))
-    cands = [(float(x[i]), int(i)) for i in idx]
-    cands.sort(key=lambda c: (-sign * c[0], c[1]))
-    return cands[:N_EXTREMA]
+        parts.append(n_full * w + np.argmax(signed[:, n_full * w :], axis=1, keepdims=True))
+    idx = np.concatenate(parts, axis=1)
+    row = np.arange(m)[:, None]
+    order = np.lexsort((idx, -signed[row, idx]))[:, :N_EXTREMA]
+    return idx[row, order]
 
 
 def _rank_clusters(
@@ -175,26 +205,34 @@ def _rank_clusters(
 
 
 def peak_features(series: np.ndarray, window_sizes: tuple[int, ...]) -> np.ndarray:
-    """Three strongest peaks and valleys of a smoothed component.
+    """Three strongest peaks and valleys of a smoothed component, or of each row.
 
-    Every window size nominates its top extrema independently; nominations
-    within the smallest window size of each other merge into one candidate,
-    and candidates backed by more window sizes outrank stronger loners.
+    ``series`` is ``(n,)`` or ``(c, n)``; the result is ``(12,)`` or
+    ``(c, 12)``. Every window size nominates its top extrema independently;
+    nominations within the smallest window size of each other merge into one
+    candidate, and candidates backed by more window sizes outrank stronger
+    loners.
     """
     x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n == 0:
+    if x.shape[-1] == 0:
         raise ValueError("empty series")
+    rows = np.atleast_2d(x)
+    c, n = rows.shape
     merge_dist = min(window_sizes)
-    peaks: list[tuple[float, int]] = []
-    valleys: list[tuple[float, int]] = []
-    for w in window_sizes:
-        peaks.extend(_window_extrema(x, w, +1))
-        valleys.extend(_window_extrema(x, w, -1))
-    return np.array(
-        _rank_clusters(peaks, merge_dist, n, +1)
-        + _rank_clusters(valleys, merge_dist, n, -1)
-    )
+    # rows 0..c-1 nominate peaks, rows c..2c-1 valleys of the same components
+    signed = np.concatenate([rows, -rows])
+    idx = np.concatenate([_window_extrema(signed, w) for w in window_sizes], axis=1)
+    ranked = [
+        _rank_clusters(
+            list(zip(rows[r % c, idx[r]].tolist(), idx[r].tolist())),
+            merge_dist,
+            n,
+            +1 if r < c else -1,
+        )
+        for r in range(2 * c)
+    ]
+    out = np.array([ranked[r] + ranked[c + r] for r in range(c)])
+    return out[0] if x.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -220,13 +258,31 @@ def extract_features(segment: np.ndarray, config: FeatureConfig) -> SegmentFeatu
         raise ValueError("empty segment")
     if config.nvht_thresholds is None:
         raise ValueError("feature config has no fitted exceedance thresholds")
-    windows = config.peak_windows()
-    sm = [smooth(seg[:, ci], config.smooth_k) for ci in range(3)]
-    stats = tuple(
-        statistical_features(sm[ci], config.nvht_thresholds[ci]) for ci in range(3)
-    )
-    peaks = tuple(peak_features(sm[ci], windows) for ci in range(3))
-    return SegmentFeatures(stats=stats, peaks=peaks, length=len(seg))
+    sm = np.ascontiguousarray(smooth(seg, config.smooth_k).T)
+    stats = statistical_features(sm, config.nvht_thresholds)
+    peaks = peak_features(sm, config.peak_windows())
+    return SegmentFeatures(stats=tuple(stats), peaks=tuple(peaks), length=len(seg))
+
+
+class SliceFeatures:
+    """Features of ``[lo, hi)`` slices of one ``(n, 3)`` series, each computed once.
+
+    Overlapping cut layouts of one recording cut the same slice many times;
+    this keeps each slice's features, not the slice, for as long as its
+    owner keeps the object.
+    """
+
+    def __init__(self, components: np.ndarray, config: FeatureConfig):
+        self.components = components
+        self.config = config
+        self._memo: dict[tuple[int, int], SegmentFeatures] = {}
+
+    def __call__(self, lo: int, hi: int) -> SegmentFeatures:
+        feats = self._memo.get((lo, hi))
+        if feats is None:
+            feats = extract_features(self.components[lo:hi], self.config)
+            self._memo[(lo, hi)] = feats
+        return feats
 
 
 def fit_nvht_thresholds(
@@ -237,9 +293,9 @@ def fit_nvht_thresholds(
         raise ValueError("no segments to fit thresholds")
     pooled = [[] for _ in range(3)]
     for seg in segments:
-        seg = np.asarray(seg, dtype=float)
+        sm = np.abs(smooth(seg, config.smooth_k))
         for ci in range(3):
-            pooled[ci].append(np.abs(smooth(seg[:, ci], config.smooth_k)))
+            pooled[ci].append(sm[:, ci])
     thresholds = tuple(
         tuple(float(np.percentile(np.concatenate(pooled[ci]), p)) for p in NVHT_PERCENTILES)
         for ci in range(3)

@@ -11,12 +11,14 @@ hypotheses in case the segmenter missed or invented one stop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import segment as seg_mod
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
+from .features import SegmentFeatures, SliceFeatures
 from .model import MetroNetwork
 
 FORWARD = "forward"
@@ -148,16 +150,22 @@ def infer_with_segment_tolerance(
     network: MetroNetwork,
     points: list[int] | None = None,
     top_k: int = 3,
+    featurize: Callable[[int, int], SegmentFeatures] | None = None,
 ) -> ToleranceResult:
     """Infer a ride while allowing one missed or spurious segmentation point.
 
     The detected cuts give the n-segment family. For n-1 and n+1 the span is
     re-cut per candidate run from nominal interval durations plus dwells,
-    snapped to local HRA minima, and re-featurized (cached by cut layout).
-    Families compete on mean per-segment score, with ties going to the family
-    that matches the detected count.
+    snapped to local HRA minima, and re-featurized (each distinct segment
+    once). Families compete on mean per-segment score, with ties going to the
+    family that matches the detected count.
+
+    ``featurize(lo, hi)`` returns the features of ``series`` samples
+    ``[lo, hi)`` under ``ensemble.config``; a caller that scores overlapping
+    spans of one recording passes one that remembers earlier segments.
     """
-    from .features import extract_features
+    if featurize is None:
+        featurize = SliceFeatures(series.components(), ensemble.config)
 
     warning = False
     if points is None:
@@ -166,7 +174,6 @@ def infer_with_segment_tolerance(
     points = sorted(points)
 
     n_samples = series.n_samples
-    comp = series.components()
     rate = network.sample_rate
     m = network.num_intervals
     n_detected = len(points) + 1
@@ -201,7 +208,7 @@ def infer_with_segment_tolerance(
             for sp in zip([0, *cuts], [*cuts, n_samples])
         }
     )
-    feats = [extract_features(comp[a:b], ensemble.config) for a, b in spans]
+    feats = [featurize(a, b) for a, b in spans]
     rows = ensemble.predict_matrix(feats)
     row_of = {sp: i for i, sp in enumerate(spans)}
 

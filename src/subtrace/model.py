@@ -216,6 +216,10 @@ class Trace:
         n = self.n_samples
         if self.acc.shape != (n, 3) or self.orient.shape != (n, 3):
             raise TraceFormatError("acc and orient must be (n, 3) arrays")
+        for name in ("t", "acc", "orient"):
+            bad = np.nonzero(~np.isfinite(getattr(self, name)))[0]
+            if bad.size:
+                raise TraceFormatError(f"non-finite {name} value at sample offset {bad[0]}")
         if n > 1:
             dt = np.diff(self.t)
             if np.any(dt <= 0):

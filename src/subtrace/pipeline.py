@@ -388,9 +388,14 @@ def _stations_of(hyp: TraceHypothesis, network: MetroNetwork) -> list[str]:
 
 
 def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
-    """Run extraction, segmentation, and inference over one raw trace."""
+    """Run extraction, segmentation, and inference over one raw trace.
+
+    The trace is validated first, so one built in memory is held to the
+    same rules as one loaded from a file.
+    """
     if mode not in ("full", "reduced"):
         raise ValueError(f"unknown attack mode {mode!r}")
+    trace.validate()
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model)
 

@@ -6,10 +6,14 @@ raw output bytes between two same-seed invocations.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subtrace
 from subtrace import cli, pipeline
 
 SMALL_CONFIG = {
@@ -246,6 +250,17 @@ class TestDataErrors:
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("subtrace:")
 
+    def test_attack_non_finite_trace(self, tmp_path, corpus_dir, model_file, capsys):
+        lines = (Path(corpus_dir) / "trips/trip_000.jsonl").read_text().splitlines()
+        row = json.loads(lines[500])
+        row["acc"][2] = float("nan")
+        lines[500] = json.dumps(row)
+        trace = tmp_path / "nan.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        args = ["attack", "--model", model_file, "--trace", str(trace)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert "non-finite acc value at sample offset 499" in capsys.readouterr().err
+
     def test_generate_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))
@@ -259,3 +274,17 @@ class TestDataErrors:
         args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("subtrace:")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["subtrace", "subtrace.cli"])
+    def test_help_runs_without_runpy_warning(self, module):
+        src = str(Path(subtrace.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: subtrace")
+        assert "RuntimeWarning" not in done.stderr

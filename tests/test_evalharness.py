@@ -9,16 +9,21 @@ the matching tolerance.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from subtrace import coord, segment
 from subtrace.evalharness import (
     _random_chunks,
     confusion_matrix,
     edit_distance,
     enumerate_subtrips,
+    evaluate_subtrips,
+    predict_subtrip,
+    single_model_ensemble,
 )
 
 TOL = 10.0
@@ -118,3 +123,93 @@ class TestEnumerateSubtrips:
     def test_longer_than_trip_yields_nothing(self, small_corpus):
         k = small_corpus.network.num_intervals
         assert enumerate_subtrips(small_corpus, (k + 1,)) == []
+
+
+@pytest.fixture(scope="module")
+def small_ensemble(small_corpus, small_config):
+    return single_model_ensemble(small_corpus, small_config)
+
+
+def record_featurised(monkeypatch) -> list[tuple[bytes, object]]:
+    """Patch the extractor to log each call's segment bytes and config."""
+    from subtrace import features
+
+    calls = []
+    real = features.extract_features
+
+    def logging_extract(seg, config):
+        calls.append((seg.tobytes(), config))
+        return real(seg, config)
+
+    monkeypatch.setattr(features, "extract_features", logging_extract)
+    return calls
+
+
+def separate_predictions(corpus, ensemble_for, lengths, mode):
+    """predict_subtrip on every subtrip alone, sharing nothing between them."""
+    seg_params = segment.params_for_network(corpus.network)
+    series = [coord.transform(t) for t in corpus.trips]
+    return [
+        predict_subtrip(
+            series[st.trip], st, ensemble_for(st.trip), corpus.network, seg_params, mode=mode
+        )[0]
+        for st in enumerate_subtrips(corpus, lengths)
+    ]
+
+
+class TestFeatureReuse:
+    """evaluate_subtrips featurises each segment of a trip once."""
+
+    LENGTHS = (3, 5)
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_same_predictions_as_one_subtrip_at_a_time(
+        self, small_corpus, small_ensemble, mode, monkeypatch
+    ):
+        corpus = replace(small_corpus, trips=small_corpus.trips[:3])
+        calls = record_featurised(monkeypatch)
+        report = evaluate_subtrips(corpus, lambda _: small_ensemble, self.LENGTHS, mode=mode)
+        shared = list(calls)
+        calls.clear()
+        alone = separate_predictions(corpus, lambda _: small_ensemble, self.LENGTHS, mode)
+
+        # same rides with the same scores, bit for bit
+        assert [hyp for _, hyp in report.predictions] == alone
+        assert all(hyp is not None for hyp in alone)
+        # every segment the separate runs featurise, once each
+        distinct = {seg for seg, _ in calls}
+        assert len(shared) == len(distinct) < len(calls)
+        assert {seg for seg, _ in shared} == distinct
+
+    def test_trips_with_different_configs_share_nothing(
+        self, small_corpus, small_ensemble, monkeypatch
+    ):
+        # the same recording twice: a memo keyed by sample range alone would
+        # hand the second copy the first copy's features
+        trip = small_corpus.trips[0]
+        corpus = replace(small_corpus, trips=[trip, trip])
+        other = replace(small_ensemble, config=replace(small_ensemble.config, smooth_k=5))
+        ensembles = [small_ensemble, other]
+        calls = record_featurised(monkeypatch)
+        report = evaluate_subtrips(corpus, lambda ti: ensembles[ti], self.LENGTHS)
+
+        by_config = {
+            cfg: {seg for seg, c in calls if c == cfg}
+            for cfg in (small_ensemble.config, other.config)
+        }
+        assert len(calls) == sum(len(segs) for segs in by_config.values())
+        assert by_config[small_ensemble.config] == by_config[other.config]
+        alone = separate_predictions(corpus, lambda ti: ensembles[ti], self.LENGTHS, "full")
+        assert [hyp for _, hyp in report.predictions] == alone
+
+    def test_config_change_within_a_trip_starts_afresh(self, small_corpus, small_ensemble):
+        corpus = replace(small_corpus, trips=small_corpus.trips[:1])
+        other = replace(small_ensemble, config=replace(small_ensemble.config, smooth_k=5))
+
+        def alternating():
+            ensembles = itertools.cycle([small_ensemble, other])
+            return lambda _: next(ensembles)
+
+        report = evaluate_subtrips(corpus, alternating(), self.LENGTHS)
+        alone = separate_predictions(corpus, alternating(), self.LENGTHS, "full")
+        assert [hyp for _, hyp in report.predictions] == alone

@@ -1,5 +1,6 @@
 """Feature extraction oracles: loop-based smoothing, closed-form spectra,
-hand-ranked extrema."""
+hand-ranked extrema, and a frozen copy of the per-component extractor that
+the vectorised one must match bit for bit."""
 
 from __future__ import annotations
 
@@ -8,15 +9,19 @@ import pytest
 
 from subtrace.features import (
     FEATURE_DIM,
+    N_EXTREMA,
+    N_FFT_BINS,
     NVHT_PERCENTILES,
     STATS_DIM,
     FeatureConfig,
+    SliceFeatures,
     extract_features,
     fit_nvht_thresholds,
     peak_features,
     smooth,
     statistical_features,
 )
+from subtrace.pipeline import PipelineConfig, build_corpus, true_segments
 
 THRESHOLDS = (0.5, 2.5, 3.5)
 
@@ -257,3 +262,206 @@ class TestFitThresholds:
     def test_no_segments(self):
         with pytest.raises(ValueError):
             fit_nvht_thresholds([], FeatureConfig(sample_rate=10.0))
+
+
+# --- frozen per-component extractor ----------------------------------------------
+#
+# The extractor as it was before it worked on all three components at once:
+# one smoothing, one set of statistics and one Python sort of every window's
+# nominee per component. The vectorised extractor must reproduce its vectors
+# byte for byte.
+
+
+def _loop_smooth(x: np.ndarray, k: int) -> np.ndarray:
+    if k % 2 == 0:
+        k += 1
+    n = len(x)
+    if n == 0 or k == 1:
+        return x.copy()
+    h = k // 2
+    cs = np.concatenate([[0.0], np.cumsum(x)])
+    idx = np.arange(n)
+    lo = np.maximum(idx - h, 0)
+    hi = np.minimum(idx + h + 1, n)
+    return (cs[hi] - cs[lo]) / (hi - lo)
+
+
+def _loop_stats(x: np.ndarray, thresholds) -> np.ndarray:
+    n = len(x)
+    mean = float(np.mean(x))
+    counts = [float(np.sum(np.abs(x) > t)) for t in thresholds]
+    nfft = max(16, 1 << (n - 1).bit_length())
+    spec = np.abs(np.fft.rfft(x - mean, nfft))
+    bins = spec[1 : N_FFT_BINS + 1]
+    power = spec[1 : nfft // 2 + 1] ** 2
+    total = float(power.sum())
+    if total > 0.0:
+        p = power / total
+        p = p[p > 0]
+        entropy = float(-np.sum(p * np.log(p)))
+        peak_pos = float(np.argmax(power) + 1)
+    else:
+        entropy = 0.0
+        peak_pos = 0.0
+    return np.array(
+        [mean, float(np.max(x)), float(np.std(x)), float(np.mean(np.abs(x))),
+         *counts, *bins, entropy, peak_pos]
+    )
+
+
+def _loop_window_extrema(x: np.ndarray, w: int, sign: int) -> list[tuple[float, int]]:
+    n = len(x)
+    n_full = n // w
+    idx: list[int] = []
+    if n_full:
+        blocks = (sign * x[: n_full * w]).reshape(n_full, w)
+        idx.extend((np.argmax(blocks, axis=1) + np.arange(n_full) * w).tolist())
+    if n_full * w < n:
+        idx.append(n_full * w + int(np.argmax(sign * x[n_full * w :])))
+    cands = [(float(x[i]), int(i)) for i in idx]
+    cands.sort(key=lambda c: (-sign * c[0], c[1]))
+    return cands[:N_EXTREMA]
+
+
+def _loop_rank_clusters(cands, merge_dist: int, n: int, sign: int) -> list[float]:
+    clusters: list[list[tuple[float, int]]] = []
+    for val, idx in sorted(cands, key=lambda c: c[1]):
+        if clusters and idx - clusters[-1][-1][1] <= merge_dist:
+            clusters[-1].append((val, idx))
+        else:
+            clusters.append([(val, idx)])
+    ranked = []
+    for members in clusters:
+        best = max(members, key=lambda c: (sign * c[0], -c[1]))
+        ranked.append((len(members), best[0], best[1]))
+    ranked.sort(key=lambda r: (-r[0], -sign * r[1], r[2]))
+    out: list[float] = []
+    for _, val, idx in ranked[:N_EXTREMA]:
+        out.extend([val, idx / n])
+    while len(out) < 2 * N_EXTREMA:
+        out.extend([0.0, 0.0])
+    return out
+
+
+def _loop_peaks(x: np.ndarray, window_sizes) -> np.ndarray:
+    peaks: list[tuple[float, int]] = []
+    valleys: list[tuple[float, int]] = []
+    for w in window_sizes:
+        peaks.extend(_loop_window_extrema(x, w, +1))
+        valleys.extend(_loop_window_extrema(x, w, -1))
+    merge_dist = min(window_sizes)
+    return np.array(
+        _loop_rank_clusters(peaks, merge_dist, len(x), +1)
+        + _loop_rank_clusters(valleys, merge_dist, len(x), -1)
+    )
+
+
+def loop_extract_vector(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    seg = np.asarray(segment, dtype=float)
+    sm = [_loop_smooth(seg[:, ci], config.smooth_k) for ci in range(3)]
+    stats = [_loop_stats(sm[ci], config.nvht_thresholds[ci]) for ci in range(3)]
+    peaks = [_loop_peaks(sm[ci], config.peak_windows()) for ci in range(3)]
+    return np.concatenate([*stats, [float(len(seg))], *peaks])
+
+
+def loop_fit_thresholds(segments, config: FeatureConfig):
+    pooled = [
+        np.concatenate([np.abs(_loop_smooth(np.asarray(s, float)[:, ci], config.smooth_k))
+                        for s in segments])
+        for ci in range(3)
+    ]
+    return tuple(
+        tuple(float(np.percentile(pooled[ci], p)) for p in NVHT_PERCENTILES) for ci in range(3)
+    )
+
+
+def assert_same_bytes(segments, cfg):
+    for seg in segments:
+        for s in (seg, -seg):
+            want = loop_extract_vector(s, cfg)
+            got = extract_features(s, cfg).vector()
+            assert got.tobytes() == want.tobytes(), f"differs on a {s.shape} segment"
+
+
+@pytest.fixture(scope="module")
+def acceptance_segments():
+    corpus = build_corpus(PipelineConfig())
+    segs = [seg for trip in corpus.trips for seg, _ in true_segments(trip)]
+    cfg = fit_nvht_thresholds(segs, FeatureConfig(corpus.network.sample_rate))
+    return segs, cfg
+
+
+class TestMatchesLoopExtractor:
+    """Vectors equal the frozen per-component extractor's, byte for byte."""
+
+    CFG = FeatureConfig(sample_rate=10.0, nvht_thresholds=((0.1, 0.2, 0.3),) * 3)
+
+    def test_acceptance_corpus_true_segments(self, acceptance_segments):
+        segs, cfg = acceptance_segments
+        assert len(segs) == 400
+        assert_same_bytes(segs, cfg)
+
+    def test_fitted_thresholds(self, acceptance_segments):
+        segs, cfg = acceptance_segments
+        assert cfg.nvht_thresholds == loop_fit_thresholds(segs, cfg)
+
+    def test_prefixes_around_every_window_size(self, acceptance_segments):
+        # the partial tail window appears, vanishes and reappears as the
+        # length crosses each window size and its multiples
+        segs, cfg = acceptance_segments
+        rng = np.random.default_rng(21)
+        lengths = {1, 2, cfg.smooth_k - 1, cfg.smooth_k, cfg.smooth_k + 1}
+        for w in cfg.peak_windows():
+            lengths |= {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, 3 * w + 7}
+        prefixes = []
+        for n in sorted(lengths):
+            seg = segs[int(rng.integers(len(segs)))]
+            prefixes.append(seg[:n])
+            prefixes.append(rng.normal(size=(n, 3)))
+        assert_same_bytes(prefixes, cfg)
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 40, 41, 137])
+    def test_constant_series(self, n):
+        assert_same_bytes([np.zeros((n, 3)), np.full((n, 3), 2.5)], self.CFG)
+
+    def test_plateaus_and_ties(self):
+        # equal maxima within and across windows exercise the tie-break:
+        # amplitude first, then the lower index
+        rng = np.random.default_rng(22)
+        steps = np.repeat(rng.integers(-2, 3, size=(30, 3)).astype(float), 7, axis=0)
+        coarse = np.round(rng.normal(size=(250, 3)), 0)
+        saw = np.tile(np.array([0.0, 1.0, 1.0, 0.0, -1.0]), (3, 40)).T
+        twin_peaks = np.zeros((120, 3))
+        twin_peaks[[5, 25, 65, 105], :] = 4.0
+        assert_same_bytes([steps, coarse, saw, twin_peaks], self.CFG)
+
+    def test_other_window_sizes_and_smoothing(self):
+        cfg = FeatureConfig(
+            sample_rate=25.0,
+            smooth_k=4,
+            peak_windows_s=(0.2, 0.44, 3.0),
+            nvht_thresholds=((0.2, 0.5, 1.0), (0.1, 0.2, 0.3), (1.0, 1.5, 2.0)),
+        )
+        rng = np.random.default_rng(23)
+        segs = [rng.normal(size=(int(n), 3)) for n in rng.integers(1, 400, size=25)]
+        assert_same_bytes(segs, cfg)
+
+
+class TestSliceFeatures:
+    def test_features_of_each_slice_computed_once(self, monkeypatch):
+        cfg = TestMatchesLoopExtractor.CFG
+        comp = np.random.default_rng(24).normal(size=(300, 3))
+        calls = []
+        real = extract_features
+
+        def counting(segment, config):
+            calls.append(len(segment))
+            return real(segment, config)
+
+        monkeypatch.setattr("subtrace.features.extract_features", counting)
+        memo = SliceFeatures(comp, cfg)
+        first = memo(20, 140)
+        assert memo(20, 140) is first
+        assert memo(20, 141) is not first
+        assert calls == [120, 121]
+        assert first.vector().tobytes() == real(comp[20:140], cfg).vector().tobytes()

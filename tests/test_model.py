@@ -158,6 +158,17 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match="alpha outside"):
             trace.validate()
 
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("t", (3,), np.nan), ("acc", (3, 1), np.nan), ("acc", (3, 2), np.inf),
+         ("orient", (3, 0), -np.inf)],
+    )
+    def test_non_finite_value_names_sample(self, name, index, value):
+        trace = make_trace(n=6)
+        getattr(trace, name)[index] = value
+        with pytest.raises(TraceFormatError, match=f"non-finite {name} value at sample offset 3"):
+            trace.validate()
+
     def test_irregular_spacing(self):
         trace = make_trace(n=5)
         trace.t[4] += 0.02

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,15 @@ class TestAttackTrace:
         span = report["spans"][0]
         assert "error" not in span
         assert tuple(span["intervals"]) == layout.uids
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_non_finite_sample_rejected(self, small_corpus, attack_model, mode):
+        # one NaN used to decode into a confident ride of the wrong length
+        trip = small_corpus.trips[0]
+        acc = trip.acc.copy()
+        acc[int(np.random.default_rng(31).integers(len(acc))), 0] = np.nan
+        with pytest.raises(TraceFormatError, match="non-finite acc"):
+            attack_trace(replace(trip, acc=acc), attack_model, mode=mode)
 
     def test_unknown_mode_rejected(self, small_corpus, attack_model):
         with pytest.raises(ValueError):
