@@ -3,6 +3,20 @@
 The two ensembles are trained on the same rows and averaged 50/50 at
 prediction time. Everything is written against plain numpy arrays and
 serializes to versioned JSON so a trained attack model is a single file.
+
+The forest works on whole arrays. At each node the split search gathers
+the node's rows of all candidate features as one ``(rows, features)``
+block, sorts every column with one stable argsort and counts classes with
+one cumulative sum laid out ``(rows, features, classes)``; each Gini sum
+then runs over one contiguous row of classes. The chosen split is the
+first minimum of a feature's scores, and across features the first
+feature, in draw order, with the strictly smallest score. Prediction and
+the out-of-bag vote share one walk: the trees are laid end to end as one
+flat node table, leaves point to themselves, and one step per depth level
+moves every row down every tree. Leaf histograms are then added tree by
+tree. Every tree, score and probability is bit-identical to growing and
+walking one tree and one feature at a time: the arithmetic, its order and
+every tie-break are the same.
 """
 
 from __future__ import annotations
@@ -56,17 +70,6 @@ class TrainingSet:
             if w.shape != y.shape or (w < 0).any() or w.sum() <= 0:
                 raise ValueError("bad sample weights")
             object.__setattr__(self, "sample_weight", w)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        pairs: list[tuple[SegmentFeatures, int]],
-        n_classes: int,
-        sample_weight: np.ndarray | None = None,
-    ) -> "TrainingSet":
-        X = np.stack([f.vector() for f, _ in pairs])
-        y = np.array([lab for _, lab in pairs], dtype=int)
-        return cls(X=X, y=y, n_classes=n_classes, sample_weight=sample_weight)
 
 
 class GaussianNB:
@@ -243,6 +246,7 @@ def _grow_tree(
     left: list[int] = []
     right: list[int] = []
     probs: list[np.ndarray] = []
+    onehot = np.eye(n_classes)[y]
 
     def leaf_probs(idx: np.ndarray) -> np.ndarray:
         counts = np.bincount(y[idx], minlength=n_classes).astype(float)
@@ -254,57 +258,44 @@ def _grow_tree(
         node = len(feature)
         if parent >= 0:
             (right if is_right else left)[parent] = node
-
-        ysub = y[idx]
-        pure = ysub.min() == ysub.max()
-        if depth >= max_depth or len(idx) < 2 * min_leaf or pure:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            probs.append(leaf_probs(idx))
-            continue
-
-        feats = rng.choice(d, size=n_feats, replace=False)
-        best_gini, best_f, best_t = np.inf, -1, 0.0
-        onehot = np.eye(n_classes)[ysub]
-        nn = len(idx)
-        for f in feats:
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xo = xs[order]
-            if xo[0] == xo[-1]:
-                continue
-            cum = np.cumsum(onehot[order], axis=0)
-            total = cum[-1]
-            nl = np.arange(1, nn)
-            gl = 1.0 - ((cum[:-1] / nl[:, None]) ** 2).sum(axis=1)
-            gr = 1.0 - (((total - cum[:-1]) / (nn - nl)[:, None]) ** 2).sum(axis=1)
-            score = (nl * gl + (nn - nl) * gr) / nn
-            valid = (xo[:-1] < xo[1:]) & (nl >= min_leaf) & ((nn - nl) >= min_leaf)
-            if not valid.any():
-                continue
-            score = np.where(valid, score, np.inf)
-            j = int(np.argmin(score))
-            if score[j] < best_gini:
-                best_gini, best_f, best_t = float(score[j]), int(f), float(
-                    0.5 * (xo[j] + xo[j + 1])
-                )
-
-        if best_f < 0:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            probs.append(leaf_probs(idx))
-            continue
-
-        go_left = X[idx, best_f] <= best_t
-        feature.append(best_f)
-        threshold.append(best_t)
+        feature.append(-1)
+        threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         probs.append(leaf_probs(idx))
+
+        ysub = y[idx]
+        nn = len(idx)
+        if depth >= max_depth or nn < 2 * min_leaf or ysub.min() == ysub.max():
+            continue
+
+        # all candidate features at once: rows on axis 0, features on axis 1,
+        # classes last so each Gini sum runs over one contiguous class row
+        feats = rng.choice(d, size=n_feats, replace=False)
+        xs = X[idx[:, None], feats]
+        order = np.argsort(xs, axis=0, kind="stable")
+        xo = xs[order, np.arange(n_feats)]
+        cum = np.cumsum(onehot[idx[order]], axis=0)
+        total = cum[-1]
+        nl = np.arange(1, nn)
+        gl = 1.0 - ((cum[:-1] / nl[:, None, None]) ** 2).sum(axis=2)
+        gr = 1.0 - (((total - cum[:-1]) / (nn - nl)[:, None, None]) ** 2).sum(axis=2)
+        score = (nl[:, None] * gl + (nn - nl)[:, None] * gr) / nn
+        sizes_ok = (nl >= min_leaf) & ((nn - nl) >= min_leaf)
+        valid = (xo[:-1] < xo[1:]) & sizes_ok[:, None]
+        score = np.where(valid, score, np.inf)
+        # first minimum per feature, then the first feature with the least score
+        j = np.argmin(score, axis=0)
+        best = score[j, np.arange(n_feats)]
+        b = int(np.argmin(best))
+        if best[b] == np.inf:
+            continue
+
+        best_f = int(feats[b])
+        best_t = float(0.5 * (xo[j[b], b] + xo[j[b] + 1, b]))
+        feature[node] = best_f
+        threshold[node] = best_t
+        go_left = X[idx, best_f] <= best_t
         stack.append((idx[~go_left], depth + 1, node, True))
         stack.append((idx[go_left], depth + 1, node, False))
 
@@ -317,27 +308,15 @@ def _grow_tree(
     }
 
 
-def _tree_apply(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf index per row, walking all rows one depth level at a time."""
-    n = len(X)
-    node = np.zeros(n, dtype=np.int64)
-    feat = tree["feature"]
-    thr = tree["threshold"]
-    left = tree["left"]
-    right = tree["right"]
-    rows = np.arange(n)
-    while True:
-        f = feat[node]
-        active = f >= 0
-        if not active.any():
-            return node
-        fx = X[rows, np.where(active, f, 0)]
-        nxt = np.where(fx <= thr[node], left[node], right[node])
-        node = np.where(active, nxt, node)
-
-
 class RandomForest:
-    """Bagged CART trees with soft voting over leaf class histograms."""
+    """Bagged CART trees with soft voting over leaf class histograms.
+
+    ``trees`` keeps one dict of arrays per tree, the serialised form. The
+    constructor also lays all trees end to end as one flat node table with
+    forest-wide child indices; a leaf's children are the leaf itself, so a
+    fixed number of steps (the deepest tree's depth) walks every row down
+    every tree at once.
+    """
 
     def __init__(self, trees: list[dict], n_classes: int, oob_accuracy: float | None = None):
         if not trees:
@@ -346,11 +325,42 @@ class RandomForest:
         self.n_classes = n_classes
         self.oob_accuracy = oob_accuracy
 
+        sizes = [len(t["feature"]) for t in trees]
+        self._roots = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([t["feature"] for t in trees])
+        leaf = feature < 0
+        own = np.arange(len(feature))
+        offset = np.repeat(self._roots, sizes)
+        self._feature = np.where(leaf, 0, feature)
+        self._threshold = np.concatenate([t["threshold"] for t in trees])
+        self._left = np.where(leaf, own, np.concatenate([t["left"] for t in trees]) + offset)
+        self._right = np.where(leaf, own, np.concatenate([t["right"] for t in trees]) + offset)
+        self._probs = np.concatenate([t["probs"] for t in trees])
+        self._depth = 0
+        level = self._roots
+        while True:
+            level = level[~leaf[level]]
+            if not level.size:
+                break
+            level = np.concatenate([self._left[level], self._right[level]])
+            self._depth += 1
+
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """(n_rows, n_trees) flat index of the leaf each row reaches in each tree."""
+        node = np.tile(self._roots, (len(X), 1))
+        rows = np.arange(len(X))[:, None]
+        for _ in range(self._depth):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return node
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        leaves = self._leaves(X)
         acc = np.zeros((len(X), self.n_classes))
-        for tree in self.trees:
-            acc += tree["probs"][_tree_apply(tree, X)]
+        # tree by tree, so every row's histogram sum adds in tree order
+        for t in range(len(self.trees)):
+            acc += self._probs[leaves[:, t]]
         return acc / len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -393,16 +403,11 @@ def train_random_forest(
     seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_leaf: int = DEFAULT_MIN_LEAF,
-    feature_frac: float | None = None,
-    bootstrap: bool = True,
 ) -> RandomForest:
+    """Bootstrap-bagged trees over sqrt(d) random features per split, with OOB accuracy."""
     X, y, m = train.X, train.y, train.n_classes
     n, d = X.shape
-    n_feats = (
-        max(1, int(round(np.sqrt(d))))
-        if feature_frac is None
-        else max(1, int(round(feature_frac * d)))
-    )
+    n_feats = max(1, int(round(np.sqrt(d))))
     if train.sample_weight is not None:
         p = train.sample_weight / train.sample_weight.sum()
     else:
@@ -410,27 +415,24 @@ def train_random_forest(
 
     children = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
-    oob_votes = np.zeros((n, m))
-    oob_hit = np.zeros(n, dtype=bool)
-    for child in children:
+    in_bag = np.zeros((n, n_trees), dtype=bool)
+    for t, child in enumerate(children):
         rng = np.random.default_rng(child)
-        if bootstrap:
-            idx = rng.choice(n, size=n, p=p)
-        else:
-            idx = np.arange(n)
-        tree = _grow_tree(X[idx], y[idx], m, rng, max_depth, min_leaf, n_feats)
-        trees.append(tree)
-        if bootstrap:
-            oob = np.setdiff1d(np.arange(n), idx, assume_unique=False)
-            if oob.size:
-                oob_votes[oob] += tree["probs"][_tree_apply(tree, X[oob])]
-                oob_hit[oob] = True
+        idx = rng.choice(n, size=n, p=p)
+        trees.append(_grow_tree(X[idx], y[idx], m, rng, max_depth, min_leaf, n_feats))
+        in_bag[idx, t] = True
 
-    oob_accuracy = None
-    if bootstrap and oob_hit.any():
+    forest = RandomForest(trees, m)
+    leaves = forest._leaves(X)
+    oob_votes = np.zeros((n, m))
+    for t in range(n_trees):
+        oob = ~in_bag[:, t]
+        oob_votes[oob] += forest._probs[leaves[oob, t]]
+    oob_hit = ~in_bag.all(axis=1)
+    if oob_hit.any():
         pred = np.argmax(oob_votes[oob_hit], axis=1)
-        oob_accuracy = float(np.mean(pred == y[oob_hit]))
-    return RandomForest(trees, m, oob_accuracy)
+        forest.oob_accuracy = float(np.mean(pred == y[oob_hit]))
+    return forest
 
 
 @dataclass

@@ -297,7 +297,7 @@ def fit_nvht_thresholds(
         for ci in range(3):
             pooled[ci].append(sm[:, ci])
     thresholds = tuple(
-        tuple(float(np.percentile(np.concatenate(pooled[ci]), p)) for p in NVHT_PERCENTILES)
+        tuple(np.percentile(np.concatenate(pooled[ci]), NVHT_PERCENTILES).tolist())
         for ci in range(3)
     )
     return replace(config, nvht_thresholds=thresholds)

@@ -223,8 +223,8 @@ class Trace:
         if n > 1:
             dt = np.diff(self.t)
             if np.any(dt <= 0):
-                bad = int(np.argmax(dt <= 0)) + 2
-                raise TraceFormatError(f"timestamps not strictly increasing at line offset {bad}")
+                bad = int(np.argmax(dt <= 0)) + 1
+                raise TraceFormatError(f"timestamps not strictly increasing at sample offset {bad}")
             if self.sample_rate > 0:
                 nominal = 1.0 / self.sample_rate
                 if np.any(np.abs(dt - nominal) > 0.01 * nominal):

@@ -19,7 +19,20 @@ from subtrace.classify import (
     train_interval_ensemble,
     train_random_forest,
 )
-from subtrace.features import FEATURE_DIM, N_EXTREMA, STATS_DIM, FeatureConfig, SegmentFeatures
+from subtrace.features import (
+    FEATURE_DIM,
+    N_EXTREMA,
+    STATS_DIM,
+    FeatureConfig,
+    SegmentFeatures,
+    extract_features,
+)
+from subtrace.pipeline import (
+    PipelineConfig,
+    build_corpus,
+    fit_feature_config,
+    interval_training_rows,
+)
 
 
 def cluster_set(seed: int, n_classes: int = 4, n_per: int = 20, d: int = 5) -> TrainingSet:
@@ -66,13 +79,6 @@ class TestTrainingSet:
     def test_rejects_bad_weights(self, w):
         with pytest.raises(ValueError):
             TrainingSet(X=np.zeros((4, 2)), y=[0, 0, 1, 1], n_classes=2, sample_weight=w)
-
-    def test_from_pairs(self):
-        pairs = [(dummy_features(30), 0), (dummy_features(40), 0)]
-        ts = TrainingSet.from_pairs(pairs, n_classes=1)
-        assert ts.X.shape == (2, FEATURE_DIM)
-        assert ts.X[0, 3 * STATS_DIM] == 30.0
-        assert ts.X[1, 3 * STATS_DIM] == 40.0
 
 
 class TestGaussianNB:
@@ -211,12 +217,6 @@ class TestRandomForest:
         c = train_random_forest(train, n_trees=6, seed=17)
         assert a.to_dict() != c.to_dict()
 
-    def test_no_bootstrap_means_no_oob(self):
-        train = cluster_set(seed=18)
-        forest = train_random_forest(train, n_trees=4, seed=19, bootstrap=False)
-        assert forest.oob_accuracy is None
-        assert np.array_equal(forest.predict(train.X), train.y)
-
     def test_json_round_trip(self):
         train = cluster_set(seed=20)
         forest = train_random_forest(train, n_trees=5, seed=21)
@@ -282,3 +282,232 @@ class TestIntervalEnsemble:
         doc.update(patch)
         with pytest.raises(ValueError):
             IntervalEnsemble.from_dict(doc)
+
+
+# --- frozen per-feature forest ------------------------------------------------------
+#
+# The forest as it was before split search and prediction worked on whole
+# arrays: one Python pass per candidate feature at each node, and one walk
+# per tree. Trees, OOB accuracy and probabilities must match it bit for bit.
+
+
+def _loop_grow_tree(X, y, n_classes, rng, max_depth, min_leaf, n_feats) -> dict:
+    n, d = X.shape
+    feature, threshold, left, right, probs = [], [], [], [], []
+
+    def leaf_probs(idx):
+        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        return counts / counts.sum()
+
+    stack = [(np.arange(n), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_right = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            (right if is_right else left)[parent] = node
+
+        ysub = y[idx]
+        pure = ysub.min() == ysub.max()
+        if depth >= max_depth or len(idx) < 2 * min_leaf or pure:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            probs.append(leaf_probs(idx))
+            continue
+
+        feats = rng.choice(d, size=n_feats, replace=False)
+        best_gini, best_f, best_t = np.inf, -1, 0.0
+        onehot = np.eye(n_classes)[ysub]
+        nn = len(idx)
+        for f in feats:
+            xs = X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xo = xs[order]
+            if xo[0] == xo[-1]:
+                continue
+            cum = np.cumsum(onehot[order], axis=0)
+            total = cum[-1]
+            nl = np.arange(1, nn)
+            gl = 1.0 - ((cum[:-1] / nl[:, None]) ** 2).sum(axis=1)
+            gr = 1.0 - (((total - cum[:-1]) / (nn - nl)[:, None]) ** 2).sum(axis=1)
+            score = (nl * gl + (nn - nl) * gr) / nn
+            valid = (xo[:-1] < xo[1:]) & (nl >= min_leaf) & ((nn - nl) >= min_leaf)
+            if not valid.any():
+                continue
+            score = np.where(valid, score, np.inf)
+            j = int(np.argmin(score))
+            if score[j] < best_gini:
+                best_gini, best_f, best_t = float(score[j]), int(f), float(
+                    0.5 * (xo[j] + xo[j + 1])
+                )
+
+        if best_f < 0:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            probs.append(leaf_probs(idx))
+            continue
+
+        go_left = X[idx, best_f] <= best_t
+        feature.append(best_f)
+        threshold.append(best_t)
+        left.append(-1)
+        right.append(-1)
+        probs.append(leaf_probs(idx))
+        stack.append((idx[~go_left], depth + 1, node, True))
+        stack.append((idx[go_left], depth + 1, node, False))
+
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=float),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "probs": np.stack(probs),
+    }
+
+
+def _loop_tree_apply(tree, X):
+    n = len(X)
+    node = np.zeros(n, dtype=np.int64)
+    feat, thr, left, right = tree["feature"], tree["threshold"], tree["left"], tree["right"]
+    rows = np.arange(n)
+    while True:
+        f = feat[node]
+        active = f >= 0
+        if not active.any():
+            return node
+        fx = X[rows, np.where(active, f, 0)]
+        nxt = np.where(fx <= thr[node], left[node], right[node])
+        node = np.where(active, nxt, node)
+
+
+def loop_train_random_forest(train, n_trees, seed, max_depth=12, min_leaf=2):
+    """Today's defaults only: bootstrap bagging and sqrt(d) features per split."""
+    X, y, m = train.X, train.y, train.n_classes
+    n, d = X.shape
+    n_feats = max(1, int(round(np.sqrt(d))))
+    p = None if train.sample_weight is None else train.sample_weight / train.sample_weight.sum()
+    trees = []
+    oob_votes = np.zeros((n, m))
+    oob_hit = np.zeros(n, dtype=bool)
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        idx = rng.choice(n, size=n, p=p)
+        tree = _loop_grow_tree(X[idx], y[idx], m, rng, max_depth, min_leaf, n_feats)
+        trees.append(tree)
+        oob = np.setdiff1d(np.arange(n), idx, assume_unique=False)
+        if oob.size:
+            oob_votes[oob] += tree["probs"][_loop_tree_apply(tree, X[oob])]
+            oob_hit[oob] = True
+    oob_accuracy = None
+    if oob_hit.any():
+        pred = np.argmax(oob_votes[oob_hit], axis=1)
+        oob_accuracy = float(np.mean(pred == y[oob_hit]))
+    return trees, oob_accuracy
+
+
+def loop_predict_proba(trees, n_classes, X):
+    acc = np.zeros((len(X), n_classes))
+    for tree in trees:
+        acc += tree["probs"][_loop_tree_apply(tree, X)]
+    return acc / len(trees)
+
+
+def on_thresholds(trees, X) -> np.ndarray:
+    """Rows of X with one feature moved exactly onto a split threshold each."""
+    probes = []
+    for tree in trees:
+        for f, t in zip(tree["feature"], tree["threshold"]):
+            if f >= 0:
+                row = X[len(probes) % len(X)].copy()
+                row[f] = t
+                probes.append(row)
+    return np.array(probes)
+
+
+def assert_forest_matches(train, probe, **kw):
+    got = train_random_forest(train, **kw)
+    trees, oob_accuracy = loop_train_random_forest(train, **kw)
+    assert len(got.trees) == len(trees)
+    for g, w in zip(got.trees, trees):
+        assert g.keys() == w.keys()
+        for key in w:
+            assert g[key].dtype == w[key].dtype, key
+            assert g[key].shape == w[key].shape, key
+            assert g[key].tobytes() == w[key].tobytes(), key
+    assert type(got.oob_accuracy) is type(oob_accuracy)
+    assert got.oob_accuracy == oob_accuracy
+    for rows in (probe, on_thresholds(trees, probe), train.X):
+        want = loop_predict_proba(trees, train.n_classes, rows)
+        assert got.predict_proba(rows).tobytes() == want.tobytes()
+    return got
+
+
+@pytest.fixture(scope="module")
+def loo_fold():
+    """The 390 training rows of the acceptance corpus's first leave-one-out fold."""
+    corpus = build_corpus(PipelineConfig())
+    segs, uids = interval_training_rows(corpus, list(range(1, len(corpus.trips))))
+    fconfig = fit_feature_config(segs, corpus.network.sample_rate)
+    X = np.stack([extract_features(s, fconfig).vector() for s in segs])
+    held_out, _ = interval_training_rows(corpus, [0])
+    probe = np.stack([extract_features(s, fconfig).vector() for s in held_out])
+    return TrainingSet(X=X, y=uids, n_classes=corpus.network.num_intervals), probe
+
+
+def tie_heavy(seed: int, n: int = 60, d: int = 9, n_classes: int = 3) -> np.ndarray:
+    """Few distinct values, a duplicated column, a constant and a near-constant one."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 0)
+    X[:, 1] = X[:, 0]
+    X[:, 2] = 4.0
+    X[:, 3] = 0.0
+    X[rng.integers(n), 3] = 1.0
+    return X
+
+
+class TestForestMatchesLoopForest:
+    """Trees, OOB accuracy and probabilities equal the frozen loop forest's."""
+
+    def test_acceptance_loo_fold(self, loo_fold):
+        train, probe = loo_fold
+        assert train.X.shape == (390, FEATURE_DIM)
+        forest = assert_forest_matches(train, probe, n_trees=60, seed=5)
+        assert forest.oob_accuracy is not None
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3, 7])
+    @pytest.mark.parametrize("max_depth", [1, 3, 12])
+    def test_ties_duplicates_and_constant_columns(self, min_leaf, max_depth):
+        X = tie_heavy(seed=min_leaf * 31 + max_depth)
+        rng = np.random.default_rng(max_depth)
+        y = rng.integers(0, 3, size=len(X))
+        y[:6] = [0, 0, 1, 1, 2, 2]
+        train = TrainingSet(X=X, y=y, n_classes=3)
+        assert_forest_matches(
+            train, tie_heavy(seed=99, n=25), n_trees=12, seed=min_leaf,
+            max_depth=max_depth, min_leaf=min_leaf,
+        )
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_node_sizes_at_min_leaf_boundary(self, n):
+        X = tie_heavy(seed=n, n=n)
+        train = TrainingSet(X=X, y=[0, 1] * (n // 2) + [0] * (n % 2), n_classes=2)
+        assert_forest_matches(train, X, n_trees=10, seed=n, min_leaf=2)
+
+    def test_class_with_no_rows(self):
+        base = cluster_set(seed=30, n_classes=4, n_per=15, d=6)
+        y = np.where(base.y == 2, 3, base.y)
+        X = np.round(base.X, 0)
+        train = TrainingSet(X=X, y=y, n_classes=5)
+        forest = assert_forest_matches(train, X[::3] + 0.5, n_trees=9, seed=31)
+        assert np.all(forest.predict_proba(X)[:, [2, 4]] == 0.0)
+
+    def test_sample_weights(self):
+        base = cluster_set(seed=32, n_classes=3, n_per=20, d=7)
+        rng = np.random.default_rng(33)
+        w = rng.exponential(size=len(base.y))
+        w[:10] = 0.0
+        train = TrainingSet(X=np.round(base.X, 0), y=base.y, n_classes=3, sample_weight=w)
+        assert_forest_matches(train, base.X, n_trees=15, seed=34)

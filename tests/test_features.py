@@ -251,8 +251,8 @@ class TestFitThresholds:
         fitted = fit_nvht_thresholds(segs, cfg)
         for c in range(3):
             pooled = np.concatenate([np.abs(smooth(s[:, c], 5)) for s in segs])
-            want = tuple(np.percentile(pooled, p) for p in NVHT_PERCENTILES)
-            assert fitted.nvht_thresholds[c] == pytest.approx(want)
+            want = tuple(float(np.percentile(pooled, p)) for p in NVHT_PERCENTILES)
+            assert fitted.nvht_thresholds[c] == want
 
     def test_original_config_untouched(self):
         cfg = FeatureConfig(sample_rate=10.0)
@@ -404,6 +404,14 @@ class TestMatchesLoopExtractor:
     def test_fitted_thresholds(self, acceptance_segments):
         segs, cfg = acceptance_segments
         assert cfg.nvht_thresholds == loop_fit_thresholds(segs, cfg)
+
+    @pytest.mark.parametrize("held_out", [0, 195, 390])
+    def test_fold_thresholds_match_one_percentile_per_call(self, acceptance_segments, held_out):
+        # the pool of a leave-one-out fold: all but ten consecutive segments
+        segs, cfg = acceptance_segments
+        fold = segs[:held_out] + segs[held_out + 10:]
+        fitted = fit_nvht_thresholds(fold, FeatureConfig(cfg.sample_rate))
+        assert fitted.nvht_thresholds == loop_fit_thresholds(fold, cfg)
 
     def test_prefixes_around_every_window_size(self, acceptance_segments):
         # the partial tail window appears, vanishes and reappears as the

@@ -152,6 +152,15 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match="not strictly increasing"):
             trace.validate()
 
+    def test_nonincreasing_timestamp_names_sample(self, tmp_path):
+        # sample 3 sits on file line 5, after the meta line; the message names the sample
+        trace = make_trace(n=8)
+        trace.t[3] = trace.t[2]
+        p = tmp_path / "repeat.jsonl"
+        save_trace(trace, p)
+        with pytest.raises(TraceFormatError, match="not strictly increasing at sample offset 3$"):
+            load_trace(p)
+
     def test_alpha_out_of_range(self):
         trace = make_trace(n=5)
         trace.orient[2, 0] = 91.0
