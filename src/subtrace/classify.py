@@ -21,7 +21,7 @@ every tie-break are the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

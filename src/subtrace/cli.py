@@ -86,13 +86,7 @@ def _cmd_bootstrap(args) -> int:
     config = _load_config(args)
     corpus = pipeline.load_corpus(args.corpus)
     result, ensemble, _, n_sequences = evalharness.bootstrap_from_corpus(corpus, config)
-    model = pipeline.AttackModel(
-        network=corpus.network,
-        mode_model=pipeline.train_mode_model(corpus),
-        ensemble=ensemble,
-        seg_params=pipeline.segment.params_for_network(corpus.network),
-    )
-    model.save(args.out)
+    pipeline.bundle_attack_model(corpus, ensemble).save(args.out)
     report = result.report(corpus.network, threshold=config.enough_labels)
     report["sequences"] = n_sequences
     report["model"] = args.out

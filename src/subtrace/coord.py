@@ -6,6 +6,10 @@ gamma the compass heading (clockwise from true north) of the Y axis's
 horizontal projection.  The rotation is built directly from the geometric
 definitions rather than from tabulated component formulas; orthonormality of
 the device axes constrains the Z tilt through sin^2(a) + sin^2(b) + sin^2(t) = 1.
+
+There is one conversion path: ``transform`` turns a whole trace into an
+``EnuSeries`` with one rotation per sample from ``rotation_matrices``. A
+single sample is converted as a one-sample trace, never by a second routine.
 """
 
 from __future__ import annotations
@@ -14,20 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GRAVITY, EnuSample, SensorSample, Trace
+from .model import GRAVITY, Trace
 
 # Y-axis within 0.1 degrees of vertical: heading is undefined.
 GIMBAL_COS_LIMIT = np.cos(np.radians(89.9))
 CONSISTENCY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class OrientationAngles:
-    """Orientation in radians, already validated for mutual consistency."""
-
-    alpha: float
-    beta: float
-    gamma: float
 
 
 @dataclass
@@ -58,18 +53,6 @@ class EnuSeries:
             self.hra[start:end],
             self.degenerate[start:end],
         )
-
-
-def rotation_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Phone-to-world rotation for one orientation, angles in radians.
-
-    Columns are the phone X/Y/Z axes expressed in (east, north, up).
-    Raises on a gimbal-degenerate orientation or inconsistent angles.
-    """
-    R, degen = rotation_matrices(np.array([[alpha, beta, gamma]]))
-    if degen[0]:
-        raise ValueError("gimbal-degenerate orientation: Y axis is vertical")
-    return R[0]
 
 
 def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,22 +96,6 @@ def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, degenerate
 
 
-def to_enu(sample: SensorSample, fallback: np.ndarray | None = None) -> EnuSample:
-    """Transform one sample; a degenerate orientation needs a fallback rotation."""
-    rad = np.radians(np.asarray(sample.orient, dtype=float))
-    R, degen = rotation_matrices(rad[None, :])
-    if degen[0]:
-        if fallback is None:
-            raise ValueError("gimbal-degenerate sample and no fallback rotation")
-        rot = fallback
-    else:
-        rot = R[0]
-    world = rot @ np.asarray(sample.acc, dtype=float)
-    eca, nca = float(world[0]), float(world[1])
-    vca = float(world[2] - GRAVITY)
-    return EnuSample(sample.t, eca, nca, vca, float(np.hypot(eca, nca)))
-
-
 def transform(trace: Trace) -> EnuSeries:
     """Earth-frame series for a whole trace; one output sample per input."""
     if trace.n_samples == 0:
@@ -141,21 +108,3 @@ def transform(trace: Trace) -> EnuSeries:
     vca = world[:, 2] - GRAVITY
     hra = np.hypot(eca, nca)
     return EnuSeries(trace.t.copy(), eca, nca, vca, hra, degenerate)
-
-
-def hra_series(samples: Trace | list[SensorSample]) -> tuple[np.ndarray, np.ndarray]:
-    """(t, hra) arrays for a trace or a list of samples, order preserved."""
-    if isinstance(samples, Trace):
-        series = transform(samples)
-        return series.t, series.hra
-    if not samples:
-        return np.empty(0), np.empty(0)
-    trace = Trace(
-        device_id="",
-        sample_rate=0.0,
-        t=np.array([s.t for s in samples], dtype=float),
-        acc=np.array([s.acc for s in samples], dtype=float),
-        orient=np.array([s.orient for s in samples], dtype=float),
-    )
-    series = transform(trace)
-    return series.t, series.hra

@@ -26,7 +26,7 @@ from .features import (
     extract_features,
     fit_nvht_thresholds,
 )
-from .infer import infer_trace, infer_with_segment_tolerance
+from .infer import check_mode, decode_span, infer_trace
 from .model import MetroNetwork
 from .pipeline import (
     Corpus,
@@ -151,8 +151,10 @@ def predict_subtrip(
     detected cut layout only, since there is nothing to re-featurize with).
     ``featurize(lo, hi)`` returns the features of ``series`` samples
     ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip can
-    share one that remembers what it computed.
+    share one that remembers what it computed. An unknown ``mode`` raises
+    ``ValueError`` before anything is scored.
     """
+    check_mode(mode)
     sub = series.view(*st.span)
     if segmenter == "oracle":
         points: list[int] = list(st.cuts_rel)
@@ -170,14 +172,8 @@ def predict_subtrip(
         def featurize_sub(lo: int, hi: int) -> SegmentFeatures:
             return featurize(off + lo, off + hi)
 
-        if mode == "full":
-            res = infer_with_segment_tolerance(
-                sub, ensemble, network, points=points, featurize=featurize_sub
-            )
-            return res.best, len(points) + 1
-        bounds = [0, *points, sub.n_samples]
-        feats = [featurize_sub(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        return infer_trace(ensemble.predict_matrix(feats)), len(points) + 1
+        hyp, _ = decode_span(sub, ensemble, network, points, mode, featurize_sub)
+        return hyp, len(points) + 1
     except ValueError:
         return None, len(points) + 1
 
@@ -208,6 +204,7 @@ def evaluate_subtrips(
     mode: str = "full",
     series_by_trip: list[coord.EnuSeries] | None = None,
 ) -> EvalReport:
+    check_mode(mode)
     k = corpus.network.num_intervals
     seg_params = segment.params_for_network(corpus.network)
     if series_by_trip is None:
@@ -235,13 +232,7 @@ def evaluate_subtrips(
             seg_params, segmenter, classifier, mode, memo,
         )
         totals[st.length] += 1
-        ok = (
-            hyp is not None
-            and hyp.start_interval == st.uids[0]
-            and hyp.direction == st.direction
-            and hyp.length == st.length
-        )
-        if ok:
+        if _ride_key(hyp) == (st.uids[0], st.direction, st.length):
             correct[st.length] += 1
         if hyp is not None and hyp.length == st.length:
             pairs.extend(zip(st.uids, hyp.interval_ids()))
@@ -273,6 +264,7 @@ def loo_supervised(
     mode: str = "full",
 ) -> EvalReport:
     """Leave-one-trip-out evaluation of the supervised attack."""
+    check_mode(mode)
     n_trips = len(corpus.trips)
     models: dict[int, IntervalEnsemble | None] = {}
     if classifier == "oracle":
@@ -465,6 +457,19 @@ def paired_corpus(config: PipelineConfig, **noise_overrides) -> Corpus:
     return build_corpus(replace(config, noise=replace(config.noise, **noise_overrides)))
 
 
+def _ride_key(hyp) -> tuple | None:
+    """What a prediction claims about the ride; ``None`` when it failed."""
+    return None if hyp is None else (hyp.start_interval, hyp.direction, hyp.length)
+
+
+def _same_rides(rep_a: EvalReport, rep_b: EvalReport) -> int:
+    """Paired subtrips on which two reports predict the same ride."""
+    return sum(
+        _ride_key(ha) == _ride_key(hb)
+        for (_, ha), (_, hb) in zip(rep_a.predictions, rep_b.predictions)
+    )
+
+
 def prediction_flips(
     corpus_a: Corpus,
     corpus_b: Corpus,
@@ -474,12 +479,8 @@ def prediction_flips(
     """Fraction of paired subtrips whose predicted ride changes between corpora."""
     rep_a = evaluate_subtrips(corpus_a, lambda _: ensemble, lengths)
     rep_b = evaluate_subtrips(corpus_b, lambda _: ensemble, lengths)
-    flips = 0
-    for (_, ha), (_, hb) in zip(rep_a.predictions, rep_b.predictions):
-        ta = None if ha is None else (ha.start_interval, ha.direction, ha.length)
-        tb = None if hb is None else (hb.start_interval, hb.direction, hb.length)
-        flips += ta != tb
-    return flips / len(rep_a.predictions)
+    n = len(rep_a.predictions)
+    return (n - _same_rides(rep_a, rep_b)) / n
 
 
 def defended_corpus(corpus: Corpus, config: PipelineConfig, factor: float = DEFENSE_FACTOR) -> tuple[Corpus, float]:
@@ -510,9 +511,4 @@ def mode_agreement(
     """How often the tolerance search and plain detected-cut scoring agree."""
     full = evaluate_subtrips(corpus, lambda _: ensemble, lengths, mode="full")
     reduced = evaluate_subtrips(corpus, lambda _: ensemble, lengths, mode="reduced")
-    same = 0
-    for (_, hf), (_, hr) in zip(full.predictions, reduced.predictions):
-        tf = None if hf is None else (hf.start_interval, hf.direction, hf.length)
-        tr = None if hr is None else (hr.start_interval, hr.direction, hr.length)
-        same += tf == tr
-    return same / len(full.predictions)
+    return _same_rides(full, reduced) / len(full.predictions)

@@ -5,6 +5,12 @@ station interval), each window is classified metro / non-metro by a Gaussian
 naive Bayes over five summary features, and the window labels are then
 refined: isolated flips are undone and span boundaries are located by
 re-classifying single windows that slide back across each transition.
+
+``window_features`` is the one place the five features are computed, over
+every row of an ``(n_windows, m)`` block at once. Training stacks a series'
+disjoint windows (its short trailing window as a block of its own),
+``classify_windows`` stacks a whole series into one block, and the back-scan
+classifies single windows as one-row blocks.
 """
 
 from __future__ import annotations
@@ -54,24 +60,17 @@ def fit_thresholds(metro_hra: np.ndarray) -> tuple[float, float, float]:
 
 
 def window_features(
-    hra: np.ndarray, start: int, m: int, thresholds: tuple[float, float, float]
+    windows: np.ndarray, thresholds: tuple[float, float, float]
 ) -> np.ndarray:
-    """Five features of one window: mean, variance, counts above each threshold."""
-    if m < 1:
-        raise ValueError("window size must be >= 1")
-    win = np.asarray(hra, dtype=float)[start : start + m]
-    if win.size == 0:
-        raise ValueError(f"window at {start} is empty")
-    ta, tb, tc = thresholds
-    return np.array(
-        [
-            float(np.mean(win)),
-            float(np.var(win)),
-            float(np.sum(win > ta)),
-            float(np.sum(win > tb)),
-            float(np.sum(win > tc)),
-        ]
-    )
+    """(n_windows, 5) features of the rows of an (n_windows, m) block.
+
+    Each row gives mean, variance and its counts above each threshold.
+    """
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 2 or windows.shape[1] == 0:
+        raise ValueError(f"expected a non-empty (n_windows, m) block, got {windows.shape}")
+    counts = [np.sum(windows > t, axis=1) for t in thresholds]
+    return np.column_stack([np.mean(windows, axis=1), np.var(windows, axis=1), *counts])
 
 
 @dataclass
@@ -83,18 +82,7 @@ class ModeModel:
     window: int
 
     def predict_window(self, win: np.ndarray) -> int:
-        ta, tb, tc = self.thresholds
-        row = np.array(
-            [
-                np.mean(win),
-                np.var(win),
-                np.sum(win > ta),
-                np.sum(win > tb),
-                np.sum(win > tc),
-            ],
-            dtype=float,
-        )
-        return int(self.nb.predict(row[None, :])[0])
+        return int(self.nb.predict(window_features(win[None, :], self.thresholds))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -140,15 +128,20 @@ def classify_windows(
 
     The trailing partial is judged on the last full m samples (overlapping the
     previous window) so that its label rests on as much evidence as the rest;
-    the label still applies to the remainder region only.
+    the label still applies to the remainder region only. A series shorter
+    than m is judged as one window.
     """
     hra = np.asarray(hra, dtype=float)
+    n = len(hra)
     m = m or model.window
-    starts = np.arange(0, len(hra), m)
-    feat_starts = [int(min(s, max(0, len(hra) - m))) for s in starts]
-    rows = np.stack([window_features(hra, s, m, model.thresholds) for s in feat_starts])
-    labels = model.nb.predict(rows)
-    return labels.astype(int), starts
+    if n < m:
+        windows = hra[None, :]
+    else:
+        windows = hra[: n // m * m].reshape(-1, m)
+        if n % m:
+            windows = np.vstack([windows, hra[n - m :]])
+    labels = model.nb.predict(window_features(windows, model.thresholds))
+    return labels.astype(int), np.arange(0, n, m)
 
 
 def _locate_start(hra: np.ndarray, model: ModeModel, boundary: int, w: int) -> int:

@@ -6,6 +6,10 @@ line. Each candidate is scored by summing log probabilities of its intervals
 across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
+
+``decode_span`` is the one place that chooses between the two decoding
+modes: "full" runs the tolerance pass, "reduced" scores the detected cuts
+only. The attack and the evaluation harness both decode through it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import segment as seg_mod
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
 from .features import SegmentFeatures, SliceFeatures
@@ -26,6 +29,7 @@ REVERSE = "reverse"
 
 LOG_EPS = 1e-12
 SNAP_WINDOW_S = 10.0
+DECODE_MODES = ("full", "reduced")
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ class ToleranceResult:
     family: int  # segment count of the winning family
     detected: int  # segment count the segmenter reported
     ranked: tuple[tuple[TraceHypothesis, tuple[int, ...]], ...]
-    warning: bool = False
 
 
 def _planned_cuts(
@@ -148,7 +151,7 @@ def infer_with_segment_tolerance(
     series: EnuSeries,
     ensemble: IntervalEnsemble,
     network: MetroNetwork,
-    points: list[int] | None = None,
+    points: list[int],
     top_k: int = 3,
     featurize: Callable[[int, int], SegmentFeatures] | None = None,
 ) -> ToleranceResult:
@@ -167,10 +170,6 @@ def infer_with_segment_tolerance(
     if featurize is None:
         featurize = SliceFeatures(series.components(), ensemble.config)
 
-    warning = False
-    if points is None:
-        params = seg_mod.params_for_network(network)
-        points, warning = seg_mod.find_final_segment_points(series.hra, params)
     points = sorted(points)
 
     n_samples = series.n_samples
@@ -241,5 +240,40 @@ def infer_with_segment_tolerance(
         family=best.length,
         detected=n_detected,
         ranked=tuple(scored[: max(top_k, 1)]),
-        warning=warning,
     )
+
+
+# --- one span, either mode ----------------------------------------------------
+
+
+def check_mode(mode: str) -> None:
+    """Reject a decoding mode other than the ones ``decode_span`` knows."""
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown attack mode {mode!r}")
+
+
+def decode_span(
+    series: EnuSeries,
+    ensemble: IntervalEnsemble,
+    network: MetroNetwork,
+    points: list[int],
+    mode: str,
+    featurize: Callable[[int, int], SegmentFeatures] | None = None,
+) -> tuple[TraceHypothesis, tuple[int, ...]]:
+    """Decode one span cut at ``points``; returns the ride and the cuts it used.
+
+    ``"full"`` lets the tolerance pass re-cut the span for one missed or
+    spurious stop; ``"reduced"`` scores the detected cuts only. ``featurize``
+    is as for ``infer_with_segment_tolerance``.
+    """
+    check_mode(mode)
+    if featurize is None:
+        featurize = SliceFeatures(series.components(), ensemble.config)
+    if mode == "full":
+        res = infer_with_segment_tolerance(
+            series, ensemble, network, points=points, featurize=featurize
+        )
+        return res.best, res.points
+    bounds = [0, *points, series.n_samples]
+    feats = [featurize(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return infer_trace(ensemble.predict_matrix(feats)), tuple(points)

@@ -8,8 +8,7 @@ documents describing one line; the reverse direction is derived, never stored.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,51 +27,11 @@ class NetworkFormatError(ValueError):
     """Raised when a network file violates the network schema."""
 
 
-# --- sample-level types ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SensorSample:
-    """One accelerometer reading: phone-frame acc plus orientation in degrees."""
-
-    t: float
-    acc: tuple[float, float, float]
-    orient: tuple[float, float, float]  # (alpha, beta, gamma) degrees
-
-
-@dataclass(frozen=True)
-class EnuSample:
-    """One earth-frame reading: east/north/vertical components and HRA."""
-
-    t: float
-    eca: float
-    nca: float
-    vca: float
-    hra: float
-
-
 @dataclass(frozen=True)
 class TruthRange:
     start: float
     end: float
     label: str
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Half-open sample index range of one candidate station interval."""
-
-    start: int
-    end: int
-    true_interval: int | None = None
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"empty segment [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 # --- network ----------------------------------------------------------------
@@ -139,10 +98,6 @@ class MetroNetwork:
         return len(self.intervals) // 2
 
     @property
-    def num_directed(self) -> int:
-        return len(self.intervals)
-
-    @property
     def forward(self) -> tuple[StationInterval, ...]:
         return self.intervals[: self.num_intervals]
 
@@ -206,9 +161,6 @@ class Trace:
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0]) if self.n_samples > 1 else 0.0
 
-    def sample(self, i: int) -> SensorSample:
-        return SensorSample(float(self.t[i]), tuple(self.acc[i]), tuple(self.orient[i]))
-
     def truth_ranges(self, prefix: str = "") -> list[TruthRange]:
         return [r for r in self.truth if r.label.startswith(prefix)]
 
@@ -240,17 +192,6 @@ def normalize_orientation(orient: np.ndarray) -> np.ndarray:
     out[:, 1] = (out[:, 1] + 180.0) % 360.0 - 180.0
     out[:, 2] = out[:, 2] % 360.0
     return out
-
-
-def slice_trace(trace: Trace, start: int, end: int) -> Trace:
-    """View of a sample index range as a standalone trace (truth dropped)."""
-    return Trace(
-        device_id=trace.device_id,
-        sample_rate=trace.sample_rate,
-        t=trace.t[start:end],
-        acc=trace.acc[start:end],
-        orient=trace.orient[start:end],
-    )
 
 
 # --- trace I/O --------------------------------------------------------------

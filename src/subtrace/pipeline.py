@@ -9,7 +9,7 @@ segmenter settings into a single JSON document.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
-from .features import FeatureConfig, SegmentFeatures, extract_features, fit_nvht_thresholds
-from .infer import TraceHypothesis, infer_trace, infer_with_segment_tolerance, rank_hypotheses
+from .features import FeatureConfig, extract_features, fit_nvht_thresholds
+from .infer import TraceHypothesis, check_mode, decode_span
 from .model import (
     MetroNetwork,
     Trace,
@@ -254,17 +254,17 @@ def train_mode_model(corpus: Corpus) -> ModeModel:
     metro_hra = [coord.transform(tr).hra for tr in corpus.trips]
     thresholds = fit_thresholds(np.concatenate(metro_hra))
 
+    mode_hra = [coord.transform(tr).hra for tr in corpus.modes]
     rows, labels = [], []
-    for hra in metro_hra:
-        for s in range(0, len(hra), m):
-            rows.append(window_features(hra, s, m, thresholds))
-            labels.append(1)
-    for tr in corpus.modes:
-        hra = coord.transform(tr).hra
-        for s in range(0, len(hra), m):
-            rows.append(window_features(hra, s, m, thresholds))
-            labels.append(0)
-    return train_mode_classifier(np.stack(rows), np.array(labels), thresholds, m)
+    for label, series in ((1, metro_hra), (0, mode_hra)):
+        for hra in series:
+            # disjoint m-sample windows; a short trailing window is a block of its own
+            k = len(hra) // m
+            for block in (hra[: k * m].reshape(k, m), hra[k * m :][None, :]):
+                if block.size:
+                    rows.append(window_features(block, thresholds))
+                    labels.append(np.full(len(block), label))
+    return train_mode_classifier(np.concatenate(rows), np.concatenate(labels), thresholds, m)
 
 
 def interval_training_rows(
@@ -318,22 +318,13 @@ class AttackModel:
     seg_params: segment.SegmenterParams
 
     def to_dict(self) -> dict:
-        sp = self.seg_params
         return {
             "schema_version": 1,
             "kind": "attack_model",
             "network": network_to_dict(self.network),
             "mode_model": self.mode_model.to_dict(),
             "ensemble": self.ensemble.to_dict(),
-            "segmenter": {
-                "l_w": sp.l_w,
-                "l_min": sp.l_min,
-                "l_max": sp.l_max,
-                "t1": sp.t1,
-                "delta": sp.delta,
-                "quorum": sp.quorum,
-                "max_escalations": sp.max_escalations,
-            },
+            "segmenter": asdict(self.seg_params),
         }
 
     @classmethod
@@ -366,15 +357,19 @@ class AttackModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def train_attack_model(corpus: Corpus, config: PipelineConfig) -> AttackModel:
-    segments, uids = interval_training_rows(corpus)
-    ensemble = train_ensemble_on(segments, uids, corpus.network, config)
+def bundle_attack_model(corpus: Corpus, ensemble: IntervalEnsemble) -> AttackModel:
+    """Bundle an interval ensemble with the corpus's ride extractor and segmenter."""
     return AttackModel(
         network=corpus.network,
         mode_model=train_mode_model(corpus),
         ensemble=ensemble,
         seg_params=segment.params_for_network(corpus.network),
     )
+
+
+def train_attack_model(corpus: Corpus, config: PipelineConfig) -> AttackModel:
+    segments, uids = interval_training_rows(corpus)
+    return bundle_attack_model(corpus, train_ensemble_on(segments, uids, corpus.network, config))
 
 
 # --- attack ---------------------------------------------------------------------
@@ -393,8 +388,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
     The trace is validated first, so one built in memory is held to the
     same rules as one loaded from a file.
     """
-    if mode not in ("full", "reduced"):
-        raise ValueError(f"unknown attack mode {mode!r}")
+    check_mode(mode)
     trace.validate()
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model)
@@ -410,20 +404,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
             "warning": bool(warn),
         }
         try:
-            if mode == "full":
-                res = infer_with_segment_tolerance(
-                    sub, model.ensemble, model.network, points=points
-                )
-                hyp, used = res.best, res.points
-            else:
-                comp = sub.components()
-                bounds = [0, *points, sub.n_samples]
-                feats = [
-                    extract_features(comp[a:b], model.ensemble.config)
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                hyp = infer_trace(model.ensemble.predict_matrix(feats))
-                used = tuple(points)
+            hyp, used = decode_span(sub, model.ensemble, model.network, points, mode)
         except ValueError as exc:
             entry["error"] = str(exc)
             results.append(entry)

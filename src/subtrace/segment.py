@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MetroNetwork, Segment
+from .model import MetroNetwork
 
 DEFAULT_QUORUM = 0.95
 RESEARCH_QUORUM = 0.80
@@ -141,12 +141,3 @@ def find_final_segment_points(
             )
         points = sorted(set(points))
     return sorted(points), bool(_overlong_gaps(points, n, p.l_max))
-
-
-def to_segments(n: int, points: list[int]) -> list[Segment]:
-    """Cut [0, n) at the given interior points."""
-    pts = sorted(set(points))
-    if pts and (pts[0] <= 0 or pts[-1] >= n):
-        raise ValueError("segmentation points must lie strictly inside the span")
-    bounds = [0] + pts + [n]
-    return [Segment(a, b) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -11,7 +11,7 @@ motion identical when a single source is toggled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 import json
 
@@ -60,10 +60,6 @@ class TrackProfile:
     @property
     def nominal_duration(self) -> float:
         return sum(p.duration for p in self.primitives)
-
-    @property
-    def peak_lateral(self) -> float:
-        return max((abs(p.lateral_accel) for p in self.primitives), default=0.0)
 
     def curve_offsets(self) -> tuple[float, ...]:
         """Curve center times from the interval start, in seconds."""

@@ -15,13 +15,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from subtrace import coord, segment
+from subtrace import coord, evalharness, segment
 from subtrace.evalharness import (
     _random_chunks,
     confusion_matrix,
     edit_distance,
     enumerate_subtrips,
     evaluate_subtrips,
+    loo_supervised,
     predict_subtrip,
     single_model_ensemble,
 )
@@ -213,3 +214,40 @@ class TestFeatureReuse:
         report = evaluate_subtrips(corpus, alternating(), self.LENGTHS)
         alone = separate_predictions(corpus, alternating(), self.LENGTHS, "full")
         assert [hyp for _, hyp in report.predictions] == alone
+
+
+BAD_MODES = ["Full", "fast", ""]
+
+
+class TestUnknownModeRejected:
+    """A mode other than "full" or "reduced" used to score reduced mode silently."""
+
+    @pytest.mark.parametrize("mode", BAD_MODES)
+    def test_predict_subtrip(self, small_corpus, small_ensemble, mode):
+        st = enumerate_subtrips(small_corpus, (3,))[0]
+        series = coord.transform(small_corpus.trips[st.trip])
+        seg_params = segment.params_for_network(small_corpus.network)
+        with pytest.raises(ValueError, match="unknown attack mode"):
+            predict_subtrip(
+                series, st, small_ensemble, small_corpus.network, seg_params, mode=mode
+            )
+
+    @pytest.mark.parametrize("mode", BAD_MODES)
+    def test_evaluate_subtrips_scores_nothing(
+        self, small_corpus, small_ensemble, mode, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            pytest.fail("a subtrip was scored under an unknown mode")
+
+        monkeypatch.setattr(evalharness, "predict_subtrip", never)
+        with pytest.raises(ValueError, match="unknown attack mode"):
+            evaluate_subtrips(small_corpus, lambda _: small_ensemble, (3,), mode=mode)
+
+    @pytest.mark.parametrize("mode", BAD_MODES)
+    def test_loo_supervised_trains_nothing(self, small_corpus, small_config, mode, monkeypatch):
+        def never(*args, **kwargs):
+            pytest.fail("a fold was trained under an unknown mode")
+
+        monkeypatch.setattr(evalharness, "train_ensemble_on", never)
+        with pytest.raises(ValueError, match="unknown attack mode"):
+            loo_supervised(small_corpus, small_config, (3,), mode=mode)

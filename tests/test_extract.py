@@ -62,22 +62,23 @@ class TestThresholds:
 
 class TestWindowFeatures:
     def test_hand_computed(self):
-        hra = np.array([0.0, 1.0, 2.0, 3.0])
-        row = window_features(hra, 0, 4, (0.5, 1.5, 2.5))
-        np.testing.assert_allclose(row, [1.5, 1.25, 3.0, 2.0, 1.0])
+        hra = np.array([[0.0, 1.0, 2.0, 3.0]])
+        rows = window_features(hra, (0.5, 1.5, 2.5))
+        np.testing.assert_allclose(rows, [[1.5, 1.25, 3.0, 2.0, 1.0]])
 
     def test_offset_window(self):
+        # the second 2-sample window of [9, 9, 1, 1] is its own row
         hra = np.array([9.0, 9.0, 1.0, 1.0])
-        row = window_features(hra, 2, 2, (0.5, 1.5, 2.5))
-        np.testing.assert_allclose(row, [1.0, 0.0, 2.0, 0.0, 0.0])
+        rows = window_features(hra.reshape(2, 2), (0.5, 1.5, 2.5))
+        np.testing.assert_allclose(rows, [[9.0, 0.0, 2.0, 2.0, 2.0], [1.0, 0.0, 2.0, 0.0, 0.0]])
 
     def test_bad_window_size(self):
         with pytest.raises(ValueError):
-            window_features(np.ones(4), 0, 0, (0.1, 0.2, 0.3))
+            window_features(np.ones(4), (0.1, 0.2, 0.3))
 
     def test_empty_window(self):
         with pytest.raises(ValueError, match="empty"):
-            window_features(np.ones(4), 4, 2, (0.1, 0.2, 0.3))
+            window_features(np.ones((2, 0)), (0.1, 0.2, 0.3))
 
 
 class TestTrainModeClassifier:
@@ -126,6 +127,12 @@ class TestClassifyWindows:
         hra = series((LOUD, 2 * W + 2), (QUIET, 9))
         labels, _ = classify_windows(hra, toy_model)
         assert labels.tolist() == [METRO, METRO, METRO]
+
+    @pytest.mark.parametrize("value,label", [(LOUD, METRO), (QUIET, NON_METRO)])
+    def test_series_shorter_than_a_window_is_one_window(self, toy_model, value, label):
+        labels, starts = classify_windows(series((value, W // 2)), toy_model)
+        assert labels.tolist() == [label]
+        assert starts.tolist() == [0]
 
     def test_explicit_window_override(self, toy_model):
         hra = series((LOUD, 40))

@@ -8,7 +8,6 @@ import pytest
 from subtrace.model import (
     MetroNetwork,
     NetworkFormatError,
-    Segment,
     StationInterval,
     Trace,
     TraceFormatError,
@@ -19,7 +18,6 @@ from subtrace.model import (
     normalize_orientation,
     save_network,
     save_trace,
-    slice_trace,
 )
 
 
@@ -185,27 +183,11 @@ class TestTraceErrors:
             trace.validate()
 
 
-class TestSliceAndSegment:
-    def test_slice_drops_truth(self):
-        trace = make_trace(truth=(TruthRange(0, 1, "metro"),))
-        part = slice_trace(trace, 10, 20)
-        assert part.n_samples == 10
-        assert part.truth == ()
-        np.testing.assert_array_equal(part.t, trace.t[10:20])
-
-    def test_empty_segment_rejected(self):
-        with pytest.raises(ValueError, match="empty segment"):
-            Segment(5, 5)
-
-    def test_segment_length(self):
-        assert Segment(3, 10).length == 7
-
-
 class TestNetwork:
     def test_reverse_derivation(self):
         net = make_line(k=4)
         assert net.num_intervals == 4
-        assert net.num_directed == 8
+        assert len(net.intervals) == 8
         for i, iv in enumerate(net.reverse):
             src = net.forward[4 - 1 - i]
             assert iv.id == 4 + i

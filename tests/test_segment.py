@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subtrace.coord import hra_series
-from subtrace.model import Segment
+from subtrace import coord
 from subtrace.pipeline import true_trip_layout
 from subtrace.segment import (
     DEFAULT_QUORUM,
@@ -17,7 +16,6 @@ from subtrace.segment import (
     find_seg_points,
     params_for_network,
     resolve_params,
-    to_segments,
 )
 
 LOUD = 10.0
@@ -181,30 +179,12 @@ class TestFinalSegmentPoints:
         assert points == sorted(set(points))
 
 
-class TestToSegments:
-    def test_cuts(self):
-        segs = to_segments(30, [10, 20])
-        assert segs == [Segment(0, 10), Segment(10, 20), Segment(20, 30)]
-
-    def test_unsorted_duplicates(self):
-        assert to_segments(30, [20, 10, 10]) == to_segments(30, [10, 20])
-
-    def test_no_points(self):
-        assert to_segments(30, []) == [Segment(0, 30)]
-
-    @pytest.mark.parametrize("points", [[0, 10], [10, 30], [-3]])
-    def test_points_outside_open_range(self, points):
-        with pytest.raises(ValueError):
-            to_segments(30, points)
-
-
 class TestOnSimulatedTrips:
     def test_recovers_true_cuts(self, small_corpus):
         params = params_for_network(small_corpus.network)
         tol = 10.0 * small_corpus.network.sample_rate
         for trip in small_corpus.trips:
-            _, hra = hra_series(trip)
-            points, warn = find_final_segment_points(hra, params)
+            points, warn = find_final_segment_points(coord.transform(trip).hra, params)
             truth = true_trip_layout(trip)
             assert warn is False
             assert len(points) == truth.n_legs - 1
