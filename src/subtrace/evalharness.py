@@ -47,6 +47,17 @@ POINT_TOLERANCE_S = 10.0
 SEED_INTERVALS = 2
 SEED_TRAVERSALS = 20
 DEFENSE_FACTOR = 5.0
+SEGMENTERS = ("pipeline", "oracle")
+CLASSIFIERS = ("model", "oracle")
+
+
+def _check_options(segmenter: str, classifier: str, mode: str) -> None:
+    """Reject an option value the subtrip protocol does not know."""
+    check_mode(mode)
+    if segmenter not in SEGMENTERS:
+        raise ValueError(f"unknown segmenter {segmenter!r}")
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {classifier!r}")
 
 
 # --- metrics ----------------------------------------------------------------
@@ -151,10 +162,11 @@ def predict_subtrip(
     detected cut layout only, since there is nothing to re-featurize with).
     ``featurize(lo, hi)`` returns the features of ``series`` samples
     ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip can
-    share one that remembers what it computed. An unknown ``mode`` raises
-    ``ValueError`` before anything is scored.
+    share one that remembers what it computed. An unknown ``mode``,
+    ``segmenter`` or ``classifier`` raises ``ValueError`` before anything is
+    scored.
     """
-    check_mode(mode)
+    _check_options(segmenter, classifier, mode)
     sub = series.view(*st.span)
     if segmenter == "oracle":
         points: list[int] = list(st.cuts_rel)
@@ -204,7 +216,7 @@ def evaluate_subtrips(
     mode: str = "full",
     series_by_trip: list[coord.EnuSeries] | None = None,
 ) -> EvalReport:
-    check_mode(mode)
+    _check_options(segmenter, classifier, mode)
     k = corpus.network.num_intervals
     seg_params = segment.params_for_network(corpus.network)
     if series_by_trip is None:
@@ -264,7 +276,7 @@ def loo_supervised(
     mode: str = "full",
 ) -> EvalReport:
     """Leave-one-trip-out evaluation of the supervised attack."""
-    check_mode(mode)
+    _check_options(segmenter, classifier, mode)
     n_trips = len(corpus.trips)
     models: dict[int, IntervalEnsemble | None] = {}
     if classifier == "oracle":

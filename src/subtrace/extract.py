@@ -4,13 +4,15 @@ The series is chopped into fixed windows of m samples (half the shortest
 station interval), each window is classified metro / non-metro by a Gaussian
 naive Bayes over five summary features, and the window labels are then
 refined: isolated flips are undone and span boundaries are located by
-re-classifying single windows that slide back across each transition.
+re-classifying the windows that slide back across each transition.
 
 ``window_features`` is the one place the five features are computed, over
 every row of an ``(n_windows, m)`` block at once. Training stacks a series'
 disjoint windows (its short trailing window as a block of its own),
 ``classify_windows`` stacks a whole series into one block, and the back-scan
-classifies single windows as one-row blocks.
+stacks all of a transition's candidate windows into one contiguous block
+(a window cut short by the series end is a one-row block of its own) and
+labels them with one ``predict``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import GaussianNB
 
@@ -80,9 +83,6 @@ class ModeModel:
     nb: GaussianNB
     thresholds: tuple[float, float, float]
     window: int
-
-    def predict_window(self, win: np.ndarray) -> int:
-        return int(self.nb.predict(window_features(win[None, :], self.thresholds))[0])
 
     def to_dict(self) -> dict:
         return {
@@ -147,15 +147,25 @@ def classify_windows(
 def _locate_start(hra: np.ndarray, model: ModeModel, boundary: int, w: int) -> int:
     """Span start near a non-metro -> metro window transition at `boundary`.
 
-    Windows starting at boundary-1, boundary-2, ... are re-classified until the
+    Windows starting at boundary-1, boundary-2, ... are scanned for the
     first non-metro one; the transition is taken at that window's midpoint.
     The scan is capped at 2w windows; if everything classifies metro the start
-    falls back to the midpoint of the window before the boundary.
+    falls back to the midpoint of the window before the boundary. All
+    candidates are labelled with one ``predict``. Indexing the sliding-window
+    view with an array copies the windows into one contiguous (k, w) block,
+    so each row reduces in the same order as a one-row block would.
     """
     lo_cap = max(0, boundary - BACKSCAN_WINDOWS * w)
-    for st in range(boundary - 1, lo_cap - 1, -1):
-        if model.predict_window(hra[st : st + w]) == NON_METRO:
-            return st + w // 2
+    starts = np.arange(boundary - 1, lo_cap - 1, -1)
+    fits = starts <= len(hra) - w
+    # windows running past the series end come first in scan order
+    rows = [window_features(hra[st:][None, :], model.thresholds) for st in starts[~fits]]
+    if fits.any():
+        block = sliding_window_view(hra, w)[starts[fits]]
+        rows.append(window_features(block, model.thresholds))
+    hits = np.flatnonzero(model.nb.predict(np.vstack(rows)) == NON_METRO)
+    if hits.size:
+        return int(starts[hits[0]]) + w // 2
     return max(0, boundary - w) + w // 2
 
 

@@ -3,12 +3,19 @@
 Traces are JSON-lines files: an optional meta header, one object per sample,
 and an optional ground-truth trailer.  Metro networks are single JSON
 documents describing one line; the reverse direction is derived, never stored.
+
+``load_trace`` decodes each nonblank line with its own decoder call, so a
+framing error names its line, then converts all sample values with three
+numpy conversions; only when those fail does it convert sample by sample to
+name the bad line. ``save_trace`` formats every sample row in one pass, with
+the same float repr text that ``json.dumps`` writes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +173,8 @@ class Trace:
 
     def validate(self) -> None:
         n = self.n_samples
+        if n == 0:
+            raise TraceFormatError("no samples")
         if self.acc.shape != (n, 3) or self.orient.shape != (n, 3):
             raise TraceFormatError("acc and orient must be (n, 3) arrays")
         for name in ("t", "acc", "orient"):
@@ -197,19 +206,31 @@ def normalize_orientation(orient: np.ndarray) -> np.ndarray:
 # --- trace I/O --------------------------------------------------------------
 
 
+# One sample row as ``json.dumps`` writes it: ``%r`` of a Python float is the
+# float repr that ``json.dumps`` uses.
+_SAMPLE_ROW = '{"t": %r, "acc": [%r, %r, %r], "orient": [%r, %r, %r]}\n'
+_SAMPLE_KEYS = itemgetter("t", "acc", "orient")
+# json.loads without its whitespace scans around the value, which a stripped
+# line does not need; a value that does not end the line is left to json.loads
+_decode = json.JSONDecoder().raw_decode
+
+
 def save_trace(trace: Trace, path: str | Path) -> None:
-    """Write a trace as JSON lines; floats round-trip exactly via repr."""
+    """Write a trace as JSON lines; floats round-trip exactly via repr.
+
+    All sample rows are formatted in one pass from ``tolist()`` floats (a
+    numpy scalar would format as ``np.float64(...)``). A non-finite value
+    raises ``ValueError`` before the file is opened.
+    """
+    rows = np.column_stack([np.asarray(trace.t, dtype=float), trace.acc, trace.orient])
+    bad = np.nonzero(~np.isfinite(rows))[0]
+    if bad.size:
+        raise ValueError(f"non-finite value at sample offset {bad[0]} cannot be written as JSON")
     path = Path(path)
     with path.open("w") as fh:
         meta = {"meta": {"device_id": trace.device_id, "sample_rate": trace.sample_rate}}
         fh.write(json.dumps(meta, allow_nan=False) + "\n")
-        for i in range(trace.n_samples):
-            row = {
-                "t": float(trace.t[i]),
-                "acc": [float(v) for v in trace.acc[i]],
-                "orient": [float(v) for v in trace.orient[i]],
-            }
-            fh.write(json.dumps(row, allow_nan=False) + "\n")
+        fh.write("".join(_SAMPLE_ROW % tuple(row) for row in rows.tolist()))
         if trace.truth:
             trailer = {
                 "truth": [
@@ -219,63 +240,122 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             fh.write(json.dumps(trailer, allow_nan=False) + "\n")
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Parse a JSON-lines trace file; errors carry 1-based line numbers."""
-    path = Path(path)
-    device_id = ""
-    sample_rate = 0.0
+def _checked_samples(
+    name: str, linenos: list[int], samples: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert (t, acc, orient) one sample at a time; the first bad one names its line."""
     rows_t: list[float] = []
     rows_acc: list[list[float]] = []
     rows_orient: list[list[float]] = []
+    for lineno, (t, acc, orient) in zip(linenos, samples):
+        try:
+            t = float(t)
+            acc = [float(v) for v in acc]
+            orient = [float(v) for v in orient]
+        except (TypeError, ValueError):
+            raise TraceFormatError(f"{name}:{lineno}: sample needs t, acc[3], orient[3]")
+        if len(acc) != 3 or len(orient) != 3:
+            raise TraceFormatError(f"{name}:{lineno}: acc and orient must have 3 entries")
+        rows_t.append(t)
+        rows_acc.append(acc)
+        rows_orient.append(orient)
+    return (
+        np.asarray(rows_t, dtype=float),
+        np.asarray(rows_acc, dtype=float),
+        np.asarray(rows_orient, dtype=float),
+    )
+
+
+def _sample_arrays(
+    name: str, linenos: list[int], samples: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t``, ``acc`` and ``orient`` of the samples, one conversion each.
+
+    Any doubt goes to the one-at-a-time conversion: a failed conversion, a
+    wrong shape, or a non-finite value, which may be a JSON ``null`` that
+    numpy read as NaN. It raises the line-numbered error or, for a ``NaN``
+    literal, returns the arrays for ``Trace.validate`` to refuse.
+    """
+    n = len(samples)
+    try:
+        t, acc, orient = (np.array(col, dtype=float) for col in zip(*samples))
+    except (TypeError, ValueError, OverflowError):
+        return _checked_samples(name, linenos, samples)
+    shapes_ok = (t.shape, acc.shape, orient.shape) == ((n,), (n, 3), (n, 3))
+    if not (shapes_ok and all(np.isfinite(a).all() for a in (t, acc, orient))):
+        return _checked_samples(name, linenos, samples)
+    return t, acc, orient
+
+
+def load_trace(path: str | Path) -> Trace:
+    """Parse a JSON-lines trace file; errors carry 1-based line numbers.
+
+    Each nonblank line is decoded on its own, so framing errors name their
+    line; sample values are then converted in bulk. Whatever the error, a
+    bad sample on an earlier line is reported first.
+    """
+    path = Path(path)
+    device_id = ""
+    sample_rate = 0.0
+    linenos: list[int] = []
+    samples: list[tuple] = []  # (t, acc, orient) as decoded
     truth: list[TruthRange] = []
     trailer_seen = False
 
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc.msg})")
-            if "meta" in obj:
-                if lineno != 1:
-                    raise TraceFormatError(f"{path.name}:{lineno}: meta must be the first line")
-                meta = obj["meta"]
-                device_id = str(meta.get("device_id", ""))
-                sample_rate = float(meta.get("sample_rate", 0.0))
-            elif "truth" in obj:
-                if trailer_seen:
-                    raise TraceFormatError(f"{path.name}:{lineno}: duplicate truth trailer")
-                trailer_seen = True
-                for entry in obj["truth"]:
-                    truth.append(
-                        TruthRange(float(entry["start"]), float(entry["end"]), str(entry["label"]))
-                    )
-            else:
-                if trailer_seen:
-                    raise TraceFormatError(f"{path.name}:{lineno}: samples after truth trailer")
+    try:
+        with path.open() as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
                 try:
-                    t = float(obj["t"])
-                    acc = [float(v) for v in obj["acc"]]
-                    orient = [float(v) for v in obj["orient"]]
-                except (KeyError, TypeError, ValueError):
-                    raise TraceFormatError(f"{path.name}:{lineno}: sample needs t, acc[3], orient[3]")
-                if len(acc) != 3 or len(orient) != 3:
-                    raise TraceFormatError(f"{path.name}:{lineno}: acc and orient must have 3 entries")
-                rows_t.append(t)
-                rows_acc.append(acc)
-                rows_orient.append(orient)
+                    obj, end = _decode(raw)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(raw):  # json.loads words the error
+                    try:
+                        obj = json.loads(raw)
+                    except json.JSONDecodeError as exc:
+                        raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc.msg})")
+                if "meta" in obj:
+                    if lineno != 1:
+                        raise TraceFormatError(f"{path.name}:{lineno}: meta must be the first line")
+                    meta = obj["meta"]
+                    device_id = str(meta.get("device_id", ""))
+                    sample_rate = float(meta.get("sample_rate", 0.0))
+                elif "truth" in obj:
+                    if trailer_seen:
+                        raise TraceFormatError(f"{path.name}:{lineno}: duplicate truth trailer")
+                    trailer_seen = True
+                    for entry in obj["truth"]:
+                        truth.append(
+                            TruthRange(float(entry["start"]), float(entry["end"]), str(entry["label"]))
+                        )
+                else:
+                    if trailer_seen:
+                        raise TraceFormatError(f"{path.name}:{lineno}: samples after truth trailer")
+                    try:
+                        samples.append(_SAMPLE_KEYS(obj))
+                    except (KeyError, TypeError):
+                        raise TraceFormatError(
+                            f"{path.name}:{lineno}: sample needs t, acc[3], orient[3]"
+                        )
+                    linenos.append(lineno)
+    except Exception:
+        # samples are converted after the loop, so check the earlier ones now:
+        # a bad sample is reported before any error on a later line
+        _checked_samples(path.name, linenos, samples)
+        raise
 
-    if not rows_t:
+    if not samples:
         raise TraceFormatError(f"{path.name}: no samples")
+    t, acc, orient = _sample_arrays(path.name, linenos, samples)
     trace = Trace(
         device_id=device_id,
         sample_rate=sample_rate,
-        t=np.asarray(rows_t, dtype=float),
-        acc=np.asarray(rows_acc, dtype=float),
-        orient=normalize_orientation(np.asarray(rows_orient, dtype=float)),
+        t=t,
+        acc=acc,
+        orient=normalize_orientation(orient),
         truth=tuple(truth),
     )
     trace.validate()

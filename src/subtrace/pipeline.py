@@ -386,10 +386,17 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
     """Run extraction, segmentation, and inference over one raw trace.
 
     The trace is validated first, so one built in memory is held to the
-    same rules as one loaded from a file.
+    same rules as one loaded from a file. A trace that declares a sample
+    rate other than the model's is refused: window and segmenter lengths
+    are counted in samples, so it would be decoded in the wrong units.
     """
     check_mode(mode)
     trace.validate()
+    rate = model.network.sample_rate
+    if trace.sample_rate > 0 and trace.sample_rate != rate:
+        raise TraceFormatError(
+            f"trace sample rate {trace.sample_rate:g} Hz differs from the model's {rate:g} Hz"
+        )
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model)
 

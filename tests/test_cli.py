@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import subtrace
-from subtrace import cli, pipeline
+from subtrace import cli, pipeline, simgen
+from subtrace.model import save_trace
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -260,6 +261,15 @@ class TestDataErrors:
         args = ["attack", "--model", model_file, "--trace", str(trace)]
         assert cli.main(args) == cli.EXIT_DATA
         assert "non-finite acc value at sample offset 499" in capsys.readouterr().err
+
+    def test_attack_other_sample_rate(self, tmp_path, model_file, capsys):
+        noise = pipeline.PipelineConfig().noise
+        walk = simgen.gen_other_mode("walk", 120.0, noise, seed=9, sample_rate=20.0)
+        trace = tmp_path / "walk20.jsonl"
+        save_trace(walk, trace)
+        args = ["attack", "--model", model_file, "--trace", str(trace)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert "rate 20 Hz differs from the model's 10 Hz" in capsys.readouterr().err
 
     def test_generate_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -3,13 +3,17 @@
 The refinement cases use a classifier built from two exact feature clusters
 (all-quiet and all-loud windows), which puts the metro decision at a known
 sample count per window, so span boundaries have closed-form expected values.
+The block back-scan is checked against a frozen copy of the one-window loop
+on the acceptance corpus and on mixed days.
 """
 
 import numpy as np
 import pytest
 
+from subtrace import coord, extract
 from subtrace.classify import GaussianNB
 from subtrace.extract import (
+    BACKSCAN_WINDOWS,
     METRO,
     NON_METRO,
     MetroSpan,
@@ -21,6 +25,8 @@ from subtrace.extract import (
     train_mode_classifier,
     window_features,
 )
+from subtrace.pipeline import PipelineConfig, build_corpus, train_mode_model
+from subtrace.simgen import gen_mixed_day
 
 W = 20
 QUIET, LOUD = 0.0, 6.0
@@ -83,8 +89,8 @@ class TestWindowFeatures:
 
 class TestTrainModeClassifier:
     def test_separable_data(self, toy_model):
-        assert toy_model.predict_window(np.full(W, QUIET)) == NON_METRO
-        assert toy_model.predict_window(np.full(W, LOUD)) == METRO
+        labels, _ = classify_windows(series((QUIET, W), (LOUD, W)), toy_model)
+        assert labels.tolist() == [NON_METRO, METRO]
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match=r"\(n, 5\)"):
@@ -98,8 +104,9 @@ class TestTrainModeClassifier:
         back = ModeModel.from_dict(toy_model.to_dict())
         assert back.thresholds == toy_model.thresholds
         assert back.window == W
-        win = np.full(W, LOUD)
-        assert back.predict_window(win) == toy_model.predict_window(win)
+        hra = series((LOUD, W), (QUIET, W), (LOUD, W))
+        labels, _ = classify_windows(hra, back)
+        assert labels.tolist() == classify_windows(hra, toy_model)[0].tolist() == [1, 0, 1]
 
     def test_bad_document_rejected(self, toy_model):
         doc = toy_model.to_dict()
@@ -199,3 +206,90 @@ class TestMetroSpan:
 
     def test_length(self):
         assert MetroSpan(5, 25).length == 20
+
+
+def loop_locate_start(hra, model, boundary, w):
+    """The back-scan as it was: one one-row block and one predict per window."""
+    lo_cap = max(0, boundary - BACKSCAN_WINDOWS * w)
+    for st in range(boundary - 1, lo_cap - 1, -1):
+        row = window_features(hra[st : st + w][None, :], model.thresholds)
+        if int(model.nb.predict(row)[0]) == NON_METRO:
+            return st + w // 2
+    return max(0, boundary - w) + w // 2
+
+
+def scan_cases(hra, labels, w):
+    """(series, boundary) of each transition, as refine_boundaries scans it."""
+    n = len(hra)
+    for i in range(1, len(labels)):
+        if labels[i] == METRO and labels[i - 1] != METRO:
+            yield hra, i * w
+        elif labels[i] != METRO and labels[i - 1] == METRO:
+            yield hra[::-1], n - i * w
+
+
+@pytest.fixture(scope="module")
+def acceptance_series():
+    """Mode model and HRA series of the acceptance corpus trips and mixed days."""
+    cfg = PipelineConfig()
+    corpus = build_corpus(cfg)
+    model = train_mode_model(corpus)
+    trips = [coord.transform(t).hra for t in corpus.trips]
+    rng = np.random.default_rng(5)
+    days = []
+    for k in range(6):
+        ride = ("trip", {"start_interval": int(rng.integers(0, 5)), "length": int(rng.integers(2, 5))})
+        schedule = [("static", 240.0), ("walk", 120.0), ride, ("walk", 120.0), ("bus", 240.0)]
+        # rides that start the series, end it, or both
+        schedule = [schedule, schedule[:3], schedule[2:], [ride]][k % 4]
+        day = gen_mixed_day(
+            schedule, cfg.noise, seed=200 + k, network=corpus.network, profiles=corpus.profiles
+        )
+        days.append(coord.transform(day).hra)
+    return model, trips, days
+
+
+class TestBackScanMatchesLoop:
+    """One block and one predict per transition give the old loop's samples."""
+
+    def test_every_transition(self, acceptance_series):
+        model, trips, days = acceptance_series
+        w = model.window
+        n_cases = 0
+        for hra in trips + days:
+            labels, _ = classify_windows(hra, model)
+            for src, boundary in scan_cases(hra, labels, w):
+                got = extract._locate_start(src, model, boundary, w)
+                assert got == loop_locate_start(src, model, boundary, w)
+                n_cases += 1
+        assert n_cases >= 40
+
+    def test_boundaries_near_the_series_ends(self, acceptance_series):
+        # the last two window starts have windows cut short by the series end
+        model, _, days = acceptance_series
+        w = model.window
+        for hra in days:
+            n = len(hra)
+            last = (n - 1) // w * w
+            assert n - last < w - 1
+            for boundary in (last, last - w):
+                for src in (hra, hra[::-1]):
+                    got = extract._locate_start(src, model, boundary, w)
+                    assert got == loop_locate_start(src, model, boundary, w)
+
+    def test_extracted_spans(self, acceptance_series, monkeypatch):
+        model, _, days = acceptance_series
+        spans = [extract_spans(hra, model) for hra in days]
+        monkeypatch.setattr(extract, "_locate_start", loop_locate_start)
+        assert spans == [extract_spans(hra, model) for hra in days]
+        assert all(spans)
+
+    @pytest.mark.parametrize("tail", [1, 3, W // 2, W - 2, W - 1, W + 3])
+    def test_short_windows_scanned_first(self, toy_model, tail):
+        # a quiet tail after a loud stretch: the first non-metro window may be
+        # one that the series end cuts short
+        hra = series((QUIET, 2 * W), (LOUD, 3 * W), (QUIET, tail))
+        for boundary in range(1, len(hra)):
+            for src in (hra, hra[::-1]):
+                got = extract._locate_start(src, toy_model, boundary, W)
+                assert got == loop_locate_start(src, toy_model, boundary, W)

@@ -1,6 +1,7 @@
 """File formats and domain invariants: traces, networks, id mappings."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from subtrace.model import (
     save_network,
     save_trace,
 )
+from subtrace.pipeline import write_corpus
 
 
 def make_trace(n=50, rate=25.0, truth=()):
@@ -262,3 +264,204 @@ class TestNetwork:
         ]
         with pytest.raises(NetworkFormatError, match="sample_rate"):
             MetroNetwork("x", 0.0, tuple(iv), 25.0, 35.0)
+
+
+# --- frozen copies of the per-sample trace I/O -------------------------------
+
+
+def loop_save_trace(trace: Trace, path) -> None:
+    """The writer as it was: one ``json.dumps`` per sample row."""
+    path = Path(path)
+    with path.open("w") as fh:
+        meta = {"meta": {"device_id": trace.device_id, "sample_rate": trace.sample_rate}}
+        fh.write(json.dumps(meta, allow_nan=False) + "\n")
+        for i in range(trace.n_samples):
+            row = {
+                "t": float(trace.t[i]),
+                "acc": [float(v) for v in trace.acc[i]],
+                "orient": [float(v) for v in trace.orient[i]],
+            }
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
+        if trace.truth:
+            trailer = {
+                "truth": [
+                    {"start": r.start, "end": r.end, "label": r.label} for r in trace.truth
+                ]
+            }
+            fh.write(json.dumps(trailer, allow_nan=False) + "\n")
+
+
+def loop_load_trace(path) -> Trace:
+    """The reader as it was: seven ``float()`` calls and three appends per line."""
+    path = Path(path)
+    device_id = ""
+    sample_rate = 0.0
+    rows_t, rows_acc, rows_orient = [], [], []
+    truth = []
+    trailer_seen = False
+    with path.open() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc.msg})")
+            if "meta" in obj:
+                if lineno != 1:
+                    raise TraceFormatError(f"{path.name}:{lineno}: meta must be the first line")
+                meta = obj["meta"]
+                device_id = str(meta.get("device_id", ""))
+                sample_rate = float(meta.get("sample_rate", 0.0))
+            elif "truth" in obj:
+                if trailer_seen:
+                    raise TraceFormatError(f"{path.name}:{lineno}: duplicate truth trailer")
+                trailer_seen = True
+                for entry in obj["truth"]:
+                    truth.append(
+                        TruthRange(float(entry["start"]), float(entry["end"]), str(entry["label"]))
+                    )
+            else:
+                if trailer_seen:
+                    raise TraceFormatError(f"{path.name}:{lineno}: samples after truth trailer")
+                try:
+                    t = float(obj["t"])
+                    acc = [float(v) for v in obj["acc"]]
+                    orient = [float(v) for v in obj["orient"]]
+                except (KeyError, TypeError, ValueError):
+                    raise TraceFormatError(f"{path.name}:{lineno}: sample needs t, acc[3], orient[3]")
+                if len(acc) != 3 or len(orient) != 3:
+                    raise TraceFormatError(f"{path.name}:{lineno}: acc and orient must have 3 entries")
+                rows_t.append(t)
+                rows_acc.append(acc)
+                rows_orient.append(orient)
+    if not rows_t:
+        raise TraceFormatError(f"{path.name}: no samples")
+    trace = Trace(
+        device_id=device_id,
+        sample_rate=sample_rate,
+        t=np.asarray(rows_t, dtype=float),
+        acc=np.asarray(rows_acc, dtype=float),
+        orient=normalize_orientation(np.asarray(rows_orient, dtype=float)),
+        truth=tuple(truth),
+    )
+    trace.validate()
+    return trace
+
+
+def load_outcome(load, path):
+    """What a reader makes of a file: the trace's bytes, or the exception."""
+    try:
+        tr = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = tuple((a.dtype.str, a.shape, a.tobytes()) for a in (tr.t, tr.acc, tr.orient))
+    return tr.device_id, tr.sample_rate, arrays, tr.truth
+
+
+META = '{"meta": {"device_id": "x", "sample_rate": 25.0}}'
+
+
+def sample(i, t=None, acc=None, orient=None):
+    """Text of one valid sample line, with any field's text replaced."""
+    t = repr(i * 0.04) if t is None else t
+    acc = "[0.5, -1.25, 9.8]" if acc is None else acc
+    orient = "[10.0, 20.0, 30.0]" if orient is None else orient
+    return f'{{"t": {t}, "acc": {acc}, "orient": {orient}}}'
+
+
+TRAILER = '{"truth": [{"start": 0.0, "end": 0.1, "label": "metro"}]}'
+
+MALFORMED = {
+    "invalid json": [META, sample(0), "{not json", sample(2)],
+    "blank lines": [META, "", sample(0), "   ", sample(1), "", TRAILER, ""],
+    "meta not first": [sample(0), META, sample(1)],
+    "meta after blank line": ["", META, sample(0)],
+    "duplicate trailer": [META, sample(0), TRAILER, TRAILER],
+    "samples after trailer": [META, sample(0), TRAILER, sample(1)],
+    "missing key": [META, sample(0), '{"t": 0.04, "acc": [0, 0, 0]}', sample(2)],
+    "acc with 2 entries": [META, sample(0), sample(1, acc="[1.0, 2.0]"), sample(2)],
+    "every acc with 2 entries": [META] + [sample(i, acc="[1.0, 2.0]") for i in range(3)],
+    "orient with 4 entries": [META, sample(0, orient="[1, 2, 3, 4]"), sample(1)],
+    "nested acc": [META, sample(0), sample(1, acc="[[1, 2, 3], [4, 5, 6], [7, 8, 9]]")],
+    "every acc nested": [META] + [sample(i, acc="[[1], [2], [3]]") for i in range(3)],
+    "null t": [META, sample(0), sample(1, t="null"), sample(2)],
+    "null acc entry": [META, sample(0), sample(1, acc="[1.0, null, 3.0]")],
+    "null acc": [META, sample(0, acc="null"), sample(1)],
+    "numeric string": [META, sample(0), sample(1, t='"0.04"', acc='["1.5", 2, 3]')],
+    "non-numeric string": [META, sample(0), sample(1, acc='["x", 2, 3]')],
+    "acc a 3-character string": [META] + [sample(i, acc='"123"') for i in range(3)],
+    "acc an object": [META, sample(0, acc='{"1": 0, "2": 0, "3": 0}'), sample(1)],
+    "true": [META, sample(0), sample(1, acc="[true, false, 3]")],
+    "true timestamp": [META, sample(0), sample(1, t="true")],
+    "nan literal": [META, sample(0), sample(1, acc="[NaN, 0, 0]"), sample(2)],
+    "infinity literal": [META, sample(0, t="Infinity"), sample(1)],
+    "int too large for a float": [META, sample(0), sample(1, t="1" + "0" * 400)],
+    "sample is a list": [META, sample(0), "[0.04, 1, 2]"],
+    "two objects on one line": [META, sample(0) + sample(1), sample(2)],
+    "one object over two lines": [META, sample(0), '{"t": 0.04, "acc": [0, 0, 0],', '"orient": [0, 0, 0]}'],
+    "bad sample before bad json": [META, sample(0, acc="[1]"), sample(1), "{oops"],
+    "bad sample before duplicate trailer": [META, sample(0, t="null"), TRAILER, TRAILER],
+    "bad sample before bad meta": [META, sample(0, acc="[1]"), '{"meta": 5}'],
+    "bad sample before bad truth": [META, sample(0, t='"x"'), '{"truth": [{"start": 0}]}'],
+    "bad truth before bad sample": [META, '{"truth": [{"start": 0}]}', sample(0, t='"x"')],
+    "byte order mark": ["\ufeff" + META, sample(0)],
+    "text after the object": [META, sample(0), sample(1) + " x"],
+    "unicode space around the object": [META, "\u00a0" + sample(0) + "\u2003", sample(1)],
+    "bare number": [META, sample(0), "5"],
+    "bare string": [META, sample(0), '"abc"'],
+    "deep nesting": [META, sample(0), "[" * 100000 + "]" * 100000],
+    "only meta": [META],
+    "nothing": [""],
+}
+
+
+class TestTraceIOMatchesLoop:
+    """Bulk conversion reads and writes what the per-sample code did."""
+
+    @pytest.fixture(scope="class")
+    def corpus_files(self, small_corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("corpus")
+        write_corpus(small_corpus, root)
+        return sorted(root.rglob("*.jsonl"))
+
+    def test_corpus_files_load_identically(self, corpus_files):
+        assert len(corpus_files) >= 8
+        for path in corpus_files:
+            assert load_outcome(load_trace, path) == load_outcome(loop_load_trace, path)
+
+    def test_corpus_traces_write_identical_bytes(self, small_corpus, tmp_path):
+        for i, trace in enumerate(small_corpus.trips + small_corpus.modes):
+            save_trace(trace, tmp_path / f"new_{i}.jsonl")
+            loop_save_trace(trace, tmp_path / f"old_{i}.jsonl")
+            assert (tmp_path / f"new_{i}.jsonl").read_bytes() == (
+                tmp_path / f"old_{i}.jsonl"
+            ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "t, acc",
+        [
+            (np.arange(4), np.zeros((4, 3), dtype=int)),
+            (np.arange(4, dtype=np.float32) / 3, np.full((4, 3), 1 / 3, dtype=np.float32)),
+            (np.arange(4) * 0.1, np.array([[-0.0, 5e-324, 1e300]] * 4)),
+        ],
+    )
+    def test_odd_dtypes_write_identical_bytes(self, tmp_path, t, acc):
+        trace = Trace("odd", 10.0, t, acc, np.zeros((4, 3)))
+        save_trace(trace, tmp_path / "new.jsonl")
+        loop_save_trace(trace, tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_not_written(self, tmp_path, value):
+        trace = make_trace(n=6)
+        trace.acc[4, 1] = value
+        with pytest.raises(ValueError, match="sample offset 4"):
+            save_trace(trace, tmp_path / "bad.jsonl")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_same_outcome(self, tmp_path, case):
+        path = tmp_path / "case.jsonl"
+        path.write_text("\n".join(MALFORMED[case]) + "\n")
+        assert load_outcome(load_trace, path) == load_outcome(loop_load_trace, path)

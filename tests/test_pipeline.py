@@ -217,6 +217,21 @@ class TestAttackTrace:
         with pytest.raises(TraceFormatError, match="non-finite acc"):
             attack_trace(replace(trip, acc=acc), attack_model, mode=mode)
 
+    def test_empty_trace_rejected(self, attack_model):
+        empty = Trace("empty", 10.0, np.empty(0), np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(TraceFormatError, match="no samples"):
+            attack_trace(empty, attack_model)
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_other_sample_rate_refused(self, small_config, attack_model, mode):
+        # window and segmenter lengths count samples, so a 20 Hz trace used
+        # to be decoded in the 10 Hz model's units without a word
+        trace = gen_other_mode("walk", 120.0, small_config.noise, seed=9, sample_rate=20.0)
+        assert np.allclose(np.diff(trace.t), 0.05)
+        trace.validate()
+        with pytest.raises(TraceFormatError, match="rate 20 Hz differs from the model's 10 Hz"):
+            attack_trace(trace, attack_model, mode=mode)
+
     def test_unknown_mode_rejected(self, small_corpus, attack_model):
         with pytest.raises(ValueError):
             attack_trace(small_corpus.trips[0], attack_model, mode="fast")
