@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureConfig, SegmentFeatures
+from .features import FeatureConfig
 
 VAR_FLOOR = 1e-6
 ERR_FLOOR = 1e-10
@@ -444,10 +444,8 @@ class IntervalEnsemble:
     config: FeatureConfig
     n_classes: int
 
-    def predict_matrix(self, rows: np.ndarray | list[SegmentFeatures]) -> np.ndarray:
-        """Row-stochastic (n_segments, n_classes) probability matrix."""
-        if isinstance(rows, list):
-            rows = np.stack([f.vector() for f in rows])
+    def predict_matrix(self, rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
+        """Row-stochastic (n_segments, n_classes) probability matrix of feature vectors."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         p = 0.5 * self.boost.predict_proba(rows) + 0.5 * self.forest.predict_proba(rows)
         p = p / p.sum(axis=1, keepdims=True)

@@ -2,11 +2,13 @@
 
 Supervised: leave-one-trip-out, scoring every contiguous subtrip of a few
 fixed lengths cut at the true dwell centers; a prediction counts only if
-start interval, direction, and length all match. Semi-supervised: the trips
-are re-split into random unlabeled rides, labels are bootstrapped from two
-distinctive seed intervals, and one damped-weight model is evaluated the
-same way. Robustness and defense runs reuse the subtrip machinery on paired
-or noise-injected corpora.
+start interval, direction, and length all match. Each subtrip is cut by
+the attack's own segmenter and decoded through ``infer.decode_span``; the
+subtrips of one trip share one memo of segment feature vectors.
+Semi-supervised: the trips are re-split into random unlabeled rides, labels
+are bootstrapped from two distinctive seed intervals, and one damped-weight
+model is evaluated the same way. Robustness and defense runs reuse the
+subtrip machinery on paired or noise-injected corpora.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ import numpy as np
 
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
-from .features import (
-    FeatureConfig,
-    SegmentFeatures,
-    SliceFeatures,
-    extract_features,
-    fit_nvht_thresholds,
-)
-from .infer import check_mode, decode_span, infer_trace
+from .features import FeatureConfig, SliceFeatures, extract_features, fit_nvht_thresholds
+from .infer import TraceHypothesis, check_mode, decode_span
 from .model import MetroNetwork
 from .pipeline import (
     Corpus,
@@ -47,17 +43,6 @@ POINT_TOLERANCE_S = 10.0
 SEED_INTERVALS = 2
 SEED_TRAVERSALS = 20
 DEFENSE_FACTOR = 5.0
-SEGMENTERS = ("pipeline", "oracle")
-CLASSIFIERS = ("model", "oracle")
-
-
-def _check_options(segmenter: str, classifier: str, mode: str) -> None:
-    """Reject an option value the subtrip protocol does not know."""
-    check_mode(mode)
-    if segmenter not in SEGMENTERS:
-        raise ValueError(f"unknown segmenter {segmenter!r}")
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier {classifier!r}")
 
 
 # --- metrics ----------------------------------------------------------------
@@ -129,65 +114,35 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
     return subtrips
 
 
-def _overlap_onehot(
-    points: list[int], n: int, cuts_rel: tuple[int, ...], uids: tuple[int, ...], k: int
-) -> np.ndarray:
-    """One-hot rows labeling each detected segment by its dominant true leg."""
-    true_bounds = [0, *cuts_rel, n]
-    det_bounds = [0, *points, n]
-    P = np.zeros((len(det_bounds) - 1, k))
-    for r, (lo, hi) in enumerate(zip(det_bounds[:-1], det_bounds[1:])):
-        overlaps = [
-            min(hi, tb) - max(lo, ta) for ta, tb in zip(true_bounds[:-1], true_bounds[1:])
-        ]
-        P[r, uids[int(np.argmax(overlaps))]] = 1.0
-    return P
-
-
 def predict_subtrip(
     series: coord.EnuSeries,
     st: Subtrip,
-    ensemble: IntervalEnsemble | None,
+    ensemble: IntervalEnsemble,
     network: MetroNetwork,
     seg_params: segment.SegmenterParams,
-    segmenter: str = "pipeline",
-    classifier: str = "model",
-    mode: str = "full",
-    featurize: Callable[[int, int], SegmentFeatures] | None = None,
-):
-    """Run segmentation plus inference on one subtrip.
+    mode: str,
+    featurize: Callable[[int, int], np.ndarray],
+) -> TraceHypothesis | None:
+    """Segment one subtrip and decode it; ``None`` when no ride fits.
 
-    segmenter="oracle" injects the true dwell centers; classifier="oracle"
-    replaces the ensemble with overlap-true one-hot rows (and scores the
-    detected cut layout only, since there is nothing to re-featurize with).
-    ``featurize(lo, hi)`` returns the features of ``series`` samples
-    ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip can
-    share one that remembers what it computed. An unknown ``mode``,
-    ``segmenter`` or ``classifier`` raises ``ValueError`` before anything is
-    scored.
+    ``featurize(lo, hi)`` returns the feature vector of ``series`` samples
+    ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip share
+    one that remembers what it computed. An unknown ``mode`` raises
+    ``ValueError`` before anything is scored.
     """
-    _check_options(segmenter, classifier, mode)
+    check_mode(mode)
     sub = series.view(*st.span)
-    if segmenter == "oracle":
-        points: list[int] = list(st.cuts_rel)
-    else:
-        points, _ = segment.find_final_segment_points(sub.hra, seg_params)
+    points, _ = segment.find_final_segment_points(sub.hra, seg_params)
+    off = st.span[0]
+
+    def featurize_sub(lo: int, hi: int) -> np.ndarray:
+        return featurize(off + lo, off + hi)
 
     try:
-        if classifier == "oracle":
-            P = _overlap_onehot(points, sub.n_samples, st.cuts_rel, st.uids, network.num_intervals)
-            return infer_trace(P), len(points) + 1
-        if featurize is None:
-            featurize = SliceFeatures(series.components(), ensemble.config)
-        off = st.span[0]
-
-        def featurize_sub(lo: int, hi: int) -> SegmentFeatures:
-            return featurize(off + lo, off + hi)
-
         hyp, _ = decode_span(sub, ensemble, network, points, mode, featurize_sub)
-        return hyp, len(points) + 1
     except ValueError:
-        return None, len(points) + 1
+        return None
+    return hyp
 
 
 @dataclass
@@ -196,7 +151,7 @@ class EvalReport:
     counts_by_length: dict[int, int]
     confusion: np.ndarray
     interval_accuracy: list[float]
-    predictions: list[tuple[Subtrip, object]]
+    predictions: list[tuple[Subtrip, TraceHypothesis | None]]
 
     def to_dict(self) -> dict:
         return {
@@ -209,14 +164,12 @@ class EvalReport:
 
 def evaluate_subtrips(
     corpus: Corpus,
-    ensemble_for: Callable[[int], IntervalEnsemble | None],
+    ensemble_for: Callable[[int], IntervalEnsemble],
     lengths: tuple[int, ...] = DEFAULT_LENGTHS,
-    segmenter: str = "pipeline",
-    classifier: str = "model",
     mode: str = "full",
     series_by_trip: list[coord.EnuSeries] | None = None,
 ) -> EvalReport:
-    _check_options(segmenter, classifier, mode)
+    check_mode(mode)
     k = corpus.network.num_intervals
     seg_params = segment.params_for_network(corpus.network)
     if series_by_trip is None:
@@ -232,17 +185,10 @@ def evaluate_subtrips(
     for st in enumerate_subtrips(corpus, lengths):
         ensemble = ensemble_for(st.trip)
         series = series_by_trip[st.trip]
-        key = None if ensemble is None else (st.trip, ensemble.config)
-        if key != memo_key:
-            memo_key = key
-            memo = (
-                None if ensemble is None
-                else SliceFeatures(series.components(), ensemble.config)
-            )
-        hyp, _ = predict_subtrip(
-            series, st, ensemble, corpus.network,
-            seg_params, segmenter, classifier, mode, memo,
-        )
+        if (st.trip, ensemble.config) != memo_key:
+            memo_key = (st.trip, ensemble.config)
+            memo = SliceFeatures(series.components(), ensemble.config)
+        hyp = predict_subtrip(series, st, ensemble, corpus.network, seg_params, mode, memo)
         totals[st.length] += 1
         if _ride_key(hyp) == (st.uids[0], st.direction, st.length):
             correct[st.length] += 1
@@ -271,25 +217,18 @@ def loo_supervised(
     corpus: Corpus,
     config: PipelineConfig,
     lengths: tuple[int, ...] = DEFAULT_LENGTHS,
-    segmenter: str = "pipeline",
-    classifier: str = "model",
     mode: str = "full",
 ) -> EvalReport:
     """Leave-one-trip-out evaluation of the supervised attack."""
-    _check_options(segmenter, classifier, mode)
+    check_mode(mode)
     n_trips = len(corpus.trips)
-    models: dict[int, IntervalEnsemble | None] = {}
-    if classifier == "oracle":
-        models = {ti: None for ti in range(n_trips)}
-    else:
-        for ti in range(n_trips):
-            train_idx = [i for i in range(n_trips) if i != ti]
-            segs, uids = interval_training_rows(corpus, train_idx)
-            models[ti] = train_ensemble_on(segs, uids, corpus.network, config)
-            log.info("fold %d/%d trained", ti + 1, n_trips)
-    return evaluate_subtrips(
-        corpus, lambda ti: models[ti], lengths, segmenter, classifier, mode
-    )
+    models: dict[int, IntervalEnsemble] = {}
+    for ti in range(n_trips):
+        train_idx = [i for i in range(n_trips) if i != ti]
+        segs, uids = interval_training_rows(corpus, train_idx)
+        models[ti] = train_ensemble_on(segs, uids, corpus.network, config)
+        log.info("fold %d/%d trained", ti + 1, n_trips)
+    return evaluate_subtrips(corpus, lambda ti: models[ti], lengths, mode)
 
 
 def single_model_ensemble(corpus: Corpus, config: PipelineConfig) -> IntervalEnsemble:
@@ -401,9 +340,7 @@ def bootstrap_from_corpus(
     fconfig = fit_nvht_thresholds(
         [s for chunk in chunk_segs for s in chunk], FeatureConfig(network.sample_rate)
     )
-    sequences = [
-        [extract_features(s, fconfig).vector() for s in chunk] for chunk in chunk_segs
-    ]
+    sequences = [[extract_features(s, fconfig) for s in chunk] for chunk in chunk_segs]
 
     # seed detectors from a couple of distinctive intervals, both directions
     seed_uids = distinctive_intervals(corpus.profiles)[:SEED_INTERVALS]
@@ -415,9 +352,7 @@ def bootstrap_from_corpus(
                 network, corpus.profiles, uid, direction, SEED_TRAVERSALS,
                 config.noise, config.seed,
             )
-            seed_vectors[gid] = np.stack(
-                [extract_features(s, fconfig).vector() for s in segs]
-            )
+            seed_vectors[gid] = np.stack([extract_features(s, fconfig) for s in segs])
 
     all_vectors = np.stack([v for seq in sequences for v in seq])
     neg_rng = np.random.default_rng(child_seed(config.seed, 6))

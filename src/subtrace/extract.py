@@ -9,7 +9,8 @@ re-classifying the windows that slide back across each transition.
 ``window_features`` is the one place the five features are computed, over
 every row of an ``(n_windows, m)`` block at once. Training stacks a series'
 disjoint windows (its short trailing window as a block of its own),
-``classify_windows`` stacks a whole series into one block, and the back-scan
+``classify_windows`` stacks a whole series into one block and returns one
+label per window, and the back-scan
 stacks all of a transition's candidate windows into one contiguous block
 (a window cut short by the series end is a one-row block of its own) and
 labels them with one ``predict``.
@@ -121,27 +122,25 @@ def train_mode_classifier(
     return ModeModel(nb=nb, thresholds=thresholds, window=window)
 
 
-def classify_windows(
-    hra: np.ndarray, model: ModeModel, m: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label disjoint m-sample windows; a trailing partial window counts too.
+def classify_windows(hra: np.ndarray, model: ModeModel) -> np.ndarray:
+    """Label disjoint m-sample windows, m = ``model.window``; a trailing partial counts too.
 
-    The trailing partial is judged on the last full m samples (overlapping the
-    previous window) so that its label rests on as much evidence as the rest;
-    the label still applies to the remainder region only. A series shorter
-    than m is judged as one window.
+    Label i covers samples ``[i * m, (i + 1) * m)``. The trailing partial is
+    judged on the last full m samples (overlapping the previous window) so
+    that its label rests on as much evidence as the rest; the label still
+    applies to the remainder region only. A series shorter than m is judged
+    as one window.
     """
     hra = np.asarray(hra, dtype=float)
     n = len(hra)
-    m = m or model.window
+    m = model.window
     if n < m:
         windows = hra[None, :]
     else:
         windows = hra[: n // m * m].reshape(-1, m)
         if n % m:
             windows = np.vstack([windows, hra[n - m :]])
-    labels = model.nb.predict(window_features(windows, model.thresholds))
-    return labels.astype(int), np.arange(0, n, m)
+    return model.nb.predict(window_features(windows, model.thresholds)).astype(int)
 
 
 def _locate_start(hra: np.ndarray, model: ModeModel, boundary: int, w: int) -> int:
@@ -214,5 +213,4 @@ def refine_boundaries(
 
 def extract_spans(hra: np.ndarray, model: ModeModel) -> list[MetroSpan]:
     """Full extraction: window classification plus boundary refinement."""
-    labels, _ = classify_windows(hra, model)
-    return refine_boundaries(labels, hra, model, model.window)
+    return refine_boundaries(classify_windows(hra, model), hra, model, model.window)

@@ -17,6 +17,9 @@ The extractor works on all three components at once:
   strongest nominees: amplitude descending, then sample index ascending.
 
 Vectors are bit-identical to featurising each component on its own.
+``extract_features`` returns the plain ``(82,)`` vector, laid out as the
+three components' statistics, the length, then the three components'
+extrema; ``SliceFeatures`` keeps the vectors of one recording's slices.
 """
 
 from __future__ import annotations
@@ -235,22 +238,8 @@ def peak_features(series: np.ndarray, window_sizes: tuple[int, ...]) -> np.ndarr
     return out[0] if x.ndim == 1 else out
 
 
-@dataclass(frozen=True)
-class SegmentFeatures:
-    """Stats and extrema per component plus the segment length."""
-
-    stats: tuple[np.ndarray, np.ndarray, np.ndarray]
-    peaks: tuple[np.ndarray, np.ndarray, np.ndarray]
-    length: int
-
-    def vector(self) -> np.ndarray:
-        vec = np.concatenate([*self.stats, [float(self.length)], *self.peaks])
-        assert vec.shape == (FEATURE_DIM,)
-        return vec
-
-
-def extract_features(segment: np.ndarray, config: FeatureConfig) -> SegmentFeatures:
-    """Featurize one (n, 3) Earth-frame segment of (east, north, vertical)."""
+def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The ``(82,)`` vector of one (n, 3) Earth-frame segment of (east, north, vertical)."""
     seg = np.asarray(segment, dtype=float)
     if seg.ndim != 2 or seg.shape[1] != 3:
         raise ValueError(f"expected (n, 3) segment, got {seg.shape}")
@@ -261,28 +250,30 @@ def extract_features(segment: np.ndarray, config: FeatureConfig) -> SegmentFeatu
     sm = np.ascontiguousarray(smooth(seg, config.smooth_k).T)
     stats = statistical_features(sm, config.nvht_thresholds)
     peaks = peak_features(sm, config.peak_windows())
-    return SegmentFeatures(stats=tuple(stats), peaks=tuple(peaks), length=len(seg))
+    vec = np.concatenate([stats.ravel(), [float(len(seg))], peaks.ravel()])
+    assert vec.shape == (FEATURE_DIM,)
+    return vec
 
 
 class SliceFeatures:
-    """Features of ``[lo, hi)`` slices of one ``(n, 3)`` series, each computed once.
+    """Feature vectors of ``[lo, hi)`` slices of one ``(n, 3)`` series, each computed once.
 
     Overlapping cut layouts of one recording cut the same slice many times;
-    this keeps each slice's features, not the slice, for as long as its
-    owner keeps the object.
+    this keeps each slice's vector, not the slice, for as long as its owner
+    keeps the object.
     """
 
     def __init__(self, components: np.ndarray, config: FeatureConfig):
         self.components = components
         self.config = config
-        self._memo: dict[tuple[int, int], SegmentFeatures] = {}
+        self._memo: dict[tuple[int, int], np.ndarray] = {}
 
-    def __call__(self, lo: int, hi: int) -> SegmentFeatures:
-        feats = self._memo.get((lo, hi))
-        if feats is None:
-            feats = extract_features(self.components[lo:hi], self.config)
-            self._memo[(lo, hi)] = feats
-        return feats
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        vec = self._memo.get((lo, hi))
+        if vec is None:
+            vec = extract_features(self.components[lo:hi], self.config)
+            self._memo[(lo, hi)] = vec
+        return vec
 
 
 def fit_nvht_thresholds(

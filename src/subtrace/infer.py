@@ -9,7 +9,9 @@ hypotheses in case the segmenter missed or invented one stop.
 
 ``decode_span`` is the one place that chooses between the two decoding
 modes: "full" runs the tolerance pass, "reduced" scores the detected cuts
-only. The attack and the evaluation harness both decode through it.
+only. The attack and the evaluation harness both decode through it, and it
+is the one place that builds a default featurizer: a ``SliceFeatures`` over
+the span's components. Segments enter the ensemble as plain feature vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
-from .features import SegmentFeatures, SliceFeatures
+from .features import SliceFeatures
 from .model import MetroNetwork
 
 FORWARD = "forward"
@@ -30,6 +32,7 @@ REVERSE = "reverse"
 LOG_EPS = 1e-12
 SNAP_WINDOW_S = 10.0
 DECODE_MODES = ("full", "reduced")
+TOP_K = 3  # hypotheses kept in ``ToleranceResult.ranked``
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,14 @@ def score_run(P: np.ndarray, start: int, direction: str) -> float:
     return float(np.sum(np.log(P[np.arange(n), cols] + LOG_EPS)))
 
 
-def rank_hypotheses(
-    P: np.ndarray, candidates: list[tuple[int, str]] | None = None
-) -> list[TraceHypothesis]:
-    """Score candidates against a row-stochastic (n, m) matrix, best first.
+def rank_hypotheses(P: np.ndarray) -> list[TraceHypothesis]:
+    """Score every feasible run against a row-stochastic (n, m) matrix, best first.
 
     Ties break toward the lower start interval, forward before reverse.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     n, m = P.shape
-    if candidates is None:
-        candidates = candidate_runs(n, m)
+    candidates = candidate_runs(n, m)
     if not candidates:
         raise ValueError(f"no feasible run of {n} segments on {m} intervals")
     hyps = [
@@ -96,8 +96,8 @@ def rank_hypotheses(
     return hyps
 
 
-def infer_trace(P: np.ndarray, candidates: list[tuple[int, str]] | None = None) -> TraceHypothesis:
-    return rank_hypotheses(P, candidates)[0]
+def infer_trace(P: np.ndarray) -> TraceHypothesis:
+    return rank_hypotheses(P)[0]
 
 
 # --- segment-count tolerance -------------------------------------------------
@@ -152,8 +152,7 @@ def infer_with_segment_tolerance(
     ensemble: IntervalEnsemble,
     network: MetroNetwork,
     points: list[int],
-    top_k: int = 3,
-    featurize: Callable[[int, int], SegmentFeatures] | None = None,
+    featurize: Callable[[int, int], np.ndarray],
 ) -> ToleranceResult:
     """Infer a ride while allowing one missed or spurious segmentation point.
 
@@ -163,13 +162,12 @@ def infer_with_segment_tolerance(
     once). Families compete on mean per-segment score, with ties going to the
     family that matches the detected count.
 
-    ``featurize(lo, hi)`` returns the features of ``series`` samples
+    ``featurize(lo, hi)`` returns the feature vector of ``series`` samples
     ``[lo, hi)`` under ``ensemble.config``; a caller that scores overlapping
     spans of one recording passes one that remembers earlier segments.
+    ``ranked`` holds the ``TOP_K`` best hypotheses with their cuts, drawn from
+    the ``TOP_K`` best detected-cut ones and every re-cut one.
     """
-    if featurize is None:
-        featurize = SliceFeatures(series.components(), ensemble.config)
-
     points = sorted(points)
 
     n_samples = series.n_samples
@@ -207,8 +205,7 @@ def infer_with_segment_tolerance(
             for sp in zip([0, *cuts], [*cuts, n_samples])
         }
     )
-    feats = [featurize(a, b) for a, b in spans]
-    rows = ensemble.predict_matrix(feats)
+    rows = ensemble.predict_matrix([featurize(a, b) for a, b in spans])
     row_of = {sp: i for i, sp in enumerate(spans)}
 
     def matrix_for(cuts: tuple[int, ...]) -> np.ndarray:
@@ -218,7 +215,7 @@ def infer_with_segment_tolerance(
     scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
     if use_detected:
         P = matrix_for(detected_cuts)
-        for h in rank_hypotheses(P)[:top_k]:
+        for h in rank_hypotheses(P)[:TOP_K]:
             scored.append((h, detected_cuts))
     for start, direction, cuts in tolerance_cands:
         P = matrix_for(cuts)
@@ -239,7 +236,7 @@ def infer_with_segment_tolerance(
         points=best_cuts,
         family=best.length,
         detected=n_detected,
-        ranked=tuple(scored[: max(top_k, 1)]),
+        ranked=tuple(scored[:TOP_K]),
     )
 
 
@@ -258,13 +255,14 @@ def decode_span(
     network: MetroNetwork,
     points: list[int],
     mode: str,
-    featurize: Callable[[int, int], SegmentFeatures] | None = None,
+    featurize: Callable[[int, int], np.ndarray] | None = None,
 ) -> tuple[TraceHypothesis, tuple[int, ...]]:
     """Decode one span cut at ``points``; returns the ride and the cuts it used.
 
     ``"full"`` lets the tolerance pass re-cut the span for one missed or
     spurious stop; ``"reduced"`` scores the detected cuts only. ``featurize``
-    is as for ``infer_with_segment_tolerance``.
+    is as for ``infer_with_segment_tolerance``; without one, each segment of
+    the span is featurised once.
     """
     check_mode(mode)
     if featurize is None:
@@ -275,5 +273,5 @@ def decode_span(
         )
         return res.best, res.points
     bounds = [0, *points, series.n_samples]
-    feats = [featurize(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    return infer_trace(ensemble.predict_matrix(feats)), tuple(points)
+    rows = ensemble.predict_matrix([featurize(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+    return infer_trace(rows), tuple(points)

@@ -240,6 +240,15 @@ def save_trace(trace: Trace, path: str | Path) -> None:
             fh.write(json.dumps(trailer, allow_nan=False) + "\n")
 
 
+def _line_problem(obj) -> str:
+    """What a decoded line that could not be read should have held."""
+    if isinstance(obj, dict) and "meta" in obj:
+        return "meta needs device_id and a numeric sample_rate"
+    if isinstance(obj, dict) and "truth" in obj:
+        return "truth needs a list of start, end, label entries"
+    return "sample needs t, acc[3], orient[3]"
+
+
 def _checked_samples(
     name: str, linenos: list[int], samples: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,7 +261,7 @@ def _checked_samples(
             t = float(t)
             acc = [float(v) for v in acc]
             orient = [float(v) for v in orient]
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):
             raise TraceFormatError(f"{name}:{lineno}: sample needs t, acc[3], orient[3]")
         if len(acc) != 3 or len(orient) != 3:
             raise TraceFormatError(f"{name}:{lineno}: acc and orient must have 3 entries")
@@ -291,8 +300,9 @@ def load_trace(path: str | Path) -> Trace:
     """Parse a JSON-lines trace file; errors carry 1-based line numbers.
 
     Each nonblank line is decoded on its own, so framing errors name their
-    line; sample values are then converted in bulk. Whatever the error, a
-    bad sample on an earlier line is reported first.
+    line; sample values are then converted in bulk. Every malformed file
+    raises ``TraceFormatError``, and whatever the error, a bad sample on an
+    earlier line is reported first.
     """
     path = Path(path)
     device_id = ""
@@ -312,35 +322,43 @@ def load_trace(path: str | Path) -> Trace:
                     obj, end = _decode(raw)
                 except json.JSONDecodeError:
                     end = None
+                except (RecursionError, ValueError) as exc:  # deep nesting, huge integers
+                    raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc})")
                 if end != len(raw):  # json.loads words the error
                     try:
                         obj = json.loads(raw)
                     except json.JSONDecodeError as exc:
                         raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc.msg})")
-                if "meta" in obj:
-                    if lineno != 1:
-                        raise TraceFormatError(f"{path.name}:{lineno}: meta must be the first line")
-                    meta = obj["meta"]
-                    device_id = str(meta.get("device_id", ""))
-                    sample_rate = float(meta.get("sample_rate", 0.0))
-                elif "truth" in obj:
-                    if trailer_seen:
-                        raise TraceFormatError(f"{path.name}:{lineno}: duplicate truth trailer")
-                    trailer_seen = True
-                    for entry in obj["truth"]:
-                        truth.append(
-                            TruthRange(float(entry["start"]), float(entry["end"]), str(entry["label"]))
-                        )
-                else:
-                    if trailer_seen:
-                        raise TraceFormatError(f"{path.name}:{lineno}: samples after truth trailer")
-                    try:
+                try:
+                    if "meta" in obj:
+                        if lineno != 1:
+                            raise TraceFormatError(
+                                f"{path.name}:{lineno}: meta must be the first line"
+                            )
+                        meta = obj["meta"]
+                        device_id = str(meta.get("device_id", ""))
+                        sample_rate = float(meta.get("sample_rate", 0.0))
+                    elif "truth" in obj:
+                        if trailer_seen:
+                            raise TraceFormatError(
+                                f"{path.name}:{lineno}: duplicate truth trailer"
+                            )
+                        trailer_seen = True
+                        for entry in obj["truth"]:
+                            lo, hi = float(entry["start"]), float(entry["end"])
+                            truth.append(TruthRange(lo, hi, str(entry["label"])))
+                    else:
+                        if trailer_seen:
+                            raise TraceFormatError(
+                                f"{path.name}:{lineno}: samples after truth trailer"
+                            )
                         samples.append(_SAMPLE_KEYS(obj))
-                    except (KeyError, TypeError):
-                        raise TraceFormatError(
-                            f"{path.name}:{lineno}: sample needs t, acc[3], orient[3]"
-                        )
-                    linenos.append(lineno)
+                        linenos.append(lineno)
+                except TraceFormatError:
+                    raise
+                except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                    # a line that decodes but is not a meta, truth or sample object
+                    raise TraceFormatError(f"{path.name}:{lineno}: {_line_problem(obj)}")
     except Exception:
         # samples are converted after the loop, so check the earlier ones now:
         # a bad sample is reported before any error on a later line

@@ -280,10 +280,6 @@ def interval_training_rows(
     return segments, uids
 
 
-def fit_feature_config(segments: list[np.ndarray], sample_rate: float) -> FeatureConfig:
-    return fit_nvht_thresholds(segments, FeatureConfig(sample_rate=sample_rate))
-
-
 def train_ensemble_on(
     segments: list[np.ndarray],
     uids: list[int],
@@ -291,10 +287,9 @@ def train_ensemble_on(
     config: PipelineConfig,
     sample_weight: np.ndarray | None = None,
 ) -> IntervalEnsemble:
-    fconfig = fit_feature_config(segments, network.sample_rate)
-    feats = [extract_features(s, fconfig) for s in segments]
+    fconfig = fit_nvht_thresholds(segments, FeatureConfig(sample_rate=network.sample_rate))
     train = TrainingSet(
-        X=np.stack([f.vector() for f in feats]),
+        X=np.stack([extract_features(s, fconfig) for s in segments]),
         y=np.array(uids, int),
         n_classes=network.num_intervals,
         sample_weight=sample_weight,
@@ -305,6 +300,18 @@ def train_ensemble_on(
         boost_rounds=config.boost_rounds,
         n_trees=config.n_trees,
         seed=child_seed(config.seed, 3),
+    )
+
+
+def _segmenter_params(sp: dict) -> segment.SegmenterParams:
+    return segment.SegmenterParams(
+        l_w=int(sp["l_w"]),
+        l_min=int(sp["l_min"]),
+        l_max=int(sp["l_max"]),
+        t1=sp["t1"],
+        delta=sp["delta"],
+        quorum=float(sp["quorum"]),
+        max_escalations=int(sp["max_escalations"]),
     )
 
 
@@ -329,22 +336,27 @@ class AttackModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackModel":
-        if doc.get("kind") != "attack_model" or doc.get("schema_version") != 1:
+        """Rebuild a model; a malformed document raises ``ValueError`` naming its section."""
+        if (
+            not isinstance(doc, dict)
+            or doc.get("kind") != "attack_model"
+            or doc.get("schema_version") != 1
+        ):
             raise ValueError("not a version-1 attack model document")
-        sp = doc["segmenter"]
+
+        def section(key: str, parse):
+            try:
+                return parse(doc[key])
+            except (AttributeError, IndexError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"attack model {key!r} section is missing or malformed ({exc!r})"
+                ) from None
+
         return cls(
-            network=network_from_dict(doc["network"], source="attack model"),
-            mode_model=ModeModel.from_dict(doc["mode_model"]),
-            ensemble=IntervalEnsemble.from_dict(doc["ensemble"]),
-            seg_params=segment.SegmenterParams(
-                l_w=int(sp["l_w"]),
-                l_min=int(sp["l_min"]),
-                l_max=int(sp["l_max"]),
-                t1=sp["t1"],
-                delta=sp["delta"],
-                quorum=float(sp["quorum"]),
-                max_escalations=int(sp["max_escalations"]),
-            ),
+            network=section("network", lambda d: network_from_dict(d, source="attack model")),
+            mode_model=section("mode_model", ModeModel.from_dict),
+            ensemble=section("ensemble", IntervalEnsemble.from_dict),
+            seg_params=section("segmenter", _segmenter_params),
         )
 
     def save(self, path: str | Path) -> None:
@@ -354,7 +366,11 @@ class AttackModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "AttackModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except RecursionError:
+            raise ValueError(f"{Path(path).name}: attack model nested too deeply") from None
+        return cls.from_dict(doc)
 
 
 def bundle_attack_model(corpus: Corpus, ensemble: IntervalEnsemble) -> AttackModel:

@@ -24,15 +24,10 @@ from subtrace.features import (
     N_EXTREMA,
     STATS_DIM,
     FeatureConfig,
-    SegmentFeatures,
     extract_features,
+    fit_nvht_thresholds,
 )
-from subtrace.pipeline import (
-    PipelineConfig,
-    build_corpus,
-    fit_feature_config,
-    interval_training_rows,
-)
+from subtrace.pipeline import PipelineConfig, build_corpus, interval_training_rows
 
 
 def cluster_set(seed: int, n_classes: int = 4, n_per: int = 20, d: int = 5) -> TrainingSet:
@@ -43,11 +38,10 @@ def cluster_set(seed: int, n_classes: int = 4, n_per: int = 20, d: int = 5) -> T
     return TrainingSet(X=X, y=y, n_classes=n_classes)
 
 
-def dummy_features(length: int, fill: float = 0.0) -> SegmentFeatures:
-    return SegmentFeatures(
-        stats=tuple(np.full(STATS_DIM, fill) for _ in range(3)),
-        peaks=tuple(np.full(4 * N_EXTREMA, fill) for _ in range(3)),
-        length=length,
+def dummy_features(length: int, fill: float = 0.0) -> np.ndarray:
+    """A feature vector laid out as ``extract_features`` lays it out."""
+    return np.concatenate(
+        [np.full(3 * STATS_DIM, fill), [float(length)], np.full(3 * 4 * N_EXTREMA, fill)]
     )
 
 
@@ -258,6 +252,7 @@ class TestIntervalEnsemble:
         rows = [dummy_features(30, fill=0.5), dummy_features(40, fill=1.5)]
         p = ens.predict_matrix(rows)
         assert p.shape == (2, ens.n_classes)
+        assert p.tobytes() == ens.predict_matrix(np.stack(rows)).tobytes()
 
     def test_training_is_deterministic(self, trained):
         train, ens = trained
@@ -450,10 +445,10 @@ def loo_fold():
     """The 390 training rows of the acceptance corpus's first leave-one-out fold."""
     corpus = build_corpus(PipelineConfig())
     segs, uids = interval_training_rows(corpus, list(range(1, len(corpus.trips))))
-    fconfig = fit_feature_config(segs, corpus.network.sample_rate)
-    X = np.stack([extract_features(s, fconfig).vector() for s in segs])
+    fconfig = fit_nvht_thresholds(segs, FeatureConfig(sample_rate=corpus.network.sample_rate))
+    X = np.stack([extract_features(s, fconfig) for s in segs])
     held_out, _ = interval_training_rows(corpus, [0])
-    probe = np.stack([extract_features(s, fconfig).vector() for s in held_out])
+    probe = np.stack([extract_features(s, fconfig) for s in held_out])
     return TrainingSet(X=X, y=uids, n_classes=corpus.network.num_intervals), probe
 
 

@@ -271,6 +271,57 @@ class TestDataErrors:
         assert cli.main(args) == cli.EXIT_DATA
         assert "rate 20 Hz differs from the model's 10 Hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, lineno",
+        [
+            ("5", 4),
+            ('{"meta": 5}', 1),
+            ('{"truth": [{"start": 0.0, "label": "metro"}]}', 4),
+            ('{"t": 1%s, "acc": [0, 0, 0], "orient": [0, 0, 0]}' % ("0" * 400), 4),
+            ("[" * 100000 + "]" * 100000, 4),
+        ],
+        ids=["bare number", "meta not an object", "truth without end", "huge t", "deep nesting"],
+    )
+    def test_attack_malformed_trace_names_line(
+        self, tmp_path, corpus_dir, model_file, capsys, bad, lineno
+    ):
+        lines = (Path(corpus_dir) / "trips/trip_000.jsonl").read_text().splitlines()[:3]
+        if lineno == 1:
+            lines[0] = bad
+        else:
+            lines.append(bad)
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        args = ["attack", "--model", model_file, "--trace", str(trace)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"subtrace: bad.jsonl:{lineno}: ")
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "segmenter"}, "'segmenter' section"),
+            (lambda doc: {**doc, "ensemble": {**doc["ensemble"], "forest": 5}}, "'ensemble' section"),
+            (lambda doc: [doc], "not a version-1 attack model document"),
+        ],
+        ids=["no segmenter", "forest a number", "top-level list"],
+    )
+    def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(damage(json.loads(Path(model_file).read_text()))))
+        self._attack_with_model(model, corpus_dir, named, capsys)
+
+    def test_attack_deeply_nested_model(self, tmp_path, corpus_dir, capsys):
+        model = tmp_path / "deep_model.json"
+        model.write_text("[" * 100000 + "]" * 100000)
+        self._attack_with_model(model, corpus_dir, "nested too deeply", capsys)
+
+    @staticmethod
+    def _attack_with_model(model, corpus_dir, named, capsys):
+        trace = str(Path(corpus_dir) / "trips/trip_000.jsonl")
+        args = ["attack", "--model", str(model), "--trace", trace]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+
     def test_generate_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))

@@ -26,6 +26,7 @@ from subtrace.evalharness import (
     predict_subtrip,
     single_model_ensemble,
 )
+from subtrace.features import SliceFeatures
 
 TOL = 10.0
 # gaps of 4..33 s: some pairs match at 10 s tolerance, some do not
@@ -150,12 +151,14 @@ def separate_predictions(corpus, ensemble_for, lengths, mode):
     """predict_subtrip on every subtrip alone, sharing nothing between them."""
     seg_params = segment.params_for_network(corpus.network)
     series = [coord.transform(t) for t in corpus.trips]
-    return [
-        predict_subtrip(
-            series[st.trip], st, ensemble_for(st.trip), corpus.network, seg_params, mode=mode
-        )[0]
-        for st in enumerate_subtrips(corpus, lengths)
-    ]
+    predictions = []
+    for st in enumerate_subtrips(corpus, lengths):
+        ensemble = ensemble_for(st.trip)
+        own = SliceFeatures(series[st.trip].components(), ensemble.config)
+        predictions.append(
+            predict_subtrip(series[st.trip], st, ensemble, corpus.network, seg_params, mode, own)
+        )
+    return predictions
 
 
 class TestFeatureReuse:
@@ -227,9 +230,10 @@ class TestUnknownModeRejected:
         st = enumerate_subtrips(small_corpus, (3,))[0]
         series = coord.transform(small_corpus.trips[st.trip])
         seg_params = segment.params_for_network(small_corpus.network)
+        featurize = SliceFeatures(series.components(), small_ensemble.config)
         with pytest.raises(ValueError, match="unknown attack mode"):
             predict_subtrip(
-                series, st, small_ensemble, small_corpus.network, seg_params, mode=mode
+                series, st, small_ensemble, small_corpus.network, seg_params, mode, featurize
             )
 
     @pytest.mark.parametrize("mode", BAD_MODES)
@@ -251,47 +255,3 @@ class TestUnknownModeRejected:
         monkeypatch.setattr(evalharness, "train_ensemble_on", never)
         with pytest.raises(ValueError, match="unknown attack mode"):
             loo_supervised(small_corpus, small_config, (3,), mode=mode)
-
-
-BAD_OPTIONS = [
-    ("segmenter", "Oracle"),
-    ("segmenter", ""),
-    ("classifier", "Oracle"),
-    ("classifier", ""),
-]
-
-
-class TestUnknownOptionRejected:
-    """An unknown segmenter or classifier used to run the pipeline or the model."""
-
-    @pytest.mark.parametrize("option, value", BAD_OPTIONS)
-    def test_predict_subtrip(self, small_corpus, small_ensemble, option, value):
-        st = enumerate_subtrips(small_corpus, (3,))[0]
-        series = coord.transform(small_corpus.trips[st.trip])
-        seg_params = segment.params_for_network(small_corpus.network)
-        with pytest.raises(ValueError, match=f"unknown {option}"):
-            predict_subtrip(
-                series, st, small_ensemble, small_corpus.network, seg_params, **{option: value}
-            )
-
-    @pytest.mark.parametrize("option, value", BAD_OPTIONS)
-    def test_evaluate_subtrips_scores_nothing(
-        self, small_corpus, small_ensemble, option, value, monkeypatch
-    ):
-        def never(*args, **kwargs):
-            pytest.fail("a subtrip was scored under an unknown option")
-
-        monkeypatch.setattr(evalharness, "predict_subtrip", never)
-        with pytest.raises(ValueError, match=f"unknown {option}"):
-            evaluate_subtrips(small_corpus, lambda _: small_ensemble, (3,), **{option: value})
-
-    @pytest.mark.parametrize("option, value", BAD_OPTIONS)
-    def test_loo_supervised_trains_nothing(
-        self, small_corpus, small_config, option, value, monkeypatch
-    ):
-        def never(*args, **kwargs):
-            pytest.fail("a fold was trained under an unknown option")
-
-        monkeypatch.setattr(evalharness, "train_ensemble_on", never)
-        with pytest.raises(ValueError, match=f"unknown {option}"):
-            loo_supervised(small_corpus, small_config, (3,), **{option: value})

@@ -89,7 +89,7 @@ class TestWindowFeatures:
 
 class TestTrainModeClassifier:
     def test_separable_data(self, toy_model):
-        labels, _ = classify_windows(series((QUIET, W), (LOUD, W)), toy_model)
+        labels = classify_windows(series((QUIET, W), (LOUD, W)), toy_model)
         assert labels.tolist() == [NON_METRO, METRO]
 
     def test_shape_checked(self):
@@ -105,8 +105,8 @@ class TestTrainModeClassifier:
         assert back.thresholds == toy_model.thresholds
         assert back.window == W
         hra = series((LOUD, W), (QUIET, W), (LOUD, W))
-        labels, _ = classify_windows(hra, back)
-        assert labels.tolist() == classify_windows(hra, toy_model)[0].tolist() == [1, 0, 1]
+        labels = classify_windows(hra, back)
+        assert labels.tolist() == classify_windows(hra, toy_model).tolist() == [1, 0, 1]
 
     def test_bad_document_rejected(self, toy_model):
         doc = toy_model.to_dict()
@@ -118,40 +118,32 @@ class TestTrainModeClassifier:
 class TestClassifyWindows:
     def test_window_count_includes_partial(self, toy_model):
         hra = series((QUIET, 3 * W + W // 2))
-        labels, starts = classify_windows(hra, toy_model)
-        assert len(labels) == 4
-        assert list(starts) == [0, W, 2 * W, 3 * W]
+        assert len(classify_windows(hra, toy_model)) == 4
 
     def test_pure_series(self, toy_model):
-        labels, _ = classify_windows(series((LOUD, 5 * W)), toy_model)
+        labels = classify_windows(series((LOUD, 5 * W)), toy_model)
         assert labels.tolist() == [METRO] * 5
-        labels, _ = classify_windows(series((QUIET, 5 * W)), toy_model)
+        labels = classify_windows(series((QUIET, 5 * W)), toy_model)
         assert labels.tolist() == [NON_METRO] * 5
 
     def test_trailing_partial_judged_on_full_window(self, toy_model):
         # the remainder alone is quiet-majority, but the last full W samples
         # are loud-majority, so the partial inherits the metro label
         hra = series((LOUD, 2 * W + 2), (QUIET, 9))
-        labels, _ = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model)
         assert labels.tolist() == [METRO, METRO, METRO]
 
     @pytest.mark.parametrize("value,label", [(LOUD, METRO), (QUIET, NON_METRO)])
     def test_series_shorter_than_a_window_is_one_window(self, toy_model, value, label):
-        labels, starts = classify_windows(series((value, W // 2)), toy_model)
+        labels = classify_windows(series((value, W // 2)), toy_model)
         assert labels.tolist() == [label]
-        assert starts.tolist() == [0]
-
-    def test_explicit_window_override(self, toy_model):
-        hra = series((LOUD, 40))
-        labels, starts = classify_windows(hra, toy_model, m=10)
-        assert len(labels) == 4
 
 
 class TestRefineBoundaries:
     def test_exact_interior_boundaries(self, toy_model):
         # loud block [2W, 5W); the back-scan lands on the exact transition
         hra = series((QUIET, 2 * W), (LOUD, 3 * W), (QUIET, 2 * W))
-        labels, _ = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model)
         assert labels.tolist() == [0, 0, 1, 1, 1, 0, 0]
         spans = refine_boundaries(labels, hra, toy_model, W)
         assert spans == [MetroSpan(2 * W, 5 * W)]
@@ -169,7 +161,7 @@ class TestRefineBoundaries:
 
     def test_two_rides_stay_separate(self, toy_model):
         hra = series((LOUD, 2 * W), (QUIET, 2 * W), (LOUD, 2 * W))
-        labels, _ = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model)
         spans = refine_boundaries(labels, hra, toy_model, W)
         assert spans == [MetroSpan(0, 2 * W), MetroSpan(4 * W, 6 * W)]
 
@@ -257,7 +249,7 @@ class TestBackScanMatchesLoop:
         w = model.window
         n_cases = 0
         for hra in trips + days:
-            labels, _ = classify_windows(hra, model)
+            labels = classify_windows(hra, model)
             for src, boundary in scan_cases(hra, labels, w):
                 got = extract._locate_start(src, model, boundary, w)
                 assert got == loop_locate_start(src, model, boundary, w)

@@ -207,12 +207,10 @@ class TestExtractFeatures:
     def test_vector_layout(self, cfg):
         rng = np.random.default_rng(6)
         seg = rng.normal(size=(120, 3))
-        feats = extract_features(seg, cfg)
-        vec = feats.vector()
+        vec = extract_features(seg, cfg)
         assert vec.shape == (FEATURE_DIM,)
         assert np.all(np.isfinite(vec))
         assert vec[3 * STATS_DIM] == 120.0
-        assert feats.length == 120
 
     def test_composes_from_parts(self, cfg):
         rng = np.random.default_rng(7)
@@ -223,13 +221,13 @@ class TestExtractFeatures:
             + [[80.0]]
             + [peak_features(sm[c], cfg.peak_windows()) for c in range(3)]
         )
-        assert np.array_equal(extract_features(seg, cfg).vector(), expected)
+        assert np.array_equal(extract_features(seg, cfg), expected)
 
     def test_deterministic(self, cfg):
         rng = np.random.default_rng(8)
         seg = rng.normal(size=(60, 3))
-        a = extract_features(seg, cfg).vector()
-        b = extract_features(seg, cfg).vector()
+        a = extract_features(seg, cfg)
+        b = extract_features(seg, cfg)
         assert np.array_equal(a, b)
 
     def test_unfitted_config_rejected(self):
@@ -379,7 +377,7 @@ def assert_same_bytes(segments, cfg):
     for seg in segments:
         for s in (seg, -seg):
             want = loop_extract_vector(s, cfg)
-            got = extract_features(s, cfg).vector()
+            got = extract_features(s, cfg)
             assert got.tobytes() == want.tobytes(), f"differs on a {s.shape} segment"
 
 
@@ -472,4 +470,4 @@ class TestSliceFeatures:
         assert memo(20, 140) is first
         assert memo(20, 141) is not first
         assert calls == [120, 121]
-        assert first.vector().tobytes() == real(comp[20:140], cfg).vector().tobytes()
+        assert first.tobytes() == real(comp[20:140], cfg).tobytes()

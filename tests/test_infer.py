@@ -11,6 +11,7 @@ import pytest
 
 from subtrace import coord, infer
 from subtrace.evalharness import single_model_ensemble
+from subtrace.features import SliceFeatures
 from subtrace.infer import (
     FORWARD,
     REVERSE,
@@ -23,6 +24,12 @@ from subtrace.infer import (
 from subtrace.pipeline import true_trip_layout
 
 EPS = 1e-12
+
+
+def tolerance(series, ensemble, network, points):
+    """The tolerance pass with the default featurizer ``decode_span`` builds."""
+    featurize = SliceFeatures(series.components(), ensemble.config)
+    return infer.infer_with_segment_tolerance(series, ensemble, network, points, featurize)
 
 
 def brute_force_best(P) -> tuple[int, str, float]:
@@ -173,9 +180,7 @@ class TestSegmentTolerance:
     def test_exact_cuts_recover_truth(self, small_corpus, ensemble):
         for ti in range(len(small_corpus.trips)):
             lay, series, pts = self._layout(small_corpus, ti)
-            r = infer.infer_with_segment_tolerance(
-                series, ensemble, small_corpus.network, points=pts
-            )
+            r = tolerance(series, ensemble, small_corpus.network, pts)
             assert r.family == r.detected == lay.n_legs
             got = (r.best.start_interval, r.best.direction, r.best.length)
             assert got == (lay.uids[0], lay.direction, lay.n_legs)
@@ -185,9 +190,7 @@ class TestSegmentTolerance:
     def test_missing_cut_recovered(self, small_corpus, ensemble, ti, drop):
         lay, series, pts = self._layout(small_corpus, ti)
         degraded = [p for j, p in enumerate(pts) if j != drop]
-        r = infer.infer_with_segment_tolerance(
-            series, ensemble, small_corpus.network, points=degraded
-        )
+        r = tolerance(series, ensemble, small_corpus.network, degraded)
         assert r.detected == lay.n_legs - 1
         assert r.family == lay.n_legs
         got = (r.best.start_interval, r.best.direction, r.best.length)
@@ -195,9 +198,7 @@ class TestSegmentTolerance:
 
     def test_ranked_is_ordered_and_typed(self, small_corpus, ensemble):
         lay, series, pts = self._layout(small_corpus, 0)
-        r = infer.infer_with_segment_tolerance(
-            series, ensemble, small_corpus.network, points=pts
-        )
+        r = tolerance(series, ensemble, small_corpus.network, pts)
         means = [h.mean_score for h, _ in r.ranked]
         assert means == sorted(means, reverse=True)
         for _, cuts in r.ranked:

@@ -397,23 +397,37 @@ MALFORMED = {
     "true timestamp": [META, sample(0), sample(1, t="true")],
     "nan literal": [META, sample(0), sample(1, acc="[NaN, 0, 0]"), sample(2)],
     "infinity literal": [META, sample(0, t="Infinity"), sample(1)],
-    "int too large for a float": [META, sample(0), sample(1, t="1" + "0" * 400)],
     "sample is a list": [META, sample(0), "[0.04, 1, 2]"],
     "two objects on one line": [META, sample(0) + sample(1), sample(2)],
     "one object over two lines": [META, sample(0), '{"t": 0.04, "acc": [0, 0, 0],', '"orient": [0, 0, 0]}'],
     "bad sample before bad json": [META, sample(0, acc="[1]"), sample(1), "{oops"],
     "bad sample before duplicate trailer": [META, sample(0, t="null"), TRAILER, TRAILER],
     "bad sample before bad meta": [META, sample(0, acc="[1]"), '{"meta": 5}'],
+    "bad sample before bare number": [META, sample(0, acc="[1]"), "5"],
     "bad sample before bad truth": [META, sample(0, t='"x"'), '{"truth": [{"start": 0}]}'],
-    "bad truth before bad sample": [META, '{"truth": [{"start": 0}]}', sample(0, t='"x"')],
     "byte order mark": ["\ufeff" + META, sample(0)],
     "text after the object": [META, sample(0), sample(1) + " x"],
     "unicode space around the object": [META, "\u00a0" + sample(0) + "\u2003", sample(1)],
-    "bare number": [META, sample(0), "5"],
     "bare string": [META, sample(0), '"abc"'],
-    "deep nesting": [META, sample(0), "[" * 100000 + "]" * 100000],
     "only meta": [META],
     "nothing": [""],
+}
+
+# Files the frozen reader fails on with a bare TypeError, AttributeError,
+# KeyError, OverflowError, RecursionError or ValueError; the reader names the
+# line instead. Each value is the file's lines and the line number named.
+MALFORMED_NAMED = {
+    "int too large for a float": ([META, sample(0), sample(1, t="1" + "0" * 400)], 3),
+    "bad truth before bad sample": ([META, '{"truth": [{"start": 0}]}', sample(0, t='"x"')], 2),
+    "bare number": ([META, sample(0), "5"], 3),
+    "deep nesting": ([META, sample(0), "[" * 100000 + "]" * 100000], 3),
+    "meta not an object": (['{"meta": 5}', sample(0)], 1),
+    "meta rate not a number": (['{"meta": {"sample_rate": "fast"}}', sample(0)], 1),
+    "meta rate too large": (['{"meta": {"sample_rate": 1' + "0" * 400 + "}}", sample(0)], 1),
+    "truth entry without end": ([META, sample(0), '{"truth": [{"start": 0, "label": "m"}]}'], 3),
+    "truth not a list": ([META, sample(0), '{"truth": 5}'], 3),
+    "integer past the digit limit": ([META, sample(0), sample(1, t="1" * 5000)], 3),
+    "null line": ([META, "null", sample(0)], 2),
 }
 
 
@@ -465,3 +479,15 @@ class TestTraceIOMatchesLoop:
         path = tmp_path / "case.jsonl"
         path.write_text("\n".join(MALFORMED[case]) + "\n")
         assert load_outcome(load_trace, path) == load_outcome(loop_load_trace, path)
+
+
+class TestMalformedNamesLine:
+    """Every malformed file raises ``TraceFormatError`` naming its bad line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NAMED))
+    def test_raises(self, tmp_path, case):
+        lines, lineno = MALFORMED_NAMED[case]
+        path = tmp_path / "case.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=rf"^case\.jsonl:{lineno}: "):
+            load_trace(path)

@@ -153,9 +153,9 @@ class TestModeModel:
         from subtrace.extract import classify_windows
 
         model = attack_model.mode_model
-        trip_labels, _ = classify_windows(transform(small_corpus.trips[0]).hra, model)
+        trip_labels = classify_windows(transform(small_corpus.trips[0]).hra, model)
         static = next(m for m in small_corpus.modes if m.device_id.startswith("sim-static"))
-        static_labels, _ = classify_windows(transform(static).hra, model)
+        static_labels = classify_windows(transform(static).hra, model)
         assert np.mean(trip_labels) > 0.9
         assert not np.any(static_labels)
 
