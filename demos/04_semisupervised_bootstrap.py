@@ -21,7 +21,7 @@ print(f"line has {net.num_intervals} intervals; labeled seeds: "
       f"{seeds[0]} ({names[0]}) and {seeds[1]} ({names[1]})")
 print(f"unlabeled material: {len(corpus.trips)} trips, re-split into short rides\n")
 
-result, ensemble, _, n_sequences = evalharness.bootstrap_from_corpus(corpus, config)
+result, ensemble, n_sequences = evalharness.bootstrap_from_corpus(corpus, config)
 
 print(f"bootstrap over {n_sequences} unlabeled rides:")
 for rnd, cov in enumerate(result.coverage_history):

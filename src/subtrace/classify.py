@@ -3,6 +3,7 @@
 The two ensembles are trained on the same rows and averaged 50/50 at
 prediction time. Everything is written against plain numpy arrays and
 serializes to versioned JSON so a trained attack model is a single file.
+Boost rounds and tree counts have no defaults: ``PipelineConfig`` sets them.
 
 The forest works on whole arrays. At each node the split search gathers
 the node's rows of all candidate features as one ``(rows, features)``
@@ -31,8 +32,6 @@ VAR_FLOOR = 1e-6
 ERR_FLOOR = 1e-10
 MAX_RESAMPLE_RETRIES = 5
 
-DEFAULT_BOOST_ROUNDS = 12
-DEFAULT_TREES = 100
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
 
@@ -190,9 +189,7 @@ class AdaBoostNB:
         )
 
 
-def train_adaboost_nb(
-    train: TrainingSet, rounds: int = DEFAULT_BOOST_ROUNDS, seed: int = 0
-) -> AdaBoostNB:
+def train_adaboost_nb(train: TrainingSet, rounds: int, seed: int = 0) -> AdaBoostNB:
     X, y, m = train.X, train.y, train.n_classes
     n = len(X)
     rng = np.random.default_rng(seed)
@@ -370,16 +367,7 @@ class RandomForest:
         return {
             "n_classes": self.n_classes,
             "oob_accuracy": self.oob_accuracy,
-            "trees": [
-                {
-                    "feature": t["feature"].tolist(),
-                    "threshold": t["threshold"].tolist(),
-                    "left": t["left"].tolist(),
-                    "right": t["right"].tolist(),
-                    "probs": t["probs"].tolist(),
-                }
-                for t in self.trees
-            ],
+            "trees": [{k: a.tolist() for k, a in t.items()} for t in self.trees],
         }
 
     @classmethod
@@ -399,7 +387,7 @@ class RandomForest:
 
 def train_random_forest(
     train: TrainingSet,
-    n_trees: int = DEFAULT_TREES,
+    n_trees: int,
     seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
     min_leaf: int = DEFAULT_MIN_LEAF,
@@ -477,8 +465,8 @@ class IntervalEnsemble:
 def train_interval_ensemble(
     train: TrainingSet,
     config: FeatureConfig,
-    boost_rounds: int = DEFAULT_BOOST_ROUNDS,
-    n_trees: int = DEFAULT_TREES,
+    boost_rounds: int,
+    n_trees: int,
     seed: int = 0,
 ) -> IntervalEnsemble:
     ss = np.random.SeedSequence(seed)

@@ -12,14 +12,13 @@ before reaching full coverage (a partial model is still written).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from . import evalharness, pipeline
-from .model import NetworkFormatError, TraceFormatError, load_trace
+from .model import dump_json, load_json, load_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,7 +35,7 @@ def _setup_logging() -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = dump_json(doc)
     if out:
         Path(out).write_text(text)
     else:
@@ -45,8 +44,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _load_config(args) -> pipeline.PipelineConfig:
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        config = pipeline.PipelineConfig.from_dict(doc)
+        config = load_json(args.config, pipeline.PipelineConfig.from_dict)
     else:
         config = pipeline.PipelineConfig()
     if getattr(args, "seed", None) is not None:
@@ -85,7 +83,7 @@ def _cmd_attack(args) -> int:
 def _cmd_bootstrap(args) -> int:
     config = _load_config(args)
     corpus = pipeline.load_corpus(args.corpus)
-    result, ensemble, _, n_sequences = evalharness.bootstrap_from_corpus(corpus, config)
+    result, ensemble, n_sequences = evalharness.bootstrap_from_corpus(corpus, config)
     pipeline.bundle_attack_model(corpus, ensemble).save(args.out)
     report = result.report(corpus.network, threshold=config.enough_labels)
     report["sequences"] = n_sequences
@@ -168,10 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (TraceFormatError, NetworkFormatError) as exc:
-        print(f"subtrace: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (json.JSONDecodeError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # every format error is a ValueError
         print(f"subtrace: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,6 +10,8 @@ the device axes constrains the Z tilt through sin^2(a) + sin^2(b) + sin^2(t) = 1
 There is one conversion path: ``transform`` turns a whole trace into an
 ``EnuSeries`` with one rotation per sample from ``rotation_matrices``. A
 single sample is converted as a one-sample trace, never by a second routine.
+The series holds its east, north and gravity-free up components as one
+``(n, 3)`` array, the form the feature extractor reads.
 """
 
 from __future__ import annotations
@@ -30,29 +32,15 @@ class EnuSeries:
     """Vectorized earth-frame view of a trace."""
 
     t: np.ndarray
-    eca: np.ndarray
-    nca: np.ndarray
-    vca: np.ndarray
-    hra: np.ndarray
-    degenerate: np.ndarray  # bool, samples that reused the previous rotation
+    enu: np.ndarray  # (n, 3) east, north, up; gravity removed from up
+    hra: np.ndarray  # horizontal resultant, hypot of east and north
 
     @property
     def n_samples(self) -> int:
         return len(self.t)
 
-    def components(self) -> np.ndarray:
-        """(n, 3) stack of (eca, nca, vca)."""
-        return np.stack([self.eca, self.nca, self.vca], axis=1)
-
     def view(self, start: int, end: int) -> "EnuSeries":
-        return EnuSeries(
-            self.t[start:end],
-            self.eca[start:end],
-            self.nca[start:end],
-            self.vca[start:end],
-            self.hra[start:end],
-            self.degenerate[start:end],
-        )
+        return EnuSeries(self.t[start:end], self.enu[start:end], self.hra[start:end])
 
 
 def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,12 +87,9 @@ def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def transform(trace: Trace) -> EnuSeries:
     """Earth-frame series for a whole trace; one output sample per input."""
     if trace.n_samples == 0:
-        empty = np.empty(0)
-        return EnuSeries(empty, empty, empty, empty, empty, np.empty(0, dtype=bool))
-    R, degenerate = rotation_matrices(np.radians(trace.orient))
-    world = np.einsum("nij,nj->ni", R, trace.acc)
-    eca = world[:, 0]
-    nca = world[:, 1]
-    vca = world[:, 2] - GRAVITY
-    hra = np.hypot(eca, nca)
-    return EnuSeries(trace.t.copy(), eca, nca, vca, hra, degenerate)
+        return EnuSeries(np.empty(0), np.empty((0, 3)), np.empty(0))
+    R, _ = rotation_matrices(np.radians(trace.orient))
+    enu = np.einsum("nij,nj->ni", R, trace.acc)
+    enu[:, 2] -= GRAVITY
+    hra = np.hypot(enu[:, 0], enu[:, 1])
+    return EnuSeries(trace.t.copy(), enu, hra)

@@ -4,7 +4,9 @@ Supervised: leave-one-trip-out, scoring every contiguous subtrip of a few
 fixed lengths cut at the true dwell centers; a prediction counts only if
 start interval, direction, and length all match. Each subtrip is cut by
 the attack's own segmenter and decoded through ``infer.decode_span``; the
-subtrips of one trip share one memo of segment feature vectors.
+subtrips of one trip share one memo of segment feature vectors, cut from
+the trip's ``(n, 3)`` earth-frame array. Cut points are scored against the
+true dwell centres within the fixed ``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
 are bootstrapped from two distinctive seed intervals, and one damped-weight
 model is evaluated the same way. Robustness and defense runs reuse the
@@ -48,15 +50,15 @@ DEFENSE_FACTOR = 5.0
 # --- metrics ----------------------------------------------------------------
 
 
-def edit_distance(pred: list[float], true: list[float], tolerance: float = POINT_TOLERANCE_S) -> int:
-    """Levenshtein distance between point sequences; values match within tolerance."""
+def edit_distance(pred: list[float], true: list[float]) -> int:
+    """Levenshtein distance between point sequences; values match within ``POINT_TOLERANCE_S``."""
     np_, nt = len(pred), len(true)
     d = np.zeros((np_ + 1, nt + 1), dtype=int)
     d[:, 0] = np.arange(np_ + 1)
     d[0, :] = np.arange(nt + 1)
     for i in range(1, np_ + 1):
         for j in range(1, nt + 1):
-            same = abs(pred[i - 1] - true[j - 1]) < tolerance
+            same = abs(pred[i - 1] - true[j - 1]) < POINT_TOLERANCE_S
             d[i, j] = min(
                 d[i - 1, j] + 1,
                 d[i, j - 1] + 1,
@@ -87,7 +89,6 @@ class Subtrip:
     start_leg: int
     length: int
     span: tuple[int, int]
-    cuts_rel: tuple[int, ...]
     uids: tuple[int, ...]
     direction: str
 
@@ -106,7 +107,6 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
                         start_leg=j,
                         length=L,
                         span=(a, b),
-                        cuts_rel=tuple(c - a for c in lay.cuts[j : j + L - 1]),
                         uids=lay.uids[j : j + L],
                         direction=lay.direction or "forward",
                     )
@@ -187,7 +187,7 @@ def evaluate_subtrips(
         series = series_by_trip[st.trip]
         if (st.trip, ensemble.config) != memo_key:
             memo_key = (st.trip, ensemble.config)
-            memo = SliceFeatures(series.components(), ensemble.config)
+            memo = SliceFeatures(series.enu, ensemble.config)
         hyp = predict_subtrip(series, st, ensemble, corpus.network, seg_params, mode, memo)
         totals[st.length] += 1
         if _ride_key(hyp) == (st.uids[0], st.direction, st.length):
@@ -281,11 +281,12 @@ def segmentation_evaluation(corpus: Corpus) -> SegmentationReport:
 # --- semi-supervised protocol -------------------------------------------------------
 
 
-def _random_chunks(n_legs: int, rng: np.random.Generator, lo: int = 2, hi: int = 5) -> list[int]:
+def _random_chunks(n_legs: int, rng: np.random.Generator) -> list[int]:
+    """Random ride lengths summing to ``n_legs``: 2 to 5 legs, one more to leave no single leg."""
     sizes = []
     rem = n_legs
     while rem > 0:
-        size = min(int(rng.integers(lo, hi + 1)), rem)
+        size = min(int(rng.integers(2, 6)), rem)
         if rem - size == 1:
             size = min(size + 1, rem)
         sizes.append(size)
@@ -315,8 +316,8 @@ class SemisupReport:
 
 def bootstrap_from_corpus(
     corpus: Corpus, config: PipelineConfig
-) -> tuple[semisup.BootstrapResult, IntervalEnsemble, FeatureConfig, int]:
-    """Unlabeled rides + seed traversals -> bootstrapped interval ensemble."""
+) -> tuple[semisup.BootstrapResult, IntervalEnsemble, int]:
+    """Unlabeled rides + seed traversals -> (result, bootstrapped ensemble, number of rides)."""
     network = corpus.network
     seg_params = segment.params_for_network(network)
 
@@ -333,8 +334,7 @@ def bootstrap_from_corpus(
             sub = series.view(a, b)
             points, _ = segment.find_final_segment_points(sub.hra, seg_params)
             cuts = [0, *points, sub.n_samples]
-            comp = sub.components()
-            chunk_segs.append([comp[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
+            chunk_segs.append([sub.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
             j += size
 
     fconfig = fit_nvht_thresholds(
@@ -378,13 +378,13 @@ def bootstrap_from_corpus(
         n_trees=config.n_trees,
         seed=child_seed(config.seed, 8),
     )
-    return result, ensemble, fconfig, len(sequences)
+    return result, ensemble, len(sequences)
 
 
 def semisupervised_evaluation(
     corpus: Corpus, config: PipelineConfig, lengths: tuple[int, ...] = DEFAULT_LENGTHS
 ) -> SemisupReport:
-    result, ensemble, _, n_sequences = bootstrap_from_corpus(corpus, config)
+    result, ensemble, n_sequences = bootstrap_from_corpus(corpus, config)
     report = evaluate_subtrips(corpus, lambda _: ensemble, lengths)
     return SemisupReport(
         rounds=result.rounds_run,

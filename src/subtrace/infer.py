@@ -11,7 +11,7 @@ hypotheses in case the segmenter missed or invented one stop.
 modes: "full" runs the tolerance pass, "reduced" scores the detected cuts
 only. The attack and the evaluation harness both decode through it, and it
 is the one place that builds a default featurizer: a ``SliceFeatures`` over
-the span's components. Segments enter the ensemble as plain feature vectors.
+the span's ``enu`` array. Segments enter the ensemble as plain feature vectors.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def infer_trace(P: np.ndarray) -> TraceHypothesis:
 class ToleranceResult:
     best: TraceHypothesis
     points: tuple[int, ...]  # interior cuts the winning hypothesis used
-    family: int  # segment count of the winning family
     detected: int  # segment count the segmenter reported
     ranked: tuple[tuple[TraceHypothesis, tuple[int, ...]], ...]
 
@@ -234,7 +233,6 @@ def infer_with_segment_tolerance(
     return ToleranceResult(
         best=best,
         points=best_cuts,
-        family=best.length,
         detected=n_detected,
         ranked=tuple(scored[:TOP_K]),
     )
@@ -266,7 +264,7 @@ def decode_span(
     """
     check_mode(mode)
     if featurize is None:
-        featurize = SliceFeatures(series.components(), ensemble.config)
+        featurize = SliceFeatures(series.enu, ensemble.config)
     if mode == "full":
         res = infer_with_segment_tolerance(
             series, ensemble, network, points=points, featurize=featurize

@@ -9,6 +9,8 @@ framing error names its line, then converts all sample values with three
 numpy conversions; only when those fail does it convert sample by sample to
 name the bad line. ``save_trace`` formats every sample row in one pass, with
 the same float repr text that ``json.dumps`` writes.
+Every other JSON file is one document, written as ``dump_json`` text and
+read through ``load_json``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -172,9 +175,12 @@ class Trace:
         return [r for r in self.truth if r.label.startswith(prefix)]
 
     def validate(self) -> None:
+        """Refuse a trace the pipeline cannot reason about; a sample rate of 0 means undeclared."""
         n = self.n_samples
         if n == 0:
             raise TraceFormatError("no samples")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate >= 0):
+            raise TraceFormatError(f"sample_rate {self.sample_rate!r} is negative or not finite")
         if self.acc.shape != (n, 3) or self.orient.shape != (n, 3):
             raise TraceFormatError("acc and orient must be (n, 3) arrays")
         for name in ("t", "acc", "orient"):
@@ -249,6 +255,16 @@ def _line_problem(obj) -> str:
     return "sample needs t, acc[3], orient[3]"
 
 
+def _undecodable_line(path: Path) -> int:
+    """1-based number of the first line of ``path`` that is not UTF-8."""
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    raise AssertionError(f"{path.name} decodes as UTF-8 line by line")
+
+
 def _checked_samples(
     name: str, linenos: list[int], samples: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,7 +329,7 @@ def load_trace(path: str | Path) -> Trace:
     trailer_seen = False
 
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
                 if not raw:
@@ -359,10 +375,13 @@ def load_trace(path: str | Path) -> Trace:
                 except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                     # a line that decodes but is not a meta, truth or sample object
                     raise TraceFormatError(f"{path.name}:{lineno}: {_line_problem(obj)}")
-    except Exception:
+    except Exception as exc:
         # samples are converted after the loop, so check the earlier ones now:
         # a bad sample is reported before any error on a later line
         _checked_samples(path.name, linenos, samples)
+        if isinstance(exc, UnicodeDecodeError):  # raised by reading a chunk, not a line
+            lineno = _undecodable_line(path)
+            raise TraceFormatError(f"{path.name}:{lineno}: not UTF-8 text ({exc.reason})") from None
         raise
 
     if not samples:
@@ -461,14 +480,44 @@ def network_to_dict(network: MetroNetwork) -> dict:
 
 def load_network(path: str | Path) -> MetroNetwork:
     """Read one line's forward intervals and derive the reverse direction."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path.name}: not valid JSON ({exc.msg})")
-    return network_from_dict(doc, source=path.name)
+    name = Path(path).name
+    return load_json(path, lambda doc: network_from_dict(doc, source=name), NetworkFormatError)
 
 
 def save_network(network: MetroNetwork, path: str | Path) -> None:
-    doc = network_to_dict(network)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(dump_json(network_to_dict(network)))
+
+
+# --- JSON documents ------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def dump_json(doc) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, no NaN, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def load_json(
+    path: str | Path, parse: Callable[[object], T], error: type[ValueError] = ValueError
+) -> T:
+    """``parse`` of the JSON document in ``path``; a malformed one raises ``error`` naming the file.
+
+    That covers text that is not JSON or not UTF-8, nesting too deep to
+    decode, and a document of the wrong shape, on which ``parse`` raises
+    ``AttributeError``, ``IndexError``, ``KeyError`` or ``TypeError``. A
+    ``ValueError`` that ``parse`` raises passes through unchanged.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path.name}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{path.name}: nested too deeply") from None
+    except ValueError as exc:  # bytes that are not UTF-8, integers too long to convert
+        raise error(f"{path.name}: not valid JSON ({exc})") from None
+    try:
+        return parse(doc)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise error(f"{path.name}: malformed ({exc!r})") from None

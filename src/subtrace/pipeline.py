@@ -8,7 +8,6 @@ segmenter settings into a single JSON document.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,8 @@ from .model import (
     MetroNetwork,
     Trace,
     TraceFormatError,
+    dump_json,
+    load_json,
     load_network,
     load_trace,
     network_from_dict,
@@ -171,9 +172,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> None:
         save_trace(trace, out / meta["file"])
     for meta, trace in zip(corpus.manifest["modes"], corpus.modes):
         save_trace(trace, out / meta["file"])
-    (out / "manifest.json").write_text(
-        json.dumps(corpus.manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    (out / "manifest.json").write_text(dump_json(corpus.manifest))
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -181,15 +180,15 @@ def load_corpus(path: str | Path) -> Corpus:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise TraceFormatError(f"{root}: no manifest.json, not a corpus directory")
-    try:
-        manifest = json.loads(manifest_path.read_text())
+
+    def read(manifest: dict) -> Corpus:
         trips = [load_trace(root / m["file"]) for m in manifest["trips"]]
         modes = [load_trace(root / m["file"]) for m in manifest["modes"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise TraceFormatError(f"{manifest_path}: bad manifest ({exc})")
-    network = load_network(root / manifest["network"])
-    profiles = load_profiles(root / manifest["profiles"])
-    return Corpus(network, profiles, trips, modes, manifest)
+        network = load_network(root / manifest["network"])
+        profiles = load_profiles(root / manifest["profiles"])
+        return Corpus(network, profiles, trips, modes, manifest)
+
+    return load_json(manifest_path, read, TraceFormatError)
 
 
 # --- ground-truth layout --------------------------------------------------------
@@ -201,7 +200,6 @@ class TrueTrip:
 
     span: tuple[int, int]
     cuts: tuple[int, ...]  # interior dwell centers, in samples
-    cut_times: tuple[float, ...]
     uids: tuple[int, ...]
     direction: str | None
 
@@ -219,25 +217,22 @@ def true_trip_layout(trace: Trace) -> TrueTrip:
     if not legs:
         raise ValueError("trip truth has no interval ranges")
     uids = tuple(int(r.label.split(":", 1)[1]) for r in legs)
-    cut_times = tuple(0.5 * (d.start + d.end) for d in dwells)
     a, b = metro[0].start, metro[0].end
     span = (int(np.searchsorted(trace.t, a)), int(np.searchsorted(trace.t, b)))
-    cuts = tuple(int(np.searchsorted(trace.t, ct)) for ct in cut_times)
+    cuts = tuple(int(np.searchsorted(trace.t, 0.5 * (d.start + d.end))) for d in dwells)
     direction = None
     if len(uids) > 1:
         direction = "forward" if uids[1] > uids[0] else "reverse"
-    return TrueTrip(span, cuts, cut_times, uids, direction)
+    return TrueTrip(span, cuts, uids, direction)
 
 
-def true_segments(trace: Trace, series: coord.EnuSeries | None = None) -> list[tuple[np.ndarray, int]]:
+def true_segments(trace: Trace) -> list[tuple[np.ndarray, int]]:
     """Earth-frame (n, 3) arrays cut at the true dwell centers, with labels."""
-    if series is None:
-        series = coord.transform(trace)
+    enu = coord.transform(trace).enu
     layout = true_trip_layout(trace)
-    comp = series.components()
     bounds = [layout.span[0], *layout.cuts, layout.span[1]]
     return [
-        (comp[lo:hi], uid) for (lo, hi), uid in zip(zip(bounds[:-1], bounds[1:]), layout.uids)
+        (enu[lo:hi], uid) for (lo, hi), uid in zip(zip(bounds[:-1], bounds[1:]), layout.uids)
     ]
 
 
@@ -285,14 +280,12 @@ def train_ensemble_on(
     uids: list[int],
     network: MetroNetwork,
     config: PipelineConfig,
-    sample_weight: np.ndarray | None = None,
 ) -> IntervalEnsemble:
     fconfig = fit_nvht_thresholds(segments, FeatureConfig(sample_rate=network.sample_rate))
     train = TrainingSet(
         X=np.stack([extract_features(s, fconfig) for s in segments]),
         y=np.array(uids, int),
         n_classes=network.num_intervals,
-        sample_weight=sample_weight,
     )
     return train_interval_ensemble(
         train,
@@ -360,17 +353,11 @@ class AttackModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
+        Path(path).write_text(dump_json(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "AttackModel":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except RecursionError:
-            raise ValueError(f"{Path(path).name}: attack model nested too deeply") from None
-        return cls.from_dict(doc)
+        return load_json(path, cls.from_dict)
 
 
 def bundle_attack_model(corpus: Corpus, ensemble: IntervalEnsemble) -> AttackModel:
@@ -486,10 +473,11 @@ def seed_segments(
             child_seed(seed, 4, gid, i),
             network=network,
             profiles=profiles,
+            sample_rate=network.sample_rate,
         )
         series = coord.transform(day)
         metro = next(r for r in day.truth if r.label == "metro")
         lo = int(np.searchsorted(day.t, metro.start - pad_l))
         hi = int(np.searchsorted(day.t, metro.end + pad_r))
-        out.append(series.components()[lo:hi])
+        out.append(series.enu[lo:hi])
     return out

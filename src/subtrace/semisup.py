@@ -6,7 +6,8 @@ a seed fires pins down the whole run, because segments of one ride occupy
 consecutive directed ids; conflicting hits are resolved by confidence mass.
 Labeled segments accumulate in per-interval pools, pools that grow large
 enough spawn new detectors, and the loop repeats until every interval is
-covered or nothing moves.
+covered or nothing moves. ``threshold`` and ``max_rounds`` have no defaults:
+the pipeline passes ``PipelineConfig.enough_labels`` and ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from .classify import GaussianNB
 from .model import MetroNetwork
 
-ENOUGH_LABELS = 20
-MAX_ROUNDS = 12
 CONFLICT_MARGIN = 1.2
 NEGATIVE_RATIO = 3
 LATE_ROUND_WEIGHT = 0.8
@@ -87,7 +86,7 @@ class BootstrapResult:
     coverage_history: list[float]
     stalled: bool
 
-    def report(self, network: MetroNetwork, threshold: int = ENOUGH_LABELS) -> dict:
+    def report(self, network: MetroNetwork, threshold: int) -> dict:
         k = network.num_intervals
         covered = covered_intervals(self.pools, network, threshold)
         return {
@@ -109,7 +108,7 @@ def pool_count(pools: dict[int, list[PoolEntry]], network: MetroNetwork, uid: in
 
 
 def covered_intervals(
-    pools: dict[int, list[PoolEntry]], network: MetroNetwork, threshold: int = ENOUGH_LABELS
+    pools: dict[int, list[PoolEntry]], network: MetroNetwork, threshold: int
 ) -> set[int]:
     k = network.num_intervals
     return {u for u in range(k) if pool_count(pools, network, u) >= threshold}
@@ -136,8 +135,8 @@ def bootstrap(
     sequences: list[list[np.ndarray]],
     seeds: list[SeedClassifier],
     network: MetroNetwork,
-    threshold: int = ENOUGH_LABELS,
-    max_rounds: int = MAX_ROUNDS,
+    threshold: int,
+    max_rounds: int,
     seed: int = 0,
 ) -> BootstrapResult:
     """Grow interval labels from seed detectors over unlabeled sequences.

@@ -11,9 +11,8 @@ motion identical when a single source is toggled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-import json
 
 import numpy as np
 
@@ -25,6 +24,8 @@ from .model import (
     Trace,
     TruthRange,
     build_network,
+    dump_json,
+    load_json,
     normalize_orientation,
 )
 
@@ -36,6 +37,9 @@ ALPHA_BOX = 50.0
 BETA_BOX = 35.0
 
 VIBRATION_REF_SPEED = 10.0  # m/s at which track vibration reaches full amplitude
+
+DWELL_RANGE = (25.0, 35.0)  # seconds a train stands at a station
+DISTINCTIVE_FRAC = 0.2  # share of intervals drawn with strong, distinctive curves
 
 
 @dataclass(frozen=True)
@@ -188,15 +192,12 @@ def gen_network(
     num_intervals: int,
     seed: int,
     sample_rate: float = 10.0,
-    dwell: tuple[float, float] = (25.0, 35.0),
-    name: str | None = None,
-    distinctive_frac: float = 0.2,
 ) -> tuple[MetroNetwork, list[TrackProfile]]:
     """Build one line: pairwise-distinct forward profiles plus derived reverses."""
     if num_intervals < 1:
         raise ValueError("num_intervals must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E77]))
-    n_dist = max(1, round(distinctive_frac * num_intervals)) if num_intervals > 1 else 0
+    n_dist = max(1, round(DISTINCTIVE_FRAC * num_intervals)) if num_intervals > 1 else 0
     dist_ids = set(rng.choice(num_intervals, size=n_dist, replace=False).tolist())
 
     prim_sets: list[tuple[MotionPrimitive, ...]] = []
@@ -250,9 +251,9 @@ def gen_network(
             )
         )
     network = build_network(
-        name=name or f"simline-{seed}",
+        name=f"simline-{seed}",
         sample_rate=sample_rate,
-        dwell=dwell,
+        dwell=DWELL_RANGE,
         forward=forward,
     )
     return network, profiles
@@ -547,10 +548,15 @@ def gen_mixed_day(
     """Concatenate modes and trips into one continuous recording.
 
     Schedule entries are ("walk", seconds), ("static", seconds), ... or
-    ("trip", {"start_interval": gid, "length": n}).
+    ("trip", {"start_interval": gid, "length": n}). Every piece is sampled
+    at ``sample_rate``, so a network sampled at another rate is refused.
     """
     if not schedule:
         raise ValueError("schedule is empty")
+    if network is not None and network.sample_rate != sample_rate:
+        raise ValueError(
+            f"network sampled at {network.sample_rate:g} Hz, day at {sample_rate:g} Hz"
+        )
     pieces = []
     for idx, entry in enumerate(schedule):
         child = int(np.random.SeedSequence([int(seed), idx]).generate_state(1)[0])
@@ -600,30 +606,14 @@ def apply_defense_noise(trace: Trace, amp: float, seed: int) -> Trace:
 
 
 def save_profiles(profiles: list[TrackProfile], path: str | Path) -> None:
-    doc = {
-        "profiles": [
-            {
-                "interval_id": p.interval_id,
-                "start_heading": p.start_heading,
-                "distinctive": p.distinctive,
-                "primitives": [
-                    {
-                        "kind": q.kind,
-                        "duration": q.duration,
-                        "forward_accel": q.forward_accel,
-                        "lateral_accel": q.lateral_accel,
-                    }
-                    for q in p.primitives
-                ],
-            }
-            for p in profiles
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_text(dump_json({"profiles": [asdict(p) for p in profiles]}))
 
 
 def load_profiles(path: str | Path) -> list[TrackProfile]:
-    doc = json.loads(Path(path).read_text())
+    return load_json(path, _profiles_from_dict)
+
+
+def _profiles_from_dict(doc: dict) -> list[TrackProfile]:
     out = []
     for entry in doc["profiles"]:
         prims = tuple(

@@ -7,6 +7,7 @@ raw output bytes between two same-seed invocations.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,32 @@ SMALL_CONFIG = {
     "boost_rounds": 4,
     "n_trees": 12,
     "enough_labels": 6,
+}
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def _drop(key: str):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# case -> (file, damage to its decoded text); config.json is the --config file
+MALFORMED_DOCUMENTS = {
+    "config a list": ("config.json", lambda text: "[1]"),
+    "config noise a number": ("config.json", lambda text: '{"noise": 5}'),
+    "config deep nesting": ("config.json", lambda text: DEEP),
+    "network deep nesting": ("network.json", lambda text: DEEP),
+    "manifest deep nesting": ("manifest.json", lambda text: DEEP),
+    "manifest without profiles": (
+        "manifest.json", lambda text: json.dumps(_drop("profiles")(json.loads(text)))
+    ),
+    "profile without primitives": (
+        "profiles.json",
+        lambda text: json.dumps(
+            {"profiles": [_drop("primitives")(p) for p in json.loads(text)["profiles"]]}
+        ),
+    ),
 }
 
 
@@ -321,6 +348,32 @@ class TestDataErrors:
         args = ["attack", "--model", str(model), "--trace", trace]
         assert cli.main(args) == cli.EXIT_DATA
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [-10.0, float("nan")], ids=["negative", "nan"])
+    def test_attack_bad_declared_rate(self, tmp_path, corpus_dir, model_file, capsys, rate):
+        lines = (Path(corpus_dir) / "trips/trip_000.jsonl").read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["meta"]["sample_rate"] = rate
+        lines[0] = json.dumps(meta)
+        trace = tmp_path / "rate.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        args = ["attack", "--model", model_file, "--trace", str(trace)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert "is negative or not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+    def test_malformed_document_names_file(self, tmp_path, corpus_dir, cfg_file, capsys, case):
+        name, damage = MALFORMED_DOCUMENTS[case]
+        corpus = tmp_path / "c"
+        shutil.copytree(corpus_dir, corpus)
+        config = tmp_path / "config.json"
+        shutil.copy(cfg_file, config)
+        target = config if name == "config.json" else corpus / name
+        target.write_text(damage(target.read_text()))
+        args = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+                "--config", str(config)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"subtrace: {name}: ")
 
     def test_generate_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

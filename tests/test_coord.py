@@ -168,7 +168,7 @@ class TestTraceTransform:
         acc = np.zeros((n, 3))
         acc[:, 2] = GRAVITY  # resting flat: accelerometer reads +g on Z
         series = transform(self._trace(orient, acc))
-        assert np.max(np.abs(series.vca)) <= ATOL
+        assert np.max(np.abs(series.enu[:, 2])) <= ATOL
         assert np.max(np.abs(series.hra)) <= ATOL
 
     def test_hra_is_horizontal_magnitude(self):
@@ -177,7 +177,7 @@ class TestTraceTransform:
         orient = np.degrees(random_orientations(n, rng))
         acc = rng.normal(0.0, 3.0, size=(n, 3))
         series = transform(self._trace(orient, acc))
-        assert np.allclose(series.hra, np.hypot(series.eca, series.nca), atol=ATOL)
+        assert np.allclose(series.hra, np.hypot(series.enu[:, 0], series.enu[:, 1]), atol=ATOL)
 
     def test_empty_trace(self):
         series = transform(self._trace(np.zeros((0, 3)), np.zeros((0, 3))))
@@ -192,4 +192,5 @@ class TestTraceTransform:
         assert isinstance(sub, EnuSeries)
         assert sub.n_samples == 7
         assert np.array_equal(sub.hra, series.hra[5:12])
-        assert sub.components().shape == (7, 3)
+        assert np.array_equal(sub.enu, series.enu[5:12])
+        assert sub.enu.shape == (7, 3)

@@ -28,7 +28,7 @@ EPS = 1e-12
 
 def tolerance(series, ensemble, network, points):
     """The tolerance pass with the default featurizer ``decode_span`` builds."""
-    featurize = SliceFeatures(series.components(), ensemble.config)
+    featurize = SliceFeatures(series.enu, ensemble.config)
     return infer.infer_with_segment_tolerance(series, ensemble, network, points, featurize)
 
 
@@ -181,7 +181,7 @@ class TestSegmentTolerance:
         for ti in range(len(small_corpus.trips)):
             lay, series, pts = self._layout(small_corpus, ti)
             r = tolerance(series, ensemble, small_corpus.network, pts)
-            assert r.family == r.detected == lay.n_legs
+            assert r.best.length == r.detected == lay.n_legs
             got = (r.best.start_interval, r.best.direction, r.best.length)
             assert got == (lay.uids[0], lay.direction, lay.n_legs)
 
@@ -192,7 +192,7 @@ class TestSegmentTolerance:
         degraded = [p for j, p in enumerate(pts) if j != drop]
         r = tolerance(series, ensemble, small_corpus.network, degraded)
         assert r.detected == lay.n_legs - 1
-        assert r.family == lay.n_legs
+        assert r.best.length == lay.n_legs
         got = (r.best.start_interval, r.best.direction, r.best.length)
         assert got == (lay.uids[0], lay.direction, lay.n_legs)
 

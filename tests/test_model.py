@@ -178,6 +178,25 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match=f"non-finite {name} value at sample offset 3"):
             trace.validate()
 
+    @pytest.mark.parametrize("rate", [-10.0, np.nan, np.inf])
+    def test_negative_or_non_finite_rate(self, rate):
+        trace = make_trace(n=5)
+        trace.sample_rate = 0.0  # undeclared: accepted, spacing unchecked
+        trace.validate()
+        trace.sample_rate = rate
+        with pytest.raises(TraceFormatError, match="negative or not finite"):
+            trace.validate()
+
+    def test_non_utf8_bytes_name_line(self, tmp_path):
+        # the bad byte lies past the first chunk the reader decodes
+        p = tmp_path / "bad.jsonl"
+        save_trace(make_trace(n=600), p)
+        lines = p.read_bytes().splitlines(keepends=True)
+        lines[400] = lines[400].replace(b'"t"', b'"\xff"')
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(TraceFormatError, match=r"^bad\.jsonl:401: not UTF-8 text"):
+            load_trace(p)
+
     def test_irregular_spacing(self):
         trace = make_trace(n=5)
         trace.t[4] += 0.02

@@ -151,7 +151,7 @@ class TestTripGeneration:
         mag = np.linalg.norm(trace.acc[lo:hi], axis=1)
         np.testing.assert_allclose(mag, 9.81, atol=1e-9)
         series = coord.transform(trace)
-        np.testing.assert_allclose(series.vca[lo:hi], 0.0, atol=1e-9)
+        np.testing.assert_allclose(series.enu[lo:hi, 2], 0.0, atol=1e-9)
 
 
 class TestOtherModes:
@@ -249,6 +249,19 @@ class TestMixedDay:
         a = gen_mixed_day(schedule, NoiseConfig(), seed=9, network=net, profiles=profiles)
         b = gen_mixed_day(schedule, NoiseConfig(), seed=9, network=net, profiles=profiles)
         np.testing.assert_array_equal(a.acc, b.acc)
+
+    def test_day_takes_the_network_rate(self):
+        # a 10 Hz day around a 20 Hz ride would mix 0.1 s and 0.05 s steps
+        net, profiles = gen_network(3, seed=21, sample_rate=20.0)
+        ride = ("trip", {"start_interval": 0, "length": 1})
+        schedule = [("static", 30.0), ride, ("static", 30.0)]
+        day = gen_mixed_day(
+            schedule, NoiseConfig(), seed=4, network=net, profiles=profiles, sample_rate=20.0
+        )
+        day.validate()
+        assert day.sample_rate == 20.0
+        with pytest.raises(ValueError, match="network sampled at 20 Hz, day at 10 Hz"):
+            gen_mixed_day(schedule, NoiseConfig(), seed=4, network=net, profiles=profiles)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
