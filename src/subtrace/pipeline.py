@@ -8,7 +8,9 @@ segmenter settings into a single JSON document.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,15 @@ class PipelineConfig:
     n_trees: int = 60
     enough_labels: int = 20
     max_rounds: int = 12
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"config field {f.name} must be an integer, got {value!r}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"config field sample_rate must be finite and positive, got {rate!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

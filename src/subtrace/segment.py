@@ -6,6 +6,11 @@ the quietest placement inside each detection is chosen, and the window
 center becomes the segmentation point. A second, escalating pass then
 re-searches any implausibly long gap with a raised threshold and a
 relaxed quorum until every gap could be a single station interval.
+
+A scan tests every window start in one vectorised pass and then jumps
+from hit to hit, so its Python work grows with the number of stops, not
+with the number of samples. Its prefix sums always cover the whole series,
+whatever part of it the scan searches.
 """
 
 from __future__ import annotations
@@ -79,32 +84,40 @@ def find_seg_points(
 ) -> list[int]:
     """One left-to-right scan for stop windows in hra[start:end].
 
-    At each position the window [i, i+l_w) is tested for more than
-    quorum * l_w samples below t1. On a hit, the placement s in
-    [i, i+l_w/2) with the lowest window mean wins, the point is recorded
-    at the window center s + l_w/2, and the scan resumes at s + l_min so
-    two points can never land closer than a station interval.
+    The window [i, i+l_w) hits when it holds more than quorum * l_w samples
+    below t1. On a hit, the placement s in [i, i+l_w/2) with the lowest
+    window mean wins, the point is recorded at the window center s + l_w/2,
+    and the scan resumes at s + l_min so two points can never land closer
+    than a station interval.
+
+    The hit test is evaluated for every window start at once, and the scan
+    jumps from one hit to the next with a binary search. The prefix sums run
+    over the whole of hra, not over hra[start:end]: sums taken from the
+    slice would round the window means differently, and that can move the
+    argmin of the placement search.
     """
     hra = np.asarray(hra, dtype=float)
     n = len(hra)
     start = max(start, 0)
     end = min(end, n)
+    if start + l_w > end:
+        return []
     below = np.concatenate([[0], np.cumsum(hra < t1)])
     csum = np.concatenate([[0.0], np.cumsum(hra)])
-    need = quorum * l_w
     half = max(1, l_w // 2)
+    last = end - l_w  # the last window start
+    votes = below[start + l_w : end + 1] - below[start : last + 1]
+    hits = start + np.flatnonzero(votes > quorum * l_w)
 
     points: list[int] = []
-    i = start
-    while i + l_w <= end:
-        if below[i + l_w] - below[i] > need:
-            ss = np.arange(i, min(i + half, end - l_w + 1))
-            means = (csum[ss + l_w] - csum[ss]) / l_w
-            s = int(ss[np.argmin(means)])
-            points.append(s + l_w // 2)
-            i = s + l_min
-        else:
-            i += 1
+    k = 0
+    while k < len(hits):
+        i = int(hits[k])
+        ss = np.arange(i, min(i + half, last + 1))
+        means = (csum[ss + l_w] - csum[ss]) / l_w
+        s = int(ss[np.argmin(means)])
+        points.append(s + l_w // 2)
+        k = int(np.searchsorted(hits, s + l_min))
     return points
 
 
