@@ -36,6 +36,20 @@ def _drop(key: str):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
+# case -> (config document, the field its error message names)
+BAD_CONFIG_VALUES = {
+    "string_int": ({"n_trips": "8"}, "n_trips"),
+    "float_seed": ({"seed": 1.5}, "seed"),
+    "bool_int": ({"n_trees": True}, "n_trees"),
+    "null_int": ({"boost_rounds": None}, "boost_rounds"),
+    "zero_rate": ({"sample_rate": 0}, "sample_rate"),
+    "negative_rate": ({"sample_rate": -10.0}, "sample_rate"),
+    "nan_rate": ({"sample_rate": float("nan")}, "sample_rate"),
+    "infinite_rate": ({"sample_rate": float("inf")}, "sample_rate"),
+    "string_rate": ({"sample_rate": "10"}, "sample_rate"),
+}
+
+
 # case -> (file, damage to its decoded text); config.json is the --config file
 MALFORMED_DOCUMENTS = {
     "config a list": ("config.json", lambda text: "[1]"),
@@ -381,6 +395,16 @@ class TestDataErrors:
         args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("subtrace:")
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+    def test_generate_bad_config_value_names_field(self, tmp_path, capsys, case):
+        doc, field = BAD_CONFIG_VALUES[case]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"subtrace: config field {field} ")
+        assert not (tmp_path / "c").exists()
 
     def test_generate_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

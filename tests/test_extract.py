@@ -10,7 +10,7 @@ on the acceptance corpus and on mixed days.
 import numpy as np
 import pytest
 
-from subtrace import coord, extract
+from subtrace import extract
 from subtrace.classify import GaussianNB
 from subtrace.extract import (
     BACKSCAN_WINDOWS,
@@ -25,8 +25,6 @@ from subtrace.extract import (
     train_mode_classifier,
     window_features,
 )
-from subtrace.pipeline import PipelineConfig, build_corpus, train_mode_model
-from subtrace.simgen import gen_mixed_day
 
 W = 20
 QUIET, LOUD = 0.0, 6.0
@@ -218,27 +216,6 @@ def scan_cases(hra, labels, w):
             yield hra, i * w
         elif labels[i] != METRO and labels[i - 1] == METRO:
             yield hra[::-1], n - i * w
-
-
-@pytest.fixture(scope="module")
-def acceptance_series():
-    """Mode model and HRA series of the acceptance corpus trips and mixed days."""
-    cfg = PipelineConfig()
-    corpus = build_corpus(cfg)
-    model = train_mode_model(corpus)
-    trips = [coord.transform(t).hra for t in corpus.trips]
-    rng = np.random.default_rng(5)
-    days = []
-    for k in range(6):
-        ride = ("trip", {"start_interval": int(rng.integers(0, 5)), "length": int(rng.integers(2, 5))})
-        schedule = [("static", 240.0), ("walk", 120.0), ride, ("walk", 120.0), ("bus", 240.0)]
-        # rides that start the series, end it, or both
-        schedule = [schedule, schedule[:3], schedule[2:], [ride]][k % 4]
-        day = gen_mixed_day(
-            schedule, cfg.noise, seed=200 + k, network=corpus.network, profiles=corpus.profiles
-        )
-        days.append(coord.transform(day).hra)
-    return model, trips, days
 
 
 class TestBackScanMatchesLoop:
