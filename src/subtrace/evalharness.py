@@ -23,7 +23,7 @@ import numpy as np
 
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
-from .features import FeatureConfig, SliceFeatures, extract_features, fit_nvht_thresholds
+from .features import FeatureConfig, SliceFeatures, extract_batch, fit_features
 from .infer import TraceHypothesis, check_mode, decode_span
 from .model import MetroNetwork
 from .pipeline import (
@@ -121,13 +121,14 @@ def predict_subtrip(
     network: MetroNetwork,
     seg_params: segment.SegmenterParams,
     mode: str,
-    featurize: Callable[[int, int], np.ndarray],
+    featurize: Callable[[list[tuple[int, int]]], np.ndarray],
 ) -> TraceHypothesis | None:
     """Segment one subtrip and decode it; ``None`` when no ride fits.
 
-    ``featurize(lo, hi)`` returns the feature vector of ``series`` samples
-    ``[lo, hi)`` under ``ensemble.config``; the subtrips of one trip share
-    one that remembers what it computed. An unknown ``mode`` raises
+    ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
+    ``series`` samples ``[lo, hi)`` of each of k spans under
+    ``ensemble.config``; the subtrips of one trip share one that remembers
+    what it computed. An unknown ``mode`` raises
     ``ValueError`` before anything is scored.
     """
     check_mode(mode)
@@ -135,8 +136,8 @@ def predict_subtrip(
     points, _ = segment.find_final_segment_points(sub.hra, seg_params)
     off = st.span[0]
 
-    def featurize_sub(lo: int, hi: int) -> np.ndarray:
-        return featurize(off + lo, off + hi)
+    def featurize_sub(spans: list[tuple[int, int]]) -> np.ndarray:
+        return featurize([(off + lo, off + hi) for lo, hi in spans])
 
     try:
         hyp, _ = decode_span(sub, ensemble, network, points, mode, featurize_sub)
@@ -337,10 +338,11 @@ def bootstrap_from_corpus(
             chunk_segs.append([sub.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
             j += size
 
-    fconfig = fit_nvht_thresholds(
+    fconfig, all_vectors = fit_features(
         [s for chunk in chunk_segs for s in chunk], FeatureConfig(network.sample_rate)
     )
-    sequences = [[extract_features(s, fconfig) for s in chunk] for chunk in chunk_segs]
+    ends = np.cumsum([len(chunk) for chunk in chunk_segs]).tolist()
+    sequences = [list(all_vectors[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
     # seed detectors from a couple of distinctive intervals, both directions
     seed_uids = distinctive_intervals(corpus.profiles)[:SEED_INTERVALS]
@@ -352,9 +354,8 @@ def bootstrap_from_corpus(
                 network, corpus.profiles, uid, direction, SEED_TRAVERSALS,
                 config.noise, config.seed,
             )
-            seed_vectors[gid] = np.stack([extract_features(s, fconfig) for s in segs])
+            seed_vectors[gid] = extract_batch(segs, fconfig)
 
-    all_vectors = np.stack([v for seq in sequences for v in seq])
     neg_rng = np.random.default_rng(child_seed(config.seed, 6))
     seeds = []
     for gid, pos in seed_vectors.items():

@@ -1,29 +1,57 @@
-"""Per-segment feature extraction for interval classification.
+"""Feature extraction for interval classification, one batch of segments at a time.
 
 Each detected segment yields an 82-dimensional vector: fifteen statistical
 and spectral features per Earth-frame component (east, north, vertical),
 the segment length in samples, and six ranked extrema (three peaks, three
-valleys) per component with their amplitudes and relative positions.
+valleys) per component with their amplitudes and relative positions. The
+vector is laid out as the three components' statistics, the length, then
+the three components' extrema.
 
-The extractor works on all three components at once:
+``extract_batch`` turns a list of k ``(n, 3)`` segments into a ``(k, 82)``
+matrix and ``extract_features`` is its batch of one. A trainer calls
+``fit_features``, which smooths each segment once (``smooth_segments``),
+takes the exceedance thresholds from those smoothed arrays
+(``fit_nvht_thresholds``) and featurises the same arrays. ``SliceFeatures``
+keeps the vectors of one recording's slices.
 
-- one cumulative sum along the samples smooths the ``(n, 3)`` segment;
-- the statistics reduce the rows of the smoothed ``(3, n)`` array, each a
-  contiguous row, so every sum adds in the order it would for one series;
-- for each peak window size ``w``, the three components and their negations
-  (peaks, then valleys) form a ``(6, n // w, w)`` block with one ``argmax``
-  per window, plus one ``argmax`` over the partial window at the end. A
-  window nominates its first maximum, and each row keeps its three
-  strongest nominees: amplitude descending, then sample index ascending.
+A batch is sorted by length and cut into chunks that share one FFT length
+and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is
+one ``(s, 3, L)`` block: segment, component, sample, padded with -0.0. A
+vector is byte-identical to featurising its segment alone, whatever else
+shares its batch or chunk, because every sum still adds in the order it
+would for one segment:
 
-Vectors are bit-identical to featurising each component on its own.
-``extract_features`` returns the plain ``(82,)`` vector, laid out as the
-three components' statistics, the length, then the three components'
-extrema; ``SliceFeatures`` keeps the vectors of one recording's slices.
+- *Smoothing:* one cumulative sum runs along each padded row, so it
+  restarts at every segment (one sum over the concatenated segments would
+  round differently); adding -0.0 changes no float, so through the padding
+  it stays at the row's total.
+- *Mean, std and mean |x|:* each is one pairwise sum over the segment's own
+  ``(3, n)`` slice of the block. Summing whole padded rows would move
+  numpy's pairwise blocks.
+- *Max and exceedance counts:* these are exact, so they reduce the whole
+  block, with -inf padding for the max and the padding masked out of the
+  counts.
+- *Spectrum:* the mean-removed rows, zero-padded to the chunk's ``nfft``
+  (the smallest power of two of at least 16 and n), go through one
+  ``rfft``, which transforms each row on its own. Spectral entropy sums a
+  whole row of bin probabilities when no bin is zero; a row with a zero bin
+  drops those bins and sums on its own, as one segment alone did.
+- *Peaks:* the components and their negations (peaks, then valleys) form a
+  -inf-padded ``(s, 6, L')`` block. Every window size is a multiple of the
+  sizes' gcd, so one ``argmax`` over cells of that size, then a strictly
+  greater scan over each window's cells, gives every window's first
+  maximum. Three ``argmax`` rounds over each window size's nominees pick
+  each row's three strongest, the lower index winning a tie.
+- *Clusters:* one ``lexsort`` over every (segment, row) group orders its
+  nominees by index; a nominee within the smallest window size of the one
+  before it joins its cluster. A cluster is represented by its strongest,
+  then earliest, member, and clusters rank by how many nominations they
+  hold, then amplitude, then index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,179 +108,287 @@ class FeatureConfig:
         )
 
 
-def smooth(series: np.ndarray, k: int = DEFAULT_SMOOTH_K) -> np.ndarray:
-    """Centered moving average along the first axis; even k is widened by one, edges truncate.
+# padded samples per chunk: bounds what one chunk's arrays hold, while keeping the
+# numpy calls per segment few
+CHUNK_SAMPLES = 1 << 13
 
-    An ``(n, c)`` array smooths each column with one cumulative sum, which
-    adds each column's samples in the same order as smoothing it alone.
+
+def _nfft(n: int) -> int:
+    """FFT length of an n-sample row: the smallest power of two of at least 16 and n."""
+    return max(16, 1 << (n - 1).bit_length())
+
+
+def _chunks(lengths: list[int]):
+    """Index lists of length-sorted runs that share one ``_nfft`` and whose
+    padded size stays within ``CHUNK_SAMPLES``."""
+    chunk: list[int] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and (
+            (len(chunk) + 1) * lengths[i] > CHUNK_SAMPLES
+            or _nfft(lengths[i]) != _nfft(lengths[chunk[0]])
+        ):
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def _padded(arrays: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+    """``(s, c, L)`` block of ``(n, c)`` arrays, one component per row, padded with -0.0.
+
+    Adding -0.0 leaves every float as it is, so a cumulative sum stays at a
+    row's last prefix all through the padding.
+    """
+    block = np.full((len(arrays), arrays[0].shape[1], int(lengths.max())), -0.0)
+    for j, a in enumerate(arrays):
+        block[j, :, : len(a)] = a.T
+    return block
+
+
+def _checked(segments: list[np.ndarray]) -> list[np.ndarray]:
+    """The segments as float arrays, each checked to be ``(n, 3)``."""
+    segs = [np.asarray(s, dtype=float) for s in segments]
+    for s in segs:
+        if s.ndim != 2 or s.shape[1] != 3:
+            raise ValueError(f"expected (n, 3) segment, got {s.shape}")
+    return segs
+
+
+def _smoothed(block: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Centered moving average of each row of a ``_padded`` block over its first n samples.
+
+    Even k is widened by one and edges truncate.
+    """
+    h = k // 2
+    if h == 0:
+        return block
+    s, c, L = block.shape
+    # cs[:, :, h + j] is the sum of the first j samples, held at 0 for j < 0
+    # and, through the padding, at the row's total for j > n
+    cs = np.zeros((s, c, L + 2 * h + 1))
+    np.cumsum(block, axis=2, out=cs[:, :, h + 1 : h + 1 + L])
+    cs[:, :, h + 1 + L :] = cs[:, :, h + L : h + L + 1]
+    idx = np.arange(L)
+    width = np.minimum(idx + h + 1, n[:, None]) - np.maximum(idx - h, 0)
+    # padding positions only need a nonzero width
+    return (cs[:, :, 2 * h + 1 :] - cs[:, :, :L]) / np.maximum(width, 1)[:, None, :]
+
+
+def smooth_segments(segments: list[np.ndarray], k: int = DEFAULT_SMOOTH_K) -> list[np.ndarray]:
+    """Centered moving average of each ``(n, 3)`` segment along its samples.
+
+    Even k is widened by one and edges truncate. Each result is an ``(n, 3)``
+    view into its chunk's smoothed block.
     """
     if k < 1:
         raise ValueError("smoothing width must be >= 1")
-    if k % 2 == 0:
-        k += 1
-    x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n == 0 or k == 1:
-        return x.copy()
-    h = k // 2
-    cs = np.concatenate([np.zeros((1, *x.shape[1:])), np.cumsum(x, axis=0)])
-    idx = np.arange(n)
-    lo = np.maximum(idx - h, 0)
-    hi = np.minimum(idx + h + 1, n)
-    width = (hi - lo).reshape(n, *[1] * (x.ndim - 1))
-    return (cs[hi] - cs[lo]) / width
-
-
-def statistical_features(series: np.ndarray, thresholds: tuple | np.ndarray) -> np.ndarray:
-    """Fifteen stats of one smoothed component, or of each row of several.
-
-    ``series`` is one component ``(n,)`` with ``thresholds`` ``(3,)``, or
-    one component per row ``(c, n)`` with ``thresholds`` ``(c, 3)``; the
-    result is ``(15,)`` or ``(c, 15)`` to match.
-
-    Layout: mean, max, std, mean absolute value, three exceedance counts,
-    magnitudes of FFT bins 1..6 (mean removed, zero-padded to a power of
-    two of at least 16), spectral entropy over bins 1..nfft/2, and the
-    1-based index of the strongest of those bins. An all-zero spectrum
-    reports entropy 0 and peak position 0.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.shape[-1] == 0:
-        raise ValueError("empty series")
-    rows = np.atleast_2d(x)
-    thr = np.atleast_2d(np.asarray(thresholds, dtype=float))
-    n = rows.shape[1]
-    # every reduction runs along a contiguous row, so it sums in the order
-    # a single series would
-    mean = np.mean(rows, axis=1)
-    absx = np.abs(rows)
-    counts = np.count_nonzero(absx[:, None, :] > thr[:, :, None], axis=2)
-
-    nfft = max(16, 1 << (n - 1).bit_length())
-    spec = np.abs(np.fft.rfft(rows - mean[:, None], nfft, axis=1))
-    power = spec[:, 1 : nfft // 2 + 1] ** 2
-    total = power.sum(axis=1)
-    entropy = np.zeros(len(rows))
-    peak_pos = np.zeros(len(rows))
-    for r in np.flatnonzero(total > 0.0):
-        p = power[r] / total[r]
-        p = p[p > 0]
-        entropy[r] = -np.sum(p * np.log(p))
-        peak_pos[r] = np.argmax(power[r]) + 1
-
-    out = np.column_stack(
-        [
-            mean,
-            np.max(rows, axis=1),
-            np.std(rows, axis=1),
-            np.mean(absx, axis=1),
-            counts,
-            spec[:, 1 : N_FFT_BINS + 1],
-            entropy,
-            peak_pos,
-        ]
-    )
-    return out[0] if x.ndim == 1 else out
-
-
-def _window_extrema(signed: np.ndarray, w: int) -> np.ndarray:
-    """Each row's top extrema of equal chopped windows: up to 3 indices.
-
-    ``signed`` holds one series per row, negated where valleys are wanted.
-    Every window of w samples, and the partial window at the end, nominates
-    its maximum (first on ties); a row's nominees are ordered by amplitude,
-    strongest first, then by index.
-    """
-    m, n = signed.shape
-    n_full = n // w
-    parts = []
-    if n_full:
-        blocks = signed[:, : n_full * w].reshape(m, n_full, w)
-        parts.append(np.argmax(blocks, axis=2) + np.arange(n_full) * w)
-    if n_full * w < n:
-        parts.append(n_full * w + np.argmax(signed[:, n_full * w :], axis=1, keepdims=True))
-    idx = np.concatenate(parts, axis=1)
-    row = np.arange(m)[:, None]
-    order = np.lexsort((idx, -signed[row, idx]))[:, :N_EXTREMA]
-    return idx[row, order]
-
-
-def _rank_clusters(
-    cands: list[tuple[float, int]], merge_dist: int, n: int, sign: int
-) -> list[float]:
-    """Merge near-coincident extrema across window sizes and rank them.
-
-    A cluster's strength is how many window sizes nominated it, then its
-    amplitude. Output is 3 x (amplitude, position fraction), zero-padded.
-    """
-    clusters: list[list[tuple[float, int]]] = []
-    for val, idx in sorted(cands, key=lambda c: c[1]):
-        if clusters and idx - clusters[-1][-1][1] <= merge_dist:
-            clusters[-1].append((val, idx))
-        else:
-            clusters.append([(val, idx)])
-
-    ranked = []
-    for members in clusters:
-        wins = len(members)
-        best = max(members, key=lambda c: (sign * c[0], -c[1]))
-        ranked.append((wins, best[0], best[1]))
-    ranked.sort(key=lambda r: (-r[0], -sign * r[1], r[2]))
-
-    out: list[float] = []
-    for _, val, idx in ranked[:N_EXTREMA]:
-        out.extend([val, idx / n])
-    while len(out) < 2 * N_EXTREMA:
-        out.extend([0.0, 0.0])
+    segs = _checked(segments)
+    lengths = [len(s) for s in segs]
+    out: list[np.ndarray] = [None] * len(segs)  # type: ignore[list-item]
+    for chunk in _chunks(lengths):
+        n = np.array([lengths[i] for i in chunk])
+        block = _smoothed(_padded([segs[i] for i in chunk], n), n, k)
+        for j, i in enumerate(chunk):
+            out[i] = block[j, :, : lengths[i]].T
     return out
 
 
-def peak_features(series: np.ndarray, window_sizes: tuple[int, ...]) -> np.ndarray:
-    """Three strongest peaks and valleys of a smoothed component, or of each row.
+def _stats_and_peaks(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """``(s, 82)`` vectors of a smoothed ``(s, 3, L)`` block whose rows hold ``n`` samples.
 
-    ``series`` is ``(n,)`` or ``(c, n)``; the result is ``(12,)`` or
-    ``(c, 12)``. Every window size nominates its top extrema independently;
-    nominations within the smallest window size of each other merge into one
-    candidate, and candidates backed by more window sizes outrank stronger
-    loners.
+    Every row's length has the same ``_nfft``.
     """
-    x = np.asarray(series, dtype=float)
-    if x.shape[-1] == 0:
-        raise ValueError("empty series")
-    rows = np.atleast_2d(x)
-    c, n = rows.shape
-    merge_dist = min(window_sizes)
-    # rows 0..c-1 nominate peaks, rows c..2c-1 valleys of the same components
-    signed = np.concatenate([rows, -rows])
-    idx = np.concatenate([_window_extrema(signed, w) for w in window_sizes], axis=1)
-    ranked = [
-        _rank_clusters(
-            list(zip(rows[r % c, idx[r]].tolist(), idx[r].tolist())),
-            merge_dist,
-            n,
-            +1 if r < c else -1,
-        )
-        for r in range(2 * c)
-    ]
-    out = np.array([ranked[r] + ranked[c + r] for r in range(c)])
-    return out[0] if x.ndim == 1 else out
+    s, _, L = sm.shape
+    valid = (np.arange(L) < n[:, None])[:, None, :]
+    sums = np.empty((s, 3))
+    for j, nj in enumerate(n.tolist()):
+        sums[j] = np.add.reduce(sm[j, :, :nj], axis=1)
+    # np.mean and np.std divide by the count after one pairwise sum
+    mean = sums / n[:, None]
+    absx = np.abs(sm)
+    for j, nj in enumerate(n.tolist()):
+        sums[j] = np.add.reduce(absx[j, :, :nj], axis=1)
+    mav = sums / n[:, None]
+    thr = np.asarray(config.nvht_thresholds, dtype=float)
+    counts = np.count_nonzero((absx[:, :, None, :] > thr[:, :, None]) & valid[:, :, None, :], axis=3)
+    del absx
+
+    dev = np.zeros((s, 3, _nfft(L)))
+    np.subtract(sm, mean[:, :, None], out=dev[:, :, :L])
+    np.copyto(dev[:, :, :L], 0.0, where=~valid)
+    bins, entropy, peak_pos = _spectrum(dev)
+    np.multiply(dev, dev, out=dev)
+    for j, nj in enumerate(n.tolist()):
+        sums[j] = np.add.reduce(dev[j, :, :nj], axis=1)
+    del dev
+    std = np.sqrt(sums / n[:, None])
+
+    maxima, extrema = _extrema(sm, n, valid, config.peak_windows())
+    stats = np.concatenate(
+        [
+            np.stack([mean, maxima, std, mav], axis=2),
+            counts,
+            bins,
+            entropy[..., None],
+            peak_pos[..., None],
+        ],
+        axis=2,
+    )
+    return np.concatenate([stats.reshape(s, -1), n[:, None].astype(float), extrema], axis=1)
 
 
-def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """The ``(82,)`` vector of one (n, 3) Earth-frame segment of (east, north, vertical)."""
-    seg = np.asarray(segment, dtype=float)
-    if seg.ndim != 2 or seg.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) segment, got {seg.shape}")
-    if len(seg) == 0:
+def _spectrum(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FFT bins 1..6, spectral entropy and peak bin of each zero-padded mean-removed row.
+
+    ``dev`` is ``(s, 3, nfft)``. Entropy is taken over bins 1..nfft/2; an
+    all-zero spectrum reports entropy 0 and peak position 0.
+    """
+    nfft = dev.shape[2]
+    spec = np.abs(np.fft.rfft(dev, axis=2))
+    bins = spec[:, :, 1 : N_FFT_BINS + 1].copy()
+    power = spec[:, :, 1 : nfft // 2 + 1] ** 2
+    del spec
+    total = power.sum(axis=2)
+    spread = total > 0.0
+    peak_pos = np.where(spread, np.argmax(power, axis=2) + 1, 0)
+    p = np.divide(power, np.where(spread, total, 1.0)[:, :, None], out=power)
+    positive = p > 0.0
+    plogp = np.log(p, out=np.zeros_like(p), where=positive)
+    plogp *= p
+    # a whole row sums in the order of its filtered copy only when no bin is zero
+    entropy = -plogp.sum(axis=2)
+    for i, c in zip(*np.nonzero(spread & ~positive.all(axis=2))):
+        q = p[i, c][positive[i, c]]
+        entropy[i, c] = -np.sum(q * np.log(q))
+    entropy[~spread] = 0.0
+    return bins, entropy, peak_pos
+
+
+def _extrema(
+    sm: np.ndarray, n: np.ndarray, valid: np.ndarray, windows: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's maximum, and each segment's ``(36,)`` ranked peaks and valleys.
+
+    Rows 0..2 of each segment's six nominate peaks of the components, rows
+    3..5 valleys. Every window size is a multiple of ``base``, so a window's
+    first maximum is the first maximum of its strongest base cell.
+    """
+    s, _, L = sm.shape
+    base = math.gcd(*windows)
+    width = max(-(-L // w) * w for w in windows)
+    signed = np.full((s, 6, width), -np.inf)
+    signed[:, :3, :L] = sm
+    np.negative(sm, out=signed[:, 3:, :L])
+    np.copyto(signed[:, :, :L], -np.inf, where=~valid)
+    maxima = signed[:, :3, :L].max(axis=2)
+    R = 6 * s
+    cells = signed.reshape(-1, base)
+    at = np.argmax(cells, axis=1)
+    cell_max = cells[np.arange(len(cells)), at].reshape(R, -1)
+    cell_at = at.reshape(R, -1) + np.arange(width // base) * base
+    del signed, cells
+
+    # each window size's nominees fill one row of a -inf-padded (R, windows, n) block
+    n_win = [-(-L // w) for w in windows]
+    nominee = np.full((R, len(windows), max(n_win)), -np.inf)
+    start = np.zeros(nominee.shape, dtype=np.intp)
+    rows = np.arange(R)[:, None]
+    for i, (w, m) in enumerate(zip(windows, n_win)):
+        k = w // base
+        sub = cell_max[:, : m * k].reshape(R, m, k)
+        strongest = sub[:, :, 0].copy()
+        pick = np.zeros((R, m), dtype=np.intp)
+        for j in range(1, k):
+            # strictly greater, so the first maximum keeps a tie
+            pick += (sub[:, :, j] > strongest) * (j - pick)
+            np.maximum(strongest, sub[:, :, j], out=strongest)
+        pick += np.arange(m) * k
+        nominee[:, i, :m] = cell_max[rows, pick]
+        start[:, i, :m] = cell_at[rows, pick]
+    nominee = nominee.reshape(-1, nominee.shape[2])
+    start = start.reshape(nominee.shape)
+    flat = np.arange(len(nominee))
+    cand_idx, cand_val = [], []
+    for _ in range(N_EXTREMA):
+        best = np.argmax(nominee, axis=1)
+        cand_idx.append(start[flat, best])
+        cand_val.append(nominee[flat, best])
+        nominee[flat, best] = -np.inf
+    ranked = _ranked_clusters(
+        np.stack(cand_idx, axis=1).reshape(R, -1),
+        np.stack(cand_val, axis=1).reshape(R, -1),
+        np.repeat(n, 6),
+        min(windows),
+    )
+    # (s, peak or valley, component, 6) -> (s, component, peak then valley)
+    return maxima, ranked.reshape(s, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3).reshape(s, -1)
+
+
+def _ranked_clusters(
+    idx: np.ndarray, strength: np.ndarray, n: np.ndarray, merge_dist: int
+) -> np.ndarray:
+    """Top 3 (amplitude, position fraction) clusters of each of R nominee groups.
+
+    ``idx`` and ``strength`` are ``(R, c)``: each group's nominated sample
+    indices and their signed amplitudes (negated in valley rows, which are
+    rows 3..5 of every six), -inf where a slot holds no nominee; ``n`` is each
+    group's segment length. A cluster's strength is how many nominations it
+    holds, then its strongest member's amplitude; the result is ``(R, 6)``,
+    zero-padded.
+    """
+    R, c = idx.shape
+    keep = strength.ravel() > -np.inf
+    group = np.repeat(np.arange(R), c)[keep]
+    idx, strength = idx.ravel()[keep], strength.ravel()[keep]
+    order = np.lexsort((idx, group))
+    group, idx, strength = group[order], idx[order], strength[order]
+    starts = np.ones(len(idx), dtype=bool)
+    starts[1:] = (group[1:] != group[:-1]) | (idx[1:] - idx[:-1] > merge_dist)
+    cluster = np.cumsum(starts) - 1
+    wins = np.bincount(cluster)
+    # members are grouped by cluster, so each cluster's first slot after this
+    # sort is its strongest member, the earliest on ties
+    best = np.lexsort((idx, -strength, cluster))[np.flatnonzero(starts)]
+    group, idx, strength = group[best], idx[best], strength[best]
+    ranked = np.lexsort((idx, -strength, -wins, group))
+    group, idx, strength = group[ranked], idx[ranked], strength[ranked]
+    first = np.ones(len(group), dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    rank = np.arange(len(group)) - np.maximum.accumulate(np.where(first, np.arange(len(group)), 0))
+    top = rank < N_EXTREMA
+    group, idx, strength, rank = group[top], idx[top], strength[top], rank[top]
+    out = np.zeros((R, N_EXTREMA, 2))
+    out[group, rank, 0] = np.where(group % 6 < 3, strength, -strength)
+    out[group, rank, 1] = idx / n[group]
+    return out.reshape(R, 2 * N_EXTREMA)
+
+
+def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) -> np.ndarray:
+    """The ``(k, 82)`` vectors of k ``(n, 3)`` segments, smoothed here when ``smooth``."""
+    lengths = [len(s) for s in segments]
+    if 0 in lengths:
         raise ValueError("empty segment")
     if config.nvht_thresholds is None:
         raise ValueError("feature config has no fitted exceedance thresholds")
-    sm = np.ascontiguousarray(smooth(seg, config.smooth_k).T)
-    stats = statistical_features(sm, config.nvht_thresholds)
-    peaks = peak_features(sm, config.peak_windows())
-    vec = np.concatenate([stats.ravel(), [float(len(seg))], peaks.ravel()])
-    assert vec.shape == (FEATURE_DIM,)
-    return vec
+    out = np.empty((len(segments), FEATURE_DIM))
+    for chunk in _chunks(lengths):
+        n = np.array([lengths[i] for i in chunk])
+        block = _padded([segments[i] for i in chunk], n)
+        if smooth:
+            block = _smoothed(block, n, config.smooth_k)
+        out[chunk] = _stats_and_peaks(block, n, config)
+    return out
+
+
+def extract_batch(segments: list[np.ndarray], config: FeatureConfig) -> np.ndarray:
+    """The ``(k, 82)`` vectors of k ``(n, 3)`` Earth-frame segments of (east, north, vertical)."""
+    return _featurise(_checked(segments), config, smooth=True)
+
+
+def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """The ``(82,)`` vector of one segment: ``extract_batch`` of a batch of one."""
+    return extract_batch([segment], config)[0]
 
 
 class SliceFeatures:
@@ -260,7 +396,9 @@ class SliceFeatures:
 
     Overlapping cut layouts of one recording cut the same slice many times;
     this keeps each slice's vector, not the slice, for as long as its owner
-    keeps the object.
+    keeps the object. A call takes a list of ``(lo, hi)`` spans and returns
+    their ``(k, 82)`` matrix, featurising the spans it has not seen in one
+    batch.
     """
 
     def __init__(self, components: np.ndarray, config: FeatureConfig):
@@ -268,27 +406,36 @@ class SliceFeatures:
         self.config = config
         self._memo: dict[tuple[int, int], np.ndarray] = {}
 
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        vec = self._memo.get((lo, hi))
-        if vec is None:
-            vec = extract_features(self.components[lo:hi], self.config)
-            self._memo[(lo, hi)] = vec
-        return vec
+    def __call__(self, spans: list[tuple[int, int]]) -> np.ndarray:
+        new = [sp for sp in dict.fromkeys(spans) if sp not in self._memo]
+        if new:
+            rows = extract_batch([self.components[lo:hi] for lo, hi in new], self.config)
+            self._memo.update(zip(new, rows))
+        return np.stack([self._memo[sp] for sp in spans])
 
 
-def fit_nvht_thresholds(
-    segments: list[np.ndarray], config: FeatureConfig
-) -> FeatureConfig:
-    """Set per-component exceedance thresholds from training segments."""
-    if not segments:
+def fit_nvht_thresholds(smoothed: list[np.ndarray], config: FeatureConfig) -> FeatureConfig:
+    """Set per-component exceedance thresholds from smoothed training segments.
+
+    Each component's pooled |values| are one array, partitioned in place.
+    """
+    if not smoothed:
         raise ValueError("no segments to fit thresholds")
-    pooled = [[] for _ in range(3)]
-    for seg in segments:
-        sm = np.abs(smooth(seg, config.smooth_k))
-        for ci in range(3):
-            pooled[ci].append(sm[:, ci])
-    thresholds = tuple(
-        tuple(np.percentile(np.concatenate(pooled[ci]), NVHT_PERCENTILES).tolist())
-        for ci in range(3)
-    )
+
+    def percentiles(pooled: np.ndarray) -> tuple[float, ...]:
+        np.abs(pooled, out=pooled)
+        return tuple(np.percentile(pooled, NVHT_PERCENTILES, overwrite_input=True).tolist())
+
+    thresholds = tuple(percentiles(np.concatenate([s[:, ci] for s in smoothed])) for ci in range(3))
     return replace(config, nvht_thresholds=thresholds)
+
+
+def fit_features(segments: list[np.ndarray], config: FeatureConfig) -> tuple[FeatureConfig, np.ndarray]:
+    """Fit the exceedance thresholds on training segments and featurise them.
+
+    Each segment is smoothed once, for both; returns the fitted config and the
+    ``(k, 82)`` vectors.
+    """
+    smoothed = smooth_segments(segments, config.smooth_k)
+    fitted = fit_nvht_thresholds(smoothed, config)
+    return fitted, _featurise(smoothed, fitted, smooth=False)

@@ -11,7 +11,10 @@ hypotheses in case the segmenter missed or invented one stop.
 modes: "full" runs the tolerance pass, "reduced" scores the detected cuts
 only. The attack and the evaluation harness both decode through it, and it
 is the one place that builds a default featurizer: a ``SliceFeatures`` over
-the span's ``enu`` array. Segments enter the ensemble as plain feature vectors.
+the span's ``enu`` array. A featurizer takes a list of ``(lo, hi)`` sample
+spans and returns their ``(k, 82)`` feature matrix, so every segment a span
+decodes with is featurised in one batch; segments enter the ensemble as
+plain feature vectors.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def infer_with_segment_tolerance(
     ensemble: IntervalEnsemble,
     network: MetroNetwork,
     points: list[int],
-    featurize: Callable[[int, int], np.ndarray],
+    featurize: Callable[[list[tuple[int, int]]], np.ndarray],
 ) -> ToleranceResult:
     """Infer a ride while allowing one missed or spurious segmentation point.
 
@@ -161,9 +164,10 @@ def infer_with_segment_tolerance(
     once). Families compete on mean per-segment score, with ties going to the
     family that matches the detected count.
 
-    ``featurize(lo, hi)`` returns the feature vector of ``series`` samples
-    ``[lo, hi)`` under ``ensemble.config``; a caller that scores overlapping
-    spans of one recording passes one that remembers earlier segments.
+    ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
+    ``series`` samples ``[lo, hi)`` of each of k spans under
+    ``ensemble.config``; a caller that scores overlapping spans of one
+    recording passes one that remembers earlier segments.
     ``ranked`` holds the ``TOP_K`` best hypotheses with their cuts, drawn from
     the ``TOP_K`` best detected-cut ones and every re-cut one.
     """
@@ -204,7 +208,7 @@ def infer_with_segment_tolerance(
             for sp in zip([0, *cuts], [*cuts, n_samples])
         }
     )
-    rows = ensemble.predict_matrix([featurize(a, b) for a, b in spans])
+    rows = ensemble.predict_matrix(featurize(spans))
     row_of = {sp: i for i, sp in enumerate(spans)}
 
     def matrix_for(cuts: tuple[int, ...]) -> np.ndarray:
@@ -253,7 +257,7 @@ def decode_span(
     network: MetroNetwork,
     points: list[int],
     mode: str,
-    featurize: Callable[[int, int], np.ndarray] | None = None,
+    featurize: Callable[[list[tuple[int, int]]], np.ndarray] | None = None,
 ) -> tuple[TraceHypothesis, tuple[int, ...]]:
     """Decode one span cut at ``points``; returns the ride and the cuts it used.
 
@@ -271,5 +275,5 @@ def decode_span(
         )
         return res.best, res.points
     bounds = [0, *points, series.n_samples]
-    rows = ensemble.predict_matrix([featurize(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+    rows = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))
     return infer_trace(rows), tuple(points)

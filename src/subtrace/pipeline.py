@@ -18,7 +18,7 @@ import numpy as np
 from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
-from .features import FeatureConfig, extract_features, fit_nvht_thresholds
+from .features import FeatureConfig, fit_features
 from .infer import TraceHypothesis, check_mode, decode_span
 from .model import (
     MetroNetwork,
@@ -47,6 +47,16 @@ from .simgen import (
 
 DEFAULT_TRIPS = 40
 DEFAULT_MODE_DURATION = 1200.0
+# smallest value each integer field of PipelineConfig takes
+INT_MINIMUM = {
+    "seed": 0,
+    "num_intervals": 1,
+    "n_trips": 1,
+    "boost_rounds": 1,
+    "n_trees": 1,
+    "enough_labels": 1,
+    "max_rounds": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -67,11 +77,19 @@ class PipelineConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"config field {f.name} must be an integer, got {value!r}")
-        rate = self.sample_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"config field sample_rate must be finite and positive, got {rate!r}")
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"config field {f.name} must be an integer, got {value!r}")
+                if value < INT_MINIMUM[f.name]:
+                    raise ValueError(
+                        f"config field {f.name} must be at least {INT_MINIMUM[f.name]}, got {value!r}"
+                    )
+            elif f.type == "float" and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)
+            ):
+                raise ValueError(f"config field {f.name} must be finite and positive, got {value!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -292,12 +310,8 @@ def train_ensemble_on(
     network: MetroNetwork,
     config: PipelineConfig,
 ) -> IntervalEnsemble:
-    fconfig = fit_nvht_thresholds(segments, FeatureConfig(sample_rate=network.sample_rate))
-    train = TrainingSet(
-        X=np.stack([extract_features(s, fconfig) for s in segments]),
-        y=np.array(uids, int),
-        n_classes=network.num_intervals,
-    )
+    fconfig, X = fit_features(segments, FeatureConfig(sample_rate=network.sample_rate))
+    train = TrainingSet(X=X, y=np.array(uids, int), n_classes=network.num_intervals)
     return train_interval_ensemble(
         train,
         fconfig,

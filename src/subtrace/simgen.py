@@ -11,7 +11,8 @@ motion identical when a single source is toggled.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +88,14 @@ class NoiseConfig:
     track_vibration_amp: float = 0.18  # m/s^2 per axis at the reference speed
 
     def __post_init__(self):
-        for name in (
-            "hand_shake_amp",
-            "hand_shake_freq",
-            "orientation_drift_rate",
-            "sensor_sigma",
-            "defense_noise_amp",
-            "track_vibration_amp",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value >= 0)
+            ):
+                raise ValueError(f"noise field {f.name} must be finite and non-negative, got {value!r}")
 
     @classmethod
     def zero(cls) -> "NoiseConfig":

@@ -24,8 +24,8 @@ from subtrace.features import (
     N_EXTREMA,
     STATS_DIM,
     FeatureConfig,
-    extract_features,
-    fit_nvht_thresholds,
+    extract_batch,
+    fit_features,
 )
 from subtrace.pipeline import PipelineConfig, build_corpus, interval_training_rows
 
@@ -445,10 +445,9 @@ def loo_fold():
     """The 390 training rows of the acceptance corpus's first leave-one-out fold."""
     corpus = build_corpus(PipelineConfig())
     segs, uids = interval_training_rows(corpus, list(range(1, len(corpus.trips))))
-    fconfig = fit_nvht_thresholds(segs, FeatureConfig(sample_rate=corpus.network.sample_rate))
-    X = np.stack([extract_features(s, fconfig) for s in segs])
+    fconfig, X = fit_features(segs, FeatureConfig(sample_rate=corpus.network.sample_rate))
     held_out, _ = interval_training_rows(corpus, [0])
-    probe = np.stack([extract_features(s, fconfig) for s in held_out])
+    probe = extract_batch(held_out, fconfig)
     return TrainingSet(X=X, y=uids, n_classes=corpus.network.num_intervals), probe
 
 

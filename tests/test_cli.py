@@ -47,6 +47,26 @@ BAD_CONFIG_VALUES = {
     "nan_rate": ({"sample_rate": float("nan")}, "sample_rate"),
     "infinite_rate": ({"sample_rate": float("inf")}, "sample_rate"),
     "string_rate": ({"sample_rate": "10"}, "sample_rate"),
+    "string_duration": ({"mode_duration": "x"}, "mode_duration"),
+    "zero_duration": ({"mode_duration": 0.0}, "mode_duration"),
+    "nan_duration": ({"mode_duration": float("nan")}, "mode_duration"),
+    "negative_trips": ({"n_trips": -1}, "n_trips"),
+    "zero_trips": ({"n_trips": 0}, "n_trips"),
+    "negative_seed": ({"seed": -1}, "seed"),
+    "zero_intervals": ({"num_intervals": 0}, "num_intervals"),
+    "zero_trees": ({"n_trees": 0}, "n_trees"),
+    "zero_boost_rounds": ({"boost_rounds": 0}, "boost_rounds"),
+    "zero_labels": ({"enough_labels": 0}, "enough_labels"),
+    "zero_rounds": ({"max_rounds": 0}, "max_rounds"),
+}
+
+BAD_NOISE_VALUES = {
+    "string": ("hand_shake_amp", "2"),
+    "nan": ("sensor_sigma", float("nan")),
+    "infinite": ("defense_noise_amp", float("inf")),
+    "negative": ("track_vibration_amp", -0.1),
+    "bool": ("orientation_drift_rate", True),
+    "null": ("hand_shake_freq", None),
 }
 
 
@@ -404,6 +424,16 @@ class TestDataErrors:
         args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(f"subtrace: config field {field} ")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_NOISE_VALUES))
+    def test_generate_bad_noise_value_names_field(self, tmp_path, capsys, case):
+        field, value = BAD_NOISE_VALUES[case]
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"noise": {field: value}}))
+        args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"subtrace: noise field {field} ")
         assert not (tmp_path / "c").exists()
 
     def test_generate_malformed_config(self, tmp_path, capsys):

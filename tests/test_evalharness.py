@@ -132,17 +132,17 @@ def small_ensemble(small_corpus, small_config):
 
 
 def record_featurised(monkeypatch) -> list[tuple[bytes, object]]:
-    """Patch the extractor to log each call's segment bytes and config."""
+    """Patch the batch extractor to log each segment's bytes and config."""
     from subtrace import features
 
     calls = []
-    real = features.extract_features
+    real = features.extract_batch
 
-    def logging_extract(seg, config):
-        calls.append((seg.tobytes(), config))
-        return real(seg, config)
+    def logging_extract(segments, config):
+        calls.extend((seg.tobytes(), config) for seg in segments)
+        return real(segments, config)
 
-    monkeypatch.setattr(features, "extract_features", logging_extract)
+    monkeypatch.setattr(features, "extract_batch", logging_extract)
     return calls
 
 

@@ -1,27 +1,29 @@
 """Feature extraction oracles: loop-based smoothing, closed-form spectra,
 hand-ranked extrema, and a frozen copy of the per-component extractor that
-the vectorised one must match bit for bit."""
+the batched one must match bit for bit, alone or in any batch."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from subtrace import features
 from subtrace.features import (
     FEATURE_DIM,
     N_EXTREMA,
     N_FFT_BINS,
     NVHT_PERCENTILES,
+    PEAKS_DIM,
     STATS_DIM,
     FeatureConfig,
     SliceFeatures,
+    extract_batch,
     extract_features,
+    fit_features,
     fit_nvht_thresholds,
-    peak_features,
-    smooth,
-    statistical_features,
+    smooth_segments,
 )
-from subtrace.pipeline import PipelineConfig, build_corpus, true_segments
+from subtrace.pipeline import interval_training_rows, true_segments
 
 THRESHOLDS = (0.5, 2.5, 3.5)
 
@@ -32,6 +34,34 @@ def smooth_oracle(x: np.ndarray, k: int) -> np.ndarray:
     h = k // 2
     n = len(x)
     return np.array([np.mean(x[max(0, i - h) : min(n, i + h + 1)]) for i in range(n)])
+
+
+def east_only_vector(x, windows=(10,), thresholds=THRESHOLDS) -> np.ndarray:
+    """The 82-vector of a segment whose east component is x, unsmoothed, and the rest 0.
+
+    ``windows`` are peak window sizes in samples at 10 Hz.
+    """
+    cfg = FeatureConfig(
+        sample_rate=10.0,
+        smooth_k=1,
+        peak_windows_s=tuple(w / 10.0 for w in windows),
+        nvht_thresholds=(tuple(thresholds), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    )
+    assert cfg.peak_windows() == tuple(windows)
+    seg = np.zeros((len(x), 3))
+    seg[:, 0] = x
+    return extract_features(seg, cfg)
+
+
+def statistical_features(x) -> np.ndarray:
+    """The fifteen statistics of series x: the east block of its vector."""
+    return east_only_vector(x)[:STATS_DIM]
+
+
+def peak_features(x, windows) -> np.ndarray:
+    """The twelve extrema values of series x: the east block of its vector."""
+    start = 3 * STATS_DIM + 1
+    return east_only_vector(x, windows)[start : start + PEAKS_DIM]
 
 
 class TestFeatureConfig:
@@ -75,37 +105,44 @@ class TestSmooth:
     @pytest.mark.parametrize("k", [1, 3, 4, 9, 51])
     def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=50)
-        assert np.allclose(smooth(x, k), smooth_oracle(x, k), atol=1e-12)
+        seg = rng.normal(size=(50, 3))
+        out = smooth_segments([seg], k)[0]
+        assert out.shape == seg.shape
+        for c in range(3):
+            assert np.allclose(out[:, c], smooth_oracle(seg[:, c], k), atol=1e-12)
 
     def test_k_one_returns_copy(self):
-        x = np.arange(5.0)
-        out = smooth(x, 1)
+        x = np.arange(15.0).reshape(5, 3)
+        out = smooth_segments([x], 1)[0]
         assert np.array_equal(out, x)
-        out[0] = 99.0
-        assert x[0] == 0.0
+        out[0, 0] = 99.0
+        assert x[0, 0] == 0.0
 
     def test_even_k_widened(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=30)
-        assert np.array_equal(smooth(x, 8), smooth(x, 9))
+        segs = [rng.normal(size=(30, 3)), rng.normal(size=(7, 3))]
+        for a, b in zip(smooth_segments(segs, 8), smooth_segments(segs, 9)):
+            assert np.array_equal(a, b)
 
     def test_constant_unchanged(self):
-        x = np.full(20, 2.5)
-        assert np.allclose(smooth(x, 9), x)
+        x = np.full((20, 3), 2.5)
+        assert np.allclose(smooth_segments([x], 9)[0], x)
 
     def test_empty(self):
-        assert smooth(np.empty(0), 9).size == 0
+        assert smooth_segments([np.empty((0, 3))], 9)[0].shape == (0, 3)
+        assert smooth_segments([], 9) == []
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            smooth(np.arange(5.0), 0)
+            smooth_segments([np.ones((5, 3))], 0)
 
 
 class TestStatisticalFeatures:
+    """The fifteen statistics, read from the east block of a vector."""
+
     def test_layout_and_moments(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        feats = statistical_features(x, THRESHOLDS)
+        feats = statistical_features(x)
         assert feats.shape == (STATS_DIM,)
         assert feats[0] == pytest.approx(2.5)  # mean
         assert feats[1] == pytest.approx(4.0)  # max
@@ -118,7 +155,7 @@ class TestStatisticalFeatures:
         # elsewhere, so entropy vanishes and the peak index is 5
         k = np.arange(32)
         x = np.cos(2 * np.pi * 5 * k / 32)
-        feats = statistical_features(x, THRESHOLDS)
+        feats = statistical_features(x)
         bins = feats[7:13]
         assert bins[4] == pytest.approx(16.0)
         assert np.all(np.abs(np.delete(bins, 4)) < 1e-9)
@@ -129,7 +166,7 @@ class TestStatisticalFeatures:
         # power 4:1 between bins 2 and 5 gives a closed-form entropy
         k = np.arange(32)
         x = 2.0 * np.cos(2 * np.pi * 2 * k / 32) + np.cos(2 * np.pi * 5 * k / 32)
-        feats = statistical_features(x, THRESHOLDS)
+        feats = statistical_features(x)
         assert feats[7 + 1] == pytest.approx(32.0)
         assert feats[7 + 4] == pytest.approx(16.0)
         expected = -(0.8 * np.log(0.8) + 0.2 * np.log(0.2))
@@ -137,22 +174,24 @@ class TestStatisticalFeatures:
         assert feats[14] == 2.0
 
     def test_zero_series(self):
-        feats = statistical_features(np.zeros(10), THRESHOLDS)
+        feats = statistical_features(np.zeros(10))
         assert np.array_equal(feats, np.zeros(STATS_DIM))
 
     def test_constant_series_hits_zero_spectrum_branch(self):
-        feats = statistical_features(np.full(10, 3.0), THRESHOLDS)
+        feats = statistical_features(np.full(10, 3.0))
         assert feats[0] == 3.0 and feats[1] == 3.0 and feats[3] == 3.0
         assert feats[2] == 0.0
         assert feats[4:7] == pytest.approx([10.0, 10.0, 0.0])
         assert np.array_equal(feats[7:], np.zeros(8))
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            statistical_features(np.empty(0), THRESHOLDS)
+        with pytest.raises(ValueError, match="empty segment"):
+            statistical_features(np.empty(0))
 
 
 class TestPeakFeatures:
+    """The twelve extrema values, read from the east block of a vector."""
+
     def test_hand_ranked_extrema(self):
         # spikes at 20 (3.0), 70 (7.0) and a dip at 45 (-5.0); all three
         # window sizes nominate both spikes, so they outrank the zero
@@ -192,7 +231,7 @@ class TestPeakFeatures:
         assert out[6] == 1.0 and out[7] == 0.0
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty segment"):
             peak_features(np.empty(0), (10,))
 
 
@@ -212,16 +251,28 @@ class TestExtractFeatures:
         assert np.all(np.isfinite(vec))
         assert vec[3 * STATS_DIM] == 120.0
 
-    def test_composes_from_parts(self, cfg):
+    def test_composes_from_parts(self):
+        # each component's statistics and extrema depend on that component
+        # and its thresholds only: moved into the east column, with its
+        # thresholds there, it yields the same blocks
+        thresholds = ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9))
+        cfg = FeatureConfig(sample_rate=10.0, nvht_thresholds=thresholds)
         rng = np.random.default_rng(7)
         seg = rng.normal(size=(80, 3))
-        sm = [smooth(seg[:, c], cfg.smooth_k) for c in range(3)]
-        expected = np.concatenate(
-            [statistical_features(sm[c], cfg.nvht_thresholds[c]) for c in range(3)]
-            + [[80.0]]
-            + [peak_features(sm[c], cfg.peak_windows()) for c in range(3)]
-        )
-        assert np.array_equal(extract_features(seg, cfg), expected)
+        vec = extract_features(seg, cfg)
+        peaks = 3 * STATS_DIM + 1
+        for c in range(3):
+            moved = np.zeros_like(seg)
+            moved[:, 0] = seg[:, c]
+            alone = extract_features(moved, FeatureConfig(
+                sample_rate=10.0, nvht_thresholds=(thresholds[c],) * 3
+            ))
+            assert np.array_equal(vec[c * STATS_DIM : (c + 1) * STATS_DIM], alone[:STATS_DIM])
+            assert np.array_equal(
+                vec[peaks + c * PEAKS_DIM : peaks + (c + 1) * PEAKS_DIM],
+                alone[peaks : peaks + PEAKS_DIM],
+            )
+        assert vec[3 * STATS_DIM] == 80.0
 
     def test_deterministic(self, cfg):
         rng = np.random.default_rng(8)
@@ -240,21 +291,24 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             extract_features(np.zeros(shape), cfg)
 
+    def test_empty_batch(self, cfg):
+        assert extract_batch([], cfg).shape == (0, FEATURE_DIM)
+
 
 class TestFitThresholds:
     def test_pooled_percentiles(self):
         rng = np.random.default_rng(9)
         segs = [rng.normal(size=(40, 3)), rng.normal(size=(60, 3))]
         cfg = FeatureConfig(sample_rate=10.0, smooth_k=5)
-        fitted = fit_nvht_thresholds(segs, cfg)
+        fitted = fit_nvht_thresholds(smooth_segments(segs, 5), cfg)
         for c in range(3):
-            pooled = np.concatenate([np.abs(smooth(s[:, c], 5)) for s in segs])
+            pooled = np.concatenate([np.abs(_loop_smooth(s[:, c], 5)) for s in segs])
             want = tuple(float(np.percentile(pooled, p)) for p in NVHT_PERCENTILES)
             assert fitted.nvht_thresholds[c] == want
 
     def test_original_config_untouched(self):
         cfg = FeatureConfig(sample_rate=10.0)
-        fit_nvht_thresholds([np.ones((30, 3))], cfg)
+        fit_nvht_thresholds(smooth_segments([np.ones((30, 3))], cfg.smooth_k), cfg)
         assert cfg.nvht_thresholds is None
 
     def test_no_segments(self):
@@ -374,18 +428,23 @@ def loop_fit_thresholds(segments, config: FeatureConfig):
 
 
 def assert_same_bytes(segments, cfg):
-    for seg in segments:
-        for s in (seg, -seg):
-            want = loop_extract_vector(s, cfg)
-            got = extract_features(s, cfg)
-            assert got.tobytes() == want.tobytes(), f"differs on a {s.shape} segment"
+    """Every segment and its negation, featurised in one batch, match the loop extractor."""
+    batch = [s for seg in segments for s in (seg, -seg)]
+    got = extract_batch(batch, cfg)
+    for s, row in zip(batch, got):
+        want = loop_extract_vector(s, cfg)
+        assert row.tobytes() == want.tobytes(), f"differs on a {s.shape} segment"
+
+
+DEFAULT_K = FeatureConfig(sample_rate=10.0).smooth_k
 
 
 @pytest.fixture(scope="module")
-def acceptance_segments():
-    corpus = build_corpus(PipelineConfig())
-    segs = [seg for trip in corpus.trips for seg, _ in true_segments(trip)]
-    cfg = fit_nvht_thresholds(segs, FeatureConfig(corpus.network.sample_rate))
+def acceptance_segments(acceptance_corpus):
+    segs = [seg for trip in acceptance_corpus.trips for seg, _ in true_segments(trip)]
+    cfg = fit_nvht_thresholds(
+        smooth_segments(segs, DEFAULT_K), FeatureConfig(acceptance_corpus.network.sample_rate)
+    )
     return segs, cfg
 
 
@@ -408,8 +467,16 @@ class TestMatchesLoopExtractor:
         # the pool of a leave-one-out fold: all but ten consecutive segments
         segs, cfg = acceptance_segments
         fold = segs[:held_out] + segs[held_out + 10:]
-        fitted = fit_nvht_thresholds(fold, FeatureConfig(cfg.sample_rate))
+        fitted = fit_nvht_thresholds(smooth_segments(fold, cfg.smooth_k), FeatureConfig(cfg.sample_rate))
         assert fitted.nvht_thresholds == loop_fit_thresholds(fold, cfg)
+
+    def test_training_fold_smoothed_once(self, acceptance_corpus):
+        # what train_ensemble_on fits: thresholds and vectors of one fold
+        segs, _ = interval_training_rows(acceptance_corpus, list(range(1, 40)))
+        fitted, X = fit_features(segs, FeatureConfig(acceptance_corpus.network.sample_rate))
+        assert fitted.nvht_thresholds == loop_fit_thresholds(segs, fitted)
+        want = np.stack([loop_extract_vector(s, fitted) for s in segs])
+        assert X.tobytes() == want.tobytes()
 
     def test_prefixes_around_every_window_size(self, acceptance_segments):
         # the partial tail window appears, vanishes and reappears as the
@@ -453,21 +520,68 @@ class TestMatchesLoopExtractor:
         assert_same_bytes(segs, cfg)
 
 
+class TestBatchIndependence:
+    """A vector is the same bytes alone, in any batch order and across chunk boundaries."""
+
+    CFG = TestMatchesLoopExtractor.CFG
+
+    @pytest.fixture(scope="class")
+    def mixed(self, acceptance_segments):
+        segs, _ = acceptance_segments
+        rng = np.random.default_rng(25)
+        # lengths on both sides of the FFT sizes 16, 1024 and 2048, and of the
+        # window sizes, plus length 1; zero, constant and tie-heavy content
+        ride = np.concatenate(segs[:4])
+        out = [ride[i : i + n] for i, n in zip(range(0, 4000, 500), (15, 16, 17, 1023, 1024, 1025, 2047))]
+        out += [segs[i] for i in range(3, 400, 37)]
+        for n in (1, 1, 2, 9, 10, 11, 39, 40, 41, 79):
+            out.append(np.round(rng.normal(size=(n, 3)), 0))
+        out += [np.zeros((1, 3)), np.zeros((50, 3)), np.full((33, 3), -1.25), np.full((1, 3), 4.0)]
+        out.append(np.full((12, 3), -0.0))
+        return out
+
+    def test_alone_equals_batch(self, mixed):
+        batch = extract_batch(mixed, self.CFG)
+        for seg, row in zip(mixed, batch):
+            assert extract_features(seg, self.CFG).tobytes() == row.tobytes()
+            assert row.tobytes() == loop_extract_vector(seg, self.CFG).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_any_order(self, mixed, seed):
+        batch = extract_batch(mixed, self.CFG)
+        order = np.random.default_rng(seed).permutation(len(mixed))
+        shuffled = extract_batch([mixed[i] for i in order], self.CFG)
+        assert shuffled.tobytes() == batch[order].tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 64, 3000])
+    def test_chunk_boundaries(self, mixed, budget, monkeypatch):
+        # a budget of one sample puts every segment in a chunk of its own
+        batch = extract_batch(mixed, self.CFG)
+        fitted, X = fit_features(mixed, FeatureConfig(10.0))
+        monkeypatch.setattr(features, "CHUNK_SAMPLES", budget)
+        assert extract_batch(mixed, self.CFG).tobytes() == batch.tobytes()
+        fitted_small, X_small = fit_features(mixed, FeatureConfig(10.0))
+        assert fitted_small == fitted
+        assert X_small.tobytes() == X.tobytes() == extract_batch(mixed, fitted).tobytes()
+
+
 class TestSliceFeatures:
     def test_features_of_each_slice_computed_once(self, monkeypatch):
         cfg = TestMatchesLoopExtractor.CFG
         comp = np.random.default_rng(24).normal(size=(300, 3))
         calls = []
-        real = extract_features
+        real = extract_batch
 
-        def counting(segment, config):
-            calls.append(len(segment))
-            return real(segment, config)
+        def counting(segments, config):
+            calls.append([len(s) for s in segments])
+            return real(segments, config)
 
-        monkeypatch.setattr("subtrace.features.extract_features", counting)
+        monkeypatch.setattr(features, "extract_batch", counting)
         memo = SliceFeatures(comp, cfg)
-        first = memo(20, 140)
-        assert memo(20, 140) is first
-        assert memo(20, 141) is not first
-        assert calls == [120, 121]
-        assert first.tobytes() == real(comp[20:140], cfg).tobytes()
+        first = memo([(20, 140), (0, 20), (20, 140)])
+        assert first.shape == (3, FEATURE_DIM)
+        again = memo([(20, 140), (20, 141)])
+        assert calls == [[120, 20], [121]]
+        assert again[0].tobytes() == first[0].tobytes() == first[2].tobytes()
+        assert first[0].tobytes() == real([comp[20:140]], cfg)[0].tobytes()
+        assert again[1].tobytes() == real([comp[20:141]], cfg)[0].tobytes()
