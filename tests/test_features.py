@@ -508,6 +508,14 @@ class TestMatchesLoopExtractor:
         twin_peaks[[5, 25, 65, 105], :] = 4.0
         assert_same_bytes([steps, coarse, saw, twin_peaks], self.CFG)
 
+    def test_spectra_with_zero_bins(self):
+        # 32 samples that repeat with period 16 have exactly zero odd FFT
+        # bins; entropy then drops those bins and sums the rest on its own,
+        # in the order the loop extractor sums them
+        cfg = FeatureConfig(sample_rate=10.0, smooth_k=1, nvht_thresholds=self.CFG.nvht_thresholds)
+        rng = np.random.default_rng(26)
+        assert_same_bytes([np.tile(rng.normal(size=(16, 3)), (2, 1)) for _ in range(20)], cfg)
+
     def test_other_window_sizes_and_smoothing(self):
         cfg = FeatureConfig(
             sample_rate=25.0,
