@@ -5,8 +5,10 @@ temporary directory, through the ``subtrace`` package in this checkout's
 ``src``: it generates a corpus, trains a model, attacks trips 0, 1 and 5 in
 full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
-Each output file is printed as ``sha256  path``; nothing is written in the
-checkout. To check that a change leaves every output byte-identical, run
+Each output file is printed as ``sha256  path``. Then it attacks three
+malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
+or given a ``0xff`` byte) and prints each exit code with a digest of the
+error message. Nothing is written in the checkout. To check that a change leaves every output byte-identical, run
 the script on the parent and on the change and diff what they print::
 
     python3 scripts/cli_digests.py > after.txt
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,12 @@ SMALL_CONFIG = {
     "enough_labels": 6,
 }
 TRIPS = (0, 1, 5)
+# each malformed copy of trip 0 rewrites its line 401 (a sample line)
+MALFORMED = {
+    "bad_json": lambda line: line[: len(line) // 2] + b"\n",
+    "acc_2_entries": lambda line: re.sub(rb'("acc": \[[^,]+, [^,]+), [^\]]+\]', rb"\1]", line),
+    "not_utf8": lambda line: line.replace(b'"t"', b'"\xff"'),
+}
 
 
 def run(argv: list[str], stdout_file: str | None = None, ok=(cli.EXIT_OK,)) -> int:
@@ -75,6 +85,22 @@ def run_commands() -> int:
     return code
 
 
+def attack_malformed() -> None:
+    """Attack each malformed copy of trip 0 and print its exit code and error digest."""
+    lines = Path("corpus/trips/trip_000.jsonl").read_bytes().splitlines(keepends=True)
+    Path("errors").mkdir()
+    for name, rewrite in MALFORMED.items():
+        path = Path("errors", f"{name}.jsonl")
+        bad = rewrite(lines[400])
+        assert bad != lines[400], name
+        path.write_bytes(b"".join(lines[:400] + [bad] + lines[401:]))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["attack", "--model", "model.json", "--trace", str(path)])
+        digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+        print(f"{digest}  attack {path} exit code {code}")
+
+
 def main() -> None:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -87,6 +113,7 @@ def main() -> None:
                 if p.is_file() and p.name != "config.json":
                     digest = hashlib.sha256(p.read_bytes()).hexdigest()
                     print(f"{digest}  {p.relative_to(root)}")
+            attack_malformed()
         finally:
             os.chdir(here)
 

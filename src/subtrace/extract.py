@@ -47,10 +47,6 @@ class MetroSpan:
         if self.start >= self.end:
             raise ValueError(f"empty span [{self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 def fit_thresholds(metro_hra: np.ndarray) -> tuple[float, float, float]:
     """Low/mid/high HRA thresholds from metro-class training data."""

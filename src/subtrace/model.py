@@ -4,11 +4,13 @@ Traces are JSON-lines files: an optional meta header, one object per sample,
 and an optional ground-truth trailer.  Metro networks are single JSON
 documents describing one line; the reverse direction is derived, never stored.
 
-``load_trace`` decodes each nonblank line with its own decoder call, so a
-framing error names its line, then converts all sample values with three
-numpy conversions; only when those fail does it convert sample by sample to
-name the bad line. ``save_trace`` formats every sample row in one pass, with
-the same float repr text that ``json.dumps`` writes.
+``load_trace`` decodes each nonblank line with its own decoder call and stops
+at the first line it cannot read; a line that is not UTF-8 is one more such
+line. One bulk numpy conversion per field then converts the samples read up
+to there. Only when it fails are the samples walked, to name the bad line,
+and a bad sample is reported before the line that stopped the reading.
+``save_trace`` formats every sample row in one pass, with the same float
+repr text that ``json.dumps`` writes.
 Every other JSON file is one document, written as ``dump_json`` text and
 read through ``load_json``.
 """
@@ -19,7 +21,7 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -110,10 +112,6 @@ class MetroNetwork:
     @property
     def forward(self) -> tuple[StationInterval, ...]:
         return self.intervals[: self.num_intervals]
-
-    @property
-    def reverse(self) -> tuple[StationInterval, ...]:
-        return self.intervals[self.num_intervals :]
 
     def undirected(self, gid: int) -> int:
         """Map a directed interval id onto its track segment id."""
@@ -255,148 +253,132 @@ def _line_problem(obj) -> str:
     return "sample needs t, acc[3], orient[3]"
 
 
-def _undecodable_line(path: Path) -> int:
-    """1-based number of the first line of ``path`` that is not UTF-8."""
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return lineno
-    raise AssertionError(f"{path.name} decodes as UTF-8 line by line")
-
-
-def _checked_samples(
-    name: str, linenos: list[int], samples: list[tuple]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert (t, acc, orient) one sample at a time; the first bad one names its line."""
-    rows_t: list[float] = []
-    rows_acc: list[list[float]] = []
-    rows_orient: list[list[float]] = []
-    for lineno, (t, acc, orient) in zip(linenos, samples):
-        try:
-            t = float(t)
-            acc = [float(v) for v in acc]
-            orient = [float(v) for v in orient]
-        except (OverflowError, TypeError, ValueError):
-            raise TraceFormatError(f"{name}:{lineno}: sample needs t, acc[3], orient[3]")
-        if len(acc) != 3 or len(orient) != 3:
-            raise TraceFormatError(f"{name}:{lineno}: acc and orient must have 3 entries")
-        rows_t.append(t)
-        rows_acc.append(acc)
-        rows_orient.append(orient)
-    return (
-        np.asarray(rows_t, dtype=float),
-        np.asarray(rows_acc, dtype=float),
-        np.asarray(rows_orient, dtype=float),
-    )
-
-
-def _sample_arrays(
-    name: str, linenos: list[int], samples: list[tuple]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_arrays(name: str, linenos: list[int], samples: list[tuple]) -> tuple[np.ndarray, ...]:
     """``t``, ``acc`` and ``orient`` of the samples, one conversion each.
 
-    Any doubt goes to the one-at-a-time conversion: a failed conversion, a
-    wrong shape, or a non-finite value, which may be a JSON ``null`` that
-    numpy read as NaN. It raises the line-numbered error or, for a ``NaN``
-    literal, returns the arrays for ``Trace.validate`` to refuse.
+    Only a failed conversion, a wrong shape or a non-finite value (a JSON
+    ``null`` converts to NaN) walks the samples, to name the line of the
+    first one that is not a number ``t`` with JSON arrays of 3 numbers. A
+    ``NaN`` literal passes the walk, and ``Trace.validate`` refuses it.
     """
     n = len(samples)
     try:
-        t, acc, orient = (np.array(col, dtype=float) for col in zip(*samples))
+        arrays = tuple(np.array(col, dtype=float) for col in zip(*samples))
     except (TypeError, ValueError, OverflowError):
-        return _checked_samples(name, linenos, samples)
-    shapes_ok = (t.shape, acc.shape, orient.shape) == ((n,), (n, 3), (n, 3))
-    if not (shapes_ok and all(np.isfinite(a).all() for a in (t, acc, orient))):
-        return _checked_samples(name, linenos, samples)
-    return t, acc, orient
+        arrays = ()
+    shapes_ok = [a.shape for a in arrays] == [(n,), (n, 3), (n, 3)]
+    if shapes_ok and all(np.isfinite(a).all() for a in arrays):
+        return arrays
+    for lineno, (t, acc, orient) in zip(linenos, samples):
+        try:
+            if not (isinstance(acc, list) and isinstance(orient, list)):
+                raise TypeError("acc and orient must be JSON arrays")
+            for value in (t, *acc, *orient):
+                float(value)
+        except (OverflowError, TypeError, ValueError):
+            raise TraceFormatError(f"{name}:{lineno}: sample needs t, acc[3], orient[3]") from None
+        if len(acc) != 3 or len(orient) != 3:
+            raise TraceFormatError(f"{name}:{lineno}: acc and orient must have 3 entries")
+    return arrays
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Parse a JSON-lines trace file; errors carry 1-based line numbers.
+def _decoded_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of ``path``, each decoded alone; a line that is not UTF-8 raises.
 
-    Each nonblank line is decoded on its own, so framing errors name their
-    line; sample values are then converted in bulk. Every malformed file
-    raises ``TraceFormatError``, and whatever the error, a bad sample on an
-    earlier line is reported first.
+    A line keeps its end, so a sequence it cuts short fails as in the whole file.
     """
-    path = Path(path)
+    for lineno, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path.name}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        yield lineno, line
+
+
+def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
+    """``load_trace`` of the ``(lineno, line)`` pairs in ``numbered_lines``."""
     device_id = ""
     sample_rate = 0.0
     linenos: list[int] = []
     samples: list[tuple] = []  # (t, acc, orient) as decoded
     truth: list[TruthRange] = []
     trailer_seen = False
-
+    problem = ""  # the message for the line that stopped the reading
     try:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
+        for lineno, raw in numbered_lines:
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                obj, end = _decode(raw)
+            except json.JSONDecodeError:
+                end = None
+            except (RecursionError, ValueError) as exc:  # deep nesting, huge integers
+                problem = f"{name}:{lineno}: not valid JSON ({exc})"
+                break
+            if end != len(raw):  # json.loads words the error
                 try:
-                    obj, end = _decode(raw)
-                except json.JSONDecodeError:
-                    end = None
-                except (RecursionError, ValueError) as exc:  # deep nesting, huge integers
-                    raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc})")
-                if end != len(raw):  # json.loads words the error
-                    try:
-                        obj = json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        raise TraceFormatError(f"{path.name}:{lineno}: not valid JSON ({exc.msg})")
-                try:
-                    if "meta" in obj:
-                        if lineno != 1:
-                            raise TraceFormatError(
-                                f"{path.name}:{lineno}: meta must be the first line"
-                            )
-                        meta = obj["meta"]
-                        device_id = str(meta.get("device_id", ""))
-                        sample_rate = float(meta.get("sample_rate", 0.0))
-                    elif "truth" in obj:
-                        if trailer_seen:
-                            raise TraceFormatError(
-                                f"{path.name}:{lineno}: duplicate truth trailer"
-                            )
-                        trailer_seen = True
-                        for entry in obj["truth"]:
-                            lo, hi = float(entry["start"]), float(entry["end"])
-                            truth.append(TruthRange(lo, hi, str(entry["label"])))
-                    else:
-                        if trailer_seen:
-                            raise TraceFormatError(
-                                f"{path.name}:{lineno}: samples after truth trailer"
-                            )
-                        samples.append(_SAMPLE_KEYS(obj))
-                        linenos.append(lineno)
-                except TraceFormatError:
-                    raise
-                except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-                    # a line that decodes but is not a meta, truth or sample object
-                    raise TraceFormatError(f"{path.name}:{lineno}: {_line_problem(obj)}")
-    except Exception as exc:
-        # samples are converted after the loop, so check the earlier ones now:
-        # a bad sample is reported before any error on a later line
-        _checked_samples(path.name, linenos, samples)
-        if isinstance(exc, UnicodeDecodeError):  # raised by reading a chunk, not a line
-            lineno = _undecodable_line(path)
-            raise TraceFormatError(f"{path.name}:{lineno}: not UTF-8 text ({exc.reason})") from None
-        raise
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    problem = f"{name}:{lineno}: not valid JSON ({exc.msg})"
+                    break
+            try:
+                if "meta" in obj:
+                    if lineno != 1:
+                        problem = f"{name}:{lineno}: meta must be the first line"
+                        break
+                    meta = obj["meta"]
+                    device_id = str(meta.get("device_id", ""))
+                    sample_rate = float(meta.get("sample_rate", 0.0))
+                elif "truth" in obj:
+                    if trailer_seen:
+                        problem = f"{name}:{lineno}: duplicate truth trailer"
+                        break
+                    trailer_seen = True
+                    for entry in obj["truth"]:
+                        lo, hi = float(entry["start"]), float(entry["end"])
+                        truth.append(TruthRange(lo, hi, str(entry["label"])))
+                elif trailer_seen:
+                    problem = f"{name}:{lineno}: samples after truth trailer"
+                    break
+                else:
+                    samples.append(_SAMPLE_KEYS(obj))
+                    linenos.append(lineno)
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                # a line that decodes but is not a meta, truth or sample object
+                problem = f"{name}:{lineno}: {_line_problem(obj)}"
+                break
+    except TraceFormatError as exc:  # a line that is not UTF-8
+        problem = str(exc)
 
+    if samples:
+        t, acc, orient = _sample_arrays(name, linenos, samples)
+    if problem:
+        raise TraceFormatError(problem)
     if not samples:
-        raise TraceFormatError(f"{path.name}: no samples")
-    t, acc, orient = _sample_arrays(path.name, linenos, samples)
-    trace = Trace(
-        device_id=device_id,
-        sample_rate=sample_rate,
-        t=t,
-        acc=acc,
-        orient=normalize_orientation(orient),
-        truth=tuple(truth),
-    )
+        raise TraceFormatError(f"{name}: no samples")
+    trace = Trace(device_id, sample_rate, t, acc, normalize_orientation(orient), tuple(truth))
     trace.validate()
     return trace
+
+
+def load_trace(path: str | Path) -> Trace:
+    """Parse a JSON-lines trace file; errors carry 1-based line numbers.
+
+    Each nonblank line is decoded on its own, and reading stops at the first
+    line that cannot be read: bad JSON, a misplaced or malformed meta, truth
+    or sample line, or bytes that are not UTF-8. The samples read up to
+    there are then converted by one bulk conversion per field, so a bad
+    sample on an earlier line is reported before the line that stopped the
+    reading. Every malformed file raises ``TraceFormatError``.
+    """
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            return _read_trace(path.name, enumerate(fh, start=1))
+    except UnicodeDecodeError:
+        pass  # raised for a whole chunk of text, so read again line by line to name the line
+    return _read_trace(path.name, _decoded_lines(path))
 
 
 # --- network I/O ------------------------------------------------------------

@@ -163,7 +163,6 @@ def bootstrap(
     history: list[float] = []
 
     rounds_run = 0
-    stalled = False
     for rnd in range(1, max_rounds + 1):
         rounds_run = rnd
         progressed = False
@@ -207,13 +206,9 @@ def bootstrap(
 
         coverage = len(covered_intervals(pools, network, threshold)) / k
         history.append(coverage)
-        if coverage >= 1.0:
+        if coverage >= 1.0 or not progressed:
             break
-        if not progressed:
-            stalled = True
-            break
-    else:
-        stalled = history[-1] < 1.0 if history else True
+    stalled = not history or history[-1] < 1.0
 
     return BootstrapResult(
         pools=pools,

@@ -97,10 +97,6 @@ class NoiseConfig:
             ):
                 raise ValueError(f"noise field {f.name} must be finite and non-negative, got {value!r}")
 
-    @classmethod
-    def zero(cls) -> "NoiseConfig":
-        return cls(0.0, 5.0, 0.0, 0.0, 0.0, 0.0)
-
 
 # --- network generation -----------------------------------------------------
 
@@ -349,27 +345,32 @@ def _render_phone(
     speed: np.ndarray | None,
     rate: float,
     noise: NoiseConfig,
-    streams: dict,
+    streams: list[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate world motion into a noisy phone frame; returns (t, acc, orient)."""
+    """Rotate world motion into a noisy phone frame; returns (t, acc, orient).
+
+    ``streams`` holds the orientation, shake, white, vibration and defense
+    generators, in that order.
+    """
+    orient_rng, shake_rng, white_rng, vib_rng, defense_rng = streams
     n = len(world)
     dt = 1.0 / rate
     t = np.arange(n) * dt
 
     if speed is not None:
-        vib = _smooth3(streams["vib"].standard_normal((n, 3))) * math.sqrt(3.0)
+        vib = _smooth3(vib_rng.standard_normal((n, 3))) * math.sqrt(3.0)
         amp = noise.track_vibration_amp * (speed / VIBRATION_REF_SPEED)
         world = world + vib * np.stack([amp, amp, 1.5 * amp], axis=1)
 
-    orient = _orientation_walk(n, dt, noise, streams["orient"])
+    orient = _orientation_walk(n, dt, noise, orient_rng)
     R, _ = coord.rotation_matrices(np.radians(orient))
     f_world = world + np.array([0.0, 0.0, GRAVITY])
     acc = np.einsum("nji,nj->ni", R, f_world)
 
-    _add_hand_shake(acc, t, noise, streams["shake"])
-    acc = acc + streams["white"].standard_normal((n, 3)) * noise.sensor_sigma
+    _add_hand_shake(acc, t, noise, shake_rng)
+    acc = acc + white_rng.standard_normal((n, 3)) * noise.sensor_sigma
     if noise.defense_noise_amp > 0:
-        acc = acc + streams["defense"].standard_normal((n, 3)) * noise.defense_noise_amp
+        acc = acc + defense_rng.standard_normal((n, 3)) * noise.defense_noise_amp
     return t, acc, orient
 
 
@@ -401,7 +402,7 @@ def gen_trip(
         raise ValueError(f"interval run {gids} does not fit one direction of the line")
     by_id = {p.interval_id: p for p in profiles}
 
-    dwell_rng, scale_rng, orient_rng, shake_rng, white_rng, vib_rng, defense_rng = _streams(seed, 7)
+    dwell_rng, scale_rng, *render = _streams(seed, 7)
     rate = network.sample_rate
     dt = 1.0 / rate
 
@@ -420,19 +421,7 @@ def gen_trip(
 
     world = np.concatenate(chunks)
     speed = np.concatenate(speeds)
-    t, acc, orient = _render_phone(
-        world,
-        speed,
-        rate,
-        noise,
-        {
-            "orient": orient_rng,
-            "shake": shake_rng,
-            "white": white_rng,
-            "vib": vib_rng,
-            "defense": defense_rng,
-        },
-    )
+    t, acc, orient = _render_phone(world, speed, rate, noise, render)
 
     truth = [TruthRange(0.0, len(world) * dt, "metro")]
     at = 0
@@ -508,23 +497,11 @@ def gen_other_mode(
     if mode == "static":
         # a resting phone is not hand-held
         noise = replace(noise, hand_shake_amp=0.0)
-    motion_rng, orient_rng, shake_rng, white_rng, vib_rng, defense_rng = _streams(seed, 6)
+    motion_rng, *render = _streams(seed, 6)
     dt = 1.0 / sample_rate
     n = max(1, round(duration * sample_rate))
     world = _mode_world(mode, n, dt, motion_rng)
-    t, acc, orient = _render_phone(
-        world,
-        None,
-        sample_rate,
-        noise,
-        {
-            "orient": orient_rng,
-            "shake": shake_rng,
-            "white": white_rng,
-            "vib": vib_rng,
-            "defense": defense_rng,
-        },
-    )
+    t, acc, orient = _render_phone(world, None, sample_rate, noise, render)
     truth = (TruthRange(0.0, n * dt, mode),)
     return Trace(
         device_id=f"sim-{mode}-{seed}",

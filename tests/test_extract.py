@@ -195,7 +195,8 @@ class TestMetroSpan:
             MetroSpan(10, 10)
 
     def test_length(self):
-        assert MetroSpan(5, 25).length == 20
+        span = MetroSpan(5, 25)
+        assert span.end - span.start == 20
 
 
 def loop_locate_start(hra, model, boundary, w):

@@ -209,7 +209,7 @@ class TestNetwork:
         net = make_line(k=4)
         assert net.num_intervals == 4
         assert len(net.intervals) == 8
-        for i, iv in enumerate(net.reverse):
+        for i, iv in enumerate(net.intervals[net.num_intervals :]):
             src = net.forward[4 - 1 - i]
             assert iv.id == 4 + i
             assert iv.reverse
@@ -410,8 +410,6 @@ MALFORMED = {
     "null acc": [META, sample(0, acc="null"), sample(1)],
     "numeric string": [META, sample(0), sample(1, t='"0.04"', acc='["1.5", 2, 3]')],
     "non-numeric string": [META, sample(0), sample(1, acc='["x", 2, 3]')],
-    "acc a 3-character string": [META] + [sample(i, acc='"123"') for i in range(3)],
-    "acc an object": [META, sample(0, acc='{"1": 0, "2": 0, "3": 0}'), sample(1)],
     "true": [META, sample(0), sample(1, acc="[true, false, 3]")],
     "true timestamp": [META, sample(0), sample(1, t="true")],
     "nan literal": [META, sample(0), sample(1, acc="[NaN, 0, 0]"), sample(2)],
@@ -433,8 +431,11 @@ MALFORMED = {
 }
 
 # Files the frozen reader fails on with a bare TypeError, AttributeError,
-# KeyError, OverflowError, RecursionError or ValueError; the reader names the
-# line instead. Each value is the file's lines and the line number named.
+# KeyError, OverflowError, RecursionError or ValueError, or reads into wrong
+# values (it takes a string or an object for acc or orient, and lets a later
+# line that is not UTF-8 hide a bad sample); the reader names the line
+# instead. Each value is the file's lines and the line number named, and
+# "\udcff" in a line writes a lone 0xff byte.
 MALFORMED_NAMED = {
     "int too large for a float": ([META, sample(0), sample(1, t="1" + "0" * 400)], 3),
     "bad truth before bad sample": ([META, '{"truth": [{"start": 0}]}', sample(0, t='"x"')], 2),
@@ -447,6 +448,17 @@ MALFORMED_NAMED = {
     "truth not a list": ([META, sample(0), '{"truth": 5}'], 3),
     "integer past the digit limit": ([META, sample(0), sample(1, t="1" * 5000)], 3),
     "null line": ([META, "null", sample(0)], 2),
+    "acc a 3-character string": ([META] + [sample(i, acc='"123"') for i in range(3)], 2),
+    "acc an object": ([META, sample(0, acc='{"1": 0, "2": 0, "3": 0}'), sample(1)], 2),
+    "acc a string among valid samples": (
+        [META, sample(0), sample(1), sample(2, acc='"789"'), sample(3)],
+        4,
+    ),
+    "orient a string": ([META, sample(0), sample(1, orient='"120"'), sample(2)], 3),
+    "bad sample before a non-UTF-8 byte": (
+        [META, sample(0, acc="[1]"), sample(1), sample(2), sample(3).replace('"t"', '"\udcff"')],
+        2,
+    ),
 }
 
 
@@ -507,6 +519,6 @@ class TestMalformedNamesLine:
     def test_raises(self, tmp_path, case):
         lines, lineno = MALFORMED_NAMED[case]
         path = tmp_path / "case.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         with pytest.raises(TraceFormatError, match=rf"^case\.jsonl:{lineno}: "):
             load_trace(path)

@@ -219,6 +219,14 @@ class TestBootstrap:
         assert capped.coverage_history == pytest.approx([2 / 3])
         assert len(capped.resolved) == 8
 
+    def test_zero_rounds_flags_stall(self, chain_case):
+        net, sequences, seeds, _ = chain_case
+        result = bootstrap(sequences, seeds, net, threshold=5, max_rounds=0, seed=0)
+        assert result.rounds_run == 0
+        assert result.stalled is True
+        assert result.coverage_history == []
+        assert result.resolved == {}
+
     def test_silent_seed_stalls_immediately(self):
         net = tiny_network()
         draws = Clusters(9)

@@ -19,6 +19,14 @@ from subtrace.simgen import (
     save_profiles,
 )
 
+# every sensing artifact off
+QUIET = NoiseConfig(
+    hand_shake_amp=0.0,
+    orientation_drift_rate=0.0,
+    sensor_sigma=0.0,
+    track_vibration_amp=0.0,
+)
+
 
 @pytest.fixture(scope="module")
 def line():
@@ -121,9 +129,7 @@ class TestTripGeneration:
         # with every artifact off, earth-frame recovery is exact: HRA inside
         # each primitive equals its planar acceleration magnitude
         net, profiles = line
-        trace = gen_trip(
-            net, profiles, 2, 1, NoiseConfig.zero(), seed=5, duration_jitter=0.0
-        )
+        trace = gen_trip(net, profiles, 2, 1, QUIET, seed=5, duration_jitter=0.0)
         series = coord.transform(trace)
         rate = net.sample_rate
         at = 0.0
@@ -142,7 +148,7 @@ class TestTripGeneration:
 
     def test_vertical_channel_carries_gravity(self, line):
         net, profiles = line
-        trace = gen_trip(net, profiles, 0, 2, NoiseConfig.zero(), seed=5)
+        trace = gen_trip(net, profiles, 0, 2, QUIET, seed=5)
         # phone-frame magnitude at rest is g; earth-frame vertical after
         # gravity removal is zero
         dwell = trace.truth_ranges("dwell")[0]
@@ -285,8 +291,3 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="non-negative"):
             NoiseConfig(hand_shake_amp=-1.0)
 
-    def test_zero_is_all_quiet(self):
-        z = NoiseConfig.zero()
-        assert z.hand_shake_amp == 0.0
-        assert z.sensor_sigma == 0.0
-        assert z.track_vibration_amp == 0.0
