@@ -5,19 +5,28 @@ prediction time. Everything is written against plain numpy arrays and
 serializes to versioned JSON so a trained attack model is a single file.
 Boost rounds and tree counts have no defaults: ``PipelineConfig`` sets them.
 
-The forest works on whole arrays. At each node the split search gathers
-the node's rows of all candidate features as one ``(rows, features)``
-block, sorts every column with one stable argsort and counts classes with
-one cumulative sum laid out ``(rows, features, classes)``; each Gini sum
-then runs over one contiguous row of classes. The chosen split is the
-first minimum of a feature's scores, and across features the first
-feature, in draw order, with the strictly smallest score. Prediction and
-the out-of-bag vote share one walk: the trees are laid end to end as one
-flat node table, leaves point to themselves, and one step per depth level
-moves every row down every tree. Leaf histograms are then added tree by
-tree. Every tree, score and probability is bit-identical to growing and
-walking one tree and one feature at a time: the arithmetic, its order and
-every tie-break are the same.
+The forest grows all its trees in lockstep. Each tree keeps its own
+depth-first stack and its own generator; every step takes the next node
+of every tree that needs a split search, draws its candidate features and
+searches all those nodes together, cut into batches of at most
+``SPLIT_BATCH_ROWS`` rows. Every generator therefore makes the draws, in
+the order, that growing its tree alone would make. A batch's split search
+sorts one element per (row, candidate feature) on integer keys (node,
+feature, value rank, bag position) and screens every split with exact
+integer class sums: the Gini score is ``1 - Q / nn`` in real arithmetic,
+with ``Q`` built from cumulative sums over the sorted elements. Only the
+splits within a narrow band of each node's best ``Q`` get the float Gini
+expression of a per-feature search, and the band provably holds that
+search's float minimum (``_best_splits``). The chosen split is the first
+minimum in (feature draw order, position) order: a feature's first minimum
+and the first feature, in draw order, with the strictly smallest score.
+Prediction and the out-of-bag vote share one walk: the trees are laid end
+to end as one flat node table, leaves point to themselves, and one step
+per depth level moves every row down every tree. Leaf histograms are then
+added tree by tree. Every tree, score and probability is bit-identical to
+growing and walking one tree, one node and one feature at a time: the
+float arithmetic that picks a split, its order and every tie-break are
+the same.
 """
 
 from __future__ import annotations
@@ -227,82 +236,255 @@ def train_adaboost_nb(train: TrainingSet, rounds: int, seed: int = 0) -> AdaBoos
     return AdaBoostNB(learners, np.array(alphas), m)
 
 
-def _grow_tree(
+# rows of the nodes searched in one batch: bounds what one batch's arrays hold
+# (n_feats sort elements per row), while keeping the numpy calls per node few
+SPLIT_BATCH_ROWS = 1 << 12
+
+# half-width of the screen's band per row of the node; _best_splits shows it is wide enough
+SCREEN_BAND = 1e-9
+
+
+def _value_ranks(X: np.ndarray) -> np.ndarray:
+    """(n, d) dense rank of each value within its column; every NaN ranks ``n``."""
+    n, d = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    step = np.concatenate([np.zeros((1, d), dtype=np.int64), xs[1:] != xs[:-1]])
+    rank = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(rank, order, np.cumsum(step, axis=0), axis=0)
+    rank[np.isnan(X)] = n
+    return rank
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    return np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+
+
+def _best_splits(nodes, X, source, cls, rank, n_classes, min_leaf) -> tuple | None:
+    """Best Gini split of every node of a batch that has a valid split.
+
+    ``nodes`` holds ``(rows, feats)`` pairs: forest rows (``t * n`` plus the
+    bag position, ``source`` maps them to rows of ``X``) and the drawn
+    features in draw order. Returns None if no node has a valid split, else
+    the batch index of each node that splits, its feature, its threshold,
+    and the rows and the ``(2 * splits, n_classes)`` class counts of its
+    children, left then right.
+
+    One sort element stands for a (row, feature) pair. Segment ``b * k + j``
+    holds node b's rows of its j-th feature, sorted by value rank, then bag
+    position: exactly the order a stable sort of the node's values gives.
+    So the element at position ``p`` of a segment is the cell, or candidate
+    split, with ``nl = p + 1`` rows on the left. It is valid where the next
+    value is strictly larger and both sides hold ``min_leaf`` rows.
+
+    The score of a split is ``(nl * gl + nr * gr) / nn`` with
+    ``gl = 1 - sum_c (cnt_c / nl) ** 2``, ``gr`` alike on the right counts
+    ``tot_c - cnt_c``, each sum over one contiguous row of classes. In real
+    arithmetic it is ``1 - Q / nn`` with ``Q = S_L / nl + S_R / nr``,
+    ``S_L = sum_c cnt_c ** 2`` and ``S_R = sum_c tot_c ** 2 - 2 sum_c tot_c cnt_c
+    + S_L``. These sums are exact integers: a row whose class has occurred
+    ``r`` times up to it adds ``2r - 1`` to ``S_L`` and ``tot_c`` to the
+    cross sum, so both are cumulative sums along the segment. The screen
+    keeps the cells whose float ``Q`` lies within ``SCREEN_BAND * nn`` of
+    the node's largest, and only those get the float score.
+
+    Why the band holds the float argmin: let u = 2 ** -53. Each of the m
+    squared ratios rounds with relative error below 3u and sums of
+    non-negative terms keep relative error below (m - 1) u, so the float
+    score is within d = (m + 7) u of the real score. The float ``Q`` is
+    within 2u Q <= 2u nn of the real one (``Q <= nl + nr``). If c maximises
+    the float ``Q`` and c* minimises the float score, then real
+    Q(c*) >= Q(c) - 2 d nn, so float Q(c*) >= float Q(c) - (2d + 4u) nn, and
+    so does every cell whose float score ties c*'s. (2d + 4u) nn is below
+    ``SCREEN_BAND * nn`` for fewer than a million classes. The first
+    minimum of the float scores in (draw order, position) order is then the
+    split a per-feature search picks: its first minimum per feature, then
+    the first feature with the least score.
+    """
+    n, d = X.shape
+    m = n_classes
+    k = len(nodes[0][1])
+    sizes = np.array([len(rows) for rows, _ in nodes])
+    rows = np.concatenate([rows for rows, _ in nodes])
+    node = np.repeat(np.arange(len(nodes)), sizes)
+    feats = np.stack([f for _, f in nodes])
+    row_cls = cls[rows]
+    tot = np.bincount(node * m + row_cls, minlength=len(nodes) * m).reshape(len(nodes), m)
+    # sort key (segment, value rank, bag position) of each (row, feature) element
+    ranks = rank.ravel()[(source[rows] * d)[:, None] + feats[node]]
+    key = (node * (k * (n + 1) * n) + rows % n)[:, None] + np.arange(k) * ((n + 1) * n) + ranks * n
+    order = np.argsort(key, axis=None)
+    at_row = order // k
+    rank_s = ranks.ravel()[order]
+    seg_len = np.repeat(sizes, k)
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg_s = np.repeat(np.arange(len(seg_len)), seg_len)
+    at = np.arange(len(order))
+    nl = at + 1 - np.repeat(seg_start, seg_len)
+    nr = np.repeat(seg_len, seg_len) - nl
+    valid = (nl >= min_leaf) & (nr >= max(min_leaf, 1))
+    valid[:-1] &= (rank_s[:-1] < rank_s[1:]) & (rank_s[1:] < n)
+
+    # occurrence of each element within its class in its segment: its place in
+    # (class, position) order less the place where its (segment, class) run starts
+    cls_s = row_cls[at_row]
+    by_class = np.argsort(cls_s, kind="stable")
+    place = np.empty_like(at)
+    place[by_class] = at
+    run = seg_s * m + cls_s
+    count = np.bincount(run, minlength=len(seg_len) * m).reshape(len(seg_len), m)
+    class_start = np.cumsum(count.sum(axis=0)) - count.sum(axis=0)
+    run_start = np.cumsum(count, axis=0) - count + class_start
+
+    def seg_cumsum(inc):
+        """Cumulative sums of ``inc`` along each segment."""
+        c = np.cumsum(inc)
+        return c - np.repeat(c[seg_start] - inc[seg_start], seg_len)
+
+    s_l = seg_cumsum(2 * (place - run_start.ravel()[run]) + 1)
+    cross = seg_cumsum(tot.ravel()[node * m + row_cls][at_row])
+    s_r = np.repeat((tot * tot).sum(axis=1), k * sizes) - 2 * cross + s_l
+    q = np.where(valid, s_l / nl + s_r / np.maximum(nr, 1), -np.inf)
+    floor = np.maximum.reduceat(q, seg_start[::k]) - SCREEN_BAND * sizes
+    cells = np.flatnonzero(valid & (q >= np.repeat(floor, k * sizes)))
+    if not cells.size:
+        return None
+    start = seg_start[seg_s[cells]]
+    node_c = seg_s[cells] // k
+
+    # class counts left of each cell, from the elements in (class, position) order
+    by_class_key = cls_s[by_class].astype(np.int64) * len(at) + by_class
+    class_base = np.arange(m) * len(at)
+    cum = (
+        np.searchsorted(by_class_key, class_base + cells[:, None], side="right")
+        - np.searchsorted(by_class_key, class_base + start[:, None])
+    ).astype(float)
+    nl_c, nr_c = nl[cells], nr[cells]
+    gl = 1.0 - ((cum / nl_c[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - (((tot[node_c] - cum) / nr_c[:, None]) ** 2).sum(axis=1)
+    score = (nl_c * gl + nr_c * gr) / sizes[node_c]
+    first = _group_starts(node_c)
+    low = np.repeat(np.minimum.reduceat(score, first), np.diff(np.append(first, len(score))))
+    hit = np.flatnonzero(score == low)
+    win = cells[hit[_group_starts(node_c[hit])]]
+
+    # split each winning segment where its values pass the threshold
+    w_node, w_seg = seg_s[win] // k, seg_s[win]
+    w_feat = feats[w_node, w_seg % k]
+    low_row, high_row = rows[at_row[win]], rows[at_row[win + 1]]
+    thr = 0.5 * (X[source[low_row], w_feat] + X[source[high_row], w_feat])
+    lens = seg_len[w_seg]
+    span = np.repeat(seg_start[w_seg] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    w_rows = rows[at_row[span]]
+    go_left = X[source[w_rows], np.repeat(w_feat, lens)] <= np.repeat(thr, lens)
+    side = np.repeat(np.arange(len(win)) * 2, lens) + ~go_left
+    counts = np.bincount(side * m + cls[w_rows], minlength=len(win) * 2 * m)
+    n_left = np.add.reduceat(go_left, np.cumsum(lens) - lens).tolist()
+    lefts, rights = w_rows[go_left], w_rows[~go_left]
+    l_at = r_at = 0
+    children = []
+    for nl_i, len_i in zip(n_left, lens.tolist()):
+        children += [lefts[l_at : l_at + nl_i], rights[r_at : r_at + len_i - nl_i]]
+        l_at += nl_i
+        r_at += len_i - nl_i
+    return w_node.tolist(), w_feat.tolist(), thr.tolist(), children, counts.reshape(-1, m)
+
+
+def _batches(searches: list[tuple]) -> list[list[tuple]]:
+    """Runs of ``(tree, node, depth, rows, feats)`` searches, in order, whose
+    rows stay within ``SPLIT_BATCH_ROWS``; a larger node is a run alone."""
+    batches, rows = [], 0
+    for s in searches:
+        if not batches or rows + len(s[3]) > SPLIT_BATCH_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append(s)
+        rows += len(s[3])
+    return batches
+
+
+def _grow_forest(
     X: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    rng: np.random.Generator,
+    bags: list[np.ndarray],
+    rngs: list[np.random.Generator],
     max_depth: int,
     min_leaf: int,
     n_feats: int,
-) -> dict:
-    """CART with Gini splits, stored as flat arrays (feature -1 marks a leaf)."""
+) -> list[dict]:
+    """CART trees with Gini splits, one per bag, stored as flat arrays (feature -1: leaf).
+
+    Tree ``t`` grows on rows ``bags[t]`` of ``X`` depth-first and draws each
+    node's candidate features from ``rngs[t]``. Each step pops every tree's
+    stack down to its next node that needs a split search, so each generator
+    sees the draws it would see growing its tree alone, and searches those
+    nodes together in batches of at most ``SPLIT_BATCH_ROWS`` rows.
+    """
     n, d = X.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    probs: list[np.ndarray] = []
-    onehot = np.eye(n_classes)[y]
+    m = n_classes
+    source = np.concatenate(bags)
+    cls = y[source].astype(np.min_scalar_type(max(m - 1, 0)))
+    rank = _value_ranks(X)
+    trees = [{"feature": [], "threshold": [], "left": [], "right": [], "probs": []} for _ in bags]
 
-    def leaf_probs(idx: np.ndarray) -> np.ndarray:
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-        return counts / counts.sum()
+    def node_stats(counts, depth):
+        """Leaf histogram and leaf flag of nodes from their (k, m) class counts."""
+        counts = counts.astype(float)
+        size = counts.sum(axis=1)
+        leaf = (size < 2 * min_leaf) | ((counts > 0).sum(axis=1) == 1) | (depth >= max_depth)
+        return counts / size[:, None], leaf.tolist()
 
-    stack = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        probs.append(leaf_probs(idx))
+    roots = np.bincount(np.repeat(np.arange(len(bags)) * m, n) + cls, minlength=len(bags) * m)
+    probs, leaf = node_stats(roots.reshape(len(bags), m), 0)
+    stacks = [
+        [(np.arange(t * n, (t + 1) * n), 0, -1, False, probs[t], leaf[t])]
+        for t in range(len(bags))
+    ]
+    while any(stacks):
+        searches = []
+        for t, stack in enumerate(stacks):
+            tree = trees[t]
+            while stack:
+                rows, depth, parent, is_right, probs, leaf = stack.pop()
+                node = len(tree["feature"])
+                if parent >= 0:
+                    tree["right" if is_right else "left"][parent] = node
+                tree["feature"].append(-1)
+                tree["threshold"].append(0.0)
+                tree["left"].append(-1)
+                tree["right"].append(-1)
+                tree["probs"].append(probs)
+                if not leaf:
+                    feats = rngs[t].choice(d, size=n_feats, replace=False)
+                    searches.append((t, node, depth, rows, feats))
+                    break
+        for batch in _batches(searches):
+            nodes = [(rows, feats) for _, _, _, rows, feats in batch]
+            found = _best_splits(nodes, X, source, cls, rank, m, min_leaf)
+            if found is None:
+                continue
+            split_nodes, feature, threshold, children, counts = found
+            probs, leaf = node_stats(counts, np.repeat([batch[b][2] + 1 for b in split_nodes], 2))
+            for i, b in enumerate(split_nodes):
+                t, node, depth, _, _ = batch[b]
+                trees[t]["feature"][node] = feature[i]
+                trees[t]["threshold"][node] = threshold[i]
+                # the right child first, so that the left one pops first
+                for c, is_right in ((2 * i + 1, True), (2 * i, False)):
+                    stacks[t].append((children[c], depth + 1, node, is_right, probs[c], leaf[c]))
 
-        ysub = y[idx]
-        nn = len(idx)
-        if depth >= max_depth or nn < 2 * min_leaf or ysub.min() == ysub.max():
-            continue
-
-        # all candidate features at once: rows on axis 0, features on axis 1,
-        # classes last so each Gini sum runs over one contiguous class row
-        feats = rng.choice(d, size=n_feats, replace=False)
-        xs = X[idx[:, None], feats]
-        order = np.argsort(xs, axis=0, kind="stable")
-        xo = xs[order, np.arange(n_feats)]
-        cum = np.cumsum(onehot[idx[order]], axis=0)
-        total = cum[-1]
-        nl = np.arange(1, nn)
-        gl = 1.0 - ((cum[:-1] / nl[:, None, None]) ** 2).sum(axis=2)
-        gr = 1.0 - (((total - cum[:-1]) / (nn - nl)[:, None, None]) ** 2).sum(axis=2)
-        score = (nl[:, None] * gl + (nn - nl)[:, None] * gr) / nn
-        sizes_ok = (nl >= min_leaf) & ((nn - nl) >= min_leaf)
-        valid = (xo[:-1] < xo[1:]) & sizes_ok[:, None]
-        score = np.where(valid, score, np.inf)
-        # first minimum per feature, then the first feature with the least score
-        j = np.argmin(score, axis=0)
-        best = score[j, np.arange(n_feats)]
-        b = int(np.argmin(best))
-        if best[b] == np.inf:
-            continue
-
-        best_f = int(feats[b])
-        best_t = float(0.5 * (xo[j[b], b] + xo[j[b] + 1, b]))
-        feature[node] = best_f
-        threshold[node] = best_t
-        go_left = X[idx, best_f] <= best_t
-        stack.append((idx[~go_left], depth + 1, node, True))
-        stack.append((idx[go_left], depth + 1, node, False))
-
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=float),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "probs": np.stack(probs),
-    }
+    return [
+        {
+            "feature": np.array(tree["feature"], dtype=np.int64),
+            "threshold": np.array(tree["threshold"], dtype=float),
+            "left": np.array(tree["left"], dtype=np.int64),
+            "right": np.array(tree["right"], dtype=np.int64),
+            "probs": np.stack(tree["probs"]),
+        }
+        for tree in trees
+    ]
 
 
 class RandomForest:
@@ -401,16 +583,14 @@ def train_random_forest(
     else:
         p = None
 
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
+    # each tree's bagging draw comes first on its own generator
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_trees)]
+    bags = [rng.choice(n, size=n, p=p) for rng in rngs]
     in_bag = np.zeros((n, n_trees), dtype=bool)
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        idx = rng.choice(n, size=n, p=p)
-        trees.append(_grow_tree(X[idx], y[idx], m, rng, max_depth, min_leaf, n_feats))
+    for t, idx in enumerate(bags):
         in_bag[idx, t] = True
 
-    forest = RandomForest(trees, m)
+    forest = RandomForest(_grow_forest(X, y, m, bags, rngs, max_depth, min_leaf, n_feats), m)
     leaves = forest._leaves(X)
     oob_votes = np.zeros((n, m))
     for t in range(n_trees):

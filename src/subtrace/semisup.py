@@ -12,6 +12,7 @@ the pipeline passes ``PipelineConfig.enough_labels`` and ``max_rounds``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .model import MetroNetwork
 CONFLICT_MARGIN = 1.2
 NEGATIVE_RATIO = 3
 LATE_ROUND_WEIGHT = 0.8
+
+log = logging.getLogger("subtrace.semisup")
 
 
 @dataclass
@@ -225,11 +228,22 @@ def build_training_set(
     """Pool labels as (X, y, weight) rows over undirected interval classes.
 
     Labels resolved after the first sweep carry a damped weight, since they
-    arrived through detectors that were themselves bootstrapped.
+    arrived through detectors that were themselves bootstrapped. A class
+    with a single pooled row is left out, as if nothing had been pooled for
+    it: one row gives no spread to fit.
     """
+    pooled: dict[int, int] = {}
+    for g, entries in pools.items():
+        uid = network.undirected(g)
+        pooled[uid] = pooled.get(uid, 0) + len(entries)
+    thin = sorted(uid for uid, count in pooled.items() if count == 1)
+    if thin:
+        log.warning("left out classes %s: one pooled row each", thin)
     rows, labels, weights = [], [], []
     for g in sorted(pools):
         uid = network.undirected(g)
+        if uid in thin:
+            continue
         for e in pools[g]:
             rows.append(e.vector)
             labels.append(uid)

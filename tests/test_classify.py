@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import json
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from subtrace import classify
 from subtrace.classify import (
     VAR_FLOOR,
     AdaBoostNB,
@@ -419,7 +422,7 @@ def on_thresholds(trees, X) -> np.ndarray:
                 row = X[len(probes) % len(X)].copy()
                 row[f] = t
                 probes.append(row)
-    return np.array(probes)
+    return np.array(probes).reshape(-1, X.shape[1])
 
 
 def assert_forest_matches(train, probe, **kw):
@@ -505,3 +508,85 @@ class TestForestMatchesLoopForest:
         w[:10] = 0.0
         train = TrainingSet(X=np.round(base.X, 0), y=base.y, n_classes=3, sample_weight=w)
         assert_forest_matches(train, base.X, n_trees=15, seed=34)
+
+    @pytest.mark.parametrize("min_leaf,max_depth", [(1, 12), (2, 4), (3, 12)])
+    def test_ten_class_ties(self, min_leaf, max_depth):
+        # eight or more classes: each Gini sum adds its class row in numpy's
+        # pairwise order, not left to right
+        X = tie_heavy(seed=40 + min_leaf, n=150)
+        y = np.random.default_rng(max_depth).integers(0, 10, size=len(X))
+        train = TrainingSet(X=X, y=y, n_classes=10)
+        forest = assert_forest_matches(
+            train, tie_heavy(seed=98, n=30), n_trees=12, seed=min_leaf,
+            max_depth=max_depth, min_leaf=min_leaf,
+        )
+        assert len({len(t["feature"]) for t in forest.trees}) > 1  # trees end at different steps
+
+    def test_nan_and_signed_zero(self):
+        # the search ranks values: NaN sorts last and never starts a valid
+        # split, and -0.0 ties 0.0, as a stable float sort has it
+        X = tie_heavy(seed=46, n=80)
+        rng = np.random.default_rng(47)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X[rng.random(X.shape) < 0.1] = -0.0
+        y = rng.integers(0, 4, size=len(X))
+        train = TrainingSet(X=X, y=y, n_classes=4)
+        assert_forest_matches(train, X, n_trees=10, seed=48, min_leaf=1)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_real_tie_settled_by_float_scores(self, swap):
+        # The root holds 4 rows of each class. Column a puts classes (1, 1, 0)
+        # left, column b puts (0, 1, 1): equal Gini in real arithmetic, but
+        # the float sums differ in their last bit, and the per-feature search
+        # takes column a whichever of the two is drawn first.
+        y = np.repeat([0, 1, 2], 4)
+        a, b = np.ones(12), np.ones(12)
+        a[[0, 4]] = 0.0
+        b[[5, 8]] = 0.0
+        X = np.column_stack([b, a, np.full(12, 2.0)] if swap else [a, b, np.full(12, 2.0)])
+        tot = np.array([4.0, 4.0, 4.0])
+
+        def float_score(left):
+            left = np.array(left, dtype=float)
+            gl = 1.0 - ((left / 2) ** 2).sum()
+            gr = 1.0 - (((tot - left) / 10) ** 2).sum()
+            return (2 * gl + 10 * gr) / 12
+
+        def real_score(left):
+            gl = 1 - sum(Fraction(c, 2) ** 2 for c in left)
+            gr = 1 - sum(Fraction(4 - c, 10) ** 2 for c in left)
+            return (2 * gl + 10 * gr) / 12
+
+        assert real_score((1, 1, 0)) == real_score((0, 1, 1))
+        assert float_score((1, 1, 0)) < float_score((0, 1, 1))
+        train = TrainingSet(X=X, y=y, n_classes=3)
+        # seed 1 bags 4 rows of each class, one each of rows 0, 4, 5 and 8,
+        # and draws columns 0 and 1 at the root
+        forest = assert_forest_matches(train, X, n_trees=1, seed=1, min_leaf=1)
+        root = forest.trees[0]
+        assert root["probs"][0].tolist() == [1 / 3] * 3
+        assert root["feature"][0] == (1 if swap else 0)
+
+    @pytest.mark.parametrize("budget", [1, 100])
+    def test_row_budget(self, loo_fold, monkeypatch, budget):
+        # a budget of 1 searches every node alone; 100 rows cut even the
+        # steps of 390-row roots into several batches
+        monkeypatch.setattr(classify, "SPLIT_BATCH_ROWS", budget)
+        train, probe = loo_fold
+        assert_forest_matches(train, probe, n_trees=8, seed=budget)
+        X = tie_heavy(seed=41, n=150)
+        y = np.random.default_rng(budget).integers(0, 10, size=len(X))
+        assert_forest_matches(TrainingSet(X=X, y=y, n_classes=10), X, n_trees=6, seed=7)
+
+    def test_one_tree(self):
+        X = tie_heavy(seed=42, n=40)
+        y = np.random.default_rng(43).integers(0, 3, size=len(X))
+        assert_forest_matches(TrainingSet(X=X, y=y, n_classes=3), X, n_trees=1, seed=44)
+
+    def test_no_valid_split_in_a_step(self):
+        # every column constant: each root draws its features, finds no
+        # split and stays a leaf, so no node of the step splits
+        X = np.full((10, 4), 3.0)
+        train = TrainingSet(X=X, y=[0, 1] * 5, n_classes=2)
+        forest = assert_forest_matches(train, X, n_trees=5, seed=45)
+        assert all(len(t["feature"]) == 1 for t in forest.trees)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from subtrace.classify import TrainingSet
 from subtrace.model import MetroNetwork, StationInterval, build_network
 from subtrace.semisup import (
     CONFLICT_MARGIN,
@@ -266,3 +267,20 @@ class TestBuildTrainingSet:
         net = tiny_network()
         with pytest.raises(ValueError):
             build_training_set({g: [] for g in range(2 * K)}, net)
+
+    def test_single_row_class_left_out(self, caplog):
+        # a stalled bootstrap can pool one row for a class; TrainingSet refuses
+        # such a class, so it is left out as if nothing had been pooled for it
+        net = tiny_network()
+        draws = Clusters(12)
+        pools = {g: [] for g in range(2 * K)}
+        pools[net.directed(0, "forward")] = [PoolEntry(draws.vec(0), 0) for _ in range(3)]
+        pools[net.directed(1, "reverse")] = [PoolEntry(draws.vec(1), 2)]
+        pools[net.directed(2, "forward")] = [PoolEntry(draws.vec(2), 1)]
+        pools[net.directed(2, "reverse")] = [PoolEntry(draws.vec(2), 2)]
+        with caplog.at_level("WARNING", logger="subtrace.semisup"):
+            X, y, w = build_training_set(pools, net)
+        assert y.tolist() == [0, 0, 0, 2, 2]
+        assert w.tolist() == [1.0, 1.0, 1.0, 1.0, LATE_ROUND_WEIGHT]
+        assert "[1]" in caplog.text
+        TrainingSet(X=X, y=y, n_classes=K, sample_weight=w)
