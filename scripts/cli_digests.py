@@ -5,10 +5,11 @@ temporary directory, through the ``subtrace`` package in this checkout's
 ``src``: it generates a corpus, trains a model, attacks trips 0, 1 and 5 in
 full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
-Each output file is printed as ``sha256  path``. Then it attacks three
+Each output file is printed as ``sha256  path``. Then it attacks four
 malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
-or given a ``0xff`` byte) and prints each exit code with a digest of the
-error message. Nothing is written in the checkout. To check that a change leaves every output byte-identical, run
+given a ``0xff`` byte, or repeating line 400's ``t``) and prints each exit
+code with a digest of the error message. Nothing is written in the
+checkout. To check that a change leaves every output byte-identical, run
 the script on the parent and on the change and diff what they print::
 
     python3 scripts/cli_digests.py > after.txt
@@ -40,11 +41,14 @@ SMALL_CONFIG = {
     "enough_labels": 6,
 }
 TRIPS = (0, 1, 5)
-# each malformed copy of trip 0 rewrites its line 401 (a sample line)
+# each malformed copy of trip 0 rewrites its line 401 (a sample line), given
+# line 400 before it
+T_FIELD = re.compile(rb'^\{"t": [^,]+')
 MALFORMED = {
-    "bad_json": lambda line: line[: len(line) // 2] + b"\n",
-    "acc_2_entries": lambda line: re.sub(rb'("acc": \[[^,]+, [^,]+), [^\]]+\]', rb"\1]", line),
-    "not_utf8": lambda line: line.replace(b'"t"', b'"\xff"'),
+    "bad_json": lambda prev, line: line[: len(line) // 2] + b"\n",
+    "acc_2_entries": lambda prev, line: re.sub(rb'("acc": \[[^,]+, [^,]+), [^\]]+\]', rb"\1]", line),
+    "not_utf8": lambda prev, line: line.replace(b'"t"', b'"\xff"'),
+    "repeated_t": lambda prev, line: T_FIELD.sub(T_FIELD.match(prev).group(0), line),
 }
 
 
@@ -91,7 +95,7 @@ def attack_malformed() -> None:
     Path("errors").mkdir()
     for name, rewrite in MALFORMED.items():
         path = Path("errors", f"{name}.jsonl")
-        bad = rewrite(lines[400])
+        bad = rewrite(lines[399], lines[400])
         assert bad != lines[400], name
         path.write_bytes(b"".join(lines[:400] + [bad] + lines[401:]))
         stderr = io.StringIO()

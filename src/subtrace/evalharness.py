@@ -128,10 +128,8 @@ def predict_subtrip(
     ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
     ``series`` samples ``[lo, hi)`` of each of k spans under
     ``ensemble.config``; the subtrips of one trip share one that remembers
-    what it computed. An unknown ``mode`` raises
-    ``ValueError`` before anything is scored.
+    what it computed. An unknown ``mode`` raises ``ValueError``.
     """
-    check_mode(mode)
     sub = series.view(*st.span)
     points, _ = segment.find_final_segment_points(sub.hra, seg_params)
     off = st.span[0]
@@ -139,11 +137,7 @@ def predict_subtrip(
     def featurize_sub(spans: list[tuple[int, int]]) -> np.ndarray:
         return featurize([(off + lo, off + hi) for lo, hi in spans])
 
-    try:
-        hyp, _ = decode_span(sub, ensemble, network, points, mode, featurize_sub)
-    except ValueError:
-        return None
-    return hyp
+    return decode_span(sub, ensemble, network, points, mode, featurize_sub).best
 
 
 @dataclass

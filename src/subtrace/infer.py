@@ -7,14 +7,16 @@ across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
-``decode_span`` is the one place that chooses between the two decoding
-modes: "full" runs the tolerance pass, "reduced" scores the detected cuts
-only. The attack and the evaluation harness both decode through it, and it
-is the one place that builds a default featurizer: a ``SliceFeatures`` over
-the span's ``enu`` array. A featurizer takes a list of ``(lo, hi)`` sample
-spans and returns their ``(k, 82)`` feature matrix, so every segment a span
-decodes with is featurised in one batch; segments enter the ensemble as
-plain feature vectors.
+``decode_span`` is the one scorer, and it serves two modes: "full" runs the
+tolerance pass with its re-cut families, "reduced" runs the same pass on the
+detected-cut family alone. Both return a ``ToleranceResult``; a span that no
+hypothesis fits is a result whose ``best`` is ``None``, not an error. The
+attack and the evaluation harness both decode through it, and it is the one
+place that builds a default featurizer: a ``SliceFeatures`` over the span's
+``enu`` array. A featurizer takes a list of ``(lo, hi)`` sample spans and
+returns their ``(k, 82)`` feature matrix, so every segment a span decodes
+with is featurised in one batch; segments enter the ensemble as plain
+feature vectors.
 """
 
 from __future__ import annotations
@@ -99,16 +101,12 @@ def rank_hypotheses(P: np.ndarray) -> list[TraceHypothesis]:
     return hyps
 
 
-def infer_trace(P: np.ndarray) -> TraceHypothesis:
-    return rank_hypotheses(P)[0]
-
-
 # --- segment-count tolerance -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ToleranceResult:
-    best: TraceHypothesis
+    best: TraceHypothesis | None  # None when no hypothesis fits the span
     points: tuple[int, ...]  # interior cuts the winning hypothesis used
     detected: int  # segment count the segmenter reported
     ranked: tuple[tuple[TraceHypothesis, tuple[int, ...]], ...]
@@ -155,14 +153,17 @@ def infer_with_segment_tolerance(
     network: MetroNetwork,
     points: list[int],
     featurize: Callable[[list[tuple[int, int]]], np.ndarray],
+    mode: str,
 ) -> ToleranceResult:
     """Infer a ride while allowing one missed or spurious segmentation point.
 
-    The detected cuts give the n-segment family. For n-1 and n+1 the span is
-    re-cut per candidate run from nominal interval durations plus dwells,
-    snapped to local HRA minima, and re-featurized (each distinct segment
-    once). Families compete on mean per-segment score, with ties going to the
-    family that matches the detected count.
+    The detected cuts give the n-segment family. In ``"full"`` mode, for n-1
+    and n+1 the span is re-cut per candidate run from nominal interval
+    durations plus dwells, snapped to local HRA minima, and re-featurized
+    (each distinct segment once); ``"reduced"`` mode keeps the detected
+    family alone. Families compete on mean per-segment score, with ties
+    going to the family that matches the detected count. When no family
+    fits, ``best`` is ``None`` and ``ranked`` is empty.
 
     ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
     ``series`` samples ``[lo, hi)`` of each of k spans under
@@ -171,6 +172,7 @@ def infer_with_segment_tolerance(
     ``ranked`` holds the ``TOP_K`` best hypotheses with their cuts, drawn from
     the ``TOP_K`` best detected-cut ones and every re-cut one.
     """
+    check_mode(mode)
     points = sorted(points)
 
     n_samples = series.n_samples
@@ -182,8 +184,9 @@ def infer_with_segment_tolerance(
     detected_cuts = tuple(points)
     use_detected = n_detected <= m and all(0 < c < n_samples for c in detected_cuts)
     tolerance_cands: list[tuple[int, str, tuple[int, ...]]] = []
-    for fam in (n_detected - 1, n_detected + 1):
-        if not 1 <= fam <= m or fam == n_detected:
+    families = (n_detected - 1, n_detected + 1) if mode == "full" else ()
+    for fam in families:
+        if not 1 <= fam <= m:
             continue
         for start, direction in candidate_runs(fam, m):
             step = 1 if direction == FORWARD else -1
@@ -196,7 +199,7 @@ def infer_with_segment_tolerance(
                 tolerance_cands.append((start, direction, snapped))
 
     if not use_detected and not tolerance_cands:
-        raise ValueError("no feasible hypothesis for this span")
+        return ToleranceResult(best=None, points=(), detected=n_detected, ranked=())
 
     layouts = {c for _, _, c in tolerance_cands}
     if use_detected:
@@ -258,22 +261,16 @@ def decode_span(
     points: list[int],
     mode: str,
     featurize: Callable[[list[tuple[int, int]]], np.ndarray] | None = None,
-) -> tuple[TraceHypothesis, tuple[int, ...]]:
-    """Decode one span cut at ``points``; returns the ride and the cuts it used.
+) -> ToleranceResult:
+    """Decode one span cut at ``points`` in either mode.
 
     ``"full"`` lets the tolerance pass re-cut the span for one missed or
-    spurious stop; ``"reduced"`` scores the detected cuts only. ``featurize``
-    is as for ``infer_with_segment_tolerance``; without one, each segment of
-    the span is featurised once.
+    spurious stop; ``"reduced"`` scores the detected cuts only. An unknown
+    mode raises ``ValueError``; a span that no hypothesis fits does not, and
+    its result has ``best`` of ``None``. ``featurize`` is as for
+    ``infer_with_segment_tolerance``; without one, each segment of the span
+    is featurised once.
     """
-    check_mode(mode)
     if featurize is None:
         featurize = SliceFeatures(series.enu, ensemble.config)
-    if mode == "full":
-        res = infer_with_segment_tolerance(
-            series, ensemble, network, points=points, featurize=featurize
-        )
-        return res.best, res.points
-    bounds = [0, *points, series.n_samples]
-    rows = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))
-    return infer_trace(rows), tuple(points)
+    return infer_with_segment_tolerance(series, ensemble, network, points, featurize, mode)

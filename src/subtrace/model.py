@@ -192,8 +192,12 @@ class Trace:
                 raise TraceFormatError(f"timestamps not strictly increasing at sample offset {bad}")
             if self.sample_rate > 0:
                 nominal = 1.0 / self.sample_rate
-                if np.any(np.abs(dt - nominal) > 0.01 * nominal):
-                    raise TraceFormatError("sample spacing deviates more than 1% from 1/sample_rate")
+                off = np.abs(dt - nominal) > 0.01 * nominal
+                if np.any(off):
+                    bad = int(np.argmax(off)) + 1
+                    raise TraceFormatError(
+                        f"sample spacing deviates more than 1% from 1/sample_rate at sample offset {bad}"
+                    )
         a = self.orient[:, 0]
         if np.any((a < ALPHA_RANGE[0] - 1e-9) | (a > ALPHA_RANGE[1] + 1e-9)):
             raise TraceFormatError("alpha outside [-90, 90] degrees")
@@ -358,7 +362,10 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
     if not samples:
         raise TraceFormatError(f"{name}: no samples")
     trace = Trace(device_id, sample_rate, t, acc, normalize_orientation(orient), tuple(truth))
-    trace.validate()
+    try:
+        trace.validate()
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{name}: {exc}") from None
     return trace
 
 

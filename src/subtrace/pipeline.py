@@ -438,15 +438,15 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
             "t_end": float(series.t[span.end - 1]),
             "warning": bool(warn),
         }
-        try:
-            hyp, used = decode_span(sub, model.ensemble, model.network, points, mode)
-        except ValueError as exc:
-            entry["error"] = str(exc)
+        res = decode_span(sub, model.ensemble, model.network, points, mode)
+        hyp = res.best
+        if hyp is None:
+            entry["error"] = "no feasible hypothesis for this span"
             results.append(entry)
             continue
         entry.update(
             {
-                "points": [int(p) for p in used],
+                "points": [int(p) for p in res.points],
                 "start_interval": hyp.start_interval,
                 "direction": hyp.direction,
                 "length": hyp.length,

@@ -3,9 +3,10 @@
 Each test covers one numbered criterion, computes its metric on the default
 ten-interval forty-trip corpus (or the shared small configuration for the
 command-line determinism check), prints a single ``ACCEPTANCE n PASS/FAIL``
-line, and asserts. Heavy artifacts (corpus, leave-one-out run, bootstrap run)
-are module fixtures so each is computed once. Run with ``pytest -s`` to see
-the verdict lines on success.
+line, and asserts. Heavy artifacts (leave-one-out run, bootstrap run) are
+module fixtures so each is computed once; the corpus is the session one that
+other modules share. Run with ``pytest -s`` to see the verdict lines on
+success.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from subtrace.evalharness import (
     semisupervised_evaluation,
     single_model_ensemble,
 )
-from subtrace.infer import infer_trace
+from subtrace.infer import rank_hypotheses
 from subtrace.simgen import distinctive_intervals
 
 from test_coord import euler_oracle, random_orientations
@@ -59,8 +60,9 @@ def config() -> pipeline.PipelineConfig:
 
 
 @pytest.fixture(scope="module")
-def corpus(config):
-    return pipeline.build_corpus(config)
+def corpus(acceptance_corpus):
+    """The default corpus, built once per session in ``conftest.py``."""
+    return acceptance_corpus
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +194,7 @@ def test_05_inference_exact_and_modes_agree(corpus, ensemble):
         n = int(rng.integers(1, min(10, m) + 1))
         P = rng.random((n, m))
         P /= P.sum(axis=1, keepdims=True)
-        hyp = infer_trace(P)
+        hyp = rank_hypotheses(P)[0]
         start, direction, score = brute_force_best(P)
         if (hyp.start_interval, hyp.direction) != (start, direction):
             disagreements += 1

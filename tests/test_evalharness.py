@@ -218,6 +218,38 @@ class TestFeatureReuse:
         assert [hyp for _, hyp in report.predictions] == alone
 
 
+class TestPredictSubtripOutcome:
+    """``None`` means only that no ride fits; any other fault propagates."""
+
+    def subtrip(self, corpus, ensemble):
+        st = enumerate_subtrips(corpus, (3,))[0]
+        series = coord.transform(corpus.trips[st.trip])
+        featurize = SliceFeatures(series.enu, ensemble.config)
+        return series, st, segment.params_for_network(corpus.network), featurize
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_unscorable_subtrip_is_none(self, small_corpus, small_ensemble, mode, monkeypatch):
+        m = small_corpus.network.num_intervals
+
+        def too_many_cuts(hra, params):
+            return [int(p) for p in np.linspace(0, len(hra), m + 4)[1:-1]], False
+
+        series, st, params, featurize = self.subtrip(small_corpus, small_ensemble)
+        monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
+        got = predict_subtrip(series, st, small_ensemble, small_corpus.network, params, mode, featurize)
+        assert got is None
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_featurisation_error_propagates(self, small_corpus, small_ensemble, mode):
+        series, st, params, _ = self.subtrip(small_corpus, small_ensemble)
+
+        def broken(spans):
+            raise ValueError("featurizer broke")
+
+        with pytest.raises(ValueError, match="featurizer broke"):
+            predict_subtrip(series, st, small_ensemble, small_corpus.network, params, mode, broken)
+
+
 BAD_MODES = ["Full", "fast", ""]
 
 

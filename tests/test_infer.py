@@ -5,6 +5,7 @@ and scalar log sums, sharing no code with the ranking under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,19 +18,13 @@ from subtrace.infer import (
     REVERSE,
     TraceHypothesis,
     candidate_runs,
-    infer_trace,
     rank_hypotheses,
     score_run,
 )
 from subtrace.pipeline import true_trip_layout
+from subtrace.segment import find_final_segment_points, params_for_network
 
 EPS = 1e-12
-
-
-def tolerance(series, ensemble, network, points):
-    """The tolerance pass with the default featurizer ``decode_span`` builds."""
-    featurize = SliceFeatures(series.enu, ensemble.config)
-    return infer.infer_with_segment_tolerance(series, ensemble, network, points, featurize)
 
 
 def brute_force_best(P) -> tuple[int, str, float]:
@@ -82,7 +77,7 @@ class TestCandidateRuns:
     def test_longer_than_line_is_empty(self):
         assert candidate_runs(5, 4) == []
         with pytest.raises(ValueError):
-            infer_trace(np.full((5, 4), 0.25))
+            rank_hypotheses(np.full((5, 4), 0.25))
 
     def test_zero_segments_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +92,7 @@ class TestAgainstBruteForce:
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
             want_s, want_d, want_score = brute_force_best(P)
-            got = infer_trace(P)
+            got = rank_hypotheses(P)[0]
             assert (got.start_interval, got.direction) == (want_s, want_d)
             assert got.score == pytest.approx(want_score, rel=1e-12)
 
@@ -110,28 +105,28 @@ class TestAgainstBruteForce:
             P = np.zeros((n, m))
             P[np.arange(n), rng.integers(0, m, size=n)] = 1.0
             want_s, want_d, _ = brute_force_best(P)
-            got = infer_trace(P)
+            got = rank_hypotheses(P)[0]
             assert (got.start_interval, got.direction) == (want_s, want_d)
 
 
 class TestTieBreaks:
     def test_uniform_single_segment(self):
-        got = infer_trace(np.full((1, 6), 1 / 6))
+        got = rank_hypotheses(np.full((1, 6), 1 / 6))[0]
         assert (got.start_interval, got.direction) == (0, FORWARD)
 
     def test_uniform_prefers_low_start_forward(self):
-        got = infer_trace(np.full((3, 8), 0.125))
+        got = rank_hypotheses(np.full((3, 8), 0.125))[0]
         assert (got.start_interval, got.direction) == (0, FORWARD)
 
     def test_forward_beats_mirrored_reverse(self):
         # fwd from 0 and rev from 1 read the same cells in opposite order
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        got = infer_trace(P)
+        got = rank_hypotheses(P)[0]
         assert (got.start_interval, got.direction) == (0, FORWARD)
 
     def test_clear_reverse_wins(self):
         P = np.array([[0.05, 0.05, 0.9], [0.05, 0.9, 0.05], [0.9, 0.05, 0.05]])
-        got = infer_trace(P)
+        got = rank_hypotheses(P)[0]
         assert (got.start_interval, got.direction, got.length) == (2, REVERSE, 3)
 
 
@@ -180,7 +175,7 @@ class TestSegmentTolerance:
     def test_exact_cuts_recover_truth(self, small_corpus, ensemble):
         for ti in range(len(small_corpus.trips)):
             lay, series, pts = self._layout(small_corpus, ti)
-            r = tolerance(series, ensemble, small_corpus.network, pts)
+            r = infer.decode_span(series, ensemble, small_corpus.network, pts, "full")
             assert r.best.length == r.detected == lay.n_legs
             got = (r.best.start_interval, r.best.direction, r.best.length)
             assert got == (lay.uids[0], lay.direction, lay.n_legs)
@@ -190,7 +185,7 @@ class TestSegmentTolerance:
     def test_missing_cut_recovered(self, small_corpus, ensemble, ti, drop):
         lay, series, pts = self._layout(small_corpus, ti)
         degraded = [p for j, p in enumerate(pts) if j != drop]
-        r = tolerance(series, ensemble, small_corpus.network, degraded)
+        r = infer.decode_span(series, ensemble, small_corpus.network, degraded, "full")
         assert r.detected == lay.n_legs - 1
         assert r.best.length == lay.n_legs
         got = (r.best.start_interval, r.best.direction, r.best.length)
@@ -198,8 +193,74 @@ class TestSegmentTolerance:
 
     def test_ranked_is_ordered_and_typed(self, small_corpus, ensemble):
         lay, series, pts = self._layout(small_corpus, 0)
-        r = tolerance(series, ensemble, small_corpus.network, pts)
+        r = infer.decode_span(series, ensemble, small_corpus.network, pts, "full")
         means = [h.mean_score for h, _ in r.ranked]
         assert means == sorted(means, reverse=True)
         for _, cuts in r.ranked:
             assert list(cuts) == sorted(cuts)
+
+
+def layout_stub(P, seg_len=10):
+    """A span of len(P) equal segments whose segment j the ensemble maps to row j of ``P``.
+
+    The featurizer hands each segment's index to the ensemble as its only
+    feature, so the scorer sees exactly the rows of ``P``.
+    """
+    n, m = P.shape
+    points = [seg_len * j for j in range(1, n)]
+    series = SimpleNamespace(n_samples=seg_len * n)
+    network = SimpleNamespace(sample_rate=10.0, num_intervals=m)
+    ensemble = SimpleNamespace(predict_matrix=lambda X: P[np.asarray(X)[:, 0]])
+
+    def featurize(spans):
+        return np.array([[lo // seg_len] for lo, _ in spans])
+
+    return series, ensemble, network, points, featurize
+
+
+class TestDecodeSpan:
+    """``decode_span`` scores both modes; reduced mode is the detected-cut family alone."""
+
+    def test_reduced_equals_ranking_on_random_matrices(self):
+        rng = np.random.default_rng(406)
+        for _ in range(300):
+            m = int(rng.integers(1, 31))
+            n = int(rng.integers(1, min(m, 10) + 1))
+            P = random_matrix(rng, n, m)
+            series, ensemble, network, points, featurize = layout_stub(P)
+            res = infer.decode_span(series, ensemble, network, points, "reduced", featurize)
+            want = rank_hypotheses(P)
+            assert res.best == want[0]
+            assert res.best.score.hex() == want[0].score.hex()
+            assert res.ranked == tuple((h, tuple(points)) for h in want[: infer.TOP_K])
+            assert (res.points, res.detected) == (tuple(points), n)
+
+    def test_reduced_equals_ranking_on_corpus(self, small_corpus, ensemble):
+        params = params_for_network(small_corpus.network)
+        for trace in small_corpus.trips:
+            lay = true_trip_layout(trace)
+            series = coord.transform(trace).view(*lay.span)
+            points, _ = find_final_segment_points(series.hra, params)
+            bounds = [0, *points, series.n_samples]
+            featurize = SliceFeatures(series.enu, ensemble.config)
+            P = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))
+            res = infer.decode_span(series, ensemble, small_corpus.network, points, "reduced")
+            want = rank_hypotheses(P)
+            assert res.best == want[0]
+            assert res.best.score.hex() == want[0].score.hex()
+            assert res.ranked == tuple((h, tuple(points)) for h in want[: infer.TOP_K])
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_unscorable_span_is_a_result(self, small_corpus, ensemble, mode):
+        # m + 2 cuts: the detected family and both re-cut families exceed the line
+        m = small_corpus.network.num_intervals
+        series = coord.transform(small_corpus.trips[0])
+        points = [int(p) for p in np.linspace(0, series.n_samples, m + 4)[1:-1]]
+
+        def featurize(spans):
+            pytest.fail("a span that no hypothesis fits was featurised")
+
+        res = infer.decode_span(series, ensemble, small_corpus.network, points, mode, featurize)
+        assert res.best is None
+        assert res.ranked == () and res.points == ()
+        assert res.detected == m + 3

@@ -203,6 +203,30 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match="sample spacing"):
             trace.validate()
 
+    def test_irregular_spacing_names_sample(self):
+        # moving t[3] late stretches the gap before it and shrinks the one after
+        trace = make_trace(n=8)
+        trace.t[3] += 0.005
+        with pytest.raises(TraceFormatError, match="1/sample_rate at sample offset 3$"):
+            trace.validate()
+
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("t", (3,), None, "timestamps not strictly increasing at sample offset 3"),
+            ("t", (5,), 0.205, "sample spacing deviates more than 1% from 1/sample_rate at sample offset 5"),
+            ("orient", (2, 0), 91.0, "alpha outside [-90, 90] degrees"),
+        ],
+    )
+    def test_validation_error_names_file(self, tmp_path, field, index, value, message):
+        trace = make_trace(n=8)
+        getattr(trace, field)[index] = trace.t[2] if value is None else value
+        p = tmp_path / "bad.jsonl"
+        save_trace(trace, p)
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(p)
+        assert str(info.value) == f"bad.jsonl: {message}"
+
 
 class TestNetwork:
     def test_reverse_derivation(self):
@@ -365,7 +389,10 @@ def loop_load_trace(path) -> Trace:
         orient=normalize_orientation(np.asarray(rows_orient, dtype=float)),
         truth=tuple(truth),
     )
-    trace.validate()
+    try:
+        trace.validate()
+    except TraceFormatError as exc:  # validation errors name the file, as load_trace's do
+        raise TraceFormatError(f"{path.name}: {exc}") from None
     return trace
 
 

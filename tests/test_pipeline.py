@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from subtrace import infer, segment
 from subtrace.model import Trace, TraceFormatError
 from subtrace.pipeline import (
     AttackModel,
@@ -235,6 +236,36 @@ class TestAttackTrace:
     def test_unknown_mode_rejected(self, small_corpus, attack_model):
         with pytest.raises(ValueError):
             attack_trace(small_corpus.trips[0], attack_model, mode="fast")
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_unscorable_span_reported(self, small_corpus, attack_model, mode, monkeypatch):
+        # more cuts than the line has intervals: no ride of any family fits
+        m = small_corpus.network.num_intervals
+
+        def too_many_cuts(hra, params):
+            return [int(p) for p in np.linspace(0, len(hra), m + 4)[1:-1]], True
+
+        monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
+        report = attack_trace(small_corpus.trips[0], attack_model, mode=mode)
+        assert report["num_spans"] == 1
+        span = report["spans"][0]
+        assert span["error"] == "no feasible hypothesis for this span"
+        assert span["warning"] is True
+        assert "points" not in span and "intervals" not in span
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_featurisation_error_propagates(self, small_corpus, attack_model, mode, monkeypatch):
+        # a fault while decoding used to be written out as the span's "error"
+        class Broken:
+            def __init__(self, *args):
+                pass
+
+            def __call__(self, spans):
+                raise ValueError("featurizer broke")
+
+        monkeypatch.setattr(infer, "SliceFeatures", Broken)
+        with pytest.raises(ValueError, match="featurizer broke"):
+            attack_trace(small_corpus.trips[0], attack_model, mode=mode)
 
     def test_mixed_day_isolates_the_ride(self, small_corpus, small_config, attack_model):
         day = gen_mixed_day(
