@@ -5,6 +5,15 @@ prediction time. Everything is written against plain numpy arrays and
 serializes to versioned JSON so a trained attack model is a single file.
 Boost rounds and tree counts have no defaults: ``PipelineConfig`` sets them.
 
+``GaussianNB.predict`` and the boosted vote take each learner's argmax of
+``log_joint`` from two matrix products that score every row against every
+learner's classes at once. Only a row whose two best scores lie within the
+products' rounding bound of each other, or whose scale is too large to
+bound, is decided by ``log_joint`` itself, so every argmax, and so every
+vote, is the one ``log_joint`` gives (``_argmax_log_joints`` states the
+bound). The alphas are still added learner by learner. ``log_joint``
+stays the one exact expression: ``predict_proba`` and that fallback use it.
+
 The forest grows all its trees in lockstep. Each tree keeps its own
 depth-first stack and its own generator; every step takes the next node
 of every tree that needs a split search, draws its candidate features and
@@ -80,6 +89,88 @@ class TrainingSet:
             object.__setattr__(self, "sample_weight", w)
 
 
+# a row whose two best screened scores lie within SCREEN_GAP times its scale,
+# or whose scale reaches SCREEN_LIMIT, is decided by log_joint;
+# _argmax_log_joints shows why that settles every other row exactly
+SCREEN_GAP = 1e-12
+SCREEN_LIMIT = 1e300
+
+
+def _screen_terms(priors: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple:
+    """Constants of one NB's screened scores: ``(A, a, B, b)`` for ``_argmax_log_joints``.
+
+    With ``X2 = X * X``, ``[X2, X] @ A + a`` is the log joint expanded as
+    ``log prior - (X2 . 1/var - 2 X . mean/var + sum log(2 pi var) + sum mean^2/var) / 2``
+    and ``[X2, |X|] @ B + b`` is its scale
+    ``X2 . 1/var + 2 |X| . |mean/var| + sum (|log(2 pi var)| + 1) + sum mean^2/var
+    + 2 |log prior| + sum X2 + sum mean^2``, a zero prior adding nothing. The
+    last two terms bound ``(x - mean) ** 2 / 2``, which ``log_joint`` squares
+    before it divides. A bad variance gives a non-finite scale, which leaves
+    every row to ``log_joint`` and its warnings.
+    """
+    with np.errstate(all="ignore"):
+        lp = np.where(priors > 0, np.log(priors), -np.inf)
+        inv = 1.0 / variances
+        mv = means / variances
+        logs = np.log(2.0 * np.pi * variances)
+        m2 = (means * mv).sum(axis=1)
+        A = np.vstack([-0.5 * inv.T, mv.T])
+        a = lp - 0.5 * (logs.sum(axis=1) + m2)
+        B = np.vstack([(inv + 1.0).T, 2.0 * np.abs(mv.T)])
+        b = (
+            (np.abs(logs) + 1.0).sum(axis=1)
+            + m2
+            + 2.0 * np.where(priors > 0, np.abs(lp), 0.0)
+            + (means * means).sum(axis=1)
+        )
+    return A, a, B, b
+
+
+def _argmax_log_joints(X: np.ndarray, learners: list, screen: tuple) -> np.ndarray:
+    """``(n, len(learners))``: ``argmax(nb.log_joint(X), axis=1)`` of each learner.
+
+    ``screen`` holds the learners' ``_screen_terms`` side by side. Two
+    matrix products score every row against every learner's classes; a
+    score ``F`` has the top class of a learner settled when it leads the
+    runner-up by more than ``SCREEN_GAP * S``, with ``S`` the row's largest
+    scale among that learner's classes, and ``S < SCREEN_LIMIT``.
+    Every other (row, learner) takes the argmax of ``log_joint`` itself.
+
+    Why a settled class is ``log_joint``'s argmax: let u = 2 ** -53 and d
+    the feature count, and take the real log joint ``L`` of each class from
+    the float model and row. ``log_joint`` rounds each of its d terms
+    ``log(2 pi var) + (x - mean) ** 2 / var`` within a few u of its
+    magnitude plus u absolute (numpy's log is within 4 ulp), and a float sum
+    of d terms, in any order, is within (d - 1) u of their magnitude sum.
+    As ``(x - mean) ** 2 <= X2 + 2 |x mean| + mean ** 2``, ``log_joint`` is
+    within (d + 10) u S / 2 of ``L``. A product's float sum of 2d terms, in
+    any order, is within 2d u of their magnitude sum, so ``F`` is within
+    (2d + 12) u S / 2 of ``L``. The ``+ 1`` per feature covers the absolute
+    errors and underflow, ``2 |log prior|`` the rounding of the last
+    addition, and below ``SCREEN_LIMIT`` no intermediate of either overflows
+    (``sum X2 + sum mean^2`` bounds the squares). So a class that
+    leads every other in ``F`` by more than (3d + 22) u S leads them all in
+    ``log_joint`` too, and strictly, so no tie-break is involved.
+    (3d + 22) u S is below ``SCREEN_GAP * S`` for fewer than 2900 features.
+    A row with a NaN score, or with no finite one, is never settled: NaN
+    fails every comparison, and ``-inf - -inf`` is NaN.
+    """
+    n, k = len(X), len(learners)
+    A, a, B, b = screen
+    with np.errstate(all="ignore"):
+        X2 = X * X
+        F = (np.hstack([X2, X]) @ A + a).reshape(n, k, len(a) // k)
+        S = (np.hstack([X2, np.abs(X)]) @ B + b).reshape(F.shape).max(axis=2)
+        best = np.argmax(F, axis=2)
+        top = np.take_along_axis(F, best[..., None], axis=2)[..., 0]
+        np.put_along_axis(F, best[..., None], -np.inf, axis=2)
+        settled = (top - F.max(axis=2) > SCREEN_GAP * S) & (S < SCREEN_LIMIT)
+    for j in np.flatnonzero(~settled.all(axis=0)):
+        rows = ~settled[:, j]
+        best[rows, j] = np.argmax(learners[j].log_joint(X[rows]), axis=1)
+    return best
+
+
 class GaussianNB:
     """Diagonal Gaussian naive Bayes with optional sample weights."""
 
@@ -87,6 +178,7 @@ class GaussianNB:
         self.priors = priors
         self.means = means
         self.variances = variances
+        self._screen = _screen_terms(priors, means, variances)
 
     @classmethod
     def fit(
@@ -129,7 +221,9 @@ class GaussianNB:
         return lp[None, :] + ll
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.log_joint(X), axis=1)
+        """``argmax(log_joint(X), axis=1)``, screened by two matrix products."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _argmax_log_joints(X, [self], self._screen)[:, 0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         lj = self.log_joint(X)
@@ -167,12 +261,16 @@ class AdaBoostNB:
         self.learners = learners
         self.alphas = alphas
         self.n_classes = n_classes
+        # every learner's screen terms side by side, one column block per learner
+        self._screen = tuple(
+            np.concatenate(terms, axis=-1) for terms in zip(*(nb._screen for nb in learners))
+        )
 
     def vote_scores(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        preds = _argmax_log_joints(X, self.learners, self._screen)
         scores = np.zeros((len(X), self.n_classes))
-        for alpha, nb in zip(self.alphas, self.learners):
-            pred = nb.predict(X)
+        for alpha, pred in zip(self.alphas, preds.T):
             scores[np.arange(len(X)), pred] += alpha
         return scores
 

@@ -38,15 +38,24 @@ would for one segment:
   drops those bins and sums on its own, as one segment alone did.
 - *Peaks:* the components and their negations (peaks, then valleys) form a
   -inf-padded ``(s, 6, L')`` block. Every window size is a multiple of the
-  sizes' gcd, so one ``argmax`` over cells of that size, then a strictly
-  greater scan over each window's cells, gives every window's first
-  maximum. Three ``argmax`` rounds over each window size's nominees pick
-  each row's three strongest, the lower index winning a tie.
-- *Clusters:* one ``lexsort`` over every (segment, row) group orders its
+  sizes' gcd, so a column-wise ``np.maximum`` scan gives the maximum of
+  every cell of that size, and the same scan over cells gives every
+  window's maximum. Three ``argmax`` rounds over each window size's window
+  maxima pick each row's three strongest windows, the lower index winning a
+  tie. A chosen window's first maximum lies in the first of its cells whose
+  maximum equals the window's, and one ``argmax`` over that cell's samples
+  finds it. A maximum is exact and ``argmax`` compares 0.0 equal to -0.0,
+  so every round picks the windows that ranking the windows' first maximal
+  samples would pick. Only the sign of a zero can differ, as
+  ``np.maximum(0.0, -0.0)`` may return either, so a nominee's amplitude is
+  read from its sample, never from a maximum.
+- *Clusters:* the nominees of all chunks are ranked together, once per
+  batch. One ``lexsort`` over every (segment, row) group orders its
   nominees by index; a nominee within the smallest window size of the one
   before it joins its cluster. A cluster is represented by its strongest,
   then earliest, member, and clusters rank by how many nominations they
-  hold, then amplitude, then index.
+  hold, then amplitude, then index. Each group is ranked on its own, so the
+  ranking does not depend on what else shares the batch.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ N_EXTREMA = 3
 STATS_DIM = 4 + 3 + N_FFT_BINS + 2  # mean/max/std/mav, nvht x3, fft bins, entropy, peak pos
 PEAKS_DIM = 2 * N_EXTREMA * 2  # (amp, pos) for peaks and valleys
 FEATURE_DIM = 3 * STATS_DIM + 1 + 3 * PEAKS_DIM
+PEAKS_AT = 3 * STATS_DIM + 1  # the extrema follow the statistics and the length
 
 
 @dataclass(frozen=True)
@@ -194,10 +204,12 @@ def smooth_segments(segments: list[np.ndarray], k: int = DEFAULT_SMOOTH_K) -> li
     return out
 
 
-def _stats_and_peaks(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """``(s, 82)`` vectors of a smoothed ``(s, 3, L)`` block whose rows hold ``n`` samples.
+def _stats_and_nominees(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> tuple:
+    """Statistics of a smoothed ``(s, 3, L)`` block whose rows hold ``n`` samples.
 
-    Every row's length has the same ``_nfft``.
+    Returns the ``(s, 46)`` statistics and lengths, the first ``PEAKS_AT``
+    columns of the vectors, and the block's ``_extrema`` nominees. Every
+    row's length has the same ``_nfft``.
     """
     s, _, L = sm.shape
     valid = (np.arange(L) < n[:, None])[:, None, :]
@@ -224,7 +236,7 @@ def _stats_and_peaks(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> np
     del dev
     std = np.sqrt(sums / n[:, None])
 
-    maxima, extrema = _extrema(sm, n, valid, config.peak_windows())
+    maxima, idx, strength = _extrema(sm, valid, config.peak_windows())
     stats = np.concatenate(
         [
             np.stack([mean, maxima, std, mav], axis=2),
@@ -235,7 +247,7 @@ def _stats_and_peaks(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> np
         ],
         axis=2,
     )
-    return np.concatenate([stats.reshape(s, -1), n[:, None].astype(float), extrema], axis=1)
+    return np.concatenate([stats.reshape(s, -1), n[:, None].astype(float)], axis=1), idx, strength
 
 
 def _spectrum(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,13 +278,17 @@ def _spectrum(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _extrema(
-    sm: np.ndarray, n: np.ndarray, valid: np.ndarray, windows: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's maximum, and each segment's ``(36,)`` ranked peaks and valleys.
+    sm: np.ndarray, valid: np.ndarray, windows: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's maximum, and the nominated peaks and valleys of each segment's six rows.
 
     Rows 0..2 of each segment's six nominate peaks of the components, rows
-    3..5 valleys. Every window size is a multiple of ``base``, so a window's
-    first maximum is the first maximum of its strongest base cell.
+    3..5 valleys. Returns the ``(s, 3)`` maxima and the ``(6 s, windows * 3)``
+    sample indices and signed amplitudes of the nominees, in (window size,
+    round) order, the amplitude -inf where a round found no sample. Every
+    window size is a multiple of ``base``, so a window's maximum is the
+    maximum of its base cells, and its first maximum lies in the first cell
+    that reaches it.
     """
     s, _, L = sm.shape
     base = math.gcd(*windows)
@@ -283,46 +299,46 @@ def _extrema(
     np.copyto(signed[:, :, :L], -np.inf, where=~valid)
     maxima = signed[:, :3, :L].max(axis=2)
     R = 6 * s
-    cells = signed.reshape(-1, base)
-    at = np.argmax(cells, axis=1)
-    cell_max = cells[np.arange(len(cells)), at].reshape(R, -1)
-    cell_at = at.reshape(R, -1) + np.arange(width // base) * base
-    del signed, cells
+    samples = signed.reshape(R, -1)
+    cells = samples.reshape(R, -1, base)
+    cell_max = cells[:, :, 0].copy()
+    for j in range(1, base):
+        np.maximum(cell_max, cells[:, :, j], out=cell_max)
 
-    # each window size's nominees fill one row of a -inf-padded (R, windows, n) block
+    # each window size's window maxima fill one row of a -inf-padded (R, windows, n) block
+    ks = [w // base for w in windows]
     n_win = [-(-L // w) for w in windows]
-    nominee = np.full((R, len(windows), max(n_win)), -np.inf)
-    start = np.zeros(nominee.shape, dtype=np.intp)
-    rows = np.arange(R)[:, None]
-    for i, (w, m) in enumerate(zip(windows, n_win)):
-        k = w // base
+    win_max = np.full((R, len(windows), max(n_win)), -np.inf)
+    for i, (k, m) in enumerate(zip(ks, n_win)):
         sub = cell_max[:, : m * k].reshape(R, m, k)
-        strongest = sub[:, :, 0].copy()
-        pick = np.zeros((R, m), dtype=np.intp)
+        np.copyto(win_max[:, i, :m], sub[:, :, 0])
         for j in range(1, k):
-            # strictly greater, so the first maximum keeps a tie
-            pick += (sub[:, :, j] > strongest) * (j - pick)
-            np.maximum(strongest, sub[:, :, j], out=strongest)
-        pick += np.arange(m) * k
-        nominee[:, i, :m] = cell_max[rows, pick]
-        start[:, i, :m] = cell_at[rows, pick]
-    nominee = nominee.reshape(-1, nominee.shape[2])
-    start = start.reshape(nominee.shape)
-    flat = np.arange(len(nominee))
-    cand_idx, cand_val = [], []
+            np.maximum(win_max[:, i, :m], sub[:, :, j], out=win_max[:, i, :m])
+    win_max = win_max.reshape(-1, win_max.shape[2])
+    flat = np.arange(len(win_max))
+    picks, tops = [], []
     for _ in range(N_EXTREMA):
-        best = np.argmax(nominee, axis=1)
-        cand_idx.append(start[flat, best])
-        cand_val.append(nominee[flat, best])
-        nominee[flat, best] = -np.inf
-    ranked = _ranked_clusters(
-        np.stack(cand_idx, axis=1).reshape(R, -1),
-        np.stack(cand_val, axis=1).reshape(R, -1),
-        np.repeat(n, 6),
-        min(windows),
-    )
-    # (s, peak or valley, component, 6) -> (s, component, peak then valley)
-    return maxima, ranked.reshape(s, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3).reshape(s, -1)
+        best = np.argmax(win_max, axis=1)
+        picks.append(best)
+        tops.append(win_max[flat, best])
+        win_max[flat, best] = -np.inf
+    # (R, windows * N_EXTREMA) chosen windows, in (window size, round) order
+    pick = np.stack(picks, axis=1).reshape(R, -1)
+    top = np.stack(tops, axis=1).reshape(R, -1)
+    k = np.repeat(ks, N_EXTREMA)
+    # the first cell of each chosen window that holds its maximum, then that cell's first maximum
+    j = np.arange(max(ks))
+    cell = np.minimum(pick[:, :, None] * k[:, None] + j, cell_max.shape[1] - 1)
+    hit = cell_max[np.arange(R)[:, None, None], cell] == top[:, :, None]
+    first = pick * k + np.argmax(hit, axis=2)
+    at = first[:, :, None] * base + np.arange(base)
+    vals = samples[np.arange(R)[:, None, None], at]
+    off = np.argmax(vals, axis=2)
+    cand_idx = first * base + off
+    cand_val = np.take_along_axis(vals, off[:, :, None], axis=2)[:, :, 0]
+    # a round left with only -inf windows picks one again; it nominates nothing
+    cand_val[top == -np.inf] = -np.inf
+    return maxima, cand_idx, cand_val
 
 
 def _ranked_clusters(
@@ -372,12 +388,23 @@ def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) 
     if config.nvht_thresholds is None:
         raise ValueError("feature config has no fitted exceedance thresholds")
     out = np.empty((len(segments), FEATURE_DIM))
+    if not segments:
+        return out
+    order, idx, strength = [], [], []
     for chunk in _chunks(lengths):
         n = np.array([lengths[i] for i in chunk])
         block = _padded([segments[i] for i in chunk], n)
         if smooth:
             block = _smoothed(block, n, config.smooth_k)
-        out[chunk] = _stats_and_peaks(block, n, config)
+        out[chunk, :PEAKS_AT], chunk_idx, chunk_strength = _stats_and_nominees(block, n, config)
+        order += chunk
+        idx.append(chunk_idx)
+        strength.append(chunk_strength)
+    n = np.repeat(np.array(lengths)[order], 6)
+    ranked = _ranked_clusters(np.vstack(idx), np.vstack(strength), n, min(config.peak_windows()))
+    # (k, peak or valley, component, 6) -> (k, component, peak then valley)
+    ranked = ranked.reshape(-1, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3)
+    out[order, PEAKS_AT:] = ranked.reshape(len(order), -1)
     return out
 
 

@@ -28,11 +28,22 @@ import numpy as np
 GRAVITY = 9.81
 
 ALPHA_RANGE = (-90.0, 90.0)
+# bound on |acc| in m/s^2: phone accelerometers saturate near 16 g (157 m/s^2)
+ACC_LIMIT = 1e4
 MIN_DWELL = 20.0
 
 
 class TraceFormatError(ValueError):
-    """Raised when a trace file violates the JSON-lines contract."""
+    """Raised when a trace file violates the JSON-lines contract.
+
+    ``offset`` is the sample at fault, when the problem has one; the message
+    then ends "at sample offset N", and ``problem`` is the message without it.
+    """
+
+    def __init__(self, problem: str, offset: int | None = None):
+        super().__init__(problem if offset is None else f"{problem} at sample offset {offset}")
+        self.problem = problem
+        self.offset = offset
 
 
 class NetworkFormatError(ValueError):
@@ -184,23 +195,27 @@ class Trace:
         for name in ("t", "acc", "orient"):
             bad = np.nonzero(~np.isfinite(getattr(self, name)))[0]
             if bad.size:
-                raise TraceFormatError(f"non-finite {name} value at sample offset {bad[0]}")
+                raise TraceFormatError(f"non-finite {name} value", int(bad[0]))
+        bad = np.nonzero(np.abs(self.acc) > ACC_LIMIT)[0]
+        if bad.size:
+            raise TraceFormatError(f"acc value beyond {ACC_LIMIT:g} m/s^2", int(bad[0]))
         if n > 1:
             dt = np.diff(self.t)
             if np.any(dt <= 0):
                 bad = int(np.argmax(dt <= 0)) + 1
-                raise TraceFormatError(f"timestamps not strictly increasing at sample offset {bad}")
+                raise TraceFormatError("timestamps not strictly increasing", bad)
             if self.sample_rate > 0:
                 nominal = 1.0 / self.sample_rate
                 off = np.abs(dt - nominal) > 0.01 * nominal
                 if np.any(off):
                     bad = int(np.argmax(off)) + 1
                     raise TraceFormatError(
-                        f"sample spacing deviates more than 1% from 1/sample_rate at sample offset {bad}"
+                        "sample spacing deviates more than 1% from 1/sample_rate", bad
                     )
         a = self.orient[:, 0]
-        if np.any((a < ALPHA_RANGE[0] - 1e-9) | (a > ALPHA_RANGE[1] + 1e-9)):
-            raise TraceFormatError("alpha outside [-90, 90] degrees")
+        out = (a < ALPHA_RANGE[0] - 1e-9) | (a > ALPHA_RANGE[1] + 1e-9)
+        if np.any(out):
+            raise TraceFormatError("alpha outside [-90, 90] degrees", int(np.argmax(out)))
 
 
 def normalize_orientation(orient: np.ndarray) -> np.ndarray:
@@ -365,7 +380,8 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
     try:
         trace.validate()
     except TraceFormatError as exc:
-        raise TraceFormatError(f"{name}: {exc}") from None
+        where = name if exc.offset is None else f"{name}:{linenos[exc.offset]}"
+        raise TraceFormatError(f"{where}: {exc.problem}") from None
     return trace
 
 

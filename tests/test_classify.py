@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from subtrace import classify
+from subtrace import classify, coord
 from subtrace.classify import (
     VAR_FLOOR,
     AdaBoostNB,
@@ -22,6 +22,7 @@ from subtrace.classify import (
     train_interval_ensemble,
     train_random_forest,
 )
+from subtrace.extract import window_features
 from subtrace.features import (
     FEATURE_DIM,
     N_EXTREMA,
@@ -30,7 +31,7 @@ from subtrace.features import (
     extract_batch,
     fit_features,
 )
-from subtrace.pipeline import PipelineConfig, build_corpus, interval_training_rows
+from subtrace.pipeline import PipelineConfig, build_corpus, interval_training_rows, train_mode_model
 
 
 def cluster_set(seed: int, n_classes: int = 4, n_per: int = 20, d: int = 5) -> TrainingSet:
@@ -590,3 +591,136 @@ class TestForestMatchesLoopForest:
         train = TrainingSet(X=X, y=[0, 1] * 5, n_classes=2)
         forest = assert_forest_matches(train, X, n_trees=5, seed=45)
         assert all(len(t["feature"]) == 1 for t in forest.trees)
+
+
+# --- the screened vote ------------------------------------------------------------
+
+
+def loop_vote_scores(model: AdaBoostNB, X: np.ndarray) -> np.ndarray:
+    """The boosted vote as it was: each learner's argmax of ``log_joint``, alphas added in order."""
+    scores = np.zeros((len(X), model.n_classes))
+    for alpha, nb in zip(model.alphas, model.learners):
+        scores[np.arange(len(X)), np.argmax(nb.log_joint(X), axis=1)] += alpha
+    return scores
+
+
+def assert_vote_matches(model: AdaBoostNB, X: np.ndarray):
+    for nb in model.learners:
+        assert nb.predict(X).tobytes() == np.argmax(nb.log_joint(X), axis=1).tobytes()
+    assert model.vote_scores(X).tobytes() == loop_vote_scores(model, X).tobytes()
+
+
+def one_nb(priors, means, variances) -> AdaBoostNB:
+    nb = GaussianNB(*(np.array(a, dtype=float) for a in (priors, means, variances)))
+    return AdaBoostNB([nb], np.array([1.0]), len(priors))
+
+
+class TestScreenedVote:
+    """Every learner's screened argmax equals ``argmax(log_joint)``, and so does the vote."""
+
+    def test_loo_rows(self, loo_fold):
+        train, probe = loo_fold
+        model = train_adaboost_nb(train, rounds=12, seed=1)
+        assert len(model.learners) == 12
+        assert_vote_matches(model, np.vstack([train.X, probe]))
+
+    def test_exact_ties(self):
+        # classes 1 and 2 are the same Gaussian: every row ties and the lower class wins
+        rng = np.random.default_rng(32)
+        means = rng.normal(size=(3, 6))
+        means[2] = means[1]
+        model = one_nb([0.2, 0.4, 0.4], means, np.full((3, 6), 0.5))
+        X = np.vstack([means[1] + rng.normal(scale=0.1, size=(50, 6)), means[0]])
+        assert set(model.learners[0].predict(X[:50]).tolist()) == {1}
+        assert_vote_matches(model, X)
+
+    @pytest.mark.parametrize("what", ["prior", "mean", "variance"])
+    def test_ties_one_ulp_apart(self, what):
+        # two classes a float step apart: log_joint ties some rows and splits others by an ulp
+        rng = np.random.default_rng(33)
+        priors, variances = np.array([0.5, 0.5]), np.ones((2, 4))
+        means = np.tile(rng.normal(size=4), (2, 1))
+        if what == "prior":
+            priors[1] += 16 * np.spacing(0.5)  # about one ulp of a log joint near -20
+        elif what == "mean":
+            means[1, 0] = np.nextafter(means[0, 0], np.inf)
+        else:
+            variances[1, 2] = np.nextafter(1.0, 2.0)
+        model = one_nb(priors, means, variances)
+        X = means[0] + rng.normal(scale=3.0, size=(400, 4))
+        lj = model.learners[0].log_joint(X)
+        gap = np.abs(lj[:, 0] - lj[:, 1])
+        assert (gap == 0).any() and (gap == np.spacing(np.abs(lj[:, 0]))).any()
+        assert_vote_matches(model, X)
+
+    @pytest.mark.parametrize("var", [1e-6, 1.0, 1e3])
+    def test_near_ties_at_large_scale(self, var):
+        # 82 features far from two means that differ in a few places by 1e-14
+        # of their size: the products round the two classes' scores in the
+        # wrong order on some rows, and those rows must fall inside the band
+        rng = np.random.default_rng(41)
+        means = np.tile(rng.normal(scale=1e3, size=82), (2, 1))
+        means[1, :3] *= 1.0 + 1e-14 * rng.normal(size=3)
+        model = one_nb([0.5, 0.5], means, np.full((2, 82), var))
+        X = means[0] + rng.normal(scale=1e3 * np.sqrt(var), size=(2000, 82))
+        assert_vote_matches(model, X)
+
+    def test_zero_prior_classes(self):
+        X = np.array([[0.0, 1.0], [0.5, 1.0], [5.0, 2.0], [5.5, 2.0]])
+        nb = GaussianNB.fit(X, [0, 0, 3, 3], 5)
+        model = AdaBoostNB([nb, nb], np.array([0.7, 0.3]), 5)
+        grid = np.random.default_rng(34).normal(scale=4.0, size=(200, 2))
+        assert_vote_matches(model, grid)
+        assert set(model.predict(grid).tolist()) <= {0, 3}
+        lone = one_nb([0.0, 1.0, 0.0], np.zeros((3, 2)), np.ones((3, 2)))
+        assert_vote_matches(lone, grid)
+        assert set(lone.predict(grid).tolist()) == {1}
+
+    def test_floor_variances(self):
+        # constant columns give VAR_FLOOR variances and error scales near 1e12
+        train = cluster_set(seed=35, d=8)
+        X = train.X.copy()
+        X[:, :3] = np.round(X[:, :3])
+        floored = TrainingSet(X=X, y=train.y, n_classes=train.n_classes)
+        model = train_adaboost_nb(floored, rounds=5, seed=36)
+        assert any((nb.variances == VAR_FLOOR).any() for nb in model.learners)
+        probe = X + np.random.default_rng(37).normal(scale=1e-3, size=X.shape)
+        assert_vote_matches(model, np.vstack([X, probe]))
+
+    def test_huge_values(self):
+        train = cluster_set(seed=38, d=6)
+        model = train_adaboost_nb(train, rounds=4, seed=39)
+        rng = np.random.default_rng(40)
+        rows = train.X[rng.integers(len(train.X), size=40)]
+        # 1e150 leaves log_joint finite and silent, so the vote must be silent too
+        X = rows.copy()
+        X[::2, 0] = 1e150
+        X[1::2, 1:3] = -1e150
+        assert_vote_matches(model, X)
+        # larger values overflow log_joint itself
+        for big in (1e155, 1e160, 1e200, 1e300, 1.7e308):
+            X = rows.copy()
+            X[::3, 0] = big
+            X[1::3, 2] = -big
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_vote_matches(model, X)
+
+    @pytest.mark.parametrize("big", [1e154, 0.8e154])
+    def test_overflow_in_log_joint_only(self, big):
+        # class 0 is the real winner of rows 0 and 1, but log_joint squares
+        # x - mean = 2 big before it divides by the variance of 1e20, overflows
+        # and so picks class 1; at 0.8e154 the scale is still finite
+        model = one_nb([0.5, 0.5], [[-big, 0.0], [0.0, 0.0]], [[1e20, 1.0], [1e10, 1.0]])
+        X = np.array([[big, 0.0], [big, 0.5], [-big, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.argmax(model.learners[0].log_joint(X), axis=1).tolist() == [1, 1, 0, 1]
+            assert_vote_matches(model, X)
+
+    def test_mode_model_features(self, small_corpus):
+        # the two-class, five-feature mode model takes the same screened predict
+        mode = train_mode_model(small_corpus)
+        hra = coord.transform(small_corpus.trips[0]).hra
+        windows = np.lib.stride_tricks.sliding_window_view(hra, mode.window)[::7]
+        rows = window_features(windows, mode.thresholds)
+        want = np.argmax(mode.nb.log_joint(rows), axis=1)
+        assert mode.nb.predict(rows).tobytes() == want.tobytes()

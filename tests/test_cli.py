@@ -321,7 +321,8 @@ class TestDataErrors:
         trace.write_text("\n".join(lines) + "\n")
         args = ["attack", "--model", model_file, "--trace", str(trace)]
         assert cli.main(args) == cli.EXIT_DATA
-        assert "non-finite acc value at sample offset 499" in capsys.readouterr().err
+        # the sample at offset 499 sits on line 501, after the meta line
+        assert "nan.jsonl:501: non-finite acc value\n" in capsys.readouterr().err
 
     def test_attack_other_sample_rate(self, tmp_path, model_file, capsys):
         noise = pipeline.PipelineConfig().noise

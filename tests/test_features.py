@@ -4,6 +4,8 @@ the batched one must match bit for bit, alone or in any batch."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -427,6 +429,59 @@ def loop_fit_thresholds(segments, config: FeatureConfig):
     )
 
 
+#
+# The peak finder as it was before window maxima came from cell maxima: one
+# argmax per gcd-sized cell, then a strictly greater scan over each window's
+# cells. The current one must reproduce its extrema byte for byte.
+
+
+def frozen_extrema(sm, n, valid, windows):
+    s, _, L = sm.shape
+    base = math.gcd(*windows)
+    width = max(-(-L // w) * w for w in windows)
+    signed = np.full((s, 6, width), -np.inf)
+    signed[:, :3, :L] = sm
+    np.negative(sm, out=signed[:, 3:, :L])
+    np.copyto(signed[:, :, :L], -np.inf, where=~valid)
+    maxima = signed[:, :3, :L].max(axis=2)
+    R = 6 * s
+    cells = signed.reshape(-1, base)
+    at = np.argmax(cells, axis=1)
+    cell_max = cells[np.arange(len(cells)), at].reshape(R, -1)
+    cell_at = at.reshape(R, -1) + np.arange(width // base) * base
+    n_win = [-(-L // w) for w in windows]
+    nominee = np.full((R, len(windows), max(n_win)), -np.inf)
+    start = np.zeros(nominee.shape, dtype=np.intp)
+    rows = np.arange(R)[:, None]
+    for i, (w, m) in enumerate(zip(windows, n_win)):
+        k = w // base
+        sub = cell_max[:, : m * k].reshape(R, m, k)
+        strongest = sub[:, :, 0].copy()
+        pick = np.zeros((R, m), dtype=np.intp)
+        for j in range(1, k):
+            pick += (sub[:, :, j] > strongest) * (j - pick)
+            np.maximum(strongest, sub[:, :, j], out=strongest)
+        pick += np.arange(m) * k
+        nominee[:, i, :m] = cell_max[rows, pick]
+        start[:, i, :m] = cell_at[rows, pick]
+    nominee = nominee.reshape(-1, nominee.shape[2])
+    start = start.reshape(nominee.shape)
+    flat = np.arange(len(nominee))
+    cand_idx, cand_val = [], []
+    for _ in range(N_EXTREMA):
+        best = np.argmax(nominee, axis=1)
+        cand_idx.append(start[flat, best])
+        cand_val.append(nominee[flat, best])
+        nominee[flat, best] = -np.inf
+    ranked = features._ranked_clusters(
+        np.stack(cand_idx, axis=1).reshape(R, -1),
+        np.stack(cand_val, axis=1).reshape(R, -1),
+        np.repeat(n, 6),
+        min(windows),
+    )
+    return maxima, ranked.reshape(s, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3).reshape(s, -1)
+
+
 def assert_same_bytes(segments, cfg):
     """Every segment and its negation, featurised in one batch, match the loop extractor."""
     batch = [s for seg in segments for s in (seg, -seg)]
@@ -593,3 +648,61 @@ class TestSliceFeatures:
         assert again[0].tobytes() == first[0].tobytes() == first[2].tobytes()
         assert first[0].tobytes() == real([comp[20:140]], cfg)[0].tobytes()
         assert again[1].tobytes() == real([comp[20:141]], cfg)[0].tobytes()
+
+
+class TestPeakFinderMatchesFrozen:
+    """The cell-maximum peak finder equals the frozen per-cell argmax one, byte for byte."""
+
+    WINDOW_SETS = [(10, 20, 40), (1, 2, 4), (3, 6), (5,)]
+
+    @staticmethod
+    def blocks(rng, count):
+        """Padded chunks of 1..137-sample rows: noise, plateaus, ties and signed zeros."""
+        for trial in range(count):
+            n = rng.integers(1, 138, size=int(rng.integers(1, 6)))
+            x = rng.normal(size=(len(n), 3, int(n.max())))
+            kind = trial % 5
+            if kind == 1:  # few distinct values: ties within and across windows
+                x = np.round(x)
+            elif kind == 2:  # plateaus
+                x = np.repeat(np.round(x[:, :, ::7]), 7, axis=2)[:, :, : x.shape[2]]
+            elif kind == 3:  # only zeros, of both signs
+                x = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)
+            elif kind == 4:  # signed zeros tied with a few peaks and valleys
+                x = np.where(rng.random(x.shape) < 0.9, np.where(x < 0, -0.0, 0.0), np.round(x))
+            yield x, n
+
+    @pytest.mark.parametrize("windows", WINDOW_SETS)
+    def test_random_chunks(self, windows):
+        rng = np.random.default_rng(sum(windows))
+        for sm, n in self.blocks(rng, 150):
+            valid = (np.arange(sm.shape[2]) < n[:, None])[:, None, :]
+            maxima, idx, strength = features._extrema(sm, valid, windows)
+            ranked = features._ranked_clusters(idx, strength, np.repeat(n, 6), min(windows))
+            ranked = ranked.reshape(-1, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3)
+            ranked = ranked.reshape(len(n), -1)
+            want = frozen_extrema(sm, n, valid, windows)
+            assert maxima.tobytes() == want[0].tobytes()
+            assert ranked.tobytes() == want[1].tobytes(), (n.tolist(), windows)
+
+    @pytest.mark.parametrize("windows", WINDOW_SETS[1:])
+    def test_loop_extractor_other_windows(self, windows):
+        # only the extrema: the statistics' max of a row of mixed signed zeros
+        # may be either zero, in the frozen extractor as in this one
+        cfg = FeatureConfig(
+            sample_rate=10.0,
+            smooth_k=1,
+            peak_windows_s=tuple(w / 10.0 for w in windows),
+            nvht_thresholds=TestMatchesLoopExtractor.CFG.nvht_thresholds,
+        )
+        assert cfg.peak_windows() == windows
+        rng = np.random.default_rng(27)
+        segs = [
+            np.moveaxis(sm, 1, 2)[j, : n[j]]
+            for sm, n in self.blocks(rng, 30)
+            for j in range(len(n))
+        ]
+        got = extract_batch(segs, cfg)[:, 3 * STATS_DIM + 1 :]
+        for seg, row in zip(segs, got):
+            want = np.concatenate([_loop_peaks(seg[:, ci], windows) for ci in range(3)])
+            assert row.tobytes() == want.tobytes(), f"differs on a {seg.shape} segment"

@@ -153,12 +153,15 @@ class TestTraceErrors:
             trace.validate()
 
     def test_nonincreasing_timestamp_names_sample(self, tmp_path):
-        # sample 3 sits on file line 5, after the meta line; the message names the sample
+        # sample 3 sits on file line 5, after the meta line; a file's error names the line
         trace = make_trace(n=8)
         trace.t[3] = trace.t[2]
+        with pytest.raises(TraceFormatError, match="not strictly increasing at sample offset 3$"):
+            trace.validate()
         p = tmp_path / "repeat.jsonl"
         save_trace(trace, p)
-        with pytest.raises(TraceFormatError, match="not strictly increasing at sample offset 3$"):
+        message = r"^repeat\.jsonl:5: timestamps not strictly increasing$"
+        with pytest.raises(TraceFormatError, match=message):
             load_trace(p)
 
     def test_alpha_out_of_range(self):
@@ -166,6 +169,22 @@ class TestTraceErrors:
         trace.orient[2, 0] = 91.0
         with pytest.raises(TraceFormatError, match="alpha outside"):
             trace.validate()
+
+    @pytest.mark.parametrize("value", [1e307, -1e308, 10000.5])
+    def test_non_physical_acceleration_names_sample(self, tmp_path, value):
+        # finite but far past any accelerometer's range: it would overflow into
+        # non-finite features downstream, so the trace is refused
+        trace = make_trace(n=6)
+        trace.acc[4, 2] = value
+        beyond = r"acc value beyond 10000 m/s\^2"
+        with pytest.raises(TraceFormatError, match=rf"^{beyond} at sample offset 4$"):
+            trace.validate()
+        p = tmp_path / "loud.jsonl"
+        save_trace(trace, p)
+        with pytest.raises(TraceFormatError, match=rf"^loud\.jsonl:6: {beyond}$"):
+            load_trace(p)
+        trace.acc[4, 2] = 10000.0
+        trace.validate()
 
     @pytest.mark.parametrize(
         "name, index, value",
@@ -211,21 +230,25 @@ class TestTraceErrors:
             trace.validate()
 
     @pytest.mark.parametrize(
-        "field, index, value, message",
+        "field, index, value, problem, offset",
         [
-            ("t", (3,), None, "timestamps not strictly increasing at sample offset 3"),
-            ("t", (5,), 0.205, "sample spacing deviates more than 1% from 1/sample_rate at sample offset 5"),
-            ("orient", (2, 0), 91.0, "alpha outside [-90, 90] degrees"),
+            ("t", (3,), None, "timestamps not strictly increasing", 3),
+            ("t", (5,), 0.205, "sample spacing deviates more than 1% from 1/sample_rate", 5),
+            ("orient", (2, 0), 91.0, "alpha outside [-90, 90] degrees", 2),
         ],
     )
-    def test_validation_error_names_file(self, tmp_path, field, index, value, message):
+    def test_validation_error_names_file(self, tmp_path, field, index, value, problem, offset):
+        # in memory the error names the sample; from a file, its line (the meta line is line 1)
         trace = make_trace(n=8)
         getattr(trace, field)[index] = trace.t[2] if value is None else value
+        with pytest.raises(TraceFormatError) as info:
+            trace.validate()
+        assert str(info.value) == f"{problem} at sample offset {offset}"
         p = tmp_path / "bad.jsonl"
         save_trace(trace, p)
         with pytest.raises(TraceFormatError) as info:
             load_trace(p)
-        assert str(info.value) == f"bad.jsonl: {message}"
+        assert str(info.value) == f"bad.jsonl:{offset + 2}: {problem}"
 
 
 class TestNetwork:
@@ -339,7 +362,7 @@ def loop_load_trace(path) -> Trace:
     path = Path(path)
     device_id = ""
     sample_rate = 0.0
-    rows_t, rows_acc, rows_orient = [], [], []
+    rows_t, rows_acc, rows_orient, linenos = [], [], [], []
     truth = []
     trailer_seen = False
     with path.open() as fh:
@@ -379,6 +402,7 @@ def loop_load_trace(path) -> Trace:
                 rows_t.append(t)
                 rows_acc.append(acc)
                 rows_orient.append(orient)
+                linenos.append(lineno)
     if not rows_t:
         raise TraceFormatError(f"{path.name}: no samples")
     trace = Trace(
@@ -391,8 +415,9 @@ def loop_load_trace(path) -> Trace:
     )
     try:
         trace.validate()
-    except TraceFormatError as exc:  # validation errors name the file, as load_trace's do
-        raise TraceFormatError(f"{path.name}: {exc}") from None
+    except TraceFormatError as exc:  # validation errors name the file and line, as load_trace's do
+        where = path.name if exc.offset is None else f"{path.name}:{linenos[exc.offset]}"
+        raise TraceFormatError(f"{where}: {exc.problem}") from None
     return trace
 
 

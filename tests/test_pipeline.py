@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subtrace import infer, segment
+from subtrace import coord, infer, segment
+from subtrace.extract import classify_windows
+from subtrace.features import extract_batch
 from subtrace.model import Trace, TraceFormatError
 from subtrace.pipeline import (
     AttackModel,
@@ -168,6 +170,23 @@ class TestAttackModel:
         back = AttackModel.load(path)
         assert back.to_dict() == attack_model.to_dict()
 
+    def test_loaded_model_scores_identically(self, attack_model, small_corpus, tmp_path):
+        # the screened NB vote rebuilds its constants on load; attack decodes with a loaded model
+        path = tmp_path / "model.json"
+        attack_model.save(path)
+        back = AttackModel.load(path)
+        segs, _ = interval_training_rows(small_corpus, range(len(small_corpus.trips)))
+        X = extract_batch(segs, attack_model.ensemble.config)
+        for got, want in (
+            (back.ensemble.boost.vote_scores(X), attack_model.ensemble.boost.vote_scores(X)),
+            (back.ensemble.predict_matrix(X), attack_model.ensemble.predict_matrix(X)),
+        ):
+            assert got.tobytes() == want.tobytes()
+        hra = coord.transform(small_corpus.trips[0]).hra
+        assert classify_windows(hra, back.mode_model).tobytes() == classify_windows(
+            hra, attack_model.mode_model
+        ).tobytes()
+
     def test_seg_params_follow_network(self, attack_model, small_corpus):
         assert attack_model.seg_params == params_for_network(small_corpus.network)
 
@@ -217,6 +236,17 @@ class TestAttackTrace:
         acc[int(np.random.default_rng(31).integers(len(acc))), 0] = np.nan
         with pytest.raises(TraceFormatError, match="non-finite acc"):
             attack_trace(replace(trip, acc=acc), attack_model, mode=mode)
+
+    @pytest.mark.parametrize("value", [1e307, -1e308])
+    def test_non_physical_acceleration_rejected(self, small_corpus, attack_model, value):
+        # a finite but non-physical sample used to overflow into non-finite features
+        trip = small_corpus.trips[0]
+        acc = trip.acc.copy()
+        at = int(np.random.default_rng(32).integers(len(acc)))
+        acc[at, 2] = value
+        message = rf"acc value beyond 10000 m/s\^2 at sample offset {at}$"
+        with pytest.raises(TraceFormatError, match=message):
+            attack_trace(replace(trip, acc=acc), attack_model)
 
     def test_empty_trace_rejected(self, attack_model):
         empty = Trace("empty", 10.0, np.empty(0), np.empty((0, 3)), np.empty((0, 3)))
