@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureConfig
+from .model import is_integer
 
 VAR_FLOOR = 1e-6
 ERR_FLOOR = 1e-10
@@ -276,9 +277,6 @@ class AdaBoostNB:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.vote_scores(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.vote_scores(X), axis=1)
 
     def to_dict(self) -> dict:
         return {
@@ -640,9 +638,6 @@ class RandomForest:
             acc += self._probs[leaves[:, t]]
         return acc / len(self.trees)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
     def to_dict(self) -> dict:
         return {
             "n_classes": self.n_classes,
@@ -710,6 +705,13 @@ class IntervalEnsemble:
     config: FeatureConfig
     n_classes: int
 
+    def __post_init__(self):
+        parts = (self.boost.n_classes, self.forest.n_classes)
+        if not is_integer(self.n_classes) or parts != (self.n_classes,) * 2:
+            raise ValueError(
+                f"ensemble n_classes {self.n_classes!r} differs from its boost and forest's {parts}"
+            )
+
     def predict_matrix(self, rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
         """Row-stochastic (n_segments, n_classes) probability matrix of feature vectors."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -736,7 +738,7 @@ class IntervalEnsemble:
             boost=AdaBoostNB.from_dict(doc["boost"]),
             forest=RandomForest.from_dict(doc["forest"]),
             config=FeatureConfig.from_dict(doc["feature_config"]),
-            n_classes=int(doc["n_classes"]),
+            n_classes=doc["n_classes"],
         )
 
 

@@ -11,7 +11,8 @@ There is one conversion path: ``transform`` turns a whole trace into an
 ``EnuSeries`` with one rotation per sample from ``rotation_matrices``. A
 single sample is converted as a one-sample trace, never by a second routine.
 The series holds its east, north and gravity-free up components as one
-``(n, 3)`` array, the form the feature extractor reads.
+``(n, 3)`` array, the form the feature extractor reads, and no timestamps:
+its sample i is the trace's sample i.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ CONSISTENCY_TOL = 1e-9
 
 @dataclass
 class EnuSeries:
-    """Vectorized earth-frame view of a trace."""
+    """Earth-frame samples of a trace, index for index."""
 
-    t: np.ndarray
     enu: np.ndarray  # (n, 3) east, north, up; gravity removed from up
     hra: np.ndarray  # horizontal resultant, hypot of east and north
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.t)
-
-    def view(self, start: int, end: int) -> "EnuSeries":
-        return EnuSeries(self.t[start:end], self.enu[start:end], self.hra[start:end])
 
 
 def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,9 +80,9 @@ def rotation_matrices(orient_rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def transform(trace: Trace) -> EnuSeries:
     """Earth-frame series for a whole trace; one output sample per input."""
     if trace.n_samples == 0:
-        return EnuSeries(np.empty(0), np.empty((0, 3)), np.empty(0))
+        return EnuSeries(np.empty((0, 3)), np.empty(0))
     R, _ = rotation_matrices(np.radians(trace.orient))
     enu = np.einsum("nij,nj->ni", R, trace.acc)
     enu[:, 2] -= GRAVITY
     hra = np.hypot(enu[:, 0], enu[:, 1])
-    return EnuSeries(trace.t.copy(), enu, hra)
+    return EnuSeries(enu, hra)

@@ -3,10 +3,11 @@
 Supervised: leave-one-trip-out, scoring every contiguous subtrip of a few
 fixed lengths cut at the true dwell centers; a prediction counts only if
 start interval, direction, and length all match. Each subtrip is cut by
-the attack's own segmenter and decoded through ``infer.decode_span``; the
-subtrips of one trip share one memo of segment feature vectors, cut from
-the trip's ``(n, 3)`` earth-frame array. Cut points are scored against the
-true dwell centres within the fixed ``POINT_TOLERANCE_S``.
+the attack's own segmenter and decoded in its trip's sample coordinates by
+``infer.infer_with_segment_tolerance``; the subtrips of one trip share one
+memo of segment feature vectors, cut from the trip's ``(n, 3)`` earth-frame
+array. Cut points are scored against the true dwell centres within the fixed
+``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
 are bootstrapped from two distinctive seed intervals, and one damped-weight
 model is evaluated the same way. Robustness and defense runs reuse the
@@ -24,7 +25,7 @@ import numpy as np
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import FeatureConfig, SliceFeatures, extract_batch, fit_features
-from .infer import TraceHypothesis, check_mode, decode_span
+from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
 from .model import MetroNetwork
 from .pipeline import (
     Corpus,
@@ -97,7 +98,7 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
     subtrips = []
     for ti, trace in enumerate(corpus.trips):
         lay = true_trip_layout(trace)
-        bounds = [lay.span[0], *lay.cuts, lay.span[1]]
+        bounds = lay.bounds
         for L in lengths:
             for j in range(lay.n_legs - L + 1):
                 a, b = bounds[j], bounds[j + L]
@@ -125,19 +126,15 @@ def predict_subtrip(
 ) -> TraceHypothesis | None:
     """Segment one subtrip and decode it; ``None`` when no ride fits.
 
-    ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
-    ``series`` samples ``[lo, hi)`` of each of k spans under
-    ``ensemble.config``; the subtrips of one trip share one that remembers
-    what it computed. An unknown ``mode`` raises ``ValueError``.
+    ``featurize`` is as for ``infer.infer_with_segment_tolerance``; the
+    subtrips of one trip share one that remembers what it computed. An
+    unknown ``mode`` raises ``ValueError``.
     """
-    sub = series.view(*st.span)
-    points, _ = segment.find_final_segment_points(sub.hra, seg_params)
-    off = st.span[0]
-
-    def featurize_sub(spans: list[tuple[int, int]]) -> np.ndarray:
-        return featurize([(off + lo, off + hi) for lo, hi in spans])
-
-    return decode_span(sub, ensemble, network, points, mode, featurize_sub).best
+    lo, hi = st.span
+    points, _ = segment.find_final_segment_points(series.hra[lo:hi], seg_params)
+    return infer_with_segment_tolerance(
+        series, lo, hi, ensemble, network, points, featurize, mode
+    ).best
 
 
 @dataclass
@@ -209,13 +206,9 @@ def evaluate_subtrips(
 
 
 def loo_supervised(
-    corpus: Corpus,
-    config: PipelineConfig,
-    lengths: tuple[int, ...] = DEFAULT_LENGTHS,
-    mode: str = "full",
+    corpus: Corpus, config: PipelineConfig, lengths: tuple[int, ...] = DEFAULT_LENGTHS
 ) -> EvalReport:
     """Leave-one-trip-out evaluation of the supervised attack."""
-    check_mode(mode)
     n_trips = len(corpus.trips)
     models: dict[int, IntervalEnsemble] = {}
     for ti in range(n_trips):
@@ -223,7 +216,7 @@ def loo_supervised(
         segs, uids = interval_training_rows(corpus, train_idx)
         models[ti] = train_ensemble_on(segs, uids, corpus.network, config)
         log.info("fold %d/%d trained", ti + 1, n_trips)
-    return evaluate_subtrips(corpus, lambda ti: models[ti], lengths, mode)
+    return evaluate_subtrips(corpus, lambda ti: models[ti], lengths)
 
 
 def single_model_ensemble(corpus: Corpus, config: PipelineConfig) -> IntervalEnsemble:
@@ -256,12 +249,11 @@ def segmentation_evaluation(corpus: Corpus) -> SegmentationReport:
     rate = corpus.network.sample_rate
     distances, count_errors = [], []
     for trace in corpus.trips:
-        series = coord.transform(trace)
         lay = true_trip_layout(trace)
-        sub = series.view(*lay.span)
-        points, _ = segment.find_final_segment_points(sub.hra, seg_params)
+        lo, hi = lay.span
+        points, _ = segment.find_final_segment_points(coord.transform(trace).hra[lo:hi], seg_params)
         pred_t = [p / rate for p in points]
-        true_t = [(c - lay.span[0]) / rate for c in lay.cuts]
+        true_t = [(c - lo) / rate for c in lay.cuts]
         distances.append(edit_distance(pred_t, true_t))
         count_errors.append(len(points) - len(lay.cuts))
     within = float(np.mean([abs(e) <= 1 for e in count_errors]))
@@ -321,15 +313,14 @@ def bootstrap_from_corpus(
     for ti, trace in enumerate(corpus.trips):
         series = coord.transform(trace)
         lay = true_trip_layout(trace)
-        bounds = [lay.span[0], *lay.cuts, lay.span[1]]
+        bounds = lay.bounds
         rng = np.random.default_rng(child_seed(config.seed, 5, ti))
         j = 0
         for size in _random_chunks(lay.n_legs, rng):
             a, b = bounds[j], bounds[j + size]
-            sub = series.view(a, b)
-            points, _ = segment.find_final_segment_points(sub.hra, seg_params)
-            cuts = [0, *points, sub.n_samples]
-            chunk_segs.append([sub.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
+            points, _ = segment.find_final_segment_points(series.hra[a:b], seg_params)
+            cuts = [a, *(a + p for p in points), b]
+            chunk_segs.append([series.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
             j += size
 
     fconfig, all_vectors = fit_features(

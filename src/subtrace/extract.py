@@ -24,6 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import GaussianNB
+from .model import is_finite_real, is_integer
 
 # Low / mid / high percentiles of metro-class HRA.  The low threshold must
 # clear the stationary sensor-noise ceiling so its count reads "any real
@@ -81,6 +82,13 @@ class ModeModel:
     thresholds: tuple[float, float, float]
     window: int
 
+    def __post_init__(self):
+        if not (is_integer(self.window) and self.window >= 1):
+            raise ValueError(f"mode window must be a positive integer, got {self.window!r}")
+        t = self.thresholds
+        if not (len(t) == 3 and all(map(is_finite_real, t)) and t[0] < t[1] < t[2]):
+            raise ValueError(f"mode thresholds must be 3 increasing finite numbers, got {t!r}")
+
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
@@ -97,7 +105,7 @@ class ModeModel:
         return cls(
             nb=GaussianNB.from_dict(doc["nb"]),
             thresholds=tuple(doc["thresholds"]),
-            window=int(doc["window"]),
+            window=doc["window"],
         )
 
 

@@ -65,6 +65,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import is_finite_real, is_integer
+
 DEFAULT_SMOOTH_K = 9
 DEFAULT_PEAK_WINDOWS_S = (1.0, 2.0, 4.0)
 NVHT_PERCENTILES = (50.0, 75.0, 90.0)
@@ -87,12 +89,19 @@ class FeatureConfig:
     nvht_thresholds: tuple[tuple[float, float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        if self.smooth_k < 1:
-            raise ValueError("smooth_k must be >= 1")
-        if not self.peak_windows_s:
-            raise ValueError("need at least one peak window size")
+        if not (is_finite_real(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate!r}")
+        if not (is_integer(self.smooth_k) and self.smooth_k >= 1):
+            raise ValueError(f"smooth_k must be an integer >= 1, got {self.smooth_k!r}")
+        windows = self.peak_windows_s
+        if not windows or not all(is_finite_real(s) and s > 0 for s in windows):
+            raise ValueError(f"need one or more finite positive peak window sizes, got {windows!r}")
+        thr = self.nvht_thresholds
+        if thr is not None and not (
+            len(thr) == 3
+            and all(len(t) == len(NVHT_PERCENTILES) and all(map(is_finite_real, t)) for t in thr)
+        ):
+            raise ValueError(f"nvht_thresholds must be 3 rows of 3 finite numbers, got {thr!r}")
 
     def peak_windows(self) -> tuple[int, ...]:
         return tuple(max(1, int(round(s * self.sample_rate))) for s in self.peak_windows_s)
@@ -111,9 +120,9 @@ class FeatureConfig:
     def from_dict(cls, doc: dict) -> "FeatureConfig":
         thr = doc["nvht_thresholds"]
         return cls(
-            sample_rate=float(doc["sample_rate"]),
-            smooth_k=int(doc["smooth_k"]),
-            peak_windows_s=tuple(float(s) for s in doc["peak_windows_s"]),
+            sample_rate=doc["sample_rate"],
+            smooth_k=doc["smooth_k"],
+            peak_windows_s=tuple(doc["peak_windows_s"]),
             nvht_thresholds=None if thr is None else tuple(tuple(t) for t in thr),
         )
 

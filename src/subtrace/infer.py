@@ -7,16 +7,16 @@ across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
-``decode_span`` is the one scorer, and it serves two modes: "full" runs the
-tolerance pass with its re-cut families, "reduced" runs the same pass on the
-detected-cut family alone. Both return a ``ToleranceResult``; a span that no
-hypothesis fits is a result whose ``best`` is ``None``, not an error. The
-attack and the evaluation harness both decode through it, and it is the one
-place that builds a default featurizer: a ``SliceFeatures`` over the span's
-``enu`` array. A featurizer takes a list of ``(lo, hi)`` sample spans and
-returns their ``(k, 82)`` feature matrix, so every segment a span decodes
-with is featurised in one batch; segments enter the ensemble as plain
-feature vectors.
+``infer_with_segment_tolerance`` is the one scorer, and it serves two modes:
+"full" runs the tolerance pass with its re-cut families, "reduced" runs the
+same pass on the detected-cut family alone. Both return a
+``ToleranceResult``; a span that no hypothesis fits is a result whose
+``best`` is ``None``, not an error. The attack and the evaluation harness
+both decode through it, each span as a ``[lo, hi)`` range of its whole
+recording's samples. A featurizer takes a list of ``(lo, hi)`` sample spans
+of the recording and returns their ``(k, 82)`` feature matrix, so every
+segment a span decodes with is featurised in one batch; segments enter the
+ensemble as plain feature vectors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
-from .features import SliceFeatures
 from .model import MetroNetwork
 
 FORWARD = "forward"
@@ -149,33 +148,39 @@ def _snap_cuts(cuts: list[int], hra: np.ndarray, rate: float) -> tuple[int, ...]
 
 def infer_with_segment_tolerance(
     series: EnuSeries,
+    lo: int,
+    hi: int,
     ensemble: IntervalEnsemble,
     network: MetroNetwork,
     points: list[int],
     featurize: Callable[[list[tuple[int, int]]], np.ndarray],
     mode: str,
 ) -> ToleranceResult:
-    """Infer a ride while allowing one missed or spurious segmentation point.
+    """Decode samples ``[lo, hi)`` of ``series``, allowing one missed or spurious stop.
 
-    The detected cuts give the n-segment family. In ``"full"`` mode, for n-1
-    and n+1 the span is re-cut per candidate run from nominal interval
-    durations plus dwells, snapped to local HRA minima, and re-featurized
-    (each distinct segment once); ``"reduced"`` mode keeps the detected
-    family alone. Families compete on mean per-segment score, with ties
-    going to the family that matches the detected count. When no family
-    fits, ``best`` is ``None`` and ``ranked`` is empty.
+    ``points`` are the detected interior cuts, counted from ``lo``, as are
+    the cuts the result reports. The detected cuts give the n-segment
+    family. In ``"full"`` mode, for n-1 and n+1 the span is re-cut per
+    candidate run from nominal interval durations plus dwells, snapped to
+    local HRA minima, and re-featurized (each distinct segment once);
+    ``"reduced"`` mode keeps the detected family alone. Families compete on
+    mean per-segment score, with ties going to the family that matches the
+    detected count. When no family fits, ``best`` is ``None`` and ``ranked``
+    is empty.
 
     ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
-    ``series`` samples ``[lo, hi)`` of each of k spans under
-    ``ensemble.config``; a caller that scores overlapping spans of one
-    recording passes one that remembers earlier segments.
+    ``series`` samples ``[a, b)`` of each of k spans under
+    ``ensemble.config``, counted from the start of ``series``; a caller that
+    scores overlapping spans of one recording passes one that remembers
+    earlier segments. An unknown ``mode`` raises ``ValueError``.
     ``ranked`` holds the ``TOP_K`` best hypotheses with their cuts, drawn from
     the ``TOP_K`` best detected-cut ones and every re-cut one.
     """
     check_mode(mode)
     points = sorted(points)
 
-    n_samples = series.n_samples
+    n_samples = hi - lo
+    hra = series.hra[lo:hi]
     rate = network.sample_rate
     m = network.num_intervals
     n_detected = len(points) + 1
@@ -194,7 +199,7 @@ def infer_with_segment_tolerance(
                 network.nominal_duration(start + step * j) for j in range(fam)
             ]
             cuts = _planned_cuts(durations, network.dwell_nominal, n_samples, rate)
-            snapped = _snap_cuts(cuts, series.hra, rate)
+            snapped = _snap_cuts(cuts, hra, rate)
             if snapped is not None:
                 tolerance_cands.append((start, direction, snapped))
 
@@ -211,7 +216,7 @@ def infer_with_segment_tolerance(
             for sp in zip([0, *cuts], [*cuts, n_samples])
         }
     )
-    rows = ensemble.predict_matrix(featurize(spans))
+    rows = ensemble.predict_matrix(featurize([(lo + a, lo + b) for a, b in spans]))
     row_of = {sp: i for i, sp in enumerate(spans)}
 
     def matrix_for(cuts: tuple[int, ...]) -> np.ndarray:
@@ -245,32 +250,7 @@ def infer_with_segment_tolerance(
     )
 
 
-# --- one span, either mode ----------------------------------------------------
-
-
 def check_mode(mode: str) -> None:
-    """Reject a decoding mode other than the ones ``decode_span`` knows."""
+    """Reject a decoding mode other than ``DECODE_MODES``."""
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown attack mode {mode!r}")
-
-
-def decode_span(
-    series: EnuSeries,
-    ensemble: IntervalEnsemble,
-    network: MetroNetwork,
-    points: list[int],
-    mode: str,
-    featurize: Callable[[list[tuple[int, int]]], np.ndarray] | None = None,
-) -> ToleranceResult:
-    """Decode one span cut at ``points`` in either mode.
-
-    ``"full"`` lets the tolerance pass re-cut the span for one missed or
-    spurious stop; ``"reduced"`` scores the detected cuts only. An unknown
-    mode raises ``ValueError``; a span that no hypothesis fits does not, and
-    its result has ``best`` of ``None``. ``featurize`` is as for
-    ``infer_with_segment_tolerance``; without one, each segment of the span
-    is featurised once.
-    """
-    if featurize is None:
-        featurize = SliceFeatures(series.enu, ensemble.config)
-    return infer_with_segment_tolerance(series, ensemble, network, points, featurize, mode)

@@ -18,6 +18,8 @@ read through ``load_json``.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -48,6 +50,16 @@ class TraceFormatError(ValueError):
 
 class NetworkFormatError(ValueError):
     """Raised when a network file violates the network schema."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite integer or float; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

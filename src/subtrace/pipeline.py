@@ -8,8 +8,6 @@ segmenter settings into a single JSON document.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -18,13 +16,15 @@ import numpy as np
 from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
-from .features import FeatureConfig, fit_features
-from .infer import TraceHypothesis, check_mode, decode_span
+from .features import FeatureConfig, SliceFeatures, fit_features
+from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
 from .model import (
     MetroNetwork,
     Trace,
     TraceFormatError,
     dump_json,
+    is_finite_real,
+    is_integer,
     load_json,
     load_network,
     load_trace,
@@ -78,23 +78,17 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if not is_integer(value):
                     raise ValueError(f"config field {f.name} must be an integer, got {value!r}")
                 if value < INT_MINIMUM[f.name]:
                     raise ValueError(
                         f"config field {f.name} must be at least {INT_MINIMUM[f.name]}, got {value!r}"
                     )
-            elif f.type == "float" and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not (math.isfinite(value) and value > 0)
-            ):
+            elif f.type == "float" and not (is_finite_real(value) and value > 0):
                 raise ValueError(f"config field {f.name} must be finite and positive, got {value!r}")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["noise"] = asdict(self.noise)
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -236,6 +230,11 @@ class TrueTrip:
     def n_legs(self) -> int:
         return len(self.uids)
 
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """Leg boundaries in samples: the span's start, every cut, the span's end."""
+        return (self.span[0], *self.cuts, self.span[1])
+
 
 def true_trip_layout(trace: Trace) -> TrueTrip:
     metro = trace.truth_ranges("metro")
@@ -259,10 +258,8 @@ def true_segments(trace: Trace) -> list[tuple[np.ndarray, int]]:
     """Earth-frame (n, 3) arrays cut at the true dwell centers, with labels."""
     enu = coord.transform(trace).enu
     layout = true_trip_layout(trace)
-    bounds = [layout.span[0], *layout.cuts, layout.span[1]]
-    return [
-        (enu[lo:hi], uid) for (lo, hi), uid in zip(zip(bounds[:-1], bounds[1:]), layout.uids)
-    ]
+    bounds = layout.bounds
+    return [(enu[lo:hi], uid) for lo, hi, uid in zip(bounds[:-1], bounds[1:], layout.uids)]
 
 
 # --- training -------------------------------------------------------------------
@@ -321,18 +318,6 @@ def train_ensemble_on(
     )
 
 
-def _segmenter_params(sp: dict) -> segment.SegmenterParams:
-    return segment.SegmenterParams(
-        l_w=int(sp["l_w"]),
-        l_min=int(sp["l_min"]),
-        l_max=int(sp["l_max"]),
-        t1=sp["t1"],
-        delta=sp["delta"],
-        quorum=float(sp["quorum"]),
-        max_escalations=int(sp["max_escalations"]),
-    )
-
-
 @dataclass
 class AttackModel:
     """Everything needed to run the attack on a raw trace."""
@@ -341,6 +326,15 @@ class AttackModel:
     mode_model: ModeModel
     ensemble: IntervalEnsemble
     seg_params: segment.SegmenterParams
+
+    def __post_init__(self):
+        net, ens = self.network, self.ensemble
+        if (ens.n_classes, ens.config.sample_rate) != (net.num_intervals, net.sample_rate):
+            raise ValueError(
+                f"attack model 'ensemble' section ({ens.n_classes} classes, "
+                f"{ens.config.sample_rate:g} Hz) does not fit its 'network' section "
+                f"({net.num_intervals} intervals, {net.sample_rate:g} Hz)"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -354,7 +348,10 @@ class AttackModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackModel":
-        """Rebuild a model; a malformed document raises ``ValueError`` naming its section."""
+        """Rebuild a model; a malformed or inconsistent document raises ``ValueError``.
+
+        The error names the section at fault.
+        """
         if (
             not isinstance(doc, dict)
             or doc.get("kind") != "attack_model"
@@ -365,7 +362,7 @@ class AttackModel:
         def section(key: str, parse):
             try:
                 return parse(doc[key])
-            except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"attack model {key!r} section is missing or malformed ({exc!r})"
                 ) from None
@@ -374,7 +371,7 @@ class AttackModel:
             network=section("network", lambda d: network_from_dict(d, source="attack model")),
             mode_model=section("mode_model", ModeModel.from_dict),
             ensemble=section("ensemble", IntervalEnsemble.from_dict),
-            seg_params=section("segmenter", _segmenter_params),
+            seg_params=section("segmenter", lambda sp: segment.SegmenterParams(**sp)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -427,18 +424,21 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
         )
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model)
+    featurize = SliceFeatures(series.enu, model.ensemble.config)
 
     results = []
     for span in spans:
-        sub = series.view(span.start, span.end)
-        points, warn = segment.find_final_segment_points(sub.hra, model.seg_params)
+        lo, hi = span.start, span.end
+        points, warn = segment.find_final_segment_points(series.hra[lo:hi], model.seg_params)
         entry = {
-            "span": [int(span.start), int(span.end)],
-            "t_start": float(series.t[span.start]),
-            "t_end": float(series.t[span.end - 1]),
+            "span": [int(lo), int(hi)],
+            "t_start": float(trace.t[lo]),
+            "t_end": float(trace.t[hi - 1]),
             "warning": bool(warn),
         }
-        res = decode_span(sub, model.ensemble, model.network, points, mode)
+        res = infer_with_segment_tolerance(
+            series, lo, hi, model.ensemble, model.network, points, featurize, mode
+        )
         hyp = res.best
         if hyp is None:
             entry["error"] = "no feasible hypothesis for this span"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MetroNetwork
+from .model import MetroNetwork, is_finite_real, is_integer
 
 DEFAULT_QUORUM = 0.95
 RESEARCH_QUORUM = 0.80
@@ -45,12 +45,20 @@ class SegmenterParams:
     max_escalations: int = MAX_ESCALATIONS
 
     def __post_init__(self):
+        for name in ("l_w", "l_min", "l_max", "max_escalations"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if not 0 < self.l_w <= self.l_min <= self.l_max:
             raise ValueError(
                 f"need 0 < l_w <= l_min <= l_max, got {self.l_w}, {self.l_min}, {self.l_max}"
             )
-        if not 0.0 < self.quorum <= 1.0:
-            raise ValueError(f"quorum {self.quorum} outside (0, 1]")
+        for name in ("t1", "delta"):
+            value = getattr(self, name)
+            if value is not None and not (is_finite_real(value) and value >= 0):
+                raise ValueError(f"{name} must be unset or finite and non-negative, got {value!r}")
+        if not (is_finite_real(self.quorum) and 0.0 < self.quorum <= 1.0):
+            raise ValueError(f"quorum {self.quorum!r} outside (0, 1]")
 
 
 def params_for_network(network: MetroNetwork) -> SegmenterParams:

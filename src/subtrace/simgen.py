@@ -11,7 +11,6 @@ motion identical when a single source is toggled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .model import (
     TruthRange,
     build_network,
     dump_json,
+    is_finite_real,
     load_json,
     normalize_orientation,
 )
@@ -90,11 +90,7 @@ class NoiseConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not (math.isfinite(value) and value >= 0)
-            ):
+            if not (is_finite_real(value) and value >= 0):
                 raise ValueError(f"noise field {f.name} must be finite and non-negative, got {value!r}")
 
 

@@ -112,12 +112,12 @@ def test_02_extraction_covers_rides_without_false_positives(corpus):
     covered = total = 0
     for trace in corpus.trips:
         series = coord.transform(trace)
-        mask = np.zeros(series.n_samples, dtype=bool)
+        mask = np.zeros(len(series.hra), dtype=bool)
         for span in extract.extract_spans(series.hra, mode_model):
             mask[span.start:span.end] = True
         rate = trace.sample_rate
         for r in trace.truth_ranges("metro"):
-            a, b = int(r.start * rate), min(int(r.end * rate), series.n_samples)
+            a, b = int(r.start * rate), min(int(r.end * rate), len(series.hra))
             covered += int(mask[a:b].sum())
             total += b - a
     coverage = covered / total

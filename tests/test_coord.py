@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from subtrace.coord import EnuSeries, rotation_matrices, transform
+from subtrace.coord import rotation_matrices, transform
 from subtrace.model import GRAVITY, Trace
 
 ATOL = 1e-9
@@ -181,16 +181,4 @@ class TestTraceTransform:
 
     def test_empty_trace(self):
         series = transform(self._trace(np.zeros((0, 3)), np.zeros((0, 3))))
-        assert series.n_samples == 0
-
-    def test_view_slices_all_fields(self):
-        rng = np.random.default_rng(9)
-        orient = np.degrees(random_orientations(30, rng))
-        acc = rng.normal(size=(30, 3))
-        series = transform(self._trace(orient, acc))
-        sub = series.view(5, 12)
-        assert isinstance(sub, EnuSeries)
-        assert sub.n_samples == 7
-        assert np.array_equal(sub.hra, series.hra[5:12])
-        assert np.array_equal(sub.enu, series.enu[5:12])
-        assert sub.enu.shape == (7, 3)
+        assert series.enu.shape == (0, 3) and series.hra.shape == (0,)

@@ -22,7 +22,6 @@ from subtrace.evalharness import (
     edit_distance,
     enumerate_subtrips,
     evaluate_subtrips,
-    loo_supervised,
     predict_subtrip,
     single_model_ensemble,
 )
@@ -277,12 +276,3 @@ class TestUnknownModeRejected:
         monkeypatch.setattr(evalharness, "predict_subtrip", never)
         with pytest.raises(ValueError, match="unknown attack mode"):
             evaluate_subtrips(small_corpus, lambda _: small_ensemble, (3,), mode=mode)
-
-    @pytest.mark.parametrize("mode", BAD_MODES)
-    def test_loo_supervised_trains_nothing(self, small_corpus, small_config, mode, monkeypatch):
-        def never(*args, **kwargs):
-            pytest.fail("a fold was trained under an unknown mode")
-
-        monkeypatch.setattr(evalharness, "train_ensemble_on", never)
-        with pytest.raises(ValueError, match="unknown attack mode"):
-            loo_supervised(small_corpus, small_config, (3,), mode=mode)

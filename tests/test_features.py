@@ -82,6 +82,12 @@ class TestFeatureConfig:
             {"sample_rate": -1.0},
             {"sample_rate": 10.0, "smooth_k": 0},
             {"sample_rate": 10.0, "peak_windows_s": ()},
+            {"sample_rate": float("nan")},
+            {"sample_rate": True},
+            {"sample_rate": 10.0, "smooth_k": 2.5},
+            {"sample_rate": 10.0, "peak_windows_s": (1.0, -2.0)},
+            {"sample_rate": 10.0, "nvht_thresholds": ((1.0, 2.0, 3.0),) * 2},
+            {"sample_rate": 10.0, "nvht_thresholds": ((1.0, 2.0, "3"),) * 3},
         ],
     )
     def test_rejects_bad_values(self, kw):

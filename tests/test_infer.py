@@ -164,18 +164,26 @@ def ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
+def decode(series, lo, hi, ensemble, network, points, mode, featurize=None):
+    """``infer_with_segment_tolerance`` with a featurizer over the whole series."""
+    if featurize is None:
+        featurize = SliceFeatures(series.enu, ensemble.config)
+    return infer.infer_with_segment_tolerance(
+        series, lo, hi, ensemble, network, points, featurize, mode
+    )
+
+
 class TestSegmentTolerance:
     def _layout(self, corpus, ti):
         trace = corpus.trips[ti]
         lay = true_trip_layout(trace)
-        series = coord.transform(trace).view(*lay.span)
         pts = [c - lay.span[0] for c in lay.cuts]
-        return lay, series, pts
+        return lay, coord.transform(trace), pts
 
     def test_exact_cuts_recover_truth(self, small_corpus, ensemble):
         for ti in range(len(small_corpus.trips)):
             lay, series, pts = self._layout(small_corpus, ti)
-            r = infer.decode_span(series, ensemble, small_corpus.network, pts, "full")
+            r = decode(series, *lay.span, ensemble, small_corpus.network, pts, "full")
             assert r.best.length == r.detected == lay.n_legs
             got = (r.best.start_interval, r.best.direction, r.best.length)
             assert got == (lay.uids[0], lay.direction, lay.n_legs)
@@ -185,7 +193,7 @@ class TestSegmentTolerance:
     def test_missing_cut_recovered(self, small_corpus, ensemble, ti, drop):
         lay, series, pts = self._layout(small_corpus, ti)
         degraded = [p for j, p in enumerate(pts) if j != drop]
-        r = infer.decode_span(series, ensemble, small_corpus.network, degraded, "full")
+        r = decode(series, *lay.span, ensemble, small_corpus.network, degraded, "full")
         assert r.detected == lay.n_legs - 1
         assert r.best.length == lay.n_legs
         got = (r.best.start_interval, r.best.direction, r.best.length)
@@ -193,11 +201,29 @@ class TestSegmentTolerance:
 
     def test_ranked_is_ordered_and_typed(self, small_corpus, ensemble):
         lay, series, pts = self._layout(small_corpus, 0)
-        r = infer.decode_span(series, ensemble, small_corpus.network, pts, "full")
+        r = decode(series, *lay.span, ensemble, small_corpus.network, pts, "full")
         means = [h.mean_score for h, _ in r.ranked]
         assert means == sorted(means, reverse=True)
         for _, cuts in r.ranked:
             assert list(cuts) == sorted(cuts)
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_same_result_in_recording_and_span_coordinates(self, small_corpus, ensemble, mode):
+        # decoding [lo, hi) of the whole trip must match decoding a series that starts at lo
+        network = small_corpus.network
+        params = params_for_network(network)
+        for ti in range(len(small_corpus.trips)):
+            lay, series, true_pts = self._layout(small_corpus, ti)
+            lo, hi = lay.span
+            shifted = coord.EnuSeries(series.enu[lo:], series.hra[lo:])
+            detected, _ = find_final_segment_points(series.hra[lo:hi], params)
+            for pts in (true_pts, detected):
+                whole = decode(series, lo, hi, ensemble, network, pts, mode)
+                own = decode(shifted, 0, hi - lo, ensemble, network, pts, mode)
+                assert whole.best == own.best
+                assert whole.best.score.hex() == own.best.score.hex()
+                assert (whole.points, whole.detected) == (own.points, own.detected)
+                assert whole.ranked == own.ranked
 
 
 def layout_stub(P, seg_len=10):
@@ -208,7 +234,7 @@ def layout_stub(P, seg_len=10):
     """
     n, m = P.shape
     points = [seg_len * j for j in range(1, n)]
-    series = SimpleNamespace(n_samples=seg_len * n)
+    series = SimpleNamespace(hra=np.zeros(seg_len * n))
     network = SimpleNamespace(sample_rate=10.0, num_intervals=m)
     ensemble = SimpleNamespace(predict_matrix=lambda X: P[np.asarray(X)[:, 0]])
 
@@ -219,7 +245,7 @@ def layout_stub(P, seg_len=10):
 
 
 class TestDecodeSpan:
-    """``decode_span`` scores both modes; reduced mode is the detected-cut family alone."""
+    """Decoding scores both modes; reduced mode is the detected-cut family alone."""
 
     def test_reduced_equals_ranking_on_random_matrices(self):
         rng = np.random.default_rng(406)
@@ -228,7 +254,8 @@ class TestDecodeSpan:
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
             series, ensemble, network, points, featurize = layout_stub(P)
-            res = infer.decode_span(series, ensemble, network, points, "reduced", featurize)
+            hi = len(series.hra)
+            res = decode(series, 0, hi, ensemble, network, points, "reduced", featurize)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -238,13 +265,13 @@ class TestDecodeSpan:
     def test_reduced_equals_ranking_on_corpus(self, small_corpus, ensemble):
         params = params_for_network(small_corpus.network)
         for trace in small_corpus.trips:
-            lay = true_trip_layout(trace)
-            series = coord.transform(trace).view(*lay.span)
-            points, _ = find_final_segment_points(series.hra, params)
-            bounds = [0, *points, series.n_samples]
+            lo, hi = true_trip_layout(trace).span
+            series = coord.transform(trace)
+            points, _ = find_final_segment_points(series.hra[lo:hi], params)
+            bounds = [lo, *(lo + p for p in points), hi]
             featurize = SliceFeatures(series.enu, ensemble.config)
             P = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))
-            res = infer.decode_span(series, ensemble, small_corpus.network, points, "reduced")
+            res = decode(series, lo, hi, ensemble, small_corpus.network, points, "reduced")
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -255,12 +282,13 @@ class TestDecodeSpan:
         # m + 2 cuts: the detected family and both re-cut families exceed the line
         m = small_corpus.network.num_intervals
         series = coord.transform(small_corpus.trips[0])
-        points = [int(p) for p in np.linspace(0, series.n_samples, m + 4)[1:-1]]
+        n = len(series.hra)
+        points = [int(p) for p in np.linspace(0, n, m + 4)[1:-1]]
 
         def featurize(spans):
             pytest.fail("a span that no hypothesis fits was featurised")
 
-        res = infer.decode_span(series, ensemble, small_corpus.network, points, mode, featurize)
+        res = decode(series, 0, n, ensemble, small_corpus.network, points, mode, featurize)
         assert res.best is None
         assert res.ranked == () and res.points == ()
         assert res.detected == m + 3

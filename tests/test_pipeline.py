@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subtrace import coord, infer, segment
+from subtrace import coord, features, pipeline, segment
 from subtrace.extract import classify_windows
 from subtrace.features import extract_batch
 from subtrace.model import Trace, TraceFormatError
@@ -293,7 +293,7 @@ class TestAttackTrace:
             def __call__(self, spans):
                 raise ValueError("featurizer broke")
 
-        monkeypatch.setattr(infer, "SliceFeatures", Broken)
+        monkeypatch.setattr(pipeline, "SliceFeatures", Broken)
         with pytest.raises(ValueError, match="featurizer broke"):
             attack_trace(small_corpus.trips[0], attack_model, mode=mode)
 
@@ -319,6 +319,42 @@ class TestAttackTrace:
         assert metro.start - bleed <= span["t_start"] <= metro.start + 2.0
         assert metro.end - 2.0 <= span["t_end"] <= metro.end + bleed
         assert span["length"] == 3
+
+    def test_two_ride_day_shares_one_featurizer(
+        self, small_corpus, small_config, attack_model, monkeypatch
+    ):
+        net = small_corpus.network
+        day = gen_mixed_day(
+            [
+                ("static", 90.0),
+                ("trip", {"start_interval": 0, "length": 3}),
+                ("walk", 180.0),
+                ("trip", {"start_interval": net.directed(5, "reverse"), "length": 3}),
+                ("static", 90.0),
+            ],
+            small_config.noise,
+            seed=57,
+            network=net,
+            profiles=small_corpus.profiles,
+        )
+        made, featurised = [], []
+        real_extract = features.extract_batch
+
+        class Counted(pipeline.SliceFeatures):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def logging_extract(segments, config):
+            featurised.extend(seg.tobytes() for seg in segments)
+            return real_extract(segments, config)
+
+        monkeypatch.setattr(pipeline, "SliceFeatures", Counted)
+        monkeypatch.setattr(features, "extract_batch", logging_extract)
+        report = attack_trace(day, attack_model, mode="full")
+        assert [s.get("intervals") for s in report["spans"]] == [[0, 1, 2], [5, 4, 3]]
+        assert len(made) == 1
+        assert len(featurised) == len(set(featurised)) > 0
 
     def test_walk_only_trace_yields_nothing(self, small_config, attack_model):
         walk = gen_other_mode("walk", 120.0, small_config.noise, seed=9)

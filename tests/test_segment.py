@@ -61,6 +61,15 @@ class TestParams:
         with pytest.raises(ValueError):
             SegmenterParams(l_w=10, l_min=30, l_max=60, quorum=quorum)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"l_w": 10.0}, {"l_max": 60.5}, {"max_escalations": -1}, {"max_escalations": True},
+         {"t1": "abc"}, {"t1": float("nan")}, {"delta": -0.5}, {"quorum": "0.9"}],
+    )
+    def test_bad_field_types(self, kw):
+        with pytest.raises(ValueError):
+            SegmenterParams(**{**dict(l_w=10, l_min=30, l_max=60), **kw})
+
     def test_quorum_one_allowed(self):
         SegmenterParams(l_w=10, l_min=30, l_max=60, quorum=1.0)
 
