@@ -20,7 +20,7 @@ net = corpus.network
 print(f"network {net.name!r}: {net.num_intervals} intervals, "
       f"{net.sample_rate:.0f} Hz, dwell {net.dwell_min:.0f}-{net.dwell_max:.0f} s")
 profile_by_id = {p.interval_id: p for p in corpus.profiles}
-for iv in net.forward:
+for iv in net.intervals:
     tag = " distinctive" if profile_by_id[iv.id].distinctive else ""
     print(f"  [{iv.id}] {iv.from_station} -> {iv.to_station}  "
           f"{iv.min_duration:.0f}-{iv.max_duration:.0f} s{tag}")

@@ -37,7 +37,7 @@ day = simgen.gen_mixed_day(
 )
 true_ride = day.truth_ranges("metro")[0]
 print(f"\nvictim rides the metro {true_ride.start:.0f} .. {true_ride.end:.0f} s "
-      f"(4 intervals forward from {net.interval(2).from_station})")
+      f"(4 intervals forward from {net.intervals[2].from_station})")
 
 report = pipeline.attack_trace(day, model, mode="full")
 print(f"\nattack found {report['num_spans']} ride(s):")

@@ -16,7 +16,7 @@ corpus = pipeline.build_corpus(config)
 net = corpus.network
 
 seeds = distinctive_intervals(corpus.profiles)[:2]
-names = [f"{net.interval(u).from_station}->{net.interval(u).to_station}" for u in seeds]
+names = [f"{net.intervals[u].from_station}->{net.intervals[u].to_station}" for u in seeds]
 print(f"line has {net.num_intervals} intervals; labeled seeds: "
       f"{seeds[0]} ({names[0]}) and {seeds[1]} ({names[1]})")
 print(f"unlabeled material: {len(corpus.trips)} trips, re-split into short rides\n")

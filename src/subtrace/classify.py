@@ -55,6 +55,11 @@ DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
 
 
+def _check_n_classes(n_classes) -> None:
+    if not (is_integer(n_classes) and n_classes >= 1):
+        raise ValueError(f"n_classes must be a positive integer, got {n_classes!r}")
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -106,8 +111,7 @@ def _screen_terms(priors: np.ndarray, means: np.ndarray, variances: np.ndarray) 
     ``X2 . 1/var + 2 |X| . |mean/var| + sum (|log(2 pi var)| + 1) + sum mean^2/var
     + 2 |log prior| + sum X2 + sum mean^2``, a zero prior adding nothing. The
     last two terms bound ``(x - mean) ** 2 / 2``, which ``log_joint`` squares
-    before it divides. A bad variance gives a non-finite scale, which leaves
-    every row to ``log_joint`` and its warnings.
+    before it divides.
     """
     with np.errstate(all="ignore"):
         lp = np.where(priors > 0, np.log(priors), -np.inf)
@@ -176,6 +180,17 @@ class GaussianNB:
     """Diagonal Gaussian naive Bayes with optional sample weights."""
 
     def __init__(self, priors: np.ndarray, means: np.ndarray, variances: np.ndarray):
+        if not (
+            priors.ndim == 1 and means.ndim == 2 and means.shape[:1] == priors.shape
+        ) or variances.shape != means.shape:
+            raise ValueError(
+                "naive Bayes priors, means and variances must be (m,), (m, d) and (m, d) arrays, "
+                f"got {priors.shape}, {means.shape} and {variances.shape}"
+            )
+        if not (np.isfinite(priors).all() and (priors >= 0).all() and np.isfinite(means).all()):
+            raise ValueError("naive Bayes priors must be finite and nonnegative, and means finite")
+        if not (np.isfinite(variances).all() and (variances > 0).all()):
+            raise ValueError("naive Bayes variances must be finite and positive")
         self.priors = priors
         self.means = means
         self.variances = variances
@@ -259,6 +274,17 @@ class AdaBoostNB:
     def __init__(self, learners: list[GaussianNB], alphas: np.ndarray, n_classes: int):
         if not learners:
             raise ValueError("boosted model needs at least one learner")
+        _check_n_classes(n_classes)
+        if alphas.shape != (len(learners),) or not np.isfinite(alphas).all():
+            raise ValueError(
+                f"boosted model needs one finite alpha per learner ({len(learners)}), "
+                f"got shape {alphas.shape}"
+            )
+        shapes = sorted({nb.means.shape for nb in learners})
+        if len(shapes) != 1 or shapes[0][0] != n_classes:
+            raise ValueError(
+                f"boosted learners must share one ({n_classes}, d) means shape, got {shapes}"
+            )
         self.learners = learners
         self.alphas = alphas
         self.n_classes = n_classes
@@ -290,7 +316,7 @@ class AdaBoostNB:
         return cls(
             [GaussianNB.from_dict(d) for d in doc["learners"]],
             np.array(doc["alphas"], dtype=float),
-            int(doc["n_classes"]),
+            doc["n_classes"],
         )
 
 
@@ -596,6 +622,19 @@ class RandomForest:
     def __init__(self, trees: list[dict], n_classes: int, oob_accuracy: float | None = None):
         if not trees:
             raise ValueError("forest needs at least one tree")
+        _check_n_classes(n_classes)
+        for t, tree in enumerate(trees):
+            nodes = len(tree["feature"])
+            shape = (nodes, n_classes)
+            if tree["probs"].shape != shape:
+                raise ValueError(f"forest tree {t} probs are {tree['probs'].shape}, not {shape}")
+            # a child after its parent keeps every walk finite
+            split = np.nonzero(tree["feature"] >= 0)[0]
+            if {len(tree[key]) for key in ("threshold", "left", "right")} != {nodes} or any(
+                ((tree[key][split] <= split) | (tree[key][split] >= nodes)).any()
+                for key in ("left", "right")
+            ):
+                raise ValueError(f"forest tree {t} has a split whose child is not a later node")
         self.trees = trees
         self.n_classes = n_classes
         self.oob_accuracy = oob_accuracy
@@ -657,7 +696,7 @@ class RandomForest:
             }
             for t in doc["trees"]
         ]
-        return cls(trees, int(doc["n_classes"]), doc.get("oob_accuracy"))
+        return cls(trees, doc["n_classes"], doc.get("oob_accuracy"))
 
 
 def train_random_forest(

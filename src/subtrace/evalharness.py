@@ -208,13 +208,18 @@ def evaluate_subtrips(
 def loo_supervised(
     corpus: Corpus, config: PipelineConfig, lengths: tuple[int, ...] = DEFAULT_LENGTHS
 ) -> EvalReport:
-    """Leave-one-trip-out evaluation of the supervised attack."""
+    """Leave-one-trip-out evaluation of the supervised attack.
+
+    Every trip is cut once; each fold trains on the rows of all trips but
+    its own, in trip order.
+    """
     n_trips = len(corpus.trips)
+    segs, uids = interval_training_rows(corpus)
+    ends = np.cumsum([true_trip_layout(t).n_legs for t in corpus.trips]).tolist()
     models: dict[int, IntervalEnsemble] = {}
-    for ti in range(n_trips):
-        train_idx = [i for i in range(n_trips) if i != ti]
-        segs, uids = interval_training_rows(corpus, train_idx)
-        models[ti] = train_ensemble_on(segs, uids, corpus.network, config)
+    for ti, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        train_segs, train_uids = segs[:lo] + segs[hi:], uids[:lo] + uids[hi:]
+        models[ti] = train_ensemble_on(train_segs, train_uids, corpus.network, config)
         log.info("fold %d/%d trained", ti + 1, n_trips)
     return evaluate_subtrips(corpus, lambda ti: models[ti], lengths)
 

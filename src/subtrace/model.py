@@ -2,7 +2,9 @@
 
 Traces are JSON-lines files: an optional meta header, one object per sample,
 and an optional ground-truth trailer.  Metro networks are single JSON
-documents describing one line; the reverse direction is derived, never stored.
+documents describing one line as its forward intervals.  The reverse
+direction is only an id mapping (``MetroNetwork.directed`` and
+``undirected``), never a second list of intervals.
 
 ``load_trace`` decodes each nonblank line with its own decoder call and stops
 at the first line it cannot read; a line that is not UTF-8 is one more such
@@ -74,14 +76,13 @@ class TruthRange:
 
 @dataclass(frozen=True)
 class StationInterval:
-    """Directed track piece between two adjacent stations."""
+    """Track piece between two adjacent stations, in the line's forward direction."""
 
     id: int
     from_station: str
     to_station: str
     min_duration: float
     max_duration: float
-    reverse: bool = False
 
     def __post_init__(self):
         if not (0 < self.min_duration <= self.max_duration):
@@ -97,12 +98,16 @@ class StationInterval:
 
 @dataclass(frozen=True)
 class MetroNetwork:
-    """One metro line with both travel directions materialized.
+    """One metro line, stored once as its k forward intervals.
 
-    Directed interval ids run 0..k-1 forward and k..2k-1 reverse, where the
-    reverse id k+i is the forward interval k-1-i ridden the other way.  Ids
-    inside one direction follow ride order, so a trip always occupies a run
-    of consecutive directed ids.
+    ``intervals[i]`` runs from station i to station i+1, so interval i+1
+    starts where interval i ends, and a ride in either direction is a run
+    of consecutive intervals. The reverse direction is only an id mapping,
+    never a second list of intervals: directed ids run 0..k-1 forward and
+    k..2k-1 reverse, where the reverse id k+i is the forward interval k-1-i
+    ridden the other way. ``directed`` and ``undirected`` are the only code
+    that knows this encoding. Ids inside one direction follow ride order, so
+    a trip always occupies a run of consecutive directed ids.
     """
 
     name: str
@@ -119,22 +124,20 @@ class MetroNetwork:
                 f"dwell bounds [{self.dwell_min}, {self.dwell_max}] invalid "
                 f"(minimum stop time is {MIN_DWELL} s)"
             )
-        fwd = [iv for iv in self.intervals if not iv.reverse]
-        rev = [iv for iv in self.intervals if iv.reverse]
-        if len(fwd) != len(rev) or not fwd:
-            raise NetworkFormatError("forward and reverse lists must match and be non-empty")
-        k = len(fwd)
-        if [iv.id for iv in self.intervals] != list(range(2 * k)):
-            raise NetworkFormatError("directed interval ids must be 0..2k-1 in order")
+        ids = [iv.id for iv in self.intervals]
+        if not ids or ids != list(range(len(ids))):
+            raise NetworkFormatError("interval ids must be 0..k-1 in order, at least one interval")
+        for a, b in zip(self.intervals, self.intervals[1:]):
+            if b.from_station != a.to_station:
+                raise NetworkFormatError(
+                    f"interval {b.id} starts at {b.from_station!r} but interval {a.id} "
+                    f"ends at {a.to_station!r}"
+                )
 
     @property
     def num_intervals(self) -> int:
         """Number of station intervals on the line (direction-free count)."""
-        return len(self.intervals) // 2
-
-    @property
-    def forward(self) -> tuple[StationInterval, ...]:
-        return self.intervals[: self.num_intervals]
+        return len(self.intervals)
 
     def undirected(self, gid: int) -> int:
         """Map a directed interval id onto its track segment id."""
@@ -147,19 +150,16 @@ class MetroNetwork:
             return uid
         return 2 * k - 1 - uid
 
-    def interval(self, gid: int) -> StationInterval:
-        return self.intervals[gid]
-
     def nominal_duration(self, uid: int) -> float:
-        return self.forward[uid].nominal_duration
+        return self.intervals[uid].nominal_duration
 
     @property
     def min_interval_duration(self) -> float:
-        return min(iv.min_duration for iv in self.forward)
+        return min(iv.min_duration for iv in self.intervals)
 
     @property
     def max_interval_duration(self) -> float:
-        return max(iv.max_duration for iv in self.forward)
+        return max(iv.max_duration for iv in self.intervals)
 
     @property
     def dwell_nominal(self) -> float:
@@ -419,38 +419,6 @@ def load_trace(path: str | Path) -> Trace:
 # --- network I/O ------------------------------------------------------------
 
 
-def build_network(
-    name: str,
-    sample_rate: float,
-    dwell: tuple[float, float],
-    forward: list[StationInterval],
-) -> MetroNetwork:
-    """Assemble a network from forward intervals, deriving the reverse ride."""
-    k = len(forward)
-    if [iv.id for iv in forward] != list(range(k)):
-        raise NetworkFormatError("forward interval ids must be consecutive from 0")
-    reverse = []
-    for i in range(k):
-        src = forward[k - 1 - i]
-        reverse.append(
-            StationInterval(
-                id=k + i,
-                from_station=src.to_station,
-                to_station=src.from_station,
-                min_duration=src.min_duration,
-                max_duration=src.max_duration,
-                reverse=True,
-            )
-        )
-    return MetroNetwork(
-        name=name,
-        sample_rate=sample_rate,
-        intervals=tuple(forward) + tuple(reverse),
-        dwell_min=dwell[0],
-        dwell_max=dwell[1],
-    )
-
-
 def network_from_dict(doc: dict, source: str = "network") -> MetroNetwork:
     try:
         name = str(doc["name"])
@@ -474,7 +442,7 @@ def network_from_dict(doc: dict, source: str = "network") -> MetroNetwork:
         except (KeyError, TypeError, ValueError):
             raise NetworkFormatError(f"{source}: bad interval entry {entry!r}")
     forward.sort(key=lambda iv: iv.id)
-    return build_network(name, sample_rate, dwell, forward)
+    return MetroNetwork(name, sample_rate, tuple(forward), *dwell)
 
 
 def network_to_dict(network: MetroNetwork) -> dict:
@@ -490,13 +458,13 @@ def network_to_dict(network: MetroNetwork) -> dict:
                 "min_duration": iv.min_duration,
                 "max_duration": iv.max_duration,
             }
-            for iv in network.forward
+            for iv in network.intervals
         ],
     }
 
 
 def load_network(path: str | Path) -> MetroNetwork:
-    """Read one line's forward intervals and derive the reverse direction."""
+    """Read one line's forward intervals."""
     name = Path(path).name
     return load_json(path, lambda doc: network_from_dict(doc, source=name), NetworkFormatError)
 

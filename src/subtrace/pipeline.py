@@ -401,10 +401,10 @@ def train_attack_model(corpus: Corpus, config: PipelineConfig) -> AttackModel:
 
 
 def _stations_of(hyp: TraceHypothesis, network: MetroNetwork) -> list[str]:
-    gids = [network.directed(u, hyp.direction) for u in hyp.interval_ids()]
-    return [network.interval(gids[0]).from_station] + [
-        network.interval(g).to_station for g in gids
-    ]
+    ivs = [network.intervals[u] for u in hyp.interval_ids()]
+    if hyp.direction == "forward":
+        return [ivs[0].from_station] + [iv.to_station for iv in ivs]
+    return [ivs[0].to_station] + [iv.from_station for iv in ivs]
 
 
 def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:

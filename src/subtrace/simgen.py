@@ -23,7 +23,6 @@ from .model import (
     StationInterval,
     Trace,
     TruthRange,
-    build_network,
     dump_json,
     is_finite_real,
     load_json,
@@ -241,12 +240,7 @@ def gen_network(
                 max_duration=round(1.08 * nominal, 1),
             )
         )
-    network = build_network(
-        name=f"simline-{seed}",
-        sample_rate=sample_rate,
-        dwell=DWELL_RANGE,
-        forward=forward,
-    )
+    network = MetroNetwork(f"simline-{seed}", sample_rate, tuple(forward), *DWELL_RANGE)
     return network, profiles
 
 

@@ -140,6 +140,26 @@ class TestGaussianNB:
         assert np.array_equal(back.means, two_class.means)
         assert np.array_equal(back.variances, two_class.variances)
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("priors", [0.5, 0.25, 0.25], "must be (m,), (m, d) and (m, d)"),
+            ("means", [1.0, 5.0], "must be (m,), (m, d) and (m, d)"),
+            ("variances", [[1.0, 1.0], [1.0, 1.0]], "must be (m,), (m, d) and (m, d)"),
+            ("priors", [0.5, float("nan")], "priors must be finite and nonnegative"),
+            ("priors", [1.5, -0.5], "priors must be finite and nonnegative"),
+            ("means", [[1.0], [float("inf")]], "means finite"),
+            ("variances", [[1.0], [-1.0]], "variances must be finite and positive"),
+            ("variances", [[0.0], [1.0]], "variances must be finite and positive"),
+            ("variances", [[1.0], [float("inf")]], "variances must be finite and positive"),
+        ],
+    )
+    def test_bad_fields_refused(self, two_class, field, value, problem):
+        doc = {**two_class.to_dict(), field: value}
+        with pytest.raises(ValueError) as info:
+            GaussianNB.from_dict(doc)
+        assert problem in str(info.value)
+
 
 class TestAdaBoost:
     def test_separable_data_stops_early(self):
@@ -185,6 +205,33 @@ class TestAdaBoost:
         with pytest.raises(ValueError):
             AdaBoostNB([], np.array([]), 2)
 
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda doc: {**doc, "n_classes": 4.0}, "n_classes must be a positive integer"),
+            (lambda doc: {**doc, "n_classes": True}, "n_classes must be a positive integer"),
+            (lambda doc: {**doc, "n_classes": 5}, "share one (5, d) means shape"),
+            (lambda doc: {**doc, "alphas": doc["alphas"][:-1]}, "one finite alpha per learner"),
+            (lambda doc: {**doc, "alphas": [float("nan")] * len(doc["alphas"])}, "finite alpha"),
+            (
+                lambda doc: {**doc, "learners": [*doc["learners"][:-1], {
+                    key: value[:3] for key, value in doc["learners"][-1].items()
+                }]},
+                "share one (4, d) means shape",
+            ),
+        ],
+        ids=["float classes", "bool classes", "classes other than the learners'",
+             "alpha missing", "NaN alphas", "learner of 3 classes"],
+    )
+    def test_bad_fields_refused(self, damage, problem):
+        model = train_adaboost_nb(cluster_set(seed=8), rounds=4, seed=9)
+        doc = json.loads(json.dumps(model.to_dict()))
+        doc = {**doc, "learners": doc["learners"] * 2, "alphas": doc["alphas"] * 2}
+        AdaBoostNB.from_dict(doc)  # two learners of 4 classes, as sound as one
+        with pytest.raises(ValueError) as info:
+            AdaBoostNB.from_dict(damage(doc))
+        assert problem in str(info.value)
+
 
 class TestRandomForest:
     def test_fits_separable_data(self):
@@ -224,6 +271,46 @@ class TestRandomForest:
     def test_needs_trees(self):
         with pytest.raises(ValueError):
             RandomForest([], 2)
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda doc: {**doc, "n_classes": 4.5}, "positive integer, got 4.5"),
+            (lambda doc: {**doc, "n_classes": "4"}, "positive integer, got '4'"),
+            (lambda doc: {**doc, "n_classes": 5}, "forest tree 0 probs are"),
+            (lambda doc: {**doc, "trees": [*doc["trees"][:-1], {
+                **doc["trees"][-1], "probs": [row[:3] for row in doc["trees"][-1]["probs"]]
+            }]}, "probs are"),
+            (lambda doc: _set_child(doc, "first leaf"), "not a later node"),
+            (lambda doc: _set_child(doc, "past the end"), "not a later node"),
+            (lambda doc: _set_child(doc, None), "not a later node"),
+        ],
+        ids=["fractional classes", "string classes", "classes other than the leaves'",
+             "3-column leaves in the last tree", "child before its split",
+             "child beyond the tree", "left list one short"],
+    )
+    def test_bad_fields_refused(self, damage, problem):
+        forest = train_random_forest(cluster_set(seed=20), n_trees=5, seed=21)
+        with pytest.raises(ValueError) as info:
+            RandomForest.from_dict(damage(json.loads(json.dumps(forest.to_dict()))))
+        assert problem in str(info.value)
+
+
+def _set_child(doc: dict, child: str | None) -> dict:
+    """``doc`` with tree 0's last split's left child moved to its first leaf or past its end.
+
+    A leaf has no children, so neither move makes a cycle, which would hang
+    the old constructor. ``None`` drops the last entry of the left list instead.
+    """
+    tree = doc["trees"][0]
+    split = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    leaf = tree["feature"].index(-1)
+    assert leaf < split
+    if child is None:
+        tree["left"].pop()
+    else:
+        tree["left"][split] = leaf if child == "first leaf" else len(tree["feature"])
+    return doc
 
 
 @pytest.fixture(scope="module")

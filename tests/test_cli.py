@@ -91,14 +91,32 @@ BAD_MODEL_FIELDS = {
         ("ensemble", "n_classes"), 9,
         ("'ensemble' section", "n_classes 9 differs from its boost and forest's (6, 6)"),
     ),
+    "negative mode variance": (
+        ("mode_model", "nb", "variances", 0, 0), -1.0,
+        ("'mode_model' section", "variances must be finite and positive"),
+    ),
+    "fractional boost classes": (
+        ("ensemble", "boost", "n_classes"), 6.5,
+        ("'ensemble' section", "n_classes must be a positive integer, got 6.5"),
+    ),
+    "broken line": (
+        ("network", "intervals", 1, "from"), "X",
+        ("'network' section", "interval 1 starts at 'X' but interval 0 ends at 'S01'"),
+    ),
 }
 
 
-def _set_field(doc: dict, path: tuple[str, ...], value) -> dict:
+def _set_field(doc: dict, path: tuple, value) -> dict:
     inner = doc
     for key in path[:-1]:
         inner = inner[key]
     inner[path[-1]] = value
+    return doc
+
+
+def _five_column_leaf_probs(doc: dict) -> dict:
+    for tree in doc["ensemble"]["forest"]["trees"]:
+        tree["probs"] = [row[:5] for row in tree["probs"]]
     return doc
 
 
@@ -396,8 +414,9 @@ class TestDataErrors:
             (lambda doc: {k: v for k, v in doc.items() if k != "segmenter"}, "'segmenter' section"),
             (lambda doc: {**doc, "ensemble": {**doc["ensemble"], "forest": 5}}, "'ensemble' section"),
             (lambda doc: [doc], "not a version-1 attack model document"),
+            (_five_column_leaf_probs, "'ensemble' section"),
         ],
-        ids=["no segmenter", "forest a number", "top-level list"],
+        ids=["no segmenter", "forest a number", "top-level list", "5-column leaf probs"],
     )
     def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
         model = tmp_path / "bad_model.json"
@@ -418,9 +437,18 @@ class TestDataErrors:
     def test_attack_model_classes_other_than_the_network(
         self, tmp_path, corpus_dir, model_file, capsys
     ):
+        # a sound 9-class ensemble: 3 classes no learner or leaf ever votes for
         doc = json.loads(Path(model_file).read_text())
+        ens = doc["ensemble"]
         for path in (("n_classes",), ("boost", "n_classes"), ("forest", "n_classes")):
-            _set_field(doc["ensemble"], path, 9)
+            _set_field(ens, path, 9)
+        for nb in ens["boost"]["learners"]:
+            d = len(nb["means"][0])
+            nb["priors"] += [0.0] * 3
+            nb["means"] += [[0.0] * d] * 3
+            nb["variances"] += [[1.0] * d] * 3
+        for tree in ens["forest"]["trees"]:
+            tree["probs"] = [row + [0.0] * 3 for row in tree["probs"]]
         model = tmp_path / "bad_model.json"
         model.write_text(json.dumps(doc))
         named = "'ensemble' section (9 classes, 10 Hz) does not fit its 'network' section"

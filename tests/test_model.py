@@ -13,7 +13,6 @@ from subtrace.model import (
     Trace,
     TraceFormatError,
     TruthRange,
-    build_network,
     load_network,
     load_trace,
     normalize_orientation,
@@ -44,7 +43,7 @@ def make_line(k=4, rate=25.0):
         StationInterval(i, f"S{i}", f"S{i+1}", 90.0 + 5 * i, 120.0 + 5 * i)
         for i in range(k)
     ]
-    return build_network("unit-line", rate, (25.0, 35.0), forward)
+    return MetroNetwork("unit-line", rate, tuple(forward), 25.0, 35.0)
 
 
 class TestTraceRoundTrip:
@@ -252,17 +251,6 @@ class TestTraceErrors:
 
 
 class TestNetwork:
-    def test_reverse_derivation(self):
-        net = make_line(k=4)
-        assert net.num_intervals == 4
-        assert len(net.intervals) == 8
-        for i, iv in enumerate(net.intervals[net.num_intervals :]):
-            src = net.forward[4 - 1 - i]
-            assert iv.id == 4 + i
-            assert iv.reverse
-            assert (iv.from_station, iv.to_station) == (src.to_station, src.from_station)
-            assert (iv.min_duration, iv.max_duration) == (src.min_duration, src.max_duration)
-
     def test_id_mappings_round_trip(self):
         net = make_line(k=5)
         for u in range(5):
@@ -314,22 +302,39 @@ class TestNetwork:
             StationInterval(0, "A", "B", 0.0, 90.0)
 
     def test_bad_dwell_bounds(self):
-        forward = [StationInterval(0, "A", "B", 90.0, 120.0)]
+        forward = (StationInterval(0, "A", "B", 90.0, 120.0),)
         with pytest.raises(NetworkFormatError, match="dwell bounds"):
-            build_network("x", 25.0, (5.0, 35.0), forward)
+            MetroNetwork("x", 25.0, forward, 5.0, 35.0)
 
     def test_nonconsecutive_ids_rejected(self):
-        forward = [StationInterval(1, "A", "B", 90.0, 120.0)]
-        with pytest.raises(NetworkFormatError, match="consecutive"):
-            build_network("x", 25.0, (25.0, 35.0), forward)
+        forward = (StationInterval(1, "A", "B", 90.0, 120.0),)
+        with pytest.raises(NetworkFormatError, match=r"ids must be 0\.\.k-1 in order"):
+            MetroNetwork("x", 25.0, forward, 25.0, 35.0)
+        with pytest.raises(NetworkFormatError, match="at least one interval"):
+            MetroNetwork("x", 25.0, (), 25.0, 35.0)
 
     def test_bad_sample_rate(self):
-        iv = [
-            StationInterval(0, "A", "B", 90.0, 120.0),
-            StationInterval(1, "B", "A", 90.0, 120.0, reverse=True),
-        ]
+        iv = (StationInterval(0, "A", "B", 90.0, 120.0),)
         with pytest.raises(NetworkFormatError, match="sample_rate"):
-            MetroNetwork("x", 0.0, tuple(iv), 25.0, 35.0)
+            MetroNetwork("x", 0.0, iv, 25.0, 35.0)
+
+    def test_broken_line_rejected(self, tmp_path):
+        # A->B then C->D is no line: a forward ride would read A, B, D and its
+        # reverse D, C, A over the same track
+        doc = {
+            "name": "x",
+            "sample_rate": 25.0,
+            "dwell": [25.0, 35.0],
+            "intervals": [
+                {"id": 0, "from": "A", "to": "B", "min_duration": 90.0, "max_duration": 120.0},
+                {"id": 1, "from": "C", "to": "D", "min_duration": 90.0, "max_duration": 120.0},
+            ],
+        }
+        p = tmp_path / "line.json"
+        p.write_text(json.dumps(doc))
+        named = "interval 1 starts at 'C' but interval 0 ends at 'B'"
+        with pytest.raises(NetworkFormatError, match=named):
+            load_network(p)
 
 
 # --- frozen copies of the per-sample trace I/O -------------------------------

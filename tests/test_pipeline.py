@@ -212,12 +212,12 @@ class TestAttackTrace:
             assert len(span["stations"]) == k + 1
 
     def test_stations_follow_network_names(self, small_corpus, attack_model):
-        trip = small_corpus.trips[0]
-        report = attack_trace(trip, attack_model, mode="full")
-        span = report["spans"][0]
-        net = small_corpus.network
-        gid0 = net.directed(span["intervals"][0], span["direction"])
-        assert span["stations"][0] == net.interval(gid0).from_station
+        # trip 0 rides the whole line forward, trip 1 the whole line back
+        line = [f"S{i:02d}" for i in range(7)]
+        for trip, direction, stations in ((0, "forward", line), (1, "reverse", line[::-1])):
+            span = attack_trace(small_corpus.trips[trip], attack_model, mode="full")["spans"][0]
+            assert span["direction"] == direction
+            assert span["stations"] == stations
 
     def test_reduced_mode(self, small_corpus, attack_model):
         trip = small_corpus.trips[0]
@@ -381,7 +381,7 @@ class TestSeedSegments:
         # also on a 20 Hz line, whose seed recordings are sampled at its own rate
         lines = [(small_corpus.network, small_corpus.profiles), gen_network(6, 11, 20.0)]
         for net, profiles in lines:
-            iv = net.interval(net.directed(2, "forward"))
+            iv = net.intervals[2]
             segs = seed_segments(net, profiles, 2, "forward", 2, small_config.noise, seed=14)
             low = net.sample_rate * iv.min_duration
             high = net.sample_rate * (iv.max_duration + 2 * net.dwell_nominal) + 2

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from subtrace.classify import TrainingSet
-from subtrace.model import MetroNetwork, StationInterval, build_network
+from subtrace.model import MetroNetwork, StationInterval
 from subtrace.semisup import (
     CONFLICT_MARGIN,
     LATE_ROUND_WEIGHT,
@@ -29,7 +29,7 @@ CENTERS = {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (0.0, 30.0)}
 
 
 def tiny_network() -> MetroNetwork:
-    forward = [
+    forward = tuple(
         StationInterval(
             id=i,
             from_station=f"S{i}",
@@ -38,8 +38,8 @@ def tiny_network() -> MetroNetwork:
             max_duration=120.0,
         )
         for i in range(K)
-    ]
-    return build_network("tiny", 10.0, (20.0, 35.0), forward)
+    )
+    return MetroNetwork("tiny", 10.0, forward, 20.0, 35.0)
 
 
 class Clusters:

@@ -49,7 +49,7 @@ class TestNetworkGeneration:
         assert len(profiles) == 12
         for p in profiles:
             assert 88.0 <= p.nominal_duration <= 150.0
-        for iv, p in zip(net.forward, profiles[:6]):
+        for iv, p in zip(net.intervals, profiles[:6]):
             assert iv.min_duration <= p.nominal_duration <= iv.max_duration
 
     def test_stops_at_both_ends(self, line):
