@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureConfig
+from .features import FEATURE_DIM, FeatureConfig
 from .model import is_integer
 
 VAR_FLOOR = 1e-6
@@ -737,7 +737,10 @@ def train_random_forest(
 
 @dataclass
 class IntervalEnsemble:
-    """Boosted NB and forest averaged 50/50 over the interval classes."""
+    """Boosted NB and forest averaged 50/50 over the interval classes.
+
+    Both parts must read ``FEATURE_DIM``-wide feature vectors.
+    """
 
     boost: AdaBoostNB
     forest: RandomForest
@@ -749,6 +752,13 @@ class IntervalEnsemble:
         if not is_integer(self.n_classes) or parts != (self.n_classes,) * 2:
             raise ValueError(
                 f"ensemble n_classes {self.n_classes!r} differs from its boost and forest's {parts}"
+            )
+        width = self.boost.learners[0].means.shape[1]
+        top = int(self.forest._feature.max())  # leaves read 0 there
+        if width != FEATURE_DIM or top >= FEATURE_DIM:
+            raise ValueError(
+                f"ensemble reads {FEATURE_DIM} features, but its boosted means are {width} wide "
+                f"and its forest splits on feature {top} at most"
             )
 
     def predict_matrix(self, rows: np.ndarray | list[np.ndarray]) -> np.ndarray:

@@ -26,7 +26,7 @@ from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import FeatureConfig, SliceFeatures, extract_batch, fit_features
 from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
-from .model import MetroNetwork
+from .model import FORWARD, REVERSE, MetroNetwork
 from .pipeline import (
     Corpus,
     PipelineConfig,
@@ -34,6 +34,7 @@ from .pipeline import (
     child_seed,
     interval_training_rows,
     seed_segments,
+    single_model_ensemble,  # re-exported: the benchmark calls it from here
     train_ensemble_on,
     true_trip_layout,
 )
@@ -109,7 +110,7 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
                         length=L,
                         span=(a, b),
                         uids=lay.uids[j : j + L],
-                        direction=lay.direction or "forward",
+                        direction=lay.direction or FORWARD,
                     )
                 )
     return subtrips
@@ -224,11 +225,6 @@ def loo_supervised(
     return evaluate_subtrips(corpus, lambda ti: models[ti], lengths)
 
 
-def single_model_ensemble(corpus: Corpus, config: PipelineConfig) -> IntervalEnsemble:
-    segs, uids = interval_training_rows(corpus)
-    return train_ensemble_on(segs, uids, corpus.network, config)
-
-
 # --- segmentation quality ---------------------------------------------------------
 
 
@@ -335,14 +331,12 @@ def bootstrap_from_corpus(
     sequences = [list(all_vectors[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
     # seed detectors from a couple of distinctive intervals, both directions
-    seed_uids = distinctive_intervals(corpus.profiles)[:SEED_INTERVALS]
+    seed_uids = distinctive_intervals(network, corpus.profiles)[:SEED_INTERVALS]
     seed_vectors: dict[int, np.ndarray] = {}
     for uid in seed_uids:
-        for direction in ("forward", "reverse"):
-            gid = network.directed(uid, direction)
+        for gid in (network.directed(uid, FORWARD), network.directed(uid, REVERSE)):
             segs = seed_segments(
-                network, corpus.profiles, uid, direction, SEED_TRAVERSALS,
-                config.noise, config.seed,
+                network, corpus.profiles, gid, SEED_TRAVERSALS, config.noise, config.seed
             )
             seed_vectors[gid] = extract_batch(segs, fconfig)
 

@@ -28,10 +28,7 @@ import numpy as np
 
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
-from .model import MetroNetwork
-
-FORWARD = "forward"
-REVERSE = "reverse"
+from .model import FORWARD, REVERSE, MetroNetwork
 
 LOG_EPS = 1e-12
 SNAP_WINDOW_S = 10.0
@@ -56,12 +53,18 @@ class TraceHypothesis:
 
     def interval_ids(self) -> tuple[int, ...]:
         """Undirected interval ids in ride order."""
-        step = 1 if self.direction == FORWARD else -1
-        return tuple(self.start_interval + step * j for j in range(self.length))
+        return tuple(_ride(self.start_interval, self.direction, self.length))
 
     @property
     def mean_score(self) -> float:
         return self.score / self.length
+
+
+def _ride(start: int, direction: str, length: int) -> range:
+    """Undirected ids of a ``length``-interval ride from ``start``, in ride order."""
+    if direction == FORWARD:
+        return range(start, start + length)
+    return range(start, start - length, -1)
 
 
 def candidate_runs(n: int, m: int) -> list[tuple[int, str]]:
@@ -78,9 +81,7 @@ def candidate_runs(n: int, m: int) -> list[tuple[int, str]]:
 def score_run(P: np.ndarray, start: int, direction: str) -> float:
     """Log-likelihood of one run under the per-segment distributions."""
     n = len(P)
-    step = 1 if direction == FORWARD else -1
-    cols = [start + step * j for j in range(n)]
-    return float(np.sum(np.log(P[np.arange(n), cols] + LOG_EPS)))
+    return float(np.sum(np.log(P[np.arange(n), _ride(start, direction, n)] + LOG_EPS)))
 
 
 def rank_hypotheses(P: np.ndarray) -> list[TraceHypothesis]:
@@ -194,10 +195,7 @@ def infer_with_segment_tolerance(
         if not 1 <= fam <= m:
             continue
         for start, direction in candidate_runs(fam, m):
-            step = 1 if direction == FORWARD else -1
-            durations = [
-                network.nominal_duration(start + step * j) for j in range(fam)
-            ]
+            durations = [network.nominal_duration(u) for u in _ride(start, direction, fam)]
             cuts = _planned_cuts(durations, network.dwell_nominal, n_samples, rate)
             snapped = _snap_cuts(cuts, hra, rate)
             if snapped is not None:

@@ -3,8 +3,8 @@
 Traces are JSON-lines files: an optional meta header, one object per sample,
 and an optional ground-truth trailer.  Metro networks are single JSON
 documents describing one line as its forward intervals.  The reverse
-direction is only an id mapping (``MetroNetwork.directed`` and
-``undirected``), never a second list of intervals.
+direction is an id mapping that ``MetroNetwork`` alone owns: ``directed``,
+``undirected``, ``directed_ids``, ``fits`` and ``stations``.
 
 ``load_trace`` decodes each nonblank line with its own decoder call and stops
 at the first line it cannot read; a line that is not UTF-8 is one more such
@@ -35,6 +35,8 @@ ALPHA_RANGE = (-90.0, 90.0)
 # bound on |acc| in m/s^2: phone accelerometers saturate near 16 g (157 m/s^2)
 ACC_LIMIT = 1e4
 MIN_DWELL = 20.0
+FORWARD = "forward"
+REVERSE = "reverse"
 
 
 class TraceFormatError(ValueError):
@@ -105,9 +107,9 @@ class MetroNetwork:
     of consecutive intervals. The reverse direction is only an id mapping,
     never a second list of intervals: directed ids run 0..k-1 forward and
     k..2k-1 reverse, where the reverse id k+i is the forward interval k-1-i
-    ridden the other way. ``directed`` and ``undirected`` are the only code
-    that knows this encoding. Ids inside one direction follow ride order, so
-    a trip always occupies a run of consecutive directed ids.
+    ridden the other way. Ids inside one direction follow ride order, so a
+    trip always occupies a run of consecutive directed ids. Only ``directed``,
+    ``undirected``, ``directed_ids``, ``fits`` and ``stations`` know this layout.
     """
 
     name: str
@@ -142,13 +144,32 @@ class MetroNetwork:
     def undirected(self, gid: int) -> int:
         """Map a directed interval id onto its track segment id."""
         k = self.num_intervals
+        if not 0 <= gid < 2 * k:
+            raise ValueError(f"directed id {gid} is not in 0..{2 * k - 1}")
         return gid if gid < k else 2 * k - 1 - gid
 
     def directed(self, uid: int, direction: str) -> int:
         k = self.num_intervals
-        if direction == "forward":
-            return uid
-        return 2 * k - 1 - uid
+        if not 0 <= uid < k or direction not in (FORWARD, REVERSE):
+            raise ValueError(f"no directed id for interval {uid} ridden {direction!r}")
+        return uid if direction == FORWARD else 2 * k - 1 - uid
+
+    @property
+    def directed_ids(self) -> range:
+        """Every directed id, the forward block first."""
+        return range(2 * self.num_intervals)
+
+    def fits(self, start: int, length: int) -> bool:
+        """Whether ``length`` directed ids from ``start`` stay inside one direction."""
+        k = self.num_intervals
+        return length >= 1 and 0 <= start < 2 * k and start // k == (start + length - 1) // k
+
+    def stations(self, uids: Iterable[int], direction: str) -> list[str]:
+        """Stations passed by a ride over ``uids``, given in ride order."""
+        ivs = [self.intervals[u] for u in uids]
+        if direction == FORWARD:
+            return [ivs[0].from_station] + [iv.to_station for iv in ivs]
+        return [ivs[0].to_station] + [iv.from_station for iv in ivs]
 
     def nominal_duration(self, uid: int) -> float:
         return self.intervals[uid].nominal_duration

@@ -17,8 +17,10 @@ from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
 from .features import FeatureConfig, SliceFeatures, fit_features
-from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
+from .infer import check_mode, infer_with_segment_tolerance
 from .model import (
+    FORWARD,
+    REVERSE,
     MetroNetwork,
     Trace,
     TraceFormatError,
@@ -127,17 +129,17 @@ class Corpus:
         return self.manifest["trips"]
 
 
-def _trip_plan(config: PipelineConfig) -> list[dict]:
-    k = config.num_intervals
+def _trip_plan(config: PipelineConfig, network: MetroNetwork) -> list[dict]:
+    k = network.num_intervals
     plan = []
     for i in range(config.n_trips):
-        forward = i % 2 == 0
+        direction = FORWARD if i % 2 == 0 else REVERSE
         plan.append(
             {
                 "file": f"trips/trip_{i:03d}.jsonl",
-                "start": 0 if forward else k,
+                "start": network.directed(0 if direction == FORWARD else k - 1, direction),
                 "length": k,
-                "direction": "forward" if forward else "reverse",
+                "direction": direction,
                 "seed": child_seed(config.seed, 1, i),
             }
         )
@@ -161,7 +163,7 @@ def build_corpus(config: PipelineConfig, out_dir: str | Path | None = None) -> C
     network, profiles = gen_network(
         config.num_intervals, seed=child_seed(config.seed, 0), sample_rate=config.sample_rate
     )
-    trip_plan = _trip_plan(config)
+    trip_plan = _trip_plan(config, network)
     mode_plan = _mode_plan(config)
 
     trips = [
@@ -250,7 +252,7 @@ def true_trip_layout(trace: Trace) -> TrueTrip:
     cuts = tuple(int(np.searchsorted(trace.t, 0.5 * (d.start + d.end))) for d in dwells)
     direction = None
     if len(uids) > 1:
-        direction = "forward" if uids[1] > uids[0] else "reverse"
+        direction = FORWARD if uids[1] > uids[0] else REVERSE
     return TrueTrip(span, cuts, uids, direction)
 
 
@@ -392,19 +394,17 @@ def bundle_attack_model(corpus: Corpus, ensemble: IntervalEnsemble) -> AttackMod
     )
 
 
-def train_attack_model(corpus: Corpus, config: PipelineConfig) -> AttackModel:
+def single_model_ensemble(corpus: Corpus, config: PipelineConfig) -> IntervalEnsemble:
+    """One interval ensemble trained on every true cut of the corpus."""
     segments, uids = interval_training_rows(corpus)
-    return bundle_attack_model(corpus, train_ensemble_on(segments, uids, corpus.network, config))
+    return train_ensemble_on(segments, uids, corpus.network, config)
+
+
+def train_attack_model(corpus: Corpus, config: PipelineConfig) -> AttackModel:
+    return bundle_attack_model(corpus, single_model_ensemble(corpus, config))
 
 
 # --- attack ---------------------------------------------------------------------
-
-
-def _stations_of(hyp: TraceHypothesis, network: MetroNetwork) -> list[str]:
-    ivs = [network.intervals[u] for u in hyp.interval_ids()]
-    if hyp.direction == "forward":
-        return [ivs[0].from_station] + [iv.to_station for iv in ivs]
-    return [ivs[0].to_station] + [iv.from_station for iv in ivs]
 
 
 def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
@@ -452,7 +452,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
                 "length": hyp.length,
                 "score": hyp.score,
                 "intervals": list(hyp.interval_ids()),
-                "stations": _stations_of(hyp, model.network),
+                "stations": model.network.stations(hyp.interval_ids(), hyp.direction),
             }
         )
         results.append(entry)
@@ -471,19 +471,17 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
 def seed_segments(
     network: MetroNetwork,
     profiles: list[TrackProfile],
-    uid: int,
-    direction: str,
+    gid: int,
     count: int,
     noise: NoiseConfig,
     seed: int,
 ) -> list[np.ndarray]:
-    """Earth-frame segments of single-interval rides the attacker took.
+    """Earth-frame segments of rides the attacker took over directed id ``gid`` alone.
 
     Each recording keeps a random slice of platform stillness on both sides,
     so the detector built on these tolerates however much dwell a segmenter
     cut leaves attached to a ride.
     """
-    gid = network.directed(uid, direction)
     out = []
     for i in range(count):
         pad_rng = np.random.default_rng(child_seed(seed, 4, gid, i, 1))

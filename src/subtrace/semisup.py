@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import GaussianNB
-from .model import MetroNetwork
+from .model import FORWARD, REVERSE, MetroNetwork
 
 CONFLICT_MARGIN = 1.2
 NEGATIVE_RATIO = 3
@@ -59,18 +59,18 @@ class PoolEntry:
 
 
 def resolve_sequence(
-    hits: list[tuple[int, int, float]], n: int, k: int
+    hits: list[tuple[int, int, float]], n: int, network: MetroNetwork
 ) -> int | None:
     """Pick the directed start id implied by seed hits on one sequence.
 
     Each hit (position p, interval g, confidence) implies the run starts at
-    g - p. Starts whose run would leave the direction block are impossible.
+    g - p. Starts whose run leaves one direction of ``network`` are impossible.
     The heaviest start wins only if it beats the runner-up by a clear margin.
     """
     weights: dict[int, float] = {}
     for p, g, conf in hits:
         s = g - p
-        if s < 0 or (s < k and s + n > k) or (s >= k and s + n > 2 * k):
+        if not network.fits(s, n):
             continue
         weights[s] = weights.get(s, 0.0) + conf
     if not weights:
@@ -105,9 +105,7 @@ class BootstrapResult:
 
 def pool_count(pools: dict[int, list[PoolEntry]], network: MetroNetwork, uid: int) -> int:
     """Labels available for one track segment, both directions combined."""
-    fwd = network.directed(uid, "forward")
-    rev = network.directed(uid, "reverse")
-    return len(pools.get(fwd, [])) + len(pools.get(rev, []))
+    return sum(len(pools.get(network.directed(uid, d), [])) for d in (FORWARD, REVERSE))
 
 
 def covered_intervals(
@@ -157,7 +155,7 @@ def bootstrap(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
 
     detectors: dict[int, SeedClassifier] = {c.gid: c for c in seeds}
-    pools: dict[int, list[PoolEntry]] = {g: [] for g in range(2 * k)}
+    pools: dict[int, list[PoolEntry]] = {g: [] for g in network.directed_ids}
     for c in detectors.values():
         pools[c.gid].extend(PoolEntry(v, 0) for v in c.positives)
 
@@ -178,7 +176,7 @@ def bootstrap(
                 for det in detectors.values()
                 for p, conf in det.hits(mat)
             ]
-            start = resolve_sequence(hits, len(mat), k)
+            start = resolve_sequence(hits, len(mat), network)
             if start is None:
                 continue
             resolved[si] = start
@@ -191,8 +189,8 @@ def bootstrap(
             for vec in mat
         ]
         for u in range(k):
-            fwd = network.directed(u, "forward")
-            rev = network.directed(u, "reverse")
+            fwd = network.directed(u, FORWARD)
+            rev = network.directed(u, REVERSE)
             if fwd in detectors and rev in detectors:
                 continue
             entries = pools[fwd] + pools[rev]

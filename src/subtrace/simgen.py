@@ -19,6 +19,7 @@ import numpy as np
 from . import coord
 from .model import (
     GRAVITY,
+    REVERSE,
     MetroNetwork,
     StationInterval,
     Trace,
@@ -212,22 +213,6 @@ def gen_network(
         h += _heading_turn(prims)
     end_headings = [headings[j] + _heading_turn(prim_sets[j]) for j in range(num_intervals)]
 
-    profiles = [
-        TrackProfile(j, prim_sets[j], headings[j], j in dist_ids)
-        for j in range(num_intervals)
-    ]
-    k = num_intervals
-    for i in range(k):
-        f = k - 1 - i
-        profiles.append(
-            TrackProfile(
-                k + i,
-                _reverse_primitives(prim_sets[f]),
-                end_headings[f] + math.pi,
-                f in dist_ids,
-            )
-        )
-
     forward = []
     for j, prims in enumerate(prim_sets):
         nominal = sum(p.duration for p in prims)
@@ -241,14 +226,26 @@ def gen_network(
             )
         )
     network = MetroNetwork(f"simline-{seed}", sample_rate, tuple(forward), *DWELL_RANGE)
+
+    profiles = [
+        TrackProfile(j, prim_sets[j], headings[j], j in dist_ids)
+        for j in range(num_intervals)
+    ]
+    for f in reversed(range(num_intervals)):
+        profiles.append(
+            TrackProfile(
+                network.directed(f, REVERSE),
+                _reverse_primitives(prim_sets[f]),
+                end_headings[f] + math.pi,
+                f in dist_ids,
+            )
+        )
     return network, profiles
 
 
-def distinctive_intervals(profiles: list[TrackProfile]) -> list[int]:
+def distinctive_intervals(network: MetroNetwork, profiles: list[TrackProfile]) -> list[int]:
     """Undirected ids of the intervals flagged distinctive at generation time."""
-    k = max(p.interval_id for p in profiles) // 2 + 1 if profiles else 0
-    ids = {p.interval_id for p in profiles if p.distinctive and p.interval_id < k}
-    return sorted(ids)
+    return sorted({network.undirected(p.interval_id) for p in profiles if p.distinctive})
 
 
 # --- kinematic integration ---------------------------------------------------
@@ -386,9 +383,8 @@ def gen_trip(
     Ground truth carries the whole-ride metro range, per-interval ranges, and
     interior dwells.
     """
-    k = network.num_intervals
     gids = list(range(start_interval, start_interval + length))
-    if not gids or gids[-1] >= 2 * k or (gids[0] // k) != (gids[-1] // k):
+    if not network.fits(start_interval, length):
         raise ValueError(f"interval run {gids} does not fit one direction of the line")
     by_id = {p.interval_id: p for p in profiles}
 

@@ -103,14 +103,28 @@ BAD_MODEL_FIELDS = {
         ("network", "intervals", 1, "from"), "X",
         ("'network' section", "interval 1 starts at 'X' but interval 0 ends at 'S01'"),
     ),
+    "forest split on feature 999": (
+        ("ensemble", "forest", "trees", 0, "feature", 0), 999,
+        ("'ensemble' section", "forest splits on feature 999"),
+    ),
+    "81-wide boost means": (
+        ("ensemble", "boost", "learners"),
+        lambda learners: [
+            {**nb, "means": [r[:81] for r in nb["means"]],
+             "variances": [r[:81] for r in nb["variances"]]}
+            for nb in learners
+        ],
+        ("'ensemble' section", "boosted means are 81 wide"),
+    ),
 }
 
 
 def _set_field(doc: dict, path: tuple, value) -> dict:
+    """Set the field at ``path``; a callable ``value`` maps the field's old value."""
     inner = doc
     for key in path[:-1]:
         inner = inner[key]
-    inner[path[-1]] = value
+    inner[path[-1]] = value(inner[path[-1]]) if callable(value) else value
     return doc
 
 

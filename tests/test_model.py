@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subtrace.infer import TraceHypothesis, candidate_runs
 from subtrace.model import (
+    FORWARD,
+    REVERSE,
     MetroNetwork,
     NetworkFormatError,
     StationInterval,
@@ -269,6 +272,39 @@ class TestNetwork:
         rev_ride = [net.directed(u, "reverse") for u in (3, 2, 1)]
         assert fwd_ride == [1, 2, 3]
         assert rev_ride == [4, 5, 6]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_directed_runs_are_the_candidate_runs(self, k):
+        # a run of directed ids that fits and an (undirected start, direction)
+        # pair of infer name the same rides, interval for interval
+        net = make_line(k=k)
+
+        def direction(gid):
+            uid = net.undirected(gid)
+            return next(d for d in (FORWARD, REVERSE) if net.directed(uid, d) == gid)
+
+        for n in range(1, k + 2):
+            starts = [g for g in net.directed_ids if net.fits(g, n)]
+            rides = [(net.undirected(g), direction(g)) for g in starts]
+            assert len(set(rides)) == len(rides)
+            assert sorted(rides) == sorted(candidate_runs(n, k))
+            for g, (start, d) in zip(starts, rides):
+                want = [net.undirected(x) for x in range(g, g + n)]
+                assert list(TraceHypothesis(start, d, n, 0.0).interval_ids()) == want
+
+    @pytest.mark.parametrize(
+        "uid, direction",
+        [(1, "Forward"), (1, None), (-1, FORWARD), (5, REVERSE)],
+        ids=["capitalised direction", "no direction", "uid before the line", "uid past the line"],
+    )
+    def test_directed_refuses_what_is_not_a_ride(self, uid, direction):
+        with pytest.raises(ValueError, match="no directed id"):
+            make_line(k=5).directed(uid, direction)
+
+    @pytest.mark.parametrize("gid", [-1, 10])
+    def test_undirected_refuses_id_off_the_line(self, gid):
+        with pytest.raises(ValueError, match=r"not in 0\.\.9"):
+            make_line(k=5).undirected(gid)
 
     def test_durations(self):
         net = make_line(k=3)

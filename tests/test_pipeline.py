@@ -366,13 +366,9 @@ class TestAttackTrace:
 class TestSeedSegments:
     def test_shapes_and_determinism(self, small_corpus, small_config):
         net = small_corpus.network
-        segs = seed_segments(
-            net, small_corpus.profiles, 2, "forward", 3, small_config.noise, seed=13
-        )
+        segs = seed_segments(net, small_corpus.profiles, 2, 3, small_config.noise, seed=13)
         assert len(segs) == 3
-        again = seed_segments(
-            net, small_corpus.profiles, 2, "forward", 3, small_config.noise, seed=13
-        )
+        again = seed_segments(net, small_corpus.profiles, 2, 3, small_config.noise, seed=13)
         for a, b in zip(segs, again):
             assert a.shape[1] == 3
             assert np.array_equal(a, b)
@@ -382,7 +378,7 @@ class TestSeedSegments:
         lines = [(small_corpus.network, small_corpus.profiles), gen_network(6, 11, 20.0)]
         for net, profiles in lines:
             iv = net.intervals[2]
-            segs = seed_segments(net, profiles, 2, "forward", 2, small_config.noise, seed=14)
+            segs = seed_segments(net, profiles, 2, 2, small_config.noise, seed=14)
             low = net.sample_rate * iv.min_duration
             high = net.sample_rate * (iv.max_duration + 2 * net.dwell_nominal) + 2
             for seg in segs:

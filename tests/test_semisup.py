@@ -28,7 +28,7 @@ K = 3
 CENTERS = {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (0.0, 30.0)}
 
 
-def tiny_network() -> MetroNetwork:
+def tiny_network(k: int = K) -> MetroNetwork:
     forward = tuple(
         StationInterval(
             id=i,
@@ -37,7 +37,7 @@ def tiny_network() -> MetroNetwork:
             min_duration=60.0,
             max_duration=120.0,
         )
-        for i in range(K)
+        for i in range(k)
     )
     return MetroNetwork("tiny", 10.0, forward, 20.0, 35.0)
 
@@ -82,45 +82,45 @@ class TestSeedClassifier:
 
 class TestResolveSequence:
     def test_single_consistent_hit(self):
-        assert resolve_sequence([(0, 1, 0.9)], n=2, k=5) == 1
+        assert resolve_sequence([(0, 1, 0.9)], n=2, network=tiny_network(5)) == 1
 
     def test_position_offset_applied(self):
-        assert resolve_sequence([(2, 3, 0.9)], n=2, k=5) == 1
+        assert resolve_sequence([(2, 3, 0.9)], n=2, network=tiny_network(5)) == 1
 
     def test_negative_start_filtered(self):
-        assert resolve_sequence([(2, 1, 0.9)], n=2, k=5) is None
+        assert resolve_sequence([(2, 1, 0.9)], n=2, network=tiny_network(5)) is None
 
     def test_run_crossing_direction_boundary_filtered(self):
-        assert resolve_sequence([(0, 3, 0.9)], n=3, k=5) is None
+        assert resolve_sequence([(0, 3, 0.9)], n=3, network=tiny_network(5)) is None
 
     def test_reverse_block_run_allowed(self):
-        assert resolve_sequence([(0, 5, 0.9)], n=3, k=5) == 5
+        assert resolve_sequence([(0, 5, 0.9)], n=3, network=tiny_network(5)) == 5
 
     def test_run_past_line_end_filtered(self):
-        assert resolve_sequence([(0, 8, 0.9)], n=3, k=5) is None
+        assert resolve_sequence([(0, 8, 0.9)], n=3, network=tiny_network(5)) is None
 
     def test_agreeing_hits_accumulate(self):
         hits = [(0, 2, 0.6), (1, 3, 0.7)]
-        assert resolve_sequence(hits, n=2, k=5) == 2
+        assert resolve_sequence(hits, n=2, network=tiny_network(5)) == 2
 
     def test_close_race_is_ambiguous(self):
         hits = [(0, 2, 1.1), (0, 3, 1.0)]
         assert 1.1 < CONFLICT_MARGIN * 1.0
-        assert resolve_sequence(hits, n=2, k=5) is None
+        assert resolve_sequence(hits, n=2, network=tiny_network(5)) is None
 
     def test_clear_margin_wins(self):
         hits = [(0, 2, 0.9), (1, 3, 0.9), (0, 3, 1.0)]
-        assert resolve_sequence(hits, n=2, k=5) == 2
+        assert resolve_sequence(hits, n=2, network=tiny_network(5)) == 2
 
     def test_equal_weights_are_ambiguous(self):
         hits = [(0, 2, 0.8), (0, 3, 0.8)]
-        assert resolve_sequence(hits, n=2, k=5) is None
+        assert resolve_sequence(hits, n=2, network=tiny_network(5)) is None
 
     def test_no_hits(self):
-        assert resolve_sequence([], n=2, k=5) is None
+        assert resolve_sequence([], n=2, network=tiny_network(5)) is None
 
     def test_all_filtered(self):
-        assert resolve_sequence([(3, 0, 0.9)], n=2, k=5) is None
+        assert resolve_sequence([(3, 0, 0.9)], n=2, network=tiny_network(5)) is None
 
 
 class TestPoolAccounting:

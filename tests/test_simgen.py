@@ -76,7 +76,7 @@ class TestNetworkGeneration:
 
     def test_distinctive_ids(self, line):
         net, profiles = line
-        ids = distinctive_intervals(profiles)
+        ids = distinctive_intervals(net, profiles)
         assert ids == sorted(ids)
         assert len(ids) == max(1, round(0.2 * net.num_intervals))
         for u in ids:
