@@ -46,11 +46,11 @@ print(f"\nextracted {len(spans)} span(s):")
 for sp in spans:
     print(f"  found ride {sp.start / rate:7.1f} .. {sp.end / rate:7.1f} s")
 
-# now split each ride at the dwells and compare to the true stop times
-params = segment.params_for_network(net)
+# now split each ride at the dwells and compare to the true stop times; the
+# segmenter reads its window and gap lengths from the line's timetable
 for sp in spans:
     hra = series.hra[sp.start:sp.end]
-    points, warn = segment.find_final_segment_points(hra, params)
+    points, warn = segment.find_final_segment_points(hra, net)
     true_cuts = [
         0.5 * (r.start + r.end) - sp.start / rate
         for r in day.truth_ranges("dwell")

@@ -7,10 +7,13 @@ full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Then it attacks four
 malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
-given a ``0xff`` byte, or repeating line 400's ``t``) and prints each exit
-code with a digest of the error message. Nothing is written in the
-checkout. To check that a change leaves every output byte-identical, run
-the script on the parent and on the change and diff what they print::
+given a ``0xff`` byte, or repeating line 400's ``t``), and attacks trip 0
+with three damaged copies of ``model.json`` (``schema_version`` 1, no
+``ensemble`` section, or interval 0 shorter than the shortest dwell), and
+prints each exit code with a digest of the error message. Nothing is
+written in the checkout. To check that a change leaves every output
+byte-identical, run the script on the parent and on the change and diff
+what they print::
 
     python3 scripts/cli_digests.py > after.txt
 """
@@ -51,6 +54,15 @@ MALFORMED = {
     "repeated_t": lambda prev, line: T_FIELD.sub(T_FIELD.match(prev).group(0), line),
 }
 
+# each damaged copy of model.json changes its decoded document in place
+DAMAGED_MODELS = {
+    "version_1": lambda doc: doc.update(schema_version=1),
+    "no_ensemble": lambda doc: doc.pop("ensemble"),
+    "interval_shorter_than_dwell": lambda doc: doc["network"]["intervals"][0].update(
+        min_duration=doc["network"]["dwell"][0] - 1.0
+    ),
+}
+
 
 def run(argv: list[str], stdout_file: str | None = None, ok=(cli.EXIT_OK,)) -> int:
     if stdout_file:
@@ -89,20 +101,32 @@ def run_commands() -> int:
     return code
 
 
+def attack_refused(model: str, trace: str, shown: Path) -> None:
+    """Attack ``trace`` with ``model`` and print the exit code and error digest under ``shown``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(["attack", "--model", model, "--trace", trace])
+    digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+    print(f"{digest}  attack {shown} exit code {code}")
+
+
 def attack_malformed() -> None:
-    """Attack each malformed copy of trip 0 and print its exit code and error digest."""
-    lines = Path("corpus/trips/trip_000.jsonl").read_bytes().splitlines(keepends=True)
+    """Attack each malformed copy of trip 0, then trip 0 with each damaged model."""
+    trip = "corpus/trips/trip_000.jsonl"
+    lines = Path(trip).read_bytes().splitlines(keepends=True)
     Path("errors").mkdir()
     for name, rewrite in MALFORMED.items():
         path = Path("errors", f"{name}.jsonl")
         bad = rewrite(lines[399], lines[400])
         assert bad != lines[400], name
         path.write_bytes(b"".join(lines[:400] + [bad] + lines[401:]))
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(["attack", "--model", "model.json", "--trace", str(path)])
-        digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
-        print(f"{digest}  attack {path} exit code {code}")
+        attack_refused("model.json", str(path), path)
+    for name, damage in DAMAGED_MODELS.items():
+        path = Path("errors", f"model_{name}.json")
+        doc = json.loads(Path("model.json").read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        attack_refused(str(path), trip, path)
 
 
 def main() -> None:

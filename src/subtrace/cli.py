@@ -98,19 +98,25 @@ def _cmd_bootstrap(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     corpus = pipeline.load_corpus(args.corpus)
-    lengths = tuple(int(x) for x in args.lengths.split(","))
     if args.protocol == "supervised":
-        report = evalharness.loo_supervised(corpus, config, lengths)
+        report = evalharness.loo_supervised(corpus, config, args.lengths)
         doc = {
             "protocol": "supervised",
             "segmentation": evalharness.segmentation_evaluation(corpus).to_dict(),
             **report.to_dict(),
         }
     else:
-        report = evalharness.semisupervised_evaluation(corpus, config, lengths)
+        report = evalharness.semisupervised_evaluation(corpus, config, args.lengths)
         doc = {"protocol": "semisupervised", **report.to_dict()}
     _emit(doc, args.out)
     return EXIT_OK
+
+
+def _lengths(text: str) -> tuple[int, ...]:
+    try:
+        return evalharness.check_lengths(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
     p.add_argument("--corpus", required=True)
     p.add_argument("--protocol", choices=("supervised", "semisupervised"), required=True)
-    p.add_argument("--lengths", default="3,5,7", help="comma-separated subtrip lengths")
+    p.add_argument(
+        "--lengths", type=_lengths, default="3,5,7", help="comma-separated subtrip lengths"
+    )
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config")

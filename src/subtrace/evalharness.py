@@ -26,7 +26,7 @@ from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import FeatureConfig, SliceFeatures, extract_batch, fit_features
 from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
-from .model import FORWARD, REVERSE, MetroNetwork
+from .model import FORWARD, REVERSE, MetroNetwork, is_integer
 from .pipeline import (
     Corpus,
     PipelineConfig,
@@ -95,6 +95,14 @@ class Subtrip:
     direction: str
 
 
+def check_lengths(lengths) -> tuple[int, ...]:
+    """``lengths`` as a tuple; a length below 1 or one given twice raises ``ValueError``."""
+    lengths = tuple(lengths)
+    if not all(is_integer(n) and n >= 1 for n in lengths) or len(set(lengths)) < len(lengths):
+        raise ValueError(f"subtrip lengths must be distinct and at least 1, got {list(lengths)}")
+    return lengths
+
+
 def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip]:
     subtrips = []
     for ti, trace in enumerate(corpus.trips):
@@ -121,7 +129,6 @@ def predict_subtrip(
     st: Subtrip,
     ensemble: IntervalEnsemble,
     network: MetroNetwork,
-    seg_params: segment.SegmenterParams,
     mode: str,
     featurize: Callable[[list[tuple[int, int]]], np.ndarray],
 ) -> TraceHypothesis | None:
@@ -132,7 +139,7 @@ def predict_subtrip(
     unknown ``mode`` raises ``ValueError``.
     """
     lo, hi = st.span
-    points, _ = segment.find_final_segment_points(series.hra[lo:hi], seg_params)
+    points, _ = segment.find_final_segment_points(series.hra[lo:hi], network)
     return infer_with_segment_tolerance(
         series, lo, hi, ensemble, network, points, featurize, mode
     ).best
@@ -163,8 +170,8 @@ def evaluate_subtrips(
     series_by_trip: list[coord.EnuSeries] | None = None,
 ) -> EvalReport:
     check_mode(mode)
+    lengths = check_lengths(lengths)
     k = corpus.network.num_intervals
-    seg_params = segment.params_for_network(corpus.network)
     if series_by_trip is None:
         series_by_trip = [coord.transform(t) for t in corpus.trips]
 
@@ -181,7 +188,7 @@ def evaluate_subtrips(
         if (st.trip, ensemble.config) != memo_key:
             memo_key = (st.trip, ensemble.config)
             memo = SliceFeatures(series.enu, ensemble.config)
-        hyp = predict_subtrip(series, st, ensemble, corpus.network, seg_params, mode, memo)
+        hyp = predict_subtrip(series, st, ensemble, corpus.network, mode, memo)
         totals[st.length] += 1
         if _ride_key(hyp) == (st.uids[0], st.direction, st.length):
             correct[st.length] += 1
@@ -246,13 +253,13 @@ class SegmentationReport:
 
 def segmentation_evaluation(corpus: Corpus) -> SegmentationReport:
     """Pipeline points vs true dwell centers on every full trip span."""
-    seg_params = segment.params_for_network(corpus.network)
     rate = corpus.network.sample_rate
     distances, count_errors = [], []
     for trace in corpus.trips:
         lay = true_trip_layout(trace)
         lo, hi = lay.span
-        points, _ = segment.find_final_segment_points(coord.transform(trace).hra[lo:hi], seg_params)
+        hra = coord.transform(trace).hra
+        points, _ = segment.find_final_segment_points(hra[lo:hi], corpus.network)
         pred_t = [p / rate for p in points]
         true_t = [(c - lo) / rate for c in lay.cuts]
         distances.append(edit_distance(pred_t, true_t))
@@ -307,7 +314,6 @@ def bootstrap_from_corpus(
 ) -> tuple[semisup.BootstrapResult, IntervalEnsemble, int]:
     """Unlabeled rides + seed traversals -> (result, bootstrapped ensemble, number of rides)."""
     network = corpus.network
-    seg_params = segment.params_for_network(network)
 
     # unlabeled rides: every trip re-split into random contiguous chunks
     chunk_segs: list[list[np.ndarray]] = []
@@ -319,7 +325,7 @@ def bootstrap_from_corpus(
         j = 0
         for size in _random_chunks(lay.n_legs, rng):
             a, b = bounds[j], bounds[j + size]
-            points, _ = segment.find_final_segment_points(series.hra[a:b], seg_params)
+            points, _ = segment.find_final_segment_points(series.hra[a:b], network)
             cuts = [a, *(a + p for p in points), b]
             chunk_segs.append([series.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
             j += size

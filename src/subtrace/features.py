@@ -18,8 +18,10 @@ A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is
 one ``(s, 3, L)`` block: segment, component, sample, padded with -0.0. A
 vector is byte-identical to featurising its segment alone, whatever else
-shares its batch or chunk, because every sum still adds in the order it
-would for one segment:
+shares its batch or chunk, with one exception: the three max columns (1,
+16 and 31) of a component whose largest value is a zero, held as both 0.0
+and -0.0, may differ in the sign of that zero. Everything else agrees
+because every sum still adds in the order it would for one segment:
 
 - *Smoothing:* one cumulative sum runs along each padded row, so it
   restarts at every segment (one sum over the concatenated segments would
@@ -30,7 +32,8 @@ would for one segment:
   numpy's pairwise blocks.
 - *Max and exceedance counts:* these are exact, so they reduce the whole
   block, with -inf padding for the max and the padding masked out of the
-  counts.
+  counts. Only ``np.max`` may return either zero of a row that holds both,
+  and the block and the lone row may return different ones.
 - *Spectrum:* the mean-removed rows, zero-padded to the chunk's ``nfft``
   (the smallest power of two of at least 16 and n), go through one
   ``rfft``, which transforms each row on its own. Spectral entropy sums a

@@ -87,7 +87,7 @@ class StationInterval:
     max_duration: float
 
     def __post_init__(self):
-        if not (0 < self.min_duration <= self.max_duration):
+        if not (0 < self.min_duration <= self.max_duration < math.inf):
             raise NetworkFormatError(
                 f"interval {self.id}: bad duration bounds "
                 f"[{self.min_duration}, {self.max_duration}]"
@@ -119,9 +119,9 @@ class MetroNetwork:
     dwell_max: float
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise NetworkFormatError("sample_rate must be positive")
-        if not (MIN_DWELL <= self.dwell_min <= self.dwell_max):
+        if not (0 < self.sample_rate < math.inf):
+            raise NetworkFormatError("sample_rate must be positive and finite")
+        if not (MIN_DWELL <= self.dwell_min <= self.dwell_max < math.inf):
             raise NetworkFormatError(
                 f"dwell bounds [{self.dwell_min}, {self.dwell_max}] invalid "
                 f"(minimum stop time is {MIN_DWELL} s)"
@@ -135,6 +135,12 @@ class MetroNetwork:
                     f"interval {b.id} starts at {b.from_station!r} but interval {a.id} "
                     f"ends at {a.to_station!r}"
                 )
+        # the segmenter's window and the least distance between its cuts, in samples
+        dwell, interval = self.samples(self.dwell_min), self.samples(self.min_interval_duration)
+        if not 0 < dwell <= interval:
+            raise NetworkFormatError(
+                f"need 0 < shortest dwell <= shortest interval in samples, got {dwell}, {interval}"
+            )
 
     @property
     def num_intervals(self) -> int:
@@ -173,6 +179,10 @@ class MetroNetwork:
 
     def nominal_duration(self, uid: int) -> float:
         return self.intervals[uid].nominal_duration
+
+    def samples(self, seconds: float) -> int:
+        """``seconds`` as a whole number of samples at the line's rate."""
+        return int(round(self.sample_rate * seconds))
 
     @property
     def min_interval_duration(self) -> float:

@@ -2,8 +2,9 @@
 
 A corpus directory holds one network, its track profiles, simulated trips,
 and other-mode recordings, all reproducible from the seed in its manifest.
-An attack model bundles the ride extractor, the interval ensemble, and the
-segmenter settings into a single JSON document.
+An attack model bundles the network, the ride extractor and the interval
+ensemble into a single JSON document; the segmenter takes its settings from
+the network.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def true_segments(trace: Trace) -> list[tuple[np.ndarray, int]]:
 
 
 def mode_window_size(network: MetroNetwork) -> int:
-    return int(round(network.sample_rate * network.min_interval_duration)) // 2
+    return network.samples(network.min_interval_duration) // 2
 
 
 def train_mode_model(corpus: Corpus) -> ModeModel:
@@ -327,7 +328,6 @@ class AttackModel:
     network: MetroNetwork
     mode_model: ModeModel
     ensemble: IntervalEnsemble
-    seg_params: segment.SegmenterParams
 
     def __post_init__(self):
         net, ens = self.network, self.ensemble
@@ -340,12 +340,11 @@ class AttackModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "attack_model",
             "network": network_to_dict(self.network),
             "mode_model": self.mode_model.to_dict(),
             "ensemble": self.ensemble.to_dict(),
-            "segmenter": asdict(self.seg_params),
         }
 
     @classmethod
@@ -357,9 +356,9 @@ class AttackModel:
         if (
             not isinstance(doc, dict)
             or doc.get("kind") != "attack_model"
-            or doc.get("schema_version") != 1
+            or doc.get("schema_version") != 2
         ):
-            raise ValueError("not a version-1 attack model document")
+            raise ValueError("not a version-2 attack model document")
 
         def section(key: str, parse):
             try:
@@ -373,7 +372,6 @@ class AttackModel:
             network=section("network", lambda d: network_from_dict(d, source="attack model")),
             mode_model=section("mode_model", ModeModel.from_dict),
             ensemble=section("ensemble", IntervalEnsemble.from_dict),
-            seg_params=section("segmenter", lambda sp: segment.SegmenterParams(**sp)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -385,12 +383,9 @@ class AttackModel:
 
 
 def bundle_attack_model(corpus: Corpus, ensemble: IntervalEnsemble) -> AttackModel:
-    """Bundle an interval ensemble with the corpus's ride extractor and segmenter."""
+    """Bundle an interval ensemble with the corpus's network and ride extractor."""
     return AttackModel(
-        network=corpus.network,
-        mode_model=train_mode_model(corpus),
-        ensemble=ensemble,
-        seg_params=segment.params_for_network(corpus.network),
+        network=corpus.network, mode_model=train_mode_model(corpus), ensemble=ensemble
     )
 
 
@@ -429,7 +424,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
     results = []
     for span in spans:
         lo, hi = span.start, span.end
-        points, warn = segment.find_final_segment_points(series.hra[lo:hi], model.seg_params)
+        points, warn = segment.find_final_segment_points(series.hra[lo:hi], model.network)
         entry = {
             "span": [int(lo), int(hi)],
             "t_start": float(trace.t[lo]),

@@ -7,6 +7,12 @@ center becomes the segmentation point. A second, escalating pass then
 re-searches any implausibly long gap with a raised threshold and a
 relaxed quorum until every gap could be a single station interval.
 
+The lengths come from the network's timetable, in samples: the window
+``l_w`` is the shortest dwell, two points lie at least ``l_min``, the
+shortest interval, apart, and a gap is re-searched when longer than
+``l_max``, the longest interval plus the longest dwell. The threshold
+``t1`` is the span's 30th HRA percentile; each escalation adds a tenth of it.
+
 A scan tests every window start in one vectorised pass and then jumps
 from hit to hit, so its Python work grows with the number of stops, not
 with the number of samples. Its prefix sums always cover the whole series,
@@ -15,70 +21,15 @@ whatever part of it the scan searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .model import MetroNetwork, is_finite_real, is_integer
+from .model import MetroNetwork
 
-DEFAULT_QUORUM = 0.95
+QUORUM = 0.95
 RESEARCH_QUORUM = 0.80
 T1_PERCENTILE = 30.0
 DELTA_FRACTION = 0.10
 MAX_ESCALATIONS = 8
-
-
-@dataclass(frozen=True)
-class SegmenterParams:
-    """Knobs for one segmentation run; lengths are in samples.
-
-    T1 and delta may be left unset, in which case they are derived from the
-    span itself (30th HRA percentile and 10% of it).
-    """
-
-    l_w: int
-    l_min: int
-    l_max: int
-    t1: float | None = None
-    delta: float | None = None
-    quorum: float = DEFAULT_QUORUM
-    max_escalations: int = MAX_ESCALATIONS
-
-    def __post_init__(self):
-        for name in ("l_w", "l_min", "l_max", "max_escalations"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        if not 0 < self.l_w <= self.l_min <= self.l_max:
-            raise ValueError(
-                f"need 0 < l_w <= l_min <= l_max, got {self.l_w}, {self.l_min}, {self.l_max}"
-            )
-        for name in ("t1", "delta"):
-            value = getattr(self, name)
-            if value is not None and not (is_finite_real(value) and value >= 0):
-                raise ValueError(f"{name} must be unset or finite and non-negative, got {value!r}")
-        if not (is_finite_real(self.quorum) and 0.0 < self.quorum <= 1.0):
-            raise ValueError(f"quorum {self.quorum!r} outside (0, 1]")
-
-
-def params_for_network(network: MetroNetwork) -> SegmenterParams:
-    rate = network.sample_rate
-    return SegmenterParams(
-        l_w=int(round(rate * network.dwell_min)),
-        l_min=int(round(rate * network.min_interval_duration)),
-        l_max=int(round(rate * (network.max_interval_duration + network.dwell_max))),
-    )
-
-
-def resolve_params(params: SegmenterParams, hra: np.ndarray) -> SegmenterParams:
-    """Fill data-derived defaults for t1 and delta."""
-    t1 = params.t1
-    if t1 is None:
-        t1 = float(np.percentile(np.asarray(hra, dtype=float), T1_PERCENTILE))
-    delta = params.delta
-    if delta is None:
-        delta = DELTA_FRACTION * t1
-    return replace(params, t1=t1, delta=delta)
 
 
 def find_seg_points(
@@ -134,31 +85,36 @@ def _overlong_gaps(points: list[int], n: int, l_max: int) -> list[tuple[int, int
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > l_max]
 
 
-def find_final_segment_points(
-    hra: np.ndarray, params: SegmenterParams
+def find_final_segment_points(hra: np.ndarray, network: MetroNetwork) -> tuple[list[int], bool]:
+    """Cut one span of ``network``'s rides at its stops.
+
+    Returns the sorted points and a warning flag that is set when a gap too
+    long to be one ride survives every escalation.
+    """
+    t1 = float(np.percentile(hra, T1_PERCENTILE))
+    l_w, l_min = network.samples(network.dwell_min), network.samples(network.min_interval_duration)
+    l_max = network.samples(network.max_interval_duration + network.dwell_max)
+    return _final_points(hra, t1, DELTA_FRACTION * t1, l_w, l_min, l_max)
+
+
+def _final_points(
+    hra: np.ndarray, t1: float, delta: float, l_w: int, l_min: int, l_max: int
 ) -> tuple[list[int], bool]:
-    """Scan, then escalate the threshold over any gap too long to be one ride.
+    """Scan, then escalate the threshold by ``delta`` over any gap longer than ``l_max``.
 
     Re-searches run at a relaxed quorum and stay l_min clear of the gap's
-    endpoints. Returns the sorted points and a warning flag that is set when
-    overlong gaps survive all escalations.
+    endpoints.
     """
-    hra = np.asarray(hra, dtype=float)
-    p = resolve_params(params, hra)
     n = len(hra)
-    points = find_seg_points(hra, 0, n, p.t1, p.quorum, p.l_w, p.l_min)
-
-    t1 = p.t1
-    for _ in range(p.max_escalations):
-        gaps = _overlong_gaps(points, n, p.l_max)
+    points = find_seg_points(hra, 0, n, t1, QUORUM, l_w, l_min)
+    for _ in range(MAX_ESCALATIONS):
+        gaps = _overlong_gaps(points, n, l_max)
         if not gaps:
             return sorted(points), False
-        t1 += p.delta
+        t1 += delta
         for a, b in gaps:
             points.extend(
-                find_seg_points(
-                    hra, a + p.l_min, b - p.l_min, t1, RESEARCH_QUORUM, p.l_w, p.l_min
-                )
+                find_seg_points(hra, a + l_min, b - l_min, t1, RESEARCH_QUORUM, l_w, l_min)
             )
         points = sorted(set(points))
-    return sorted(points), bool(_overlong_gaps(points, n, p.l_max))
+    return sorted(points), bool(_overlong_gaps(points, n, l_max))

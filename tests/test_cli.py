@@ -70,11 +70,13 @@ BAD_NOISE_VALUES = {
 }
 
 
+# the six-interval line at 10 Hz with interval 0 taking 22 s, less than the 25 s dwell
+SHORT_INTERVAL_ERROR = "need 0 < shortest dwell <= shortest interval in samples, got 250, 220"
+
+
 # case -> (path of a field in the six-interval attack model, its bad value,
 # what the error names); each used to load, crash or fail without a section
 BAD_MODEL_FIELDS = {
-    "t1 a string": (("segmenter", "t1"), "abc", ("'segmenter' section", "t1")),
-    "fractional l_w": (("segmenter", "l_w"), 2.7, ("'segmenter' section", "l_w")),
     "fractional smooth_k": (
         ("ensemble", "feature_config", "smooth_k"), 2.5, ("'ensemble' section", "smooth_k")
     ),
@@ -102,6 +104,10 @@ BAD_MODEL_FIELDS = {
     "broken line": (
         ("network", "intervals", 1, "from"), "X",
         ("'network' section", "interval 1 starts at 'X' but interval 0 ends at 'S01'"),
+    ),
+    "interval 0 shorter than the shortest dwell": (
+        ("network", "intervals", 0, "min_duration"), 22.0,
+        ("'network' section", SHORT_INTERVAL_ERROR),
     ),
     "forest split on feature 999": (
         ("ensemble", "forest", "trees", 0, "feature", 0), 999,
@@ -331,14 +337,6 @@ class TestEvaluate:
         assert doc["stalled"] is True
         assert "3" in doc["accuracy_by_length"]
 
-    def test_bad_lengths_is_data_error(self, corpus_dir, cfg_file, capsys):
-        args = [
-            "evaluate", "--corpus", corpus_dir, "--protocol", "supervised",
-            "--lengths", "3,five", "--config", cfg_file,
-        ]
-        assert cli.main(args) == cli.EXIT_DATA
-        assert capsys.readouterr().err.startswith("subtrace:")
-
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -356,8 +354,35 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
 
+    # "0" and "-1" used to end in a traceback (exit 1), "3,3" scored every
+    # subtrip twice, and "3.5" and "3,five" were data errors found only after
+    # the corpus was read
+    @pytest.mark.parametrize("lengths", ["0", "-1", "3,3", "3.5", "3,five"])
+    def test_bad_lengths(self, tmp_path, capsys, lengths):
+        args = ["evaluate", "--corpus", str(tmp_path), "--protocol", "supervised",
+                f"--lengths={lengths}"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--lengths" in capsys.readouterr().err
+
 
 class TestDataErrors:
+    def test_train_on_line_with_interval_shorter_than_dwell(
+        self, tmp_path, corpus_dir, cfg_file, capsys
+    ):
+        corpus = tmp_path / "c"
+        shutil.copytree(corpus_dir, corpus)
+        network = corpus / "network.json"
+        doc = json.loads(network.read_text())
+        doc["intervals"][0]["min_duration"] = 22.0
+        network.write_text(json.dumps(doc))
+        args = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.json"),
+                "--config", cfg_file]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert SHORT_INTERVAL_ERROR in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_on_non_corpus_dir(self, tmp_path, capsys):
         args = ["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "m.json")]
         assert cli.main(args) == cli.EXIT_DATA
@@ -425,12 +450,13 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda doc: {k: v for k, v in doc.items() if k != "segmenter"}, "'segmenter' section"),
+            (_drop("ensemble"), "'ensemble' section"),
             (lambda doc: {**doc, "ensemble": {**doc["ensemble"], "forest": 5}}, "'ensemble' section"),
-            (lambda doc: [doc], "not a version-1 attack model document"),
+            (lambda doc: [doc], "not a version-2 attack model document"),
+            (lambda doc: {**doc, "schema_version": 1}, "not a version-2 attack model document"),
             (_five_column_leaf_probs, "'ensemble' section"),
         ],
-        ids=["no segmenter", "forest a number", "top-level list", "5-column leaf probs"],
+        ids=["no ensemble", "forest a number", "top-level list", "version 1", "5-column leaf probs"],
     )
     def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
         model = tmp_path / "bad_model.json"

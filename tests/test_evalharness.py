@@ -147,14 +147,13 @@ def record_featurised(monkeypatch) -> list[tuple[bytes, object]]:
 
 def separate_predictions(corpus, ensemble_for, lengths, mode):
     """predict_subtrip on every subtrip alone, sharing nothing between them."""
-    seg_params = segment.params_for_network(corpus.network)
     series = [coord.transform(t) for t in corpus.trips]
     predictions = []
     for st in enumerate_subtrips(corpus, lengths):
         ensemble = ensemble_for(st.trip)
         own = SliceFeatures(series[st.trip].enu, ensemble.config)
         predictions.append(
-            predict_subtrip(series[st.trip], st, ensemble, corpus.network, seg_params, mode, own)
+            predict_subtrip(series[st.trip], st, ensemble, corpus.network, mode, own)
         )
     return predictions
 
@@ -224,29 +223,29 @@ class TestPredictSubtripOutcome:
         st = enumerate_subtrips(corpus, (3,))[0]
         series = coord.transform(corpus.trips[st.trip])
         featurize = SliceFeatures(series.enu, ensemble.config)
-        return series, st, segment.params_for_network(corpus.network), featurize
+        return series, st, featurize
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_unscorable_subtrip_is_none(self, small_corpus, small_ensemble, mode, monkeypatch):
         m = small_corpus.network.num_intervals
 
-        def too_many_cuts(hra, params):
+        def too_many_cuts(hra, network):
             return [int(p) for p in np.linspace(0, len(hra), m + 4)[1:-1]], False
 
-        series, st, params, featurize = self.subtrip(small_corpus, small_ensemble)
+        series, st, featurize = self.subtrip(small_corpus, small_ensemble)
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
-        got = predict_subtrip(series, st, small_ensemble, small_corpus.network, params, mode, featurize)
+        got = predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, featurize)
         assert got is None
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_featurisation_error_propagates(self, small_corpus, small_ensemble, mode):
-        series, st, params, _ = self.subtrip(small_corpus, small_ensemble)
+        series, st, _ = self.subtrip(small_corpus, small_ensemble)
 
         def broken(spans):
             raise ValueError("featurizer broke")
 
         with pytest.raises(ValueError, match="featurizer broke"):
-            predict_subtrip(series, st, small_ensemble, small_corpus.network, params, mode, broken)
+            predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, broken)
 
 
 BAD_MODES = ["Full", "fast", ""]
@@ -259,12 +258,9 @@ class TestUnknownModeRejected:
     def test_predict_subtrip(self, small_corpus, small_ensemble, mode):
         st = enumerate_subtrips(small_corpus, (3,))[0]
         series = coord.transform(small_corpus.trips[st.trip])
-        seg_params = segment.params_for_network(small_corpus.network)
         featurize = SliceFeatures(series.enu, small_ensemble.config)
         with pytest.raises(ValueError, match="unknown attack mode"):
-            predict_subtrip(
-                series, st, small_ensemble, small_corpus.network, seg_params, mode, featurize
-            )
+            predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, featurize)
 
     @pytest.mark.parametrize("mode", BAD_MODES)
     def test_evaluate_subtrips_scores_nothing(
@@ -276,3 +272,18 @@ class TestUnknownModeRejected:
         monkeypatch.setattr(evalharness, "predict_subtrip", never)
         with pytest.raises(ValueError, match="unknown attack mode"):
             evaluate_subtrips(small_corpus, lambda _: small_ensemble, (3,), mode=mode)
+
+
+class TestBadLengthsRejected:
+    """A length below 1 used to crash the segmenter, and a repeated one scored its subtrips twice."""
+
+    @pytest.mark.parametrize("lengths", [(0,), (-1,), (3, 3), (3.0,), (True,)])
+    def test_evaluate_subtrips_scores_nothing(
+        self, small_corpus, small_ensemble, lengths, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            pytest.fail("a subtrip was scored under bad lengths")
+
+        monkeypatch.setattr(evalharness, "predict_subtrip", never)
+        with pytest.raises(ValueError, match="subtrip lengths must be distinct and at least 1"):
+            evaluate_subtrips(small_corpus, lambda _: small_ensemble, lengths)

@@ -22,7 +22,7 @@ from subtrace.infer import (
     score_run,
 )
 from subtrace.pipeline import true_trip_layout
-from subtrace.segment import find_final_segment_points, params_for_network
+from subtrace.segment import find_final_segment_points
 
 EPS = 1e-12
 
@@ -211,12 +211,11 @@ class TestSegmentTolerance:
     def test_same_result_in_recording_and_span_coordinates(self, small_corpus, ensemble, mode):
         # decoding [lo, hi) of the whole trip must match decoding a series that starts at lo
         network = small_corpus.network
-        params = params_for_network(network)
         for ti in range(len(small_corpus.trips)):
             lay, series, true_pts = self._layout(small_corpus, ti)
             lo, hi = lay.span
             shifted = coord.EnuSeries(series.enu[lo:], series.hra[lo:])
-            detected, _ = find_final_segment_points(series.hra[lo:hi], params)
+            detected, _ = find_final_segment_points(series.hra[lo:hi], network)
             for pts in (true_pts, detected):
                 whole = decode(series, lo, hi, ensemble, network, pts, mode)
                 own = decode(shifted, 0, hi - lo, ensemble, network, pts, mode)
@@ -263,11 +262,10 @@ class TestDecodeSpan:
             assert (res.points, res.detected) == (tuple(points), n)
 
     def test_reduced_equals_ranking_on_corpus(self, small_corpus, ensemble):
-        params = params_for_network(small_corpus.network)
         for trace in small_corpus.trips:
             lo, hi = true_trip_layout(trace).span
             series = coord.transform(trace)
-            points, _ = find_final_segment_points(series.hra[lo:hi], params)
+            points, _ = find_final_segment_points(series.hra[lo:hi], small_corpus.network)
             bounds = [lo, *(lo + p for p in points), hi]
             featurize = SliceFeatures(series.enu, ensemble.config)
             P = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))

@@ -1,6 +1,7 @@
 """File formats and domain invariants: traces, networks, id mappings."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,44 @@ class TestNetwork:
         iv = (StationInterval(0, "A", "B", 90.0, 120.0),)
         with pytest.raises(NetworkFormatError, match="sample_rate"):
             MetroNetwork("x", 0.0, iv, 25.0, 35.0)
+
+    @pytest.mark.parametrize(
+        "rate, dwell, interval, got",
+        [(10.0, 25.0, 22.0, "250, 220"), (0.02, 25.0, 90.0, "0, 2")],
+        ids=["interval shorter than dwell", "dwell under one sample"],
+    )
+    def test_segmenter_lengths_refused(self, tmp_path, rate, dwell, interval, got):
+        # the segmenter's window is the shortest dwell, and no two of its cuts
+        # lie closer than the shortest interval
+        named = f"need 0 < shortest dwell <= shortest interval in samples, got {got}"
+        iv = (StationInterval(0, "A", "B", interval, 120.0),)
+        with pytest.raises(NetworkFormatError, match=named):
+            MetroNetwork("x", rate, iv, dwell, 35.0)
+        doc = {
+            "name": "x",
+            "sample_rate": rate,
+            "dwell": [dwell, 35.0],
+            "intervals": [
+                {"id": 0, "from": "A", "to": "B", "min_duration": interval, "max_duration": 120.0}
+            ],
+        }
+        p = tmp_path / "line.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(NetworkFormatError, match=named):
+            load_network(p)
+
+    @pytest.mark.parametrize(
+        "rate, dwell_max, max_duration",
+        [(math.inf, 35.0, 120.0), (math.nan, 35.0, 120.0), (25.0, math.inf, 120.0),
+         (25.0, 35.0, math.inf)],
+        ids=["infinite rate", "NaN rate", "infinite dwell", "infinite interval"],
+    )
+    def test_non_finite_timetable_refused(self, rate, dwell_max, max_duration):
+        # each used to load, and then stop the segmenter with an OverflowError
+        # or ValueError converting its lengths to samples
+        with pytest.raises(NetworkFormatError):
+            iv = (StationInterval(0, "A", "B", 90.0, max_duration),)
+            MetroNetwork("x", rate, iv, 25.0, dwell_max)
 
     def test_broken_line_rejected(self, tmp_path):
         # A->B then C->D is no line: a forward ride would read A, B, D and its

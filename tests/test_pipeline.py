@@ -26,7 +26,6 @@ from subtrace.pipeline import (
     true_trip_layout,
     write_corpus,
 )
-from subtrace.segment import params_for_network
 from subtrace.simgen import gen_mixed_day, gen_network, gen_other_mode
 
 
@@ -187,9 +186,6 @@ class TestAttackModel:
             hra, attack_model.mode_model
         ).tobytes()
 
-    def test_seg_params_follow_network(self, attack_model, small_corpus):
-        assert attack_model.seg_params == params_for_network(small_corpus.network)
-
     def test_foreign_document_rejected(self, attack_model):
         doc = attack_model.to_dict()
         doc["kind"] = "other"
@@ -272,7 +268,7 @@ class TestAttackTrace:
         # more cuts than the line has intervals: no ride of any family fits
         m = small_corpus.network.num_intervals
 
-        def too_many_cuts(hra, params):
+        def too_many_cuts(hra, network):
             return [int(p) for p in np.linspace(0, len(hra), m + 4)[1:-1]], True
 
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)

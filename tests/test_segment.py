@@ -22,14 +22,12 @@ from subtrace.evalharness import (
 from subtrace.extract import extract_spans
 from subtrace.pipeline import PipelineConfig, true_trip_layout
 from subtrace.segment import (
-    DEFAULT_QUORUM,
     DELTA_FRACTION,
+    MAX_ESCALATIONS,
     T1_PERCENTILE,
-    SegmenterParams,
+    _final_points,
     find_final_segment_points,
     find_seg_points,
-    params_for_network,
-    resolve_params,
 )
 
 LOUD = 10.0
@@ -39,65 +37,39 @@ def series(*parts: tuple[float, int]) -> np.ndarray:
     return np.concatenate([np.full(n, v, dtype=float) for v, n in parts])
 
 
-def base_params(**overrides) -> SegmenterParams:
-    kw = dict(l_w=10, l_min=30, l_max=60, t1=1.0, delta=0.5)
-    kw.update(overrides)
-    return SegmenterParams(**kw)
+def final_points(hra: np.ndarray) -> tuple[list[int], bool]:
+    """The escalating segmenter with t1 1.0, delta 0.5, l_w 10, l_min 30 and l_max 60."""
+    return _final_points(hra, 1.0, 0.5, 10, 30, 60)
 
 
-class TestParams:
-    def test_fields(self):
-        p = base_params()
-        assert (p.l_w, p.l_min, p.l_max) == (10, 30, 60)
-        assert p.quorum == DEFAULT_QUORUM
+class TestDerivedSettings:
+    """The segmenter's lengths come from the network, its thresholds from the span."""
 
-    @pytest.mark.parametrize("l_w,l_min,l_max", [(0, 30, 60), (31, 30, 60), (10, 61, 60)])
-    def test_bad_lengths(self, l_w, l_min, l_max):
-        with pytest.raises(ValueError):
-            SegmenterParams(l_w=l_w, l_min=l_min, l_max=l_max)
+    @pytest.fixture
+    def core_args(self, monkeypatch) -> list[tuple]:
+        calls = []
 
-    @pytest.mark.parametrize("quorum", [0.0, -0.1, 1.0001])
-    def test_bad_quorum(self, quorum):
-        with pytest.raises(ValueError):
-            SegmenterParams(l_w=10, l_min=30, l_max=60, quorum=quorum)
+        def spy(*args):
+            calls.append(args[1:])
+            return [], False
 
-    @pytest.mark.parametrize(
-        "kw",
-        [{"l_w": 10.0}, {"l_max": 60.5}, {"max_escalations": -1}, {"max_escalations": True},
-         {"t1": "abc"}, {"t1": float("nan")}, {"delta": -0.5}, {"quorum": "0.9"}],
-    )
-    def test_bad_field_types(self, kw):
-        with pytest.raises(ValueError):
-            SegmenterParams(**{**dict(l_w=10, l_min=30, l_max=60), **kw})
+        monkeypatch.setattr(segment, "_final_points", spy)
+        return calls
 
-    def test_quorum_one_allowed(self):
-        SegmenterParams(l_w=10, l_min=30, l_max=60, quorum=1.0)
-
-    def test_params_for_network(self, small_corpus):
+    def test_lengths_from_network(self, small_corpus, core_args):
         net = small_corpus.network
-        p = params_for_network(net)
-        assert p.l_w == int(round(net.sample_rate * net.dwell_min))
-        assert p.l_min == int(round(net.sample_rate * net.min_interval_duration))
-        assert p.l_max == int(
-            round(net.sample_rate * (net.max_interval_duration + net.dwell_max))
-        )
-        assert p.t1 is None and p.delta is None
+        find_final_segment_points(series((LOUD, 50)), net)
+        (_, _, l_w, l_min, l_max), = core_args
+        assert l_w == int(round(net.sample_rate * net.dwell_min))
+        assert l_min == int(round(net.sample_rate * net.min_interval_duration))
+        assert l_max == int(round(net.sample_rate * (net.max_interval_duration + net.dwell_max)))
 
-
-class TestResolveParams:
-    def test_explicit_values_pass_through(self):
-        p = resolve_params(base_params(), series((LOUD, 50)))
-        assert p.t1 == 1.0 and p.delta == 0.5
-
-    def test_t1_from_percentile(self):
+    def test_thresholds_from_percentile(self, small_corpus, core_args):
         hra = np.arange(100, dtype=float)
-        p = resolve_params(base_params(t1=None, delta=None), hra)
-        assert p.t1 == pytest.approx(np.percentile(hra, T1_PERCENTILE))
-        assert p.delta == pytest.approx(DELTA_FRACTION * p.t1)
-
-    def test_delta_from_explicit_t1(self):
-        p = resolve_params(base_params(t1=4.0, delta=None), series((LOUD, 50)))
-        assert p.delta == pytest.approx(0.4)
+        find_final_segment_points(hra, small_corpus.network)
+        (t1, delta, *_), = core_args
+        assert t1 == pytest.approx(np.percentile(hra, T1_PERCENTILE))
+        assert delta == pytest.approx(DELTA_FRACTION * t1)
 
 
 class TestFindSegPoints:
@@ -213,7 +185,7 @@ class TestFindSegPoints:
 class TestFinalSegmentPoints:
     def test_no_escalation_needed(self):
         hra = series((LOUD, 40), (0.0, 14), (LOUD, 40))
-        points, warn = find_final_segment_points(hra, base_params())
+        points, warn = final_points(hra)
         assert points == [45]
         assert warn is False
 
@@ -221,26 +193,28 @@ class TestFinalSegmentPoints:
         # second dwell sits above t1 but below t1 + delta; the first scan
         # misses it, leaving an overlong gap that one escalation closes
         hra = series((LOUD, 40), (0.0, 14), (LOUD, 40), (1.2, 14), (LOUD, 40))
-        points, warn = find_final_segment_points(hra, base_params())
+        points, warn = final_points(hra)
         assert points == [45, 99]
         assert warn is False
 
     def test_multi_step_escalation(self):
         # dwell at 2.2 needs three raises of 0.5 before 1.0 clears it
         hra = series((LOUD, 40), (0.0, 14), (LOUD, 40), (2.2, 14), (LOUD, 40))
-        points, warn = find_final_segment_points(hra, base_params())
+        points, warn = final_points(hra)
         assert points == [45, 99]
         assert warn is False
 
     def test_escalation_budget_respected(self):
-        hra = series((LOUD, 40), (0.0, 14), (LOUD, 40), (2.2, 14), (LOUD, 40))
-        points, warn = find_final_segment_points(hra, base_params(max_escalations=2))
+        # dwell at 5.2 needs nine raises of 0.5, more than the budget allows
+        assert MAX_ESCALATIONS < 9
+        hra = series((LOUD, 40), (0.0, 14), (LOUD, 40), (5.2, 14), (LOUD, 40))
+        points, warn = final_points(hra)
         assert points == [45]
         assert warn is True
 
     def test_unfixable_gap_warns(self):
         hra = series((LOUD, 40), (0.0, 14), (LOUD, 100))
-        points, warn = find_final_segment_points(hra, base_params())
+        points, warn = final_points(hra)
         assert points == [45]
         assert warn is True
 
@@ -248,22 +222,22 @@ class TestFinalSegmentPoints:
         # warm dwell hugging the gap's left edge is inside the l_min margin,
         # so escalation cannot reach it
         hra = series((LOUD, 40), (0.0, 14), (1.2, 14), (LOUD, 100))
-        points, warn = find_final_segment_points(hra, base_params())
+        points, warn = final_points(hra)
         assert points == [45]
         assert warn is True
 
     def test_points_sorted_unique(self):
         hra = series((LOUD, 40), (0.0, 14), (LOUD, 40), (0.0, 14), (LOUD, 40))
-        points, _ = find_final_segment_points(hra, base_params())
+        points, _ = final_points(hra)
         assert points == sorted(set(points))
 
 
 class TestOnSimulatedTrips:
     def test_recovers_true_cuts(self, small_corpus):
-        params = params_for_network(small_corpus.network)
-        tol = 10.0 * small_corpus.network.sample_rate
+        network = small_corpus.network
+        tol = 10.0 * network.sample_rate
         for trip in small_corpus.trips:
-            points, warn = find_final_segment_points(coord.transform(trip).hra, params)
+            points, warn = find_final_segment_points(coord.transform(trip).hra, network)
             truth = true_trip_layout(trip)
             assert warn is False
             assert len(points) == truth.n_legs - 1
@@ -336,10 +310,10 @@ class TestScanMatchesLoop:
 
     def test_acceptance_subtrips(self, acceptance_corpus, acceptance_series, compared):
         _, trips, _ = acceptance_series
-        params = params_for_network(acceptance_corpus.network)
+        network = acceptance_corpus.network
         subtrips = enumerate_subtrips(acceptance_corpus, (3, 5, 7))
         for st in subtrips:
-            find_final_segment_points(trips[st.trip][st.span[0] : st.span[1]], params)
+            find_final_segment_points(trips[st.trip][st.span[0] : st.span[1]], network)
         assert compared.mismatches == []
         assert compared.scans > len(subtrips)  # some gaps were re-searched
 
@@ -355,11 +329,10 @@ class TestScanMatchesLoop:
 
     def test_mixed_day_spans(self, acceptance_corpus, acceptance_series, compared):
         model, _, days = acceptance_series
-        params = params_for_network(acceptance_corpus.network)
         n_spans = 0
         for hra in days:
             for span in extract_spans(hra, model):
-                find_final_segment_points(hra[span.start : span.end], params)
+                find_final_segment_points(hra[span.start : span.end], acceptance_corpus.network)
                 n_spans += 1
         assert compared.mismatches == []
         assert n_spans >= 6
@@ -370,11 +343,10 @@ class TestScanMatchesLoop:
         # (trips 20-39); under defense noise most scans are re-searches, and
         # all 720 subtrips would cost the frozen loop about a minute
         corpus = noisy_corpora[name]
-        params = params_for_network(corpus.network)
         hras = [coord.transform(t).hra for t in corpus.trips]
         cases = [(ti, true_trip_layout(t).span) for ti, t in enumerate(corpus.trips)]
         cases += [(st.trip, st.span) for st in enumerate_subtrips(corpus, (3,)) if st.trip >= 20]
         for ti, (a, b) in cases:
-            find_final_segment_points(hras[ti][a:b], params)
+            find_final_segment_points(hras[ti][a:b], corpus.network)
         assert compared.mismatches == []
         assert compared.scans > len(cases)
