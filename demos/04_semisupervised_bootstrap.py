@@ -15,7 +15,7 @@ config = pipeline.PipelineConfig()  # the full ten-interval benchmark line
 corpus = pipeline.build_corpus(config)
 net = corpus.network
 
-seeds = distinctive_intervals(net, corpus.profiles)[:2]
+seeds = distinctive_intervals(corpus.profiles)[:2]
 names = [f"{net.intervals[u].from_station}->{net.intervals[u].to_station}" for u in seeds]
 print(f"line has {net.num_intervals} intervals; labeled seeds: "
       f"{seeds[0]} ({names[0]}) and {seeds[1]} ({names[1]})")

@@ -7,11 +7,14 @@ full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Then it attacks four
 malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
-given a ``0xff`` byte, or repeating line 400's ``t``), and attacks trip 0
-with three damaged copies of ``model.json`` (``schema_version`` 1, no
+given a ``0xff`` byte, or repeating line 400's ``t``), attacks trip 0
+with three damaged copies of ``model.json`` (``schema_version`` 2, no
 ``ensemble`` section, or interval 0 shorter than the shortest dwell), and
-prints each exit code with a digest of the error message. Nothing is
-written in the checkout. To check that a change leaves every output
+trains on two damaged copies of the corpus (a ``profiles.json`` in both
+directions, as version-2 corpora stored it, or a ``network.json`` whose
+interval 1 starts at a station interval 0 does not end at), and prints
+each exit code with a digest of the error message. Nothing is written in
+the checkout. To check that a change leaves every output
 byte-identical, run the script on the parent and on the change and diff
 what they print::
 
@@ -27,12 +30,15 @@ import json
 import os
 import re
 import sys
+import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subtrace import cli  # noqa: E402
+from subtrace.simgen import load_profiles, save_profiles  # noqa: E402
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -56,12 +62,30 @@ MALFORMED = {
 
 # each damaged copy of model.json changes its decoded document in place
 DAMAGED_MODELS = {
-    "version_1": lambda doc: doc.update(schema_version=1),
+    "version_2": lambda doc: doc.update(schema_version=2),
     "no_ensemble": lambda doc: doc.pop("ensemble"),
     "interval_shorter_than_dwell": lambda doc: doc["network"]["intervals"][0].update(
         min_duration=doc["network"]["dwell"][0] - 1.0
     ),
 }
+
+
+def _both_directions(corpus: Path) -> None:
+    """Store every reverse profile too, under the reverse directed id k + i of interval k-1-i."""
+    forward = load_profiles(corpus / "profiles.json")
+    k = len(forward)
+    reverse = [replace(p.reversed(), interval_id=2 * k - 1 - p.interval_id) for p in forward[::-1]]
+    save_profiles(forward + reverse, corpus / "profiles.json")
+
+
+def _broken_line(corpus: Path) -> None:
+    doc = json.loads((corpus / "network.json").read_text())
+    doc["intervals"][1]["from"] = "X"
+    (corpus / "network.json").write_text(json.dumps(doc))
+
+
+# each damaged copy of the corpus directory is changed in place
+DAMAGED_CORPORA = {"profiles_both_directions": _both_directions, "broken_line": _broken_line}
 
 
 def run(argv: list[str], stdout_file: str | None = None, ok=(cli.EXIT_OK,)) -> int:
@@ -101,13 +125,13 @@ def run_commands() -> int:
     return code
 
 
-def attack_refused(model: str, trace: str, shown: Path) -> None:
-    """Attack ``trace`` with ``model`` and print the exit code and error digest under ``shown``."""
+def refused(argv: list[str], shown: Path) -> None:
+    """Run ``argv`` and print its exit code and error digest under its command and ``shown``."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = cli.main(["attack", "--model", model, "--trace", trace])
+        code = cli.main(argv)
     digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
-    print(f"{digest}  attack {shown} exit code {code}")
+    print(f"{digest}  {argv[0]} {shown} exit code {code}")
 
 
 def attack_malformed() -> None:
@@ -120,13 +144,24 @@ def attack_malformed() -> None:
         bad = rewrite(lines[399], lines[400])
         assert bad != lines[400], name
         path.write_bytes(b"".join(lines[:400] + [bad] + lines[401:]))
-        attack_refused("model.json", str(path), path)
+        refused(["attack", "--model", "model.json", "--trace", str(path)], path)
     for name, damage in DAMAGED_MODELS.items():
         path = Path("errors", f"model_{name}.json")
         doc = json.loads(Path("model.json").read_text())
         damage(doc)
         path.write_text(json.dumps(doc))
-        attack_refused(str(path), trip, path)
+        refused(["attack", "--model", str(path), "--trace", trip], path)
+
+
+def train_damaged() -> None:
+    """Train on each damaged copy of the corpus; none may write a model."""
+    for name, damage in DAMAGED_CORPORA.items():
+        path = Path("errors", f"corpus_{name}")
+        shutil.copytree("corpus", path)
+        damage(path)
+        out = Path("errors", f"model_from_{name}.json")
+        refused(["train", "--corpus", str(path), "--out", str(out), "--config", "config.json"], path)
+        assert not out.exists(), name
 
 
 def main() -> None:
@@ -142,6 +177,7 @@ def main() -> None:
                     digest = hashlib.sha256(p.read_bytes()).hexdigest()
                     print(f"{digest}  {p.relative_to(root)}")
             attack_malformed()
+            train_damaged()
         finally:
             os.chdir(here)
 

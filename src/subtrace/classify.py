@@ -2,8 +2,9 @@
 
 The two ensembles are trained on the same rows and averaged 50/50 at
 prediction time. Everything is written against plain numpy arrays and
-serializes to versioned JSON so a trained attack model is a single file.
-Boost rounds and tree counts have no defaults: ``PipelineConfig`` sets them.
+serializes to JSON inside one attack model file; the arrays alone fix the
+class count. Boost rounds and tree counts have no defaults: ``PipelineConfig``
+sets them.
 
 ``GaussianNB.predict`` and the boosted vote take each learner's argmax of
 ``log_joint`` from two matrix products that score every row against every
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_DIM, FeatureConfig
-from .model import is_integer
 
 VAR_FLOOR = 1e-6
 ERR_FLOOR = 1e-10
@@ -53,11 +53,6 @@ MAX_RESAMPLE_RETRIES = 5
 
 DEFAULT_MAX_DEPTH = 12
 DEFAULT_MIN_LEAF = 2
-
-
-def _check_n_classes(n_classes) -> None:
-    if not (is_integer(n_classes) and n_classes >= 1):
-        raise ValueError(f"n_classes must be a positive integer, got {n_classes!r}")
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -271,23 +266,20 @@ class AdaBoostNB:
     a zero-error round keeps its learner and stops early.
     """
 
-    def __init__(self, learners: list[GaussianNB], alphas: np.ndarray, n_classes: int):
+    def __init__(self, learners: list[GaussianNB], alphas: np.ndarray):
         if not learners:
             raise ValueError("boosted model needs at least one learner")
-        _check_n_classes(n_classes)
         if alphas.shape != (len(learners),) or not np.isfinite(alphas).all():
             raise ValueError(
                 f"boosted model needs one finite alpha per learner ({len(learners)}), "
                 f"got shape {alphas.shape}"
             )
         shapes = sorted({nb.means.shape for nb in learners})
-        if len(shapes) != 1 or shapes[0][0] != n_classes:
-            raise ValueError(
-                f"boosted learners must share one ({n_classes}, d) means shape, got {shapes}"
-            )
+        if len(shapes) != 1:
+            raise ValueError(f"boosted learners must share one means shape, got {shapes}")
         self.learners = learners
         self.alphas = alphas
-        self.n_classes = n_classes
+        self.n_classes = shapes[0][0]
         # every learner's screen terms side by side, one column block per learner
         self._screen = tuple(
             np.concatenate(terms, axis=-1) for terms in zip(*(nb._screen for nb in learners))
@@ -308,7 +300,6 @@ class AdaBoostNB:
         return {
             "alphas": self.alphas.tolist(),
             "learners": [nb.to_dict() for nb in self.learners],
-            "n_classes": self.n_classes,
         }
 
     @classmethod
@@ -316,7 +307,6 @@ class AdaBoostNB:
         return cls(
             [GaussianNB.from_dict(d) for d in doc["learners"]],
             np.array(doc["alphas"], dtype=float),
-            doc["n_classes"],
         )
 
 
@@ -355,7 +345,7 @@ def train_adaboost_nb(train: TrainingSet, rounds: int, seed: int = 0) -> AdaBoos
         # hopeless resampling: fall back to one NB on the untouched rows
         learners = [GaussianNB.fit(X, y, m, sample_weight=train.sample_weight)]
         alphas = [1.0]
-    return AdaBoostNB(learners, np.array(alphas), m)
+    return AdaBoostNB(learners, np.array(alphas))
 
 
 # rows of the nodes searched in one batch: bounds what one batch's arrays hold
@@ -619,10 +609,10 @@ class RandomForest:
     every tree at once.
     """
 
-    def __init__(self, trees: list[dict], n_classes: int, oob_accuracy: float | None = None):
+    def __init__(self, trees: list[dict], oob_accuracy: float | None = None):
         if not trees:
             raise ValueError("forest needs at least one tree")
-        _check_n_classes(n_classes)
+        n_classes = np.atleast_2d(trees[0]["probs"]).shape[1]
         for t, tree in enumerate(trees):
             nodes = len(tree["feature"])
             shape = (nodes, n_classes)
@@ -679,7 +669,6 @@ class RandomForest:
 
     def to_dict(self) -> dict:
         return {
-            "n_classes": self.n_classes,
             "oob_accuracy": self.oob_accuracy,
             "trees": [{k: a.tolist() for k, a in t.items()} for t in self.trees],
         }
@@ -696,7 +685,7 @@ class RandomForest:
             }
             for t in doc["trees"]
         ]
-        return cls(trees, doc["n_classes"], doc.get("oob_accuracy"))
+        return cls(trees, doc.get("oob_accuracy"))
 
 
 def train_random_forest(
@@ -722,7 +711,7 @@ def train_random_forest(
     for t, idx in enumerate(bags):
         in_bag[idx, t] = True
 
-    forest = RandomForest(_grow_forest(X, y, m, bags, rngs, max_depth, min_leaf, n_feats), m)
+    forest = RandomForest(_grow_forest(X, y, m, bags, rngs, max_depth, min_leaf, n_feats))
     leaves = forest._leaves(X)
     oob_votes = np.zeros((n, m))
     for t in range(n_trees):
@@ -739,19 +728,19 @@ def train_random_forest(
 class IntervalEnsemble:
     """Boosted NB and forest averaged 50/50 over the interval classes.
 
-    Both parts must read ``FEATURE_DIM``-wide feature vectors.
+    Both parts must read ``FEATURE_DIM``-wide feature vectors and vote over
+    the same classes: the learners' means rows and the leaf-probability columns.
     """
 
     boost: AdaBoostNB
     forest: RandomForest
     config: FeatureConfig
-    n_classes: int
 
     def __post_init__(self):
-        parts = (self.boost.n_classes, self.forest.n_classes)
-        if not is_integer(self.n_classes) or parts != (self.n_classes,) * 2:
+        if self.boost.n_classes != self.forest.n_classes:
             raise ValueError(
-                f"ensemble n_classes {self.n_classes!r} differs from its boost and forest's {parts}"
+                f"ensemble's boost votes over {self.boost.n_classes} classes, "
+                f"its forest over {self.forest.n_classes}"
             )
         width = self.boost.learners[0].means.shape[1]
         top = int(self.forest._feature.max())  # leaves read 0 there
@@ -760,6 +749,10 @@ class IntervalEnsemble:
                 f"ensemble reads {FEATURE_DIM} features, but its boosted means are {width} wide "
                 f"and its forest splits on feature {top} at most"
             )
+
+    @property
+    def n_classes(self) -> int:
+        return self.boost.n_classes
 
     def predict_matrix(self, rows: np.ndarray | list[np.ndarray]) -> np.ndarray:
         """Row-stochastic (n_segments, n_classes) probability matrix of feature vectors."""
@@ -771,23 +764,17 @@ class IntervalEnsemble:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
-            "kind": "interval_ensemble",
-            "n_classes": self.n_classes,
             "feature_config": self.config.to_dict(),
             "boost": self.boost.to_dict(),
             "forest": self.forest.to_dict(),
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "IntervalEnsemble":
-        if doc.get("kind") != "interval_ensemble" or doc.get("schema_version") != 1:
-            raise ValueError("not a version-1 interval ensemble document")
+    def from_dict(cls, doc: dict, sample_rate: float) -> "IntervalEnsemble":
         return cls(
             boost=AdaBoostNB.from_dict(doc["boost"]),
             forest=RandomForest.from_dict(doc["forest"]),
-            config=FeatureConfig.from_dict(doc["feature_config"]),
-            n_classes=doc["n_classes"],
+            config=FeatureConfig.from_dict(doc["feature_config"], sample_rate),
         )
 
 
@@ -802,4 +789,4 @@ def train_interval_ensemble(
     boost_seed, forest_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     boost = train_adaboost_nb(train, rounds=boost_rounds, seed=boost_seed)
     forest = train_random_forest(train, n_trees=n_trees, seed=forest_seed)
-    return IntervalEnsemble(boost=boost, forest=forest, config=config, n_classes=train.n_classes)
+    return IntervalEnsemble(boost=boost, forest=forest, config=config)

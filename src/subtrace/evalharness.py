@@ -147,7 +147,9 @@ def predict_subtrip(
 
 @dataclass
 class EvalReport:
-    accuracy_by_length: dict[int, float]
+    """Scores of one evaluation; a length no trip is long enough for has accuracy ``None``."""
+
+    accuracy_by_length: dict[int, float | None]
     counts_by_length: dict[int, int]
     confusion: np.ndarray
     interval_accuracy: list[float]
@@ -202,7 +204,7 @@ def evaluate_subtrips(
         per_interval.append(float(np.mean(hits)) if hits else 0.0)
 
     return EvalReport(
-        accuracy_by_length={L: correct[L] / totals[L] if totals[L] else 0.0 for L in lengths},
+        accuracy_by_length={L: correct[L] / totals[L] if totals[L] else None for L in lengths},
         counts_by_length=totals,
         confusion=confusion_matrix(pairs, k),
         interval_accuracy=per_interval,
@@ -337,7 +339,7 @@ def bootstrap_from_corpus(
     sequences = [list(all_vectors[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 
     # seed detectors from a couple of distinctive intervals, both directions
-    seed_uids = distinctive_intervals(network, corpus.profiles)[:SEED_INTERVALS]
+    seed_uids = distinctive_intervals(corpus.profiles)[:SEED_INTERVALS]
     seed_vectors: dict[int, np.ndarray] = {}
     for uid in seed_uids:
         for gid in (network.directed(uid, FORWARD), network.directed(uid, REVERSE)):

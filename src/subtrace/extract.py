@@ -91,8 +91,6 @@ class ModeModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
-            "kind": "mode_model",
             "thresholds": list(self.thresholds),
             "window": self.window,
             "nb": self.nb.to_dict(),
@@ -100,8 +98,6 @@ class ModeModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModeModel":
-        if doc.get("kind") != "mode_model" or doc.get("schema_version") != 1:
-            raise ValueError("not a version-1 mode model document")
         return cls(
             nb=GaussianNB.from_dict(doc["nb"]),
             thresholds=tuple(doc["thresholds"]),

@@ -110,8 +110,8 @@ class FeatureConfig:
         return tuple(max(1, int(round(s * self.sample_rate))) for s in self.peak_windows_s)
 
     def to_dict(self) -> dict:
+        """Every field but ``sample_rate``, which the attack model's network states."""
         return {
-            "sample_rate": self.sample_rate,
             "smooth_k": self.smooth_k,
             "peak_windows_s": list(self.peak_windows_s),
             "nvht_thresholds": None
@@ -120,10 +120,10 @@ class FeatureConfig:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FeatureConfig":
+    def from_dict(cls, doc: dict, sample_rate: float) -> "FeatureConfig":
         thr = doc["nvht_thresholds"]
         return cls(
-            sample_rate=doc["sample_rate"],
+            sample_rate=sample_rate,
             smooth_k=doc["smooth_k"],
             peak_windows_s=tuple(doc["peak_windows_s"]),
             nvht_thresholds=None if thr is None else tuple(tuple(t) for t in thr),

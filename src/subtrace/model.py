@@ -451,6 +451,7 @@ def load_trace(path: str | Path) -> Trace:
 
 
 def network_from_dict(doc: dict, source: str = "network") -> MetroNetwork:
+    """The line ``doc`` describes; each ``NetworkFormatError`` starts with ``source``."""
     try:
         name = str(doc["name"])
         sample_rate = float(doc["sample_rate"])
@@ -459,21 +460,23 @@ def network_from_dict(doc: dict, source: str = "network") -> MetroNetwork:
     except (KeyError, TypeError, IndexError, ValueError):
         raise NetworkFormatError(f"{source}: needs name, sample_rate, dwell[2], intervals")
     forward = []
-    for entry in raw:
-        try:
-            forward.append(
-                StationInterval(
-                    id=int(entry["id"]),
-                    from_station=str(entry["from"]),
-                    to_station=str(entry["to"]),
-                    min_duration=float(entry["min_duration"]),
-                    max_duration=float(entry["max_duration"]),
+    try:
+        for entry in raw:
+            try:
+                fields = (
+                    int(entry["id"]),
+                    str(entry["from"]),
+                    str(entry["to"]),
+                    float(entry["min_duration"]),
+                    float(entry["max_duration"]),
                 )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise NetworkFormatError(f"{source}: bad interval entry {entry!r}")
-    forward.sort(key=lambda iv: iv.id)
-    return MetroNetwork(name, sample_rate, tuple(forward), *dwell)
+            except (KeyError, TypeError, ValueError):
+                raise NetworkFormatError(f"bad interval entry {entry!r}") from None
+            forward.append(StationInterval(*fields))
+        forward.sort(key=lambda iv: iv.id)
+        return MetroNetwork(name, sample_rate, tuple(forward), *dwell)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{source}: {exc}") from None
 
 
 def network_to_dict(network: MetroNetwork) -> dict:

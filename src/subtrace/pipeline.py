@@ -1,10 +1,10 @@
 """End-to-end glue: corpora on disk, model bundles, and the full attack.
 
-A corpus directory holds one network, its track profiles, simulated trips,
-and other-mode recordings, all reproducible from the seed in its manifest.
+A corpus directory holds one network, a track profile per forward interval,
+trips and other-mode recordings, all reproducible from its manifest's seed.
 An attack model bundles the network, the ride extractor and the interval
-ensemble into a single JSON document; the segmenter takes its settings from
-the network.
+ensemble into one JSON document that states each fact once; the segmenter
+takes its settings from the network.
 """
 
 from __future__ import annotations
@@ -212,6 +212,10 @@ def load_corpus(path: str | Path) -> Corpus:
         modes = [load_trace(root / m["file"]) for m in manifest["modes"]]
         network = load_network(root / manifest["network"])
         profiles = load_profiles(root / manifest["profiles"])
+        if [p.interval_id for p in profiles] != list(range(network.num_intervals)):
+            raise TraceFormatError(
+                f"{manifest['profiles']}: needs a profile per interval 0..{network.num_intervals - 1}"
+            )
         return Corpus(network, profiles, trips, modes, manifest)
 
     return load_json(manifest_path, read, TraceFormatError)
@@ -340,7 +344,7 @@ class AttackModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "kind": "attack_model",
             "network": network_to_dict(self.network),
             "mode_model": self.mode_model.to_dict(),
@@ -351,14 +355,14 @@ class AttackModel:
     def from_dict(cls, doc: dict) -> "AttackModel":
         """Rebuild a model; a malformed or inconsistent document raises ``ValueError``.
 
-        The error names the section at fault.
+        The error names the section at fault. The ensemble takes the network's rate.
         """
         if (
             not isinstance(doc, dict)
             or doc.get("kind") != "attack_model"
-            or doc.get("schema_version") != 2
+            or doc.get("schema_version") != 3
         ):
-            raise ValueError("not a version-2 attack model document")
+            raise ValueError("not a version-3 attack model document")
 
         def section(key: str, parse):
             try:
@@ -368,11 +372,10 @@ class AttackModel:
                     f"attack model {key!r} section is missing or malformed ({exc!r})"
                 ) from None
 
-        return cls(
-            network=section("network", lambda d: network_from_dict(d, source="attack model")),
-            mode_model=section("mode_model", ModeModel.from_dict),
-            ensemble=section("ensemble", IntervalEnsemble.from_dict),
-        )
+        network = section("network", lambda d: network_from_dict(d, source="attack model"))
+        mode_model = section("mode_model", ModeModel.from_dict)
+        ensemble = section("ensemble", lambda d: IntervalEnsemble.from_dict(d, network.sample_rate))
+        return cls(network, mode_model, ensemble)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(dump_json(self.to_dict()))

@@ -1,11 +1,12 @@
 """Synthetic metro line, trip, and non-metro sensor trace generation.
 
-A line is a list of track profiles built from piecewise-constant-acceleration
-primitives (accelerate | cruise | curve | brake).  Trips integrate those
-primitives in the world frame, rotate the result into a drifting phone frame,
-and layer seeded noise sources on top.  Every generator is a pure function of
-(config, seed): separate child streams per noise source keep the underlying
-motion identical when a single source is toggled.
+A line is one track profile per forward interval, built from
+piecewise-constant-acceleration primitives (accelerate | cruise | curve |
+brake); a reverse ride runs the profile's ``reversed()``.  Trips integrate
+those primitives in the world frame, rotate the result into a drifting phone
+frame, and layer seeded noise sources on top.  Every generator is a pure
+function of (config, seed): separate child streams per noise source keep the
+underlying motion identical when a single source is toggled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import coord
 from .model import (
     GRAVITY,
-    REVERSE,
+    FORWARD,
     MetroNetwork,
     StationInterval,
     Trace,
@@ -55,7 +56,7 @@ class MotionPrimitive:
 
 @dataclass(frozen=True)
 class TrackProfile:
-    """Fixed kinematic fingerprint of one directed station interval."""
+    """Fixed kinematic fingerprint of one station interval, ridden forward."""
 
     interval_id: int
     primitives: tuple[MotionPrimitive, ...]
@@ -64,16 +65,15 @@ class TrackProfile:
 
     @property
     def nominal_duration(self) -> float:
-        return sum(p.duration for p in self.primitives)
+        return _duration(self.primitives)
 
-    def curve_offsets(self) -> tuple[float, ...]:
-        """Curve center times from the interval start, in seconds."""
-        out, at = [], 0.0
-        for p in self.primitives:
-            if p.kind == "curve":
-                out.append(at + 0.5 * p.duration)
-            at += p.duration
-        return tuple(out)
+    def reversed(self) -> "TrackProfile":
+        """The same interval ridden the other way, from where the forward ride ends."""
+        return replace(
+            self,
+            primitives=_reverse_primitives(self.primitives),
+            start_heading=self.start_heading + _heading_turn(self.primitives) + math.pi,
+        )
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,20 @@ class NoiseConfig:
 
 
 # --- network generation -----------------------------------------------------
+
+
+def _duration(prims: tuple[MotionPrimitive, ...]) -> float:
+    return sum(p.duration for p in prims)
+
+
+def _curve_offsets(prims: tuple[MotionPrimitive, ...]) -> tuple[float, ...]:
+    """Curve center times from the interval start, in seconds."""
+    out, at = [], 0.0
+    for p in prims:
+        if p.kind == "curve":
+            out.append(at + 0.5 * p.duration)
+        at += p.duration
+    return tuple(out)
 
 
 def _round_grid(x: float, rate: float) -> float:
@@ -135,9 +149,7 @@ def _draw_profile(rng: np.random.Generator, rate: float, distinctive: bool):
 
 def _too_similar(a: tuple[MotionPrimitive, ...], b: tuple[MotionPrimitive, ...]) -> bool:
     """Profiles must differ in duration, curve layout, or peak lateral accel."""
-    dur_a = sum(p.duration for p in a)
-    dur_b = sum(p.duration for p in b)
-    if abs(dur_a - dur_b) >= 3.0:
+    if abs(_duration(a) - _duration(b)) >= 3.0:
         return False
     curves_a = [p for p in a if p.kind == "curve"]
     curves_b = [p for p in b if p.kind == "curve"]
@@ -147,9 +159,7 @@ def _too_similar(a: tuple[MotionPrimitive, ...], b: tuple[MotionPrimitive, ...])
     peak_b = max(abs(p.lateral_accel) for p in curves_b)
     if abs(peak_a - peak_b) >= 0.2:
         return False
-    off_a = TrackProfile(0, a, 0.0).curve_offsets()
-    off_b = TrackProfile(0, b, 0.0).curve_offsets()
-    if any(abs(x - y) >= 5.0 for x, y in zip(off_a, off_b)):
+    if any(abs(x - y) >= 5.0 for x, y in zip(_curve_offsets(a), _curve_offsets(b))):
         return False
     return True
 
@@ -184,7 +194,7 @@ def gen_network(
     seed: int,
     sample_rate: float = 10.0,
 ) -> tuple[MetroNetwork, list[TrackProfile]]:
-    """Build one line: pairwise-distinct forward profiles plus derived reverses."""
+    """Build one line and its pairwise-distinct profiles, one per forward interval."""
     if num_intervals < 1:
         raise ValueError("num_intervals must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E77]))
@@ -197,8 +207,7 @@ def gen_network(
             cand = _draw_profile(rng, sample_rate, j in dist_ids)
             if cand is None:
                 continue
-            nominal = sum(p.duration for p in cand)
-            if nominal < 88.0 or nominal > 150.0:
+            if not 88.0 <= _duration(cand) <= 150.0:
                 continue
             if all(not _too_similar(cand, prev) for prev in prim_sets):
                 prim_sets.append(cand)
@@ -206,16 +215,12 @@ def gen_network(
         else:
             raise RuntimeError("could not draw a distinct track profile")
 
-    headings = []
+    profiles, forward = [], []
     h = rng.uniform(0.0, 2.0 * math.pi)
-    for prims in prim_sets:
-        headings.append(h)
-        h += _heading_turn(prims)
-    end_headings = [headings[j] + _heading_turn(prim_sets[j]) for j in range(num_intervals)]
-
-    forward = []
     for j, prims in enumerate(prim_sets):
-        nominal = sum(p.duration for p in prims)
+        profiles.append(TrackProfile(j, prims, h, j in dist_ids))
+        h += _heading_turn(prims)
+        nominal = _duration(prims)
         forward.append(
             StationInterval(
                 id=j,
@@ -226,26 +231,12 @@ def gen_network(
             )
         )
     network = MetroNetwork(f"simline-{seed}", sample_rate, tuple(forward), *DWELL_RANGE)
-
-    profiles = [
-        TrackProfile(j, prim_sets[j], headings[j], j in dist_ids)
-        for j in range(num_intervals)
-    ]
-    for f in reversed(range(num_intervals)):
-        profiles.append(
-            TrackProfile(
-                network.directed(f, REVERSE),
-                _reverse_primitives(prim_sets[f]),
-                end_headings[f] + math.pi,
-                f in dist_ids,
-            )
-        )
     return network, profiles
 
 
-def distinctive_intervals(network: MetroNetwork, profiles: list[TrackProfile]) -> list[int]:
-    """Undirected ids of the intervals flagged distinctive at generation time."""
-    return sorted({network.undirected(p.interval_id) for p in profiles if p.distinctive})
+def distinctive_intervals(profiles: list[TrackProfile]) -> list[int]:
+    """Ids of the intervals flagged distinctive at generation time."""
+    return sorted(p.interval_id for p in profiles if p.distinctive)
 
 
 # --- kinematic integration ---------------------------------------------------
@@ -380,19 +371,19 @@ def gen_trip(
     """One metro ride over `length` consecutive directed intervals.
 
     `start_interval` is a directed id; the run must stay inside one direction.
-    Ground truth carries the whole-ride metro range, per-interval ranges, and
-    interior dwells.
+    `profiles` holds one profile per forward interval, in id order; a reverse
+    leg rides its profile's ``reversed()``. Ground truth carries the whole-ride
+    metro range, per-interval ranges, and interior dwells.
     """
     gids = list(range(start_interval, start_interval + length))
     if not network.fits(start_interval, length):
         raise ValueError(f"interval run {gids} does not fit one direction of the line")
-    by_id = {p.interval_id: p for p in profiles}
 
     dwell_rng, scale_rng, *render = _streams(seed, 7)
     rate = network.sample_rate
     dt = 1.0 / rate
 
-    chunks, speeds, legs = [], [], []  # legs: (kind, gid-or-None, n_samples)
+    chunks, speeds, legs = [], [], []  # legs: (kind, uid-or-None, n_samples)
     for i, gid in enumerate(gids):
         if i > 0:
             n_dwell = round(_round_grid(dwell_rng.uniform(network.dwell_min, network.dwell_max), rate) * rate)
@@ -400,10 +391,12 @@ def gen_trip(
             speeds.append(np.zeros(n_dwell))
             legs.append(("dwell", None, n_dwell))
         scale = 1.0 + scale_rng.uniform(-duration_jitter, duration_jitter)
-        acc_w, v = _leg_motion(by_id[gid], scale, rate)
+        uid = network.undirected(gid)
+        profile = profiles[uid] if network.directed(uid, FORWARD) == gid else profiles[uid].reversed()
+        acc_w, v = _leg_motion(profile, scale, rate)
         chunks.append(acc_w)
         speeds.append(v)
-        legs.append(("interval", gid, len(acc_w)))
+        legs.append(("interval", uid, len(acc_w)))
 
     world = np.concatenate(chunks)
     speed = np.concatenate(speeds)
@@ -411,12 +404,12 @@ def gen_trip(
 
     truth = [TruthRange(0.0, len(world) * dt, "metro")]
     at = 0
-    for kind, gid, n in legs:
+    for kind, uid, n in legs:
         start_t, end_t = at * dt, (at + n) * dt
         if kind == "dwell":
             truth.append(TruthRange(start_t, end_t, "dwell"))
         else:
-            truth.append(TruthRange(start_t, end_t, f"interval:{network.undirected(gid)}"))
+            truth.append(TruthRange(start_t, end_t, f"interval:{uid}"))
         at += n
 
     return Trace(

@@ -174,7 +174,7 @@ def test_04_confusion_diagonal_structure(corpus, loo_report):
         off = np.delete(conf[i], i)
         dominant += diag[i] > (off.max() if off.size else 0.0)
 
-    dist = distinctive_intervals(corpus.network, corpus.profiles)
+    dist = distinctive_intervals(corpus.profiles)
     rest = [i for i in range(k) if i not in dist]
     dist_floor = min(diag[i] for i in dist)
     rest_ceiling = max(diag[i] for i in rest) if rest else 0.0

@@ -203,25 +203,21 @@ class TestAdaBoost:
 
     def test_needs_learners(self):
         with pytest.raises(ValueError):
-            AdaBoostNB([], np.array([]), 2)
+            AdaBoostNB([], np.array([]))
 
     @pytest.mark.parametrize(
         "damage, problem",
         [
-            (lambda doc: {**doc, "n_classes": 4.0}, "n_classes must be a positive integer"),
-            (lambda doc: {**doc, "n_classes": True}, "n_classes must be a positive integer"),
-            (lambda doc: {**doc, "n_classes": 5}, "share one (5, d) means shape"),
             (lambda doc: {**doc, "alphas": doc["alphas"][:-1]}, "one finite alpha per learner"),
             (lambda doc: {**doc, "alphas": [float("nan")] * len(doc["alphas"])}, "finite alpha"),
             (
                 lambda doc: {**doc, "learners": [*doc["learners"][:-1], {
                     key: value[:3] for key, value in doc["learners"][-1].items()
                 }]},
-                "share one (4, d) means shape",
+                "share one means shape, got [(3, 5), (4, 5)]",
             ),
         ],
-        ids=["float classes", "bool classes", "classes other than the learners'",
-             "alpha missing", "NaN alphas", "learner of 3 classes"],
+        ids=["alpha missing", "NaN alphas", "learner of 3 classes"],
     )
     def test_bad_fields_refused(self, damage, problem):
         model = train_adaboost_nb(cluster_set(seed=8), rounds=4, seed=9)
@@ -270,14 +266,11 @@ class TestRandomForest:
 
     def test_needs_trees(self):
         with pytest.raises(ValueError):
-            RandomForest([], 2)
+            RandomForest([])
 
     @pytest.mark.parametrize(
         "damage, problem",
         [
-            (lambda doc: {**doc, "n_classes": 4.5}, "positive integer, got 4.5"),
-            (lambda doc: {**doc, "n_classes": "4"}, "positive integer, got '4'"),
-            (lambda doc: {**doc, "n_classes": 5}, "forest tree 0 probs are"),
             (lambda doc: {**doc, "trees": [*doc["trees"][:-1], {
                 **doc["trees"][-1], "probs": [row[:3] for row in doc["trees"][-1]["probs"]]
             }]}, "probs are"),
@@ -285,8 +278,7 @@ class TestRandomForest:
             (lambda doc: _set_child(doc, "past the end"), "not a later node"),
             (lambda doc: _set_child(doc, None), "not a later node"),
         ],
-        ids=["fractional classes", "string classes", "classes other than the leaves'",
-             "3-column leaves in the last tree", "child before its split",
+        ids=["3-column leaves in the last tree", "child before its split",
              "child beyond the tree", "left list one short"],
     )
     def test_bad_fields_refused(self, damage, problem):
@@ -352,20 +344,18 @@ class TestIntervalEnsemble:
 
     def test_json_round_trip_exact(self, trained):
         train, ens = trained
-        back = IntervalEnsemble.from_dict(json.loads(json.dumps(ens.to_dict())))
-        assert back.n_classes == ens.n_classes
+        back = IntervalEnsemble.from_dict(json.loads(json.dumps(ens.to_dict())), 10.0)
+        assert back.n_classes == ens.n_classes == 4
         assert back.config == ens.config
         assert np.array_equal(back.predict_matrix(train.X), ens.predict_matrix(train.X))
 
-    @pytest.mark.parametrize(
-        "patch", [{"kind": "other"}, {"schema_version": 2}]
-    )
-    def test_rejects_foreign_documents(self, trained, patch):
-        _, ens = trained
-        doc = ens.to_dict()
-        doc.update(patch)
-        with pytest.raises(ValueError):
-            IntervalEnsemble.from_dict(doc)
+    def test_parts_must_share_classes(self, trained):
+        train, ens = trained
+        wider = cluster_set(seed=23, n_classes=5, d=FEATURE_DIM)
+        forest = train_random_forest(wider, n_trees=2, seed=3)
+        assert (ens.boost.n_classes, forest.n_classes) == (4, 5)
+        with pytest.raises(ValueError, match="boost votes over 4 classes, its forest over 5"):
+            IntervalEnsemble(ens.boost, forest, ens.config)
 
 
 # --- frozen per-feature forest ------------------------------------------------------
@@ -697,7 +687,7 @@ def assert_vote_matches(model: AdaBoostNB, X: np.ndarray):
 
 def one_nb(priors, means, variances) -> AdaBoostNB:
     nb = GaussianNB(*(np.array(a, dtype=float) for a in (priors, means, variances)))
-    return AdaBoostNB([nb], np.array([1.0]), len(priors))
+    return AdaBoostNB([nb], np.array([1.0]))
 
 
 class TestScreenedVote:
@@ -753,7 +743,7 @@ class TestScreenedVote:
     def test_zero_prior_classes(self):
         X = np.array([[0.0, 1.0], [0.5, 1.0], [5.0, 2.0], [5.5, 2.0]])
         nb = GaussianNB.fit(X, [0, 0, 3, 3], 5)
-        model = AdaBoostNB([nb, nb], np.array([0.7, 0.3]), 5)
+        model = AdaBoostNB([nb, nb], np.array([0.7, 0.3]))
         grid = np.random.default_rng(34).normal(scale=4.0, size=(200, 2))
         assert_vote_matches(model, grid)
         assert set(np.argmax(model.vote_scores(grid), axis=1).tolist()) <= {0, 3}

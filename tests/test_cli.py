@@ -81,25 +81,13 @@ BAD_MODEL_FIELDS = {
         ("ensemble", "feature_config", "smooth_k"), 2.5, ("'ensemble' section", "smooth_k")
     ),
     "negative mode window": (("mode_model", "window"), -5, ("'mode_model' section", "window")),
-    "NaN feature rate": (
-        ("ensemble", "feature_config", "sample_rate"), float("nan"),
-        ("'ensemble' section", "sample_rate"),
-    ),
-    "feature rate other than the network's": (
-        ("ensemble", "feature_config", "sample_rate"), 20.0,
-        ("'ensemble' section (6 classes, 20 Hz)", "'network' section (6 intervals, 10 Hz)"),
-    ),
-    "ensemble classes other than its parts'": (
-        ("ensemble", "n_classes"), 9,
-        ("'ensemble' section", "n_classes 9 differs from its boost and forest's (6, 6)"),
+    "NaN network rate": (
+        ("network", "sample_rate"), float("nan"),
+        ("'network' section", "attack model: sample_rate must be positive and finite"),
     ),
     "negative mode variance": (
         ("mode_model", "nb", "variances", 0, 0), -1.0,
         ("'mode_model' section", "variances must be finite and positive"),
-    ),
-    "fractional boost classes": (
-        ("ensemble", "boost", "n_classes"), 6.5,
-        ("'ensemble' section", "n_classes must be a positive integer, got 6.5"),
     ),
     "broken line": (
         ("network", "intervals", 1, "from"), "X",
@@ -140,6 +128,14 @@ def _five_column_leaf_probs(doc: dict) -> dict:
     return doc
 
 
+def _both_directions(text: str) -> str:
+    """The profiles as earlier corpora stored them: the reverses too, as ids k..2k-1."""
+    profiles = json.loads(text)["profiles"]
+    k = len(profiles)
+    reverse = [{**p, "interval_id": 2 * k - 1 - p["interval_id"]} for p in profiles[::-1]]
+    return json.dumps({"profiles": profiles + reverse})
+
+
 # case -> (file, damage to its decoded text); config.json is the --config file
 MALFORMED_DOCUMENTS = {
     "config a list": ("config.json", lambda text: "[1]"),
@@ -154,6 +150,17 @@ MALFORMED_DOCUMENTS = {
         "profiles.json",
         lambda text: json.dumps(
             {"profiles": [_drop("primitives")(p) for p in json.loads(text)["profiles"]]}
+        ),
+    ),
+    "profiles in both directions": ("profiles.json", _both_directions),
+    "broken line": (
+        "network.json",
+        lambda text: json.dumps(_set_field(json.loads(text), ("intervals", 1, "from"), "X")),
+    ),
+    "interval shorter than the shortest dwell": (
+        "network.json",
+        lambda text: json.dumps(
+            _set_field(json.loads(text), ("intervals", 0, "min_duration"), 22.0)
         ),
     ),
 }
@@ -337,6 +344,19 @@ class TestEvaluate:
         assert doc["stalled"] is True
         assert "3" in doc["accuracy_by_length"]
 
+    def test_length_no_trip_reaches_has_no_accuracy(self, corpus_dir, cfg_file, capsys):
+        # six-interval trips hold no 9-interval subtrip: no score at all, not a score of 0
+        args = [
+            "evaluate", "--corpus", corpus_dir, "--protocol", "supervised",
+            "--lengths", "3,9", "--config", cfg_file,
+        ]
+        assert cli.main(args) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["counts_by_length"] == {"3": 32, "9": 0}
+        assert doc["accuracy_by_length"]["9"] is None
+        assert '"9": null' in out
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -452,11 +472,13 @@ class TestDataErrors:
         [
             (_drop("ensemble"), "'ensemble' section"),
             (lambda doc: {**doc, "ensemble": {**doc["ensemble"], "forest": 5}}, "'ensemble' section"),
-            (lambda doc: [doc], "not a version-2 attack model document"),
-            (lambda doc: {**doc, "schema_version": 1}, "not a version-2 attack model document"),
+            (lambda doc: [doc], "not a version-3 attack model document"),
+            (lambda doc: {**doc, "schema_version": 1}, "not a version-3 attack model document"),
+            (lambda doc: {**doc, "schema_version": 2}, "not a version-3 attack model document"),
             (_five_column_leaf_probs, "'ensemble' section"),
         ],
-        ids=["no ensemble", "forest a number", "top-level list", "version 1", "5-column leaf probs"],
+        ids=["no ensemble", "forest a number", "top-level list", "version 1", "version 2",
+             "5-column leaf probs"],
     )
     def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
         model = tmp_path / "bad_model.json"
@@ -480,8 +502,6 @@ class TestDataErrors:
         # a sound 9-class ensemble: 3 classes no learner or leaf ever votes for
         doc = json.loads(Path(model_file).read_text())
         ens = doc["ensemble"]
-        for path in (("n_classes",), ("boost", "n_classes"), ("forest", "n_classes")):
-            _set_field(ens, path, 9)
         for nb in ens["boost"]["learners"]:
             d = len(nb["means"][0])
             nb["priors"] += [0.0] * 3

@@ -108,8 +108,8 @@ class TestTrainModeClassifier:
 
     def test_bad_document_rejected(self, toy_model):
         doc = toy_model.to_dict()
-        doc["kind"] = "other"
-        with pytest.raises(ValueError, match="mode model"):
+        doc["thresholds"] = doc["thresholds"][::-1]
+        with pytest.raises(ValueError, match="mode thresholds must be 3 increasing"):
             ModeModel.from_dict(doc)
 
 

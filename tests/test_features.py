@@ -101,12 +101,12 @@ class TestFeatureConfig:
             peak_windows_s=(1.0, 3.0),
             nvht_thresholds=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)),
         )
-        back = FeatureConfig.from_dict(cfg.to_dict())
+        back = FeatureConfig.from_dict(cfg.to_dict(), 10.0)
         assert back == cfg
 
     def test_dict_round_trip_unfitted(self):
         cfg = FeatureConfig(sample_rate=5.0)
-        assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+        assert FeatureConfig.from_dict(cfg.to_dict(), 5.0) == cfg
 
 
 class TestSmooth:

@@ -186,6 +186,23 @@ class TestAttackModel:
             hra, attack_model.mode_model
         ).tobytes()
 
+    def test_document_states_each_fact_once(self, attack_model):
+        # one version, one rate, and a class count only in the arrays
+        def paths(doc, at=()):
+            if isinstance(doc, dict):
+                for key, value in doc.items():
+                    yield at + (key,)
+                    yield from paths(value, at + (key,))
+            elif isinstance(doc, list):
+                for value in doc:
+                    yield from paths(value, at)
+
+        doc = attack_model.to_dict()
+        repeated = ("kind", "schema_version", "n_classes", "sample_rate")
+        found = {p for p in paths(doc) if p[-1] in repeated}
+        assert found == {("kind",), ("schema_version",), ("network", "sample_rate")}
+        assert doc["schema_version"] == 3
+
     def test_foreign_document_rejected(self, attack_model):
         doc = attack_model.to_dict()
         doc["kind"] = "other"

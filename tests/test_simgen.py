@@ -1,6 +1,7 @@
 """Simulator invariants: determinism, kinematics, truth, noise layering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from subtrace import coord
 from subtrace.simgen import (
     MODES,
+    MotionPrimitive,
     NoiseConfig,
+    TrackProfile,
     apply_defense_noise,
     distinctive_intervals,
     gen_mixed_day,
@@ -37,6 +40,48 @@ def mean_hra(trace):
     return float(np.mean(coord.transform(trace).hra))
 
 
+def frozen_reverse_profiles(network, forward: list) -> list:
+    """The reverse profiles as ``gen_network`` once stored them, ids k..2k-1.
+
+    Headings accumulate from the first interval's start in id order, and the
+    reverse of interval f starts at f's end heading plus pi.
+    """
+
+    def heading_turn(prims):
+        v = prims[0].forward_accel * prims[0].duration
+        return sum(p.lateral_accel / v * p.duration for p in prims if p.kind == "curve")
+
+    def reverse_primitives(prims):
+        swap = {"accelerate": "brake", "brake": "accelerate"}
+        return tuple(
+            MotionPrimitive(
+                kind=swap.get(p.kind, p.kind),
+                duration=p.duration,
+                forward_accel=-p.forward_accel,
+                lateral_accel=-p.lateral_accel,
+            )
+            for p in reversed(prims)
+        )
+
+    k = network.num_intervals
+    prim_sets = [p.primitives for p in forward]
+    headings = []
+    h = forward[0].start_heading
+    for prims in prim_sets:
+        headings.append(h)
+        h += heading_turn(prims)
+    end_headings = [headings[j] + heading_turn(prim_sets[j]) for j in range(k)]
+    return [
+        TrackProfile(
+            network.directed(f, "reverse"),
+            reverse_primitives(prim_sets[f]),
+            end_headings[f] + math.pi,
+            forward[f].distinctive,
+        )
+        for f in reversed(range(k))
+    ]
+
+
 class TestNetworkGeneration:
     def test_same_seed_identical(self, line):
         net2, prof2 = gen_network(6, seed=21)
@@ -46,28 +91,27 @@ class TestNetworkGeneration:
     def test_counts_and_bounds(self, line):
         net, profiles = line
         assert net.num_intervals == 6
-        assert len(profiles) == 12
+        assert [p.interval_id for p in profiles] == list(range(6))
         for p in profiles:
             assert 88.0 <= p.nominal_duration <= 150.0
-        for iv, p in zip(net.intervals, profiles[:6]):
+        for iv, p in zip(net.intervals, profiles):
             assert iv.min_duration <= p.nominal_duration <= iv.max_duration
 
     def test_stops_at_both_ends(self, line):
         # speed integral over one interval is zero: the train starts and
         # ends at rest
         _, profiles = line
-        for p in profiles:
+        for p in profiles + [p.reversed() for p in profiles]:
             assert p.primitives[0].kind == "accelerate"
             assert p.primitives[-1].kind == "brake"
             v_end = sum(q.forward_accel * q.duration for q in p.primitives)
             assert abs(v_end) < 1e-6
 
     def test_reverse_mirrors_forward(self, line):
-        net, profiles = line
-        k = net.num_intervals
-        for i in range(k):
-            fwd = profiles[k - 1 - i]
-            rev = profiles[k + i]
+        _, profiles = line
+        for fwd in profiles:
+            rev = fwd.reversed()
+            assert rev.interval_id == fwd.interval_id
             assert rev.nominal_duration == pytest.approx(fwd.nominal_duration, rel=1e-12)
             assert rev.distinctive == fwd.distinctive
             for qf, qr in zip(fwd.primitives, reversed(rev.primitives)):
@@ -76,11 +120,25 @@ class TestNetworkGeneration:
 
     def test_distinctive_ids(self, line):
         net, profiles = line
-        ids = distinctive_intervals(net, profiles)
+        ids = distinctive_intervals(profiles)
         assert ids == sorted(ids)
         assert len(ids) == max(1, round(0.2 * net.num_intervals))
         for u in ids:
             assert profiles[u].distinctive
+
+    @pytest.mark.parametrize(
+        "k, seed, rate", [(10, 7, 10.0), (6, 21, 10.0), (6, 11, 10.0), (3, 21, 20.0)]
+    )
+    def test_reversed_matches_frozen_reverse_profiles(self, tmp_path, k, seed, rate):
+        # a reverse profile keeps its interval's id; every other field is the
+        # stored reverse's, also after a profiles.json round trip
+        net, profiles = gen_network(k, seed=seed, sample_rate=rate)
+        path = tmp_path / "profiles.json"
+        save_profiles(profiles, path)
+        for forward in (profiles, load_profiles(path)):
+            frozen = frozen_reverse_profiles(net, forward)
+            derived = [p.reversed() for p in forward[::-1]]
+            assert [replace(p, interval_id=r.interval_id) for p, r in zip(derived, frozen)] == frozen
 
     def test_single_interval_rejected(self):
         with pytest.raises(ValueError):
