@@ -5,7 +5,13 @@ temporary directory, through the ``subtrace`` package in this checkout's
 ``src``: it generates a corpus, trains a model, attacks trips 0, 1 and 5 in
 full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
-Each output file is printed as ``sha256  path``. Then it attacks four
+Each output file is printed as ``sha256  path``. Those evaluation files
+hold only rounded accuracies, so two more lines follow, one per attack
+mode (full, then reduced): the digest of every decoded subtrip of
+``evalharness.evaluate_subtrips`` at lengths 1, 2 and 3 on the generated
+corpus with the trained model's ensemble, one ``trip start_leg length:
+start direction length score`` line per subtrip with the score as
+``float.hex``. Then it attacks four
 malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
 given a ``0xff`` byte, or repeating line 400's ``t``), attacks trip 0
 with three damaged copies of ``model.json`` (``schema_version`` 2, no
@@ -37,7 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from subtrace import cli  # noqa: E402
+from subtrace import cli, evalharness, pipeline  # noqa: E402
 from subtrace.simgen import load_profiles, save_profiles  # noqa: E402
 
 SMALL_CONFIG = {
@@ -50,6 +56,7 @@ SMALL_CONFIG = {
     "enough_labels": 6,
 }
 TRIPS = (0, 1, 5)
+EVAL_LENGTHS = (1, 2, 3)
 # each malformed copy of trip 0 rewrites its line 401 (a sample line), given
 # line 400 before it
 T_FIELD = re.compile(rb'^\{"t": [^,]+')
@@ -125,6 +132,22 @@ def run_commands() -> int:
     return code
 
 
+def decoded_subtrips() -> None:
+    """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode."""
+    corpus = pipeline.load_corpus("corpus")
+    ensemble = pipeline.AttackModel.load("model.json").ensemble
+    for mode in ("full", "reduced"):
+        report = evalharness.evaluate_subtrips(corpus, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
+        lines = [
+            f"{st.trip} {st.start_leg} {st.length}: "
+            + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
+            for st, h in report.predictions
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        lengths = ",".join(map(str, EVAL_LENGTHS))
+        print(f"{digest}  evaluate_subtrips {mode} lengths {lengths}: {len(lines)} subtrips")
+
+
 def refused(argv: list[str], shown: Path) -> None:
     """Run ``argv`` and print its exit code and error digest under its command and ``shown``."""
     stderr = io.StringIO()
@@ -176,6 +199,7 @@ def main() -> None:
                 if p.is_file() and p.name != "config.json":
                     digest = hashlib.sha256(p.read_bytes()).hexdigest()
                     print(f"{digest}  {p.relative_to(root)}")
+            decoded_subtrips()
             attack_malformed()
             train_damaged()
         finally:

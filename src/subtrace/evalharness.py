@@ -3,10 +3,12 @@
 Supervised: leave-one-trip-out, scoring every contiguous subtrip of a few
 fixed lengths cut at the true dwell centers; a prediction counts only if
 start interval, direction, and length all match. Each subtrip is cut by
-the attack's own segmenter and decoded in its trip's sample coordinates by
-``infer.infer_with_segment_tolerance``; the subtrips of one trip share one
-memo of segment feature vectors, cut from the trip's ``(n, 3)`` earth-frame
-array. Cut points are scored against the true dwell centres within the fixed
+the attack's own segmenter and planned and decoded in its trip's sample
+coordinates, as the attack decodes a span (``infer``): the cut layouts of a
+trip's subtrips are planned first, then every distinct segment they cut from
+the trip's ``(n, 3)`` earth-frame array is featurised and classified in one
+batch per (trip, model), and then each subtrip is scored from those rows.
+Cut points are scored against the true dwell centres within the fixed
 ``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
 are bootstrapped from two distinctive seed intervals, and one damped-weight
@@ -16,6 +18,7 @@ subtrip machinery on paired or noise-injected corpora.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -24,8 +27,15 @@ import numpy as np
 
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
-from .features import FeatureConfig, SliceFeatures, extract_batch, fit_features
-from .infer import TraceHypothesis, check_mode, infer_with_segment_tolerance
+from .features import FeatureConfig, extract_batch, fit_features
+from .infer import (
+    SpanPlan,
+    TraceHypothesis,
+    check_mode,
+    classify_segments,
+    infer_with_segment_tolerance,
+    plan_span,
+)
 from .model import FORWARD, REVERSE, MetroNetwork, is_integer
 from .pipeline import (
     Corpus,
@@ -124,25 +134,23 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
     return subtrips
 
 
-def predict_subtrip(
-    series: coord.EnuSeries,
-    st: Subtrip,
-    ensemble: IntervalEnsemble,
-    network: MetroNetwork,
-    mode: str,
-    featurize: Callable[[list[tuple[int, int]]], np.ndarray],
-) -> TraceHypothesis | None:
-    """Segment one subtrip and decode it; ``None`` when no ride fits.
+def plan_subtrip(
+    series: coord.EnuSeries, st: Subtrip, network: MetroNetwork, mode: str
+) -> SpanPlan:
+    """Segment one subtrip of the trip ``series`` and plan its cut layouts.
 
-    ``featurize`` is as for ``infer.infer_with_segment_tolerance``; the
-    subtrips of one trip share one that remembers what it computed. An
-    unknown ``mode`` raises ``ValueError``.
+    An unknown ``mode`` raises ``ValueError``.
     """
     lo, hi = st.span
     points, _ = segment.find_final_segment_points(series.hra[lo:hi], network)
-    return infer_with_segment_tolerance(
-        series, lo, hi, ensemble, network, points, featurize, mode
-    ).best
+    return plan_span(series, lo, hi, network, points, mode)
+
+
+def predict_subtrip(
+    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
+) -> TraceHypothesis | None:
+    """Decode one planned subtrip from its trip's classified segments; ``None`` when no ride fits."""
+    return infer_with_segment_tolerance(plan, rows).best
 
 
 @dataclass
@@ -177,26 +185,32 @@ def evaluate_subtrips(
     if series_by_trip is None:
         series_by_trip = [coord.transform(t) for t in corpus.trips]
 
+    preds: list[tuple[Subtrip, TraceHypothesis | None]] = []
+    for trip, group in itertools.groupby(enumerate_subtrips(corpus, lengths), lambda st: st.trip):
+        group = list(group)
+        series = series_by_trip[trip]
+        ensembles = [ensemble_for(st.trip) for st in group]
+        plans = [plan_subtrip(series, st, corpus.network, mode) for st in group]
+        # one batch per (trip, model); the list above keeps every id in use
+        by_model: dict[int, list[int]] = {}
+        for i, ensemble in enumerate(ensembles):
+            by_model.setdefault(id(ensemble), []).append(i)
+        hyps: list[TraceHypothesis | None] = [None] * len(group)
+        for idx in by_model.values():
+            rows = classify_segments(series, [plans[i] for i in idx], ensembles[idx[0]])
+            for i in idx:
+                hyps[i] = predict_subtrip(plans[i], rows)
+        preds.extend(zip(group, hyps))
+
     correct = {L: 0 for L in lengths}
     totals = {L: 0 for L in lengths}
     pairs: list[tuple[int, int]] = []
-    preds = []
-    # features of the current trip's slices; a new trip or feature config
-    # starts a new memo, so no entry outlives the trip it was cut from
-    memo, memo_key = None, None
-    for st in enumerate_subtrips(corpus, lengths):
-        ensemble = ensemble_for(st.trip)
-        series = series_by_trip[st.trip]
-        if (st.trip, ensemble.config) != memo_key:
-            memo_key = (st.trip, ensemble.config)
-            memo = SliceFeatures(series.enu, ensemble.config)
-        hyp = predict_subtrip(series, st, ensemble, corpus.network, mode, memo)
+    for st, hyp in preds:
         totals[st.length] += 1
         if _ride_key(hyp) == (st.uids[0], st.direction, st.length):
             correct[st.length] += 1
         if hyp is not None and hyp.length == st.length:
             pairs.extend(zip(st.uids, hyp.interval_ids()))
-        preds.append((st, hyp))
 
     per_interval = []
     for u in range(k):

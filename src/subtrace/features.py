@@ -11,8 +11,10 @@ the three components' extrema.
 matrix and ``extract_features`` is its batch of one. A trainer calls
 ``fit_features``, which smooths each segment once (``smooth_segments``),
 takes the exceedance thresholds from those smoothed arrays
-(``fit_nvht_thresholds``) and featurises the same arrays. ``SliceFeatures``
-keeps the vectors of one recording's slices.
+(``fit_nvht_thresholds``) and featurises the same arrays. An attack or an
+evaluation featurises all the distinct segments of one recording in one
+``extract_batch`` call (``infer.classify_segments``), so nothing here
+remembers a segment between calls.
 
 A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is
@@ -131,8 +133,10 @@ class FeatureConfig:
 
 
 # padded samples per chunk: bounds what one chunk's arrays hold, while keeping the
-# numpy calls per segment few
-CHUNK_SAMPLES = 1 << 13
+# numpy calls per segment few. 1 << 15 featurises a recording's batch faster
+# still, but its larger blocks raise the peak resident memory of a process
+# that trains and then decodes by about 5 MB; 1 << 14 does not.
+CHUNK_SAMPLES = 1 << 14
 
 
 def _nfft(n: int) -> int:
@@ -428,29 +432,6 @@ def extract_batch(segments: list[np.ndarray], config: FeatureConfig) -> np.ndarr
 def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
     """The ``(82,)`` vector of one segment: ``extract_batch`` of a batch of one."""
     return extract_batch([segment], config)[0]
-
-
-class SliceFeatures:
-    """Feature vectors of ``[lo, hi)`` slices of one ``(n, 3)`` series, each computed once.
-
-    Overlapping cut layouts of one recording cut the same slice many times;
-    this keeps each slice's vector, not the slice, for as long as its owner
-    keeps the object. A call takes a list of ``(lo, hi)`` spans and returns
-    their ``(k, 82)`` matrix, featurising the spans it has not seen in one
-    batch.
-    """
-
-    def __init__(self, components: np.ndarray, config: FeatureConfig):
-        self.components = components
-        self.config = config
-        self._memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def __call__(self, spans: list[tuple[int, int]]) -> np.ndarray:
-        new = [sp for sp in dict.fromkeys(spans) if sp not in self._memo]
-        if new:
-            rows = extract_batch([self.components[lo:hi] for lo, hi in new], self.config)
-            self._memo.update(zip(new, rows))
-        return np.stack([self._memo[sp] for sp in spans])
 
 
 def fit_nvht_thresholds(smoothed: list[np.ndarray], config: FeatureConfig) -> FeatureConfig:

@@ -7,25 +7,31 @@ across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
-``infer_with_segment_tolerance`` is the one scorer, and it serves two modes:
-"full" runs the tolerance pass with its re-cut families, "reduced" runs the
-same pass on the detected-cut family alone. Both return a
-``ToleranceResult``; a span that no hypothesis fits is a result whose
-``best`` is ``None``, not an error. The attack and the evaluation harness
-both decode through it, each span as a ``[lo, hi)`` range of its whole
-recording's samples. A featurizer takes a list of ``(lo, hi)`` sample spans
-of the recording and returns their ``(k, 82)`` feature matrix, so every
-segment a span decodes with is featurised in one batch; segments enter the
-ensemble as plain feature vectors.
+A recording is decoded in three phases, so that each of its segments is
+featurised and classified once, in one batch:
+
+1. *Plan.* ``plan_span`` fixes every cut layout of one span, a ``[lo, hi)``
+   range of the whole recording's samples: the detected cuts and, in "full"
+   mode, the re-cut layouts of the n-1 and n+1 families. "reduced" mode
+   plans the detected layout alone.
+2. *Batch.* ``classify_segments`` featurises the distinct segments of every
+   plan of the recording in one ``features.extract_batch`` call and
+   classifies them in one ``predict_matrix`` call.
+3. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
+   plan from those probability rows and returns a ``ToleranceResult``; a
+   span that no hypothesis fits is a result whose ``best`` is ``None``, not
+   an error.
+
+The attack and the evaluation harness both decode this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from . import features
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
 from .model import FORWARD, REVERSE, MetroNetwork
@@ -147,35 +153,48 @@ def _snap_cuts(cuts: list[int], hra: np.ndarray, rate: float) -> tuple[int, ...]
     return tuple(snapped)
 
 
-def infer_with_segment_tolerance(
+@dataclass(frozen=True)
+class SpanPlan:
+    """Every cut layout one span is decoded with, fixed before any segment is featurised.
+
+    The span is samples ``[lo, hi)`` of its recording, and every cut counts
+    from ``lo``. ``detected_cuts`` is ``None`` when the detected layout fits
+    no ride; ``recuts`` holds one ``(start, direction, cuts)`` per re-cut run.
+    """
+
+    lo: int
+    hi: int
+    detected: int  # segment count the segmenter reported
+    detected_cuts: tuple[int, ...] | None
+    recuts: tuple[tuple[int, str, tuple[int, ...]], ...]
+
+    def segments(self) -> set[tuple[int, int]]:
+        """The ``[a, b)`` recording samples of every segment some layout cuts."""
+        layouts = {cuts for _, _, cuts in self.recuts}
+        if self.detected_cuts is not None:
+            layouts.add(self.detected_cuts)
+        return {
+            (self.lo + a, self.lo + b)
+            for cuts in layouts
+            for a, b in zip([0, *cuts], [*cuts, self.hi - self.lo])
+        }
+
+
+def plan_span(
     series: EnuSeries,
     lo: int,
     hi: int,
-    ensemble: IntervalEnsemble,
     network: MetroNetwork,
     points: list[int],
-    featurize: Callable[[list[tuple[int, int]]], np.ndarray],
     mode: str,
-) -> ToleranceResult:
-    """Decode samples ``[lo, hi)`` of ``series``, allowing one missed or spurious stop.
+) -> SpanPlan:
+    """The cut layouts that decode samples ``[lo, hi)`` of ``series``, allowing one missed or spurious stop.
 
-    ``points`` are the detected interior cuts, counted from ``lo``, as are
-    the cuts the result reports. The detected cuts give the n-segment
-    family. In ``"full"`` mode, for n-1 and n+1 the span is re-cut per
-    candidate run from nominal interval durations plus dwells, snapped to
-    local HRA minima, and re-featurized (each distinct segment once);
-    ``"reduced"`` mode keeps the detected family alone. Families compete on
-    mean per-segment score, with ties going to the family that matches the
-    detected count. When no family fits, ``best`` is ``None`` and ``ranked``
-    is empty.
-
-    ``featurize(spans)`` returns the ``(k, 82)`` feature vectors of the
-    ``series`` samples ``[a, b)`` of each of k spans under
-    ``ensemble.config``, counted from the start of ``series``; a caller that
-    scores overlapping spans of one recording passes one that remembers
-    earlier segments. An unknown ``mode`` raises ``ValueError``.
-    ``ranked`` holds the ``TOP_K`` best hypotheses with their cuts, drawn from
-    the ``TOP_K`` best detected-cut ones and every re-cut one.
+    ``points`` are the detected interior cuts, counted from ``lo``. They give
+    the n-segment layout. In ``"full"`` mode, for n-1 and n+1 segments the
+    span is re-cut per candidate run from nominal interval durations plus
+    dwells, snapped to local HRA minima; ``"reduced"`` mode keeps the
+    detected layout alone. An unknown ``mode`` raises ``ValueError``.
     """
     check_mode(mode)
     points = sorted(points)
@@ -186,10 +205,9 @@ def infer_with_segment_tolerance(
     m = network.num_intervals
     n_detected = len(points) + 1
 
-    # collect every cut layout first so all segments classify in one batch
     detected_cuts = tuple(points)
     use_detected = n_detected <= m and all(0 < c < n_samples for c in detected_cuts)
-    tolerance_cands: list[tuple[int, str, tuple[int, ...]]] = []
+    recuts: list[tuple[int, str, tuple[int, ...]]] = []
     families = (n_detected - 1, n_detected + 1) if mode == "full" else ()
     for fam in families:
         if not 1 <= fam <= m:
@@ -199,34 +217,53 @@ def infer_with_segment_tolerance(
             cuts = _planned_cuts(durations, network.dwell_nominal, n_samples, rate)
             snapped = _snap_cuts(cuts, hra, rate)
             if snapped is not None:
-                tolerance_cands.append((start, direction, snapped))
+                recuts.append((start, direction, snapped))
+    return SpanPlan(lo, hi, n_detected, detected_cuts if use_detected else None, tuple(recuts))
 
-    if not use_detected and not tolerance_cands:
+
+def classify_segments(
+    series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
+) -> dict[tuple[int, int], np.ndarray]:
+    """The probability row of every distinct segment the plans cut, keyed by its ``[a, b)``.
+
+    All of them are featurised in one ``features.extract_batch`` call under
+    ``ensemble.config`` and classified in one ``predict_matrix`` call, so a
+    segment that several layouts or spans share is computed once. Plans
+    that cut nothing classify nothing.
+    """
+    spans = sorted(set().union(*(plan.segments() for plan in plans)))
+    if not spans:
+        return {}
+    X = features.extract_batch([series.enu[a:b] for a, b in spans], ensemble.config)
+    return dict(zip(spans, ensemble.predict_matrix(X)))
+
+
+def infer_with_segment_tolerance(
+    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
+) -> ToleranceResult:
+    """Decode one planned span from the probability rows of its segments.
+
+    ``rows`` maps each segment's ``[a, b)`` recording samples to its
+    probability row, as ``classify_segments`` returns them. The detected
+    layout's ``TOP_K`` best hypotheses and every re-cut run compete on mean
+    per-segment score, with ties going to the layout that matches the
+    detected count. ``ranked`` holds the ``TOP_K`` best hypotheses with their
+    cuts. When no layout fits, ``best`` is ``None`` and ``ranked`` is empty.
+    """
+    n_detected = plan.detected
+    if plan.detected_cuts is None and not plan.recuts:
         return ToleranceResult(best=None, points=(), detected=n_detected, ranked=())
 
-    layouts = {c for _, _, c in tolerance_cands}
-    if use_detected:
-        layouts.add(detected_cuts)
-    spans = sorted(
-        {
-            sp
-            for cuts in layouts
-            for sp in zip([0, *cuts], [*cuts, n_samples])
-        }
-    )
-    rows = ensemble.predict_matrix(featurize([(lo + a, lo + b) for a, b in spans]))
-    row_of = {sp: i for i, sp in enumerate(spans)}
-
     def matrix_for(cuts: tuple[int, ...]) -> np.ndarray:
-        bounds = [0, *cuts, n_samples]
-        return rows[[row_of[sp] for sp in zip(bounds[:-1], bounds[1:])]]
+        bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
+        return np.array([rows[sp] for sp in zip(bounds[:-1], bounds[1:])])
 
     scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
-    if use_detected:
-        P = matrix_for(detected_cuts)
+    if plan.detected_cuts is not None:
+        P = matrix_for(plan.detected_cuts)
         for h in rank_hypotheses(P)[:TOP_K]:
-            scored.append((h, detected_cuts))
-    for start, direction, cuts in tolerance_cands:
+            scored.append((h, plan.detected_cuts))
+    for start, direction, cuts in plan.recuts:
         P = matrix_for(cuts)
         h = TraceHypothesis(start, direction, len(cuts) + 1, score_run(P, start, direction))
         scored.append((h, cuts))

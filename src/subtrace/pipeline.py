@@ -17,8 +17,8 @@ import numpy as np
 from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
-from .features import FeatureConfig, SliceFeatures, fit_features
-from .infer import check_mode, infer_with_segment_tolerance
+from .features import FeatureConfig, fit_features
+from .infer import check_mode, classify_segments, infer_with_segment_tolerance, plan_span
 from .model import (
     FORWARD,
     REVERSE,
@@ -208,14 +208,15 @@ def load_corpus(path: str | Path) -> Corpus:
         raise TraceFormatError(f"{root}: no manifest.json, not a corpus directory")
 
     def read(manifest: dict) -> Corpus:
-        trips = [load_trace(root / m["file"]) for m in manifest["trips"]]
-        modes = [load_trace(root / m["file"]) for m in manifest["modes"]]
+        # the line first: a corpus whose line is refused is refused before any recording is parsed
         network = load_network(root / manifest["network"])
         profiles = load_profiles(root / manifest["profiles"])
         if [p.interval_id for p in profiles] != list(range(network.num_intervals)):
             raise TraceFormatError(
                 f"{manifest['profiles']}: needs a profile per interval 0..{network.num_intervals - 1}"
             )
+        trips = [load_trace(root / m["file"]) for m in manifest["trips"]]
+        modes = [load_trace(root / m["file"]) for m in manifest["modes"]]
         return Corpus(network, profiles, trips, modes, manifest)
 
     return load_json(manifest_path, read, TraceFormatError)
@@ -422,25 +423,28 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
         )
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model)
-    featurize = SliceFeatures(series.enu, model.ensemble.config)
 
-    results = []
+    # plan every span first, so the whole trace is featurised and classified in one batch
+    results, plans = [], []
     for span in spans:
         lo, hi = span.start, span.end
         points, warn = segment.find_final_segment_points(series.hra[lo:hi], model.network)
-        entry = {
-            "span": [int(lo), int(hi)],
-            "t_start": float(trace.t[lo]),
-            "t_end": float(trace.t[hi - 1]),
-            "warning": bool(warn),
-        }
-        res = infer_with_segment_tolerance(
-            series, lo, hi, model.ensemble, model.network, points, featurize, mode
+        results.append(
+            {
+                "span": [int(lo), int(hi)],
+                "t_start": float(trace.t[lo]),
+                "t_end": float(trace.t[hi - 1]),
+                "warning": bool(warn),
+            }
         )
+        plans.append(plan_span(series, lo, hi, model.network, points, mode))
+    rows = classify_segments(series, plans, model.ensemble)
+
+    for entry, plan in zip(results, plans):
+        res = infer_with_segment_tolerance(plan, rows)
         hyp = res.best
         if hyp is None:
             entry["error"] = "no feasible hypothesis for this span"
-            results.append(entry)
             continue
         entry.update(
             {
@@ -453,7 +457,6 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
                 "stations": model.network.stations(hyp.interval_ids(), hyp.direction),
             }
         )
-        results.append(entry)
 
     return {
         "device_id": trace.device_id,

@@ -15,17 +15,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from subtrace import coord, evalharness, segment
+from subtrace import coord, evalharness, features, infer, segment
 from subtrace.evalharness import (
     _random_chunks,
     confusion_matrix,
     edit_distance,
     enumerate_subtrips,
     evaluate_subtrips,
+    plan_subtrip,
     predict_subtrip,
     single_model_ensemble,
 )
-from subtrace.features import SliceFeatures
 
 TOL = 10.0
 # gaps of 4..33 s: some pairs match at 10 s tolerance, some do not
@@ -130,36 +130,62 @@ def small_ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
-def record_featurised(monkeypatch) -> list[tuple[bytes, object]]:
-    """Patch the batch extractor to log each segment's bytes and config."""
-    from subtrace import features
-
+def record_featurised(monkeypatch) -> list[list[tuple[bytes, object]]]:
+    """Patch the batch extractor to log each call's segments, as bytes, with its config."""
     calls = []
     real = features.extract_batch
 
     def logging_extract(segments, config):
-        calls.extend((seg.tobytes(), config) for seg in segments)
+        calls.append([(seg.tobytes(), config) for seg in segments])
         return real(segments, config)
 
     monkeypatch.setattr(features, "extract_batch", logging_extract)
     return calls
 
 
-def separate_predictions(corpus, ensemble_for, lengths, mode):
-    """predict_subtrip on every subtrip alone, sharing nothing between them."""
+def record_decoded(monkeypatch) -> list:
+    """Patch the scorer to log the ``ToleranceResult`` of every subtrip the harness decodes."""
+    results = []
+    real = evalharness.infer_with_segment_tolerance
+
+    def logging_score(plan, rows):
+        results.append(real(plan, rows))
+        return results[-1]
+
+    monkeypatch.setattr(evalharness, "infer_with_segment_tolerance", logging_score)
+    return results
+
+
+def decode_alone(series, st, ensemble, network, mode):
+    """One subtrip planned, featurised, classified and scored on its own."""
+    plan = plan_subtrip(series, st, network, mode)
+    return infer.infer_with_segment_tolerance(
+        plan, infer.classify_segments(series, [plan], ensemble)
+    )
+
+
+def separate_results(corpus, ensemble_for, lengths, mode):
+    """Every subtrip decoded alone, sharing nothing between them."""
     series = [coord.transform(t) for t in corpus.trips]
-    predictions = []
-    for st in enumerate_subtrips(corpus, lengths):
-        ensemble = ensemble_for(st.trip)
-        own = SliceFeatures(series[st.trip].enu, ensemble.config)
-        predictions.append(
-            predict_subtrip(series[st.trip], st, ensemble, corpus.network, mode, own)
-        )
-    return predictions
+    return [
+        decode_alone(series[st.trip], st, ensemble_for(st.trip), corpus.network, mode)
+        for st in enumerate_subtrips(corpus, lengths)
+    ]
+
+
+def separate_predictions(corpus, ensemble_for, lengths, mode):
+    """The ride of every subtrip decoded alone."""
+    return [res.best for res in separate_results(corpus, ensemble_for, lengths, mode)]
+
+
+def same_result(a, b) -> bool:
+    """Two ``ToleranceResult``s equal, scores bit for bit."""
+    bits = lambda res: [h.score.hex() for h, _ in res.ranked]  # noqa: E731
+    return a == b and bits(a) == bits(b)
 
 
 class TestFeatureReuse:
-    """evaluate_subtrips featurises each segment of a trip once."""
+    """evaluate_subtrips featurises each segment of a trip once, in one batch per (trip, model)."""
 
     LENGTHS = (3, 5)
 
@@ -169,23 +195,30 @@ class TestFeatureReuse:
     ):
         corpus = replace(small_corpus, trips=small_corpus.trips[:3])
         calls = record_featurised(monkeypatch)
+        decoded = record_decoded(monkeypatch)
         report = evaluate_subtrips(corpus, lambda _: small_ensemble, self.LENGTHS, mode=mode)
-        shared = list(calls)
+        batched = list(calls)
         calls.clear()
-        alone = separate_predictions(corpus, lambda _: small_ensemble, self.LENGTHS, mode)
+        monkeypatch.undo()
+        calls = record_featurised(monkeypatch)
+        alone = separate_results(corpus, lambda _: small_ensemble, self.LENGTHS, mode)
 
-        # same rides with the same scores, bit for bit
-        assert [hyp for _, hyp in report.predictions] == alone
-        assert all(hyp is not None for hyp in alone)
-        # every segment the separate runs featurise, once each
-        distinct = {seg for seg, _ in calls}
-        assert len(shared) == len(distinct) < len(calls)
-        assert {seg for seg, _ in shared} == distinct
+        # same results with the same scores, bit for bit: best, cuts and ranking
+        assert len(decoded) == len(alone) == len(report.predictions)
+        assert all(same_result(a, b) for a, b in zip(decoded, alone))
+        assert [hyp for _, hyp in report.predictions] == [res.best for res in alone]
+        assert all(res.best is not None for res in alone)
+        # one batch per trip, holding every segment the separate runs featurise, once each
+        assert len(batched) == len(corpus.trips)
+        shared = [seg for call in batched for seg, _ in call]
+        distinct = {seg for call in calls for seg, _ in call}
+        assert len(shared) == len(distinct) < sum(len(call) for call in calls)
+        assert set(shared) == distinct
 
     def test_trips_with_different_configs_share_nothing(
         self, small_corpus, small_ensemble, monkeypatch
     ):
-        # the same recording twice: a memo keyed by sample range alone would
+        # the same recording twice: a batch keyed by sample range alone would
         # hand the second copy the first copy's features
         trip = small_corpus.trips[0]
         corpus = replace(small_corpus, trips=[trip, trip])
@@ -194,16 +227,14 @@ class TestFeatureReuse:
         calls = record_featurised(monkeypatch)
         report = evaluate_subtrips(corpus, lambda ti: ensembles[ti], self.LENGTHS)
 
-        by_config = {
-            cfg: {seg for seg, c in calls if c == cfg}
-            for cfg in (small_ensemble.config, other.config)
-        }
-        assert len(calls) == sum(len(segs) for segs in by_config.values())
-        assert by_config[small_ensemble.config] == by_config[other.config]
+        assert [{c for _, c in call} for call in calls] == [{e.config} for e in ensembles]
+        assert {seg for seg, _ in calls[0]} == {seg for seg, _ in calls[1]}
         alone = separate_predictions(corpus, lambda ti: ensembles[ti], self.LENGTHS, "full")
         assert [hyp for _, hyp in report.predictions] == alone
 
-    def test_config_change_within_a_trip_starts_afresh(self, small_corpus, small_ensemble):
+    def test_config_change_within_a_trip_starts_afresh(
+        self, small_corpus, small_ensemble, monkeypatch
+    ):
         corpus = replace(small_corpus, trips=small_corpus.trips[:1])
         other = replace(small_ensemble, config=replace(small_ensemble.config, smooth_k=5))
 
@@ -211,19 +242,30 @@ class TestFeatureReuse:
             ensembles = itertools.cycle([small_ensemble, other])
             return lambda _: next(ensembles)
 
+        calls = record_featurised(monkeypatch)
         report = evaluate_subtrips(corpus, alternating(), self.LENGTHS)
+        # one batch per model the trip's subtrips were given
+        assert [{c for _, c in call} for call in calls] == [
+            {small_ensemble.config}, {other.config}
+        ]
         alone = separate_predictions(corpus, alternating(), self.LENGTHS, "full")
         assert [hyp for _, hyp in report.predictions] == alone
+
+    def test_ensemble_for_called_once_per_subtrip_in_order(self, small_corpus, small_ensemble):
+        corpus = replace(small_corpus, trips=small_corpus.trips[:2])
+        asked = []
+
+        def ensemble_for(ti):
+            asked.append(ti)
+            return small_ensemble
+
+        report = evaluate_subtrips(corpus, ensemble_for, self.LENGTHS)
+        assert asked == [st.trip for st, _ in report.predictions]
+        assert [st for st, _ in report.predictions] == enumerate_subtrips(corpus, self.LENGTHS)
 
 
 class TestPredictSubtripOutcome:
     """``None`` means only that no ride fits; any other fault propagates."""
-
-    def subtrip(self, corpus, ensemble):
-        st = enumerate_subtrips(corpus, (3,))[0]
-        series = coord.transform(corpus.trips[st.trip])
-        featurize = SliceFeatures(series.enu, ensemble.config)
-        return series, st, featurize
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_unscorable_subtrip_is_none(self, small_corpus, small_ensemble, mode, monkeypatch):
@@ -232,20 +274,26 @@ class TestPredictSubtripOutcome:
         def too_many_cuts(hra, network):
             return [int(p) for p in np.linspace(0, len(hra), m + 4)[1:-1]], False
 
-        series, st, featurize = self.subtrip(small_corpus, small_ensemble)
+        st = enumerate_subtrips(small_corpus, (3,))[0]
+        series = coord.transform(small_corpus.trips[st.trip])
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
-        got = predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, featurize)
-        assert got is None
+        plan = plan_subtrip(series, st, small_corpus.network, mode)
+        assert plan.segments() == set()
+        assert predict_subtrip(plan, {}) is None
+        corpus = replace(small_corpus, trips=small_corpus.trips[:1])
+        report = evaluate_subtrips(corpus, lambda _: small_ensemble, (3,), mode=mode)
+        hyps = [hyp for _, hyp in report.predictions]
+        assert hyps and all(hyp is None for hyp in hyps)
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
-    def test_featurisation_error_propagates(self, small_corpus, small_ensemble, mode):
-        series, st, _ = self.subtrip(small_corpus, small_ensemble)
-
-        def broken(spans):
+    def test_featurisation_error_propagates(self, small_corpus, small_ensemble, mode, monkeypatch):
+        def broken(segments, config):
             raise ValueError("featurizer broke")
 
+        monkeypatch.setattr(features, "extract_batch", broken)
+        corpus = replace(small_corpus, trips=small_corpus.trips[:1])
         with pytest.raises(ValueError, match="featurizer broke"):
-            predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, broken)
+            evaluate_subtrips(corpus, lambda _: small_ensemble, (3,), mode=mode)
 
 
 BAD_MODES = ["Full", "fast", ""]
@@ -255,12 +303,12 @@ class TestUnknownModeRejected:
     """A mode other than "full" or "reduced" used to score reduced mode silently."""
 
     @pytest.mark.parametrize("mode", BAD_MODES)
-    def test_predict_subtrip(self, small_corpus, small_ensemble, mode):
+    def test_predict_subtrip(self, small_corpus, mode):
+        # a subtrip is predicted from its plan, and planning refuses the mode
         st = enumerate_subtrips(small_corpus, (3,))[0]
         series = coord.transform(small_corpus.trips[st.trip])
-        featurize = SliceFeatures(series.enu, small_ensemble.config)
         with pytest.raises(ValueError, match="unknown attack mode"):
-            predict_subtrip(series, st, small_ensemble, small_corpus.network, mode, featurize)
+            plan_subtrip(series, st, small_corpus.network, mode)
 
     @pytest.mark.parametrize("mode", BAD_MODES)
     def test_evaluate_subtrips_scores_nothing(

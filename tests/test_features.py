@@ -18,7 +18,6 @@ from subtrace.features import (
     PEAKS_DIM,
     STATS_DIM,
     FeatureConfig,
-    SliceFeatures,
     extract_batch,
     extract_features,
     fit_features,
@@ -632,28 +631,6 @@ class TestBatchIndependence:
         fitted_small, X_small = fit_features(mixed, FeatureConfig(10.0))
         assert fitted_small == fitted
         assert X_small.tobytes() == X.tobytes() == extract_batch(mixed, fitted).tobytes()
-
-
-class TestSliceFeatures:
-    def test_features_of_each_slice_computed_once(self, monkeypatch):
-        cfg = TestMatchesLoopExtractor.CFG
-        comp = np.random.default_rng(24).normal(size=(300, 3))
-        calls = []
-        real = extract_batch
-
-        def counting(segments, config):
-            calls.append([len(s) for s in segments])
-            return real(segments, config)
-
-        monkeypatch.setattr(features, "extract_batch", counting)
-        memo = SliceFeatures(comp, cfg)
-        first = memo([(20, 140), (0, 20), (20, 140)])
-        assert first.shape == (3, FEATURE_DIM)
-        again = memo([(20, 140), (20, 141)])
-        assert calls == [[120, 20], [121]]
-        assert again[0].tobytes() == first[0].tobytes() == first[2].tobytes()
-        assert first[0].tobytes() == real([comp[20:140]], cfg)[0].tobytes()
-        assert again[1].tobytes() == real([comp[20:141]], cfg)[0].tobytes()
 
 
 class TestPeakFinderMatchesFrozen:

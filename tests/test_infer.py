@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from subtrace import coord, infer
+from subtrace import coord, features, infer
 from subtrace.evalharness import single_model_ensemble
-from subtrace.features import SliceFeatures
+from subtrace.features import extract_batch
 from subtrace.infer import (
     FORWARD,
     REVERSE,
@@ -164,13 +164,10 @@ def ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
-def decode(series, lo, hi, ensemble, network, points, mode, featurize=None):
-    """``infer_with_segment_tolerance`` with a featurizer over the whole series."""
-    if featurize is None:
-        featurize = SliceFeatures(series.enu, ensemble.config)
-    return infer.infer_with_segment_tolerance(
-        series, lo, hi, ensemble, network, points, featurize, mode
-    )
+def decode(series, lo, hi, ensemble, network, points, mode):
+    """Plan, classify and score samples ``[lo, hi)`` of ``series`` on their own."""
+    plan = infer.plan_span(series, lo, hi, network, points, mode)
+    return infer.infer_with_segment_tolerance(plan, infer.classify_segments(series, [plan], ensemble))
 
 
 class TestSegmentTolerance:
@@ -226,21 +223,18 @@ class TestSegmentTolerance:
 
 
 def layout_stub(P, seg_len=10):
-    """A span of len(P) equal segments whose segment j the ensemble maps to row j of ``P``.
+    """A planned span of len(P) equal segments whose segment j has row j of ``P``.
 
-    The featurizer hands each segment's index to the ensemble as its only
-    feature, so the scorer sees exactly the rows of ``P``.
+    The rows go straight to the scoring phase, so the scorer sees exactly
+    the rows of ``P``.
     """
     n, m = P.shape
     points = [seg_len * j for j in range(1, n)]
     series = SimpleNamespace(hra=np.zeros(seg_len * n))
     network = SimpleNamespace(sample_rate=10.0, num_intervals=m)
-    ensemble = SimpleNamespace(predict_matrix=lambda X: P[np.asarray(X)[:, 0]])
-
-    def featurize(spans):
-        return np.array([[lo // seg_len] for lo, _ in spans])
-
-    return series, ensemble, network, points, featurize
+    plan = infer.plan_span(series, 0, seg_len * n, network, points, "reduced")
+    rows = {(seg_len * j, seg_len * (j + 1)): P[j] for j in range(n)}
+    return plan, rows, points
 
 
 class TestDecodeSpan:
@@ -252,9 +246,9 @@ class TestDecodeSpan:
             m = int(rng.integers(1, 31))
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
-            series, ensemble, network, points, featurize = layout_stub(P)
-            hi = len(series.hra)
-            res = decode(series, 0, hi, ensemble, network, points, "reduced", featurize)
+            plan, rows, points = layout_stub(P)
+            assert plan.segments() == set(rows)
+            res = infer.infer_with_segment_tolerance(plan, rows)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -267,8 +261,8 @@ class TestDecodeSpan:
             series = coord.transform(trace)
             points, _ = find_final_segment_points(series.hra[lo:hi], small_corpus.network)
             bounds = [lo, *(lo + p for p in points), hi]
-            featurize = SliceFeatures(series.enu, ensemble.config)
-            P = ensemble.predict_matrix(featurize(list(zip(bounds[:-1], bounds[1:]))))
+            segs = [series.enu[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+            P = ensemble.predict_matrix(extract_batch(segs, ensemble.config))
             res = decode(series, lo, hi, ensemble, small_corpus.network, points, "reduced")
             want = rank_hypotheses(P)
             assert res.best == want[0]
@@ -276,17 +270,18 @@ class TestDecodeSpan:
             assert res.ranked == tuple((h, tuple(points)) for h in want[: infer.TOP_K])
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
-    def test_unscorable_span_is_a_result(self, small_corpus, ensemble, mode):
+    def test_unscorable_span_is_a_result(self, small_corpus, ensemble, mode, monkeypatch):
         # m + 2 cuts: the detected family and both re-cut families exceed the line
         m = small_corpus.network.num_intervals
         series = coord.transform(small_corpus.trips[0])
         n = len(series.hra)
         points = [int(p) for p in np.linspace(0, n, m + 4)[1:-1]]
 
-        def featurize(spans):
+        def never(segments, config):
             pytest.fail("a span that no hypothesis fits was featurised")
 
-        res = decode(series, 0, n, ensemble, small_corpus.network, points, mode, featurize)
+        monkeypatch.setattr(features, "extract_batch", never)
+        res = decode(series, 0, n, ensemble, small_corpus.network, points, mode)
         assert res.best is None
         assert res.ranked == () and res.points == ()
         assert res.detected == m + 3

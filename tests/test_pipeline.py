@@ -26,7 +26,7 @@ from subtrace.pipeline import (
     true_trip_layout,
     write_corpus,
 )
-from subtrace.simgen import gen_mixed_day, gen_network, gen_other_mode
+from subtrace.simgen import gen_mixed_day, gen_network, gen_other_mode, save_profiles
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,28 @@ class TestCorpusRoundTrip:
     def test_not_a_corpus_dir(self, tmp_path):
         with pytest.raises(TraceFormatError):
             load_corpus(tmp_path)
+
+    def test_refused_profiles_parse_no_recording(self, small_corpus, tmp_path, monkeypatch):
+        # profiles in both directions, as earlier corpora stored them: the
+        # refusal used to come only after every trip and mode trace was parsed
+        write_corpus(small_corpus, tmp_path)
+        k = small_corpus.network.num_intervals
+        reverse = [
+            replace(p.reversed(), interval_id=2 * k - 1 - p.interval_id)
+            for p in small_corpus.profiles[::-1]
+        ]
+        save_profiles(small_corpus.profiles + reverse, tmp_path / "profiles.json")
+        loaded = []
+        real = pipeline.load_trace
+
+        def counting(path):
+            loaded.append(path)
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "load_trace", counting)
+        with pytest.raises(TraceFormatError, match="profiles.json: needs a profile per interval 0..5"):
+            load_corpus(tmp_path)
+        assert loaded == []
 
     def test_trip_meta(self, small_corpus):
         meta = small_corpus.trip_meta
@@ -299,14 +321,10 @@ class TestAttackTrace:
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_featurisation_error_propagates(self, small_corpus, attack_model, mode, monkeypatch):
         # a fault while decoding used to be written out as the span's "error"
-        class Broken:
-            def __init__(self, *args):
-                pass
+        def broken(segments, config):
+            raise ValueError("featurizer broke")
 
-            def __call__(self, spans):
-                raise ValueError("featurizer broke")
-
-        monkeypatch.setattr(pipeline, "SliceFeatures", Broken)
+        monkeypatch.setattr(features, "extract_batch", broken)
         with pytest.raises(ValueError, match="featurizer broke"):
             attack_trace(small_corpus.trips[0], attack_model, mode=mode)
 
@@ -350,24 +368,19 @@ class TestAttackTrace:
             network=net,
             profiles=small_corpus.profiles,
         )
-        made, featurised = [], []
+        calls = []
         real_extract = features.extract_batch
 
-        class Counted(pipeline.SliceFeatures):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
         def logging_extract(segments, config):
-            featurised.extend(seg.tobytes() for seg in segments)
+            calls.append([seg.tobytes() for seg in segments])
             return real_extract(segments, config)
 
-        monkeypatch.setattr(pipeline, "SliceFeatures", Counted)
         monkeypatch.setattr(features, "extract_batch", logging_extract)
         report = attack_trace(day, attack_model, mode="full")
         assert [s.get("intervals") for s in report["spans"]] == [[0, 1, 2], [5, 4, 3]]
-        assert len(made) == 1
-        assert len(featurised) == len(set(featurised)) > 0
+        # both rides' segments in one batch, each segment once
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) > 0
 
     def test_walk_only_trace_yields_nothing(self, small_config, attack_model):
         walk = gen_other_mode("walk", 120.0, small_config.noise, seed=9)
