@@ -36,10 +36,11 @@ print(f"day trace: {day.duration:.0f} s, {day.n_samples} samples")
 for r in day.truth_ranges("metro"):
     print(f"  true ride  {r.start:7.1f} .. {r.end:7.1f} s")
 
-# the extractor is trained on corpus statistics, never on this trace
+# the extractor is trained on corpus statistics, never on this trace; its
+# window is half the line's shortest interval
 mode_model = pipeline.train_mode_model(corpus)
 series = coord.transform(day)
-spans = extract.extract_spans(series.hra, mode_model)
+spans = extract.extract_spans(series.hra, mode_model, pipeline.mode_window_size(net))
 
 rate = day.sample_rate
 print(f"\nextracted {len(spans)} span(s):")

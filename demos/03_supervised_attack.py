@@ -9,7 +9,7 @@ day trace it has never seen.
 
 import numpy as np
 
-from subtrace import pipeline, simgen
+from subtrace import features, pipeline, simgen
 
 config = pipeline.PipelineConfig(
     seed=11, num_intervals=6, n_trips=8, mode_duration=400.0,
@@ -20,7 +20,7 @@ net = corpus.network
 
 model = pipeline.train_attack_model(corpus, config)
 print(f"trained attack model: {net.num_intervals} intervals, "
-      f"ensemble over {model.ensemble.config.peak_windows_s} s peak windows")
+      f"ensemble over {features.PEAK_WINDOWS_S} s peak windows")
 
 # a victim's afternoon, generated with a seed the model never saw
 day = simgen.gen_mixed_day(

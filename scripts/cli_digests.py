@@ -11,12 +11,14 @@ mode (full, then reduced): the digest of every decoded subtrip of
 ``evalharness.evaluate_subtrips`` at lengths 1, 2 and 3 on the generated
 corpus with the trained model's ensemble, one ``trip start_leg length:
 start direction length score`` line per subtrip with the score as
-``float.hex``. Then it attacks four
-malformed copies of trip 0 (line 401 cut in half, given a 2-entry ``acc``,
-given a ``0xff`` byte, or repeating line 400's ``t``), attacks trip 0
-with three damaged copies of ``model.json`` (``schema_version`` 2, no
-``ensemble`` section, or interval 0 shorter than the shortest dwell), and
-trains on two damaged copies of the corpus (a ``profiles.json`` in both
+``float.hex``. Then it prints every key path of ``model.json``, sorted, one
+``model.json key`` line each, with list indices collapsed
+(``ensemble.forest.trees[].probs``), so a change to the model format shows
+by name. Then it attacks four malformed copies of trip 0 (line 401 cut in
+half, given a 2-entry ``acc``, given a ``0xff`` byte, or repeating line
+400's ``t``), attacks trip 0 with four damaged copies of ``model.json``
+(``schema_version`` 3, no ``ensemble`` section, interval 0 shorter than the
+shortest dwell, or null exceedance thresholds), and trains on two damaged copies of the corpus (a ``profiles.json`` in both
 directions, as version-2 corpora stored it, or a ``network.json`` whose
 interval 1 starts at a station interval 0 does not end at), and prints
 each exit code with a digest of the error message. Nothing is written in
@@ -69,11 +71,12 @@ MALFORMED = {
 
 # each damaged copy of model.json changes its decoded document in place
 DAMAGED_MODELS = {
-    "version_2": lambda doc: doc.update(schema_version=2),
+    "version_3": lambda doc: doc.update(schema_version=3),
     "no_ensemble": lambda doc: doc.pop("ensemble"),
     "interval_shorter_than_dwell": lambda doc: doc["network"]["intervals"][0].update(
         min_duration=doc["network"]["dwell"][0] - 1.0
     ),
+    "null_thresholds": lambda doc: doc["ensemble"]["feature_config"].update(nvht_thresholds=None),
 }
 
 
@@ -148,6 +151,19 @@ def decoded_subtrips() -> None:
         print(f"{digest}  evaluate_subtrips {mode} lengths {lengths}: {len(lines)} subtrips")
 
 
+def key_paths(doc, prefix: str = "") -> set[str]:
+    """Every dict key's dotted path in ``doc``, a list's elements sharing one ``[]`` path."""
+    if isinstance(doc, list):
+        return set().union(*(key_paths(item, prefix + "[]") for item in doc))
+    if not isinstance(doc, dict):
+        return set()
+    paths = set()
+    for key, value in doc.items():
+        path = f"{prefix}.{key}" if prefix else key
+        paths |= {path} | key_paths(value, path)
+    return paths
+
+
 def refused(argv: list[str], shown: Path) -> None:
     """Run ``argv`` and print its exit code and error digest under its command and ``shown``."""
     stderr = io.StringIO()
@@ -200,6 +216,8 @@ def main() -> None:
                     digest = hashlib.sha256(p.read_bytes()).hexdigest()
                     print(f"{digest}  {p.relative_to(root)}")
             decoded_subtrips()
+            for path in sorted(key_paths(json.loads(Path("model.json").read_text()))):
+                print(f"model.json key {path}")
             attack_malformed()
             train_damaged()
         finally:

@@ -5,8 +5,9 @@ attack a trace, bootstrap a model from seed intervals, and run the
 evaluation protocols. All outputs are canonical JSON (sorted keys, no
 timestamps) so identical seeds produce byte-identical files.
 
-Exit codes: 0 success, 2 usage, 3 malformed input data, 4 bootstrap stalled
-before reaching full coverage (a partial model is still written).
+Exit codes: 0 success, 2 usage, 3 malformed input data or an unusable path,
+4 bootstrap stalled before reaching full coverage (a partial model is still
+written).
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # every format error is a ValueError
+    # every format error is a ValueError; a path that cannot be read or written is an OSError
+    except (ValueError, OSError) as exc:
         print(f"subtrace: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
-from .features import FeatureConfig, extract_batch, fit_features
+from .features import extract_batch, fit_features
 from .infer import (
     SpanPlan,
     TraceHypothesis,
@@ -346,9 +346,8 @@ def bootstrap_from_corpus(
             chunk_segs.append([series.enu[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
             j += size
 
-    fconfig, all_vectors = fit_features(
-        [s for chunk in chunk_segs for s in chunk], FeatureConfig(network.sample_rate)
-    )
+    segments = [s for chunk in chunk_segs for s in chunk]
+    fconfig, all_vectors = fit_features(segments, network.sample_rate)
     ends = np.cumsum([len(chunk) for chunk in chunk_segs]).tolist()
     sequences = [list(all_vectors[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
 

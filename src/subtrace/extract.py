@@ -1,10 +1,13 @@
 """Metro ride extraction from a day-long HRA series.
 
-The series is chopped into fixed windows of m samples (half the shortest
-station interval), each window is classified metro / non-metro by a Gaussian
-naive Bayes over five summary features, and the window labels are then
-refined: isolated flips are undone and span boundaries are located by
-re-classifying the windows that slide back across each transition.
+The series is chopped into fixed windows of m samples, each window is
+classified metro / non-metro by a Gaussian naive Bayes over five summary
+features, and the window labels are then refined: isolated flips are undone
+and span boundaries are located by re-classifying the windows that slide
+back across each transition. The caller passes m. The line fixes it at half
+the shortest station interval (``pipeline.mode_window_size``), in training
+and in the attack alike, so a mode model holds only its thresholds and its
+naive Bayes.
 
 ``window_features`` is the one place the five features are computed, over
 every row of an ``(n_windows, m)`` block at once. Training stacks a series'
@@ -24,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import GaussianNB
-from .model import is_finite_real, is_integer
+from .model import is_finite_real
 
 # Low / mid / high percentiles of metro-class HRA.  The low threshold must
 # clear the stationary sensor-noise ceiling so its count reads "any real
@@ -76,15 +79,12 @@ def window_features(
 
 @dataclass
 class ModeModel:
-    """Gaussian NB over window features, plus everything needed to reuse it."""
+    """Gaussian NB over window features, and the thresholds those features count over."""
 
     nb: GaussianNB
     thresholds: tuple[float, float, float]
-    window: int
 
     def __post_init__(self):
-        if not (is_integer(self.window) and self.window >= 1):
-            raise ValueError(f"mode window must be a positive integer, got {self.window!r}")
         t = self.thresholds
         if not (len(t) == 3 and all(map(is_finite_real, t)) and t[0] < t[1] < t[2]):
             raise ValueError(f"mode thresholds must be 3 increasing finite numbers, got {t!r}")
@@ -92,7 +92,6 @@ class ModeModel:
     def to_dict(self) -> dict:
         return {
             "thresholds": list(self.thresholds),
-            "window": self.window,
             "nb": self.nb.to_dict(),
         }
 
@@ -101,7 +100,6 @@ class ModeModel:
         return cls(
             nb=GaussianNB.from_dict(doc["nb"]),
             thresholds=tuple(doc["thresholds"]),
-            window=doc["window"],
         )
 
 
@@ -109,7 +107,6 @@ def train_mode_classifier(
     features: np.ndarray,
     labels: np.ndarray,
     thresholds: tuple[float, float, float],
-    window: int,
 ) -> ModeModel:
     """Fit the metro / non-metro window classifier."""
     features = np.asarray(features, dtype=float)
@@ -119,11 +116,11 @@ def train_mode_classifier(
     if len(set(labels.tolist())) < 2:
         raise ValueError("need both metro and non-metro training windows")
     nb = GaussianNB.fit(features, labels, n_classes=2)
-    return ModeModel(nb=nb, thresholds=thresholds, window=window)
+    return ModeModel(nb=nb, thresholds=thresholds)
 
 
-def classify_windows(hra: np.ndarray, model: ModeModel) -> np.ndarray:
-    """Label disjoint m-sample windows, m = ``model.window``; a trailing partial counts too.
+def classify_windows(hra: np.ndarray, model: ModeModel, m: int) -> np.ndarray:
+    """Label disjoint m-sample windows; a trailing partial counts too.
 
     Label i covers samples ``[i * m, (i + 1) * m)``. The trailing partial is
     judged on the last full m samples (overlapping the previous window) so
@@ -133,7 +130,6 @@ def classify_windows(hra: np.ndarray, model: ModeModel) -> np.ndarray:
     """
     hra = np.asarray(hra, dtype=float)
     n = len(hra)
-    m = model.window
     if n < m:
         windows = hra[None, :]
     else:
@@ -211,6 +207,6 @@ def refine_boundaries(
     return out
 
 
-def extract_spans(hra: np.ndarray, model: ModeModel) -> list[MetroSpan]:
-    """Full extraction: window classification plus boundary refinement."""
-    return refine_boundaries(classify_windows(hra, model), hra, model, model.window)
+def extract_spans(hra: np.ndarray, model: ModeModel, w: int) -> list[MetroSpan]:
+    """Full extraction over w-sample windows: window classification plus boundary refinement."""
+    return refine_boundaries(classify_windows(hra, model, w), hra, model, w)

@@ -7,6 +7,11 @@ valleys) per component with their amplitudes and relative positions. The
 vector is laid out as the three components' statistics, the length, then
 the three components' extrema.
 
+Every segment is smoothed ``SMOOTH_K`` samples wide, and its extrema are
+nominated over windows of ``PEAK_WINDOWS_S`` seconds. Both are module
+constants, not settings: a ``FeatureConfig`` holds only the sample rate and
+the exceedance thresholds that training fitted.
+
 ``extract_batch`` turns a list of k ``(n, 3)`` segments into a ``(k, 82)``
 matrix and ``extract_features`` is its batch of one. A trainer calls
 ``fit_features``, which smooths each segment once (``smooth_segments``),
@@ -66,14 +71,16 @@ because every sum still adds in the order it would for one segment:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import is_finite_real, is_integer
+from .model import is_finite_real
 
-DEFAULT_SMOOTH_K = 9
-DEFAULT_PEAK_WINDOWS_S = (1.0, 2.0, 4.0)
+# the centered moving-average width, in samples, and the extrema window sizes, in
+# seconds; both are read at call time
+SMOOTH_K = 9
+PEAK_WINDOWS_S = (1.0, 2.0, 4.0)
 NVHT_PERCENTILES = (50.0, 75.0, 90.0)
 N_FFT_BINS = 6
 N_EXTREMA = 3
@@ -86,50 +93,33 @@ PEAKS_AT = 3 * STATS_DIM + 1  # the extrema follow the statistics and the length
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Everything the extractor needs, so train and attack agree exactly."""
+    """The sample rate and the fitted exceedance thresholds, so train and attack agree exactly."""
 
     sample_rate: float
-    smooth_k: int = DEFAULT_SMOOTH_K
-    peak_windows_s: tuple[float, ...] = DEFAULT_PEAK_WINDOWS_S
-    nvht_thresholds: tuple[tuple[float, float, float], ...] | None = None
+    nvht_thresholds: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         if not (is_finite_real(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate!r}")
-        if not (is_integer(self.smooth_k) and self.smooth_k >= 1):
-            raise ValueError(f"smooth_k must be an integer >= 1, got {self.smooth_k!r}")
-        windows = self.peak_windows_s
-        if not windows or not all(is_finite_real(s) and s > 0 for s in windows):
-            raise ValueError(f"need one or more finite positive peak window sizes, got {windows!r}")
         thr = self.nvht_thresholds
-        if thr is not None and not (
-            len(thr) == 3
+        if not (
+            isinstance(thr, tuple)
+            and len(thr) == 3
             and all(len(t) == len(NVHT_PERCENTILES) and all(map(is_finite_real, t)) for t in thr)
         ):
             raise ValueError(f"nvht_thresholds must be 3 rows of 3 finite numbers, got {thr!r}")
 
     def peak_windows(self) -> tuple[int, ...]:
-        return tuple(max(1, int(round(s * self.sample_rate))) for s in self.peak_windows_s)
+        return tuple(max(1, int(round(s * self.sample_rate))) for s in PEAK_WINDOWS_S)
 
     def to_dict(self) -> dict:
-        """Every field but ``sample_rate``, which the attack model's network states."""
-        return {
-            "smooth_k": self.smooth_k,
-            "peak_windows_s": list(self.peak_windows_s),
-            "nvht_thresholds": None
-            if self.nvht_thresholds is None
-            else [list(t) for t in self.nvht_thresholds],
-        }
+        """The thresholds; the attack model's network states ``sample_rate``."""
+        return {"nvht_thresholds": [list(t) for t in self.nvht_thresholds]}
 
     @classmethod
     def from_dict(cls, doc: dict, sample_rate: float) -> "FeatureConfig":
         thr = doc["nvht_thresholds"]
-        return cls(
-            sample_rate=sample_rate,
-            smooth_k=doc["smooth_k"],
-            peak_windows_s=tuple(doc["peak_windows_s"]),
-            nvht_thresholds=None if thr is None else tuple(tuple(t) for t in thr),
-        )
+        return cls(sample_rate, tuple(map(tuple, thr)) if isinstance(thr, list) else thr)
 
 
 # padded samples per chunk: bounds what one chunk's arrays hold, while keeping the
@@ -201,20 +191,18 @@ def _smoothed(block: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     return (cs[:, :, 2 * h + 1 :] - cs[:, :, :L]) / np.maximum(width, 1)[:, None, :]
 
 
-def smooth_segments(segments: list[np.ndarray], k: int = DEFAULT_SMOOTH_K) -> list[np.ndarray]:
-    """Centered moving average of each ``(n, 3)`` segment along its samples.
+def smooth_segments(segments: list[np.ndarray]) -> list[np.ndarray]:
+    """Centered moving average of each ``(n, 3)`` segment along its samples, ``SMOOTH_K`` wide.
 
-    Even k is widened by one and edges truncate. Each result is an ``(n, 3)``
-    view into its chunk's smoothed block.
+    An even width is widened by one and edges truncate. Each result is an
+    ``(n, 3)`` view into its chunk's smoothed block.
     """
-    if k < 1:
-        raise ValueError("smoothing width must be >= 1")
     segs = _checked(segments)
     lengths = [len(s) for s in segs]
     out: list[np.ndarray] = [None] * len(segs)  # type: ignore[list-item]
     for chunk in _chunks(lengths):
         n = np.array([lengths[i] for i in chunk])
-        block = _smoothed(_padded([segs[i] for i in chunk], n), n, k)
+        block = _smoothed(_padded([segs[i] for i in chunk], n), n, SMOOTH_K)
         for j, i in enumerate(chunk):
             out[i] = block[j, :, : lengths[i]].T
     return out
@@ -401,8 +389,6 @@ def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) 
     lengths = [len(s) for s in segments]
     if 0 in lengths:
         raise ValueError("empty segment")
-    if config.nvht_thresholds is None:
-        raise ValueError("feature config has no fitted exceedance thresholds")
     out = np.empty((len(segments), FEATURE_DIM))
     if not segments:
         return out
@@ -411,7 +397,7 @@ def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) 
         n = np.array([lengths[i] for i in chunk])
         block = _padded([segments[i] for i in chunk], n)
         if smooth:
-            block = _smoothed(block, n, config.smooth_k)
+            block = _smoothed(block, n, SMOOTH_K)
         out[chunk, :PEAKS_AT], chunk_idx, chunk_strength = _stats_and_nominees(block, n, config)
         order += chunk
         idx.append(chunk_idx)
@@ -434,8 +420,8 @@ def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
     return extract_batch([segment], config)[0]
 
 
-def fit_nvht_thresholds(smoothed: list[np.ndarray], config: FeatureConfig) -> FeatureConfig:
-    """Set per-component exceedance thresholds from smoothed training segments.
+def fit_nvht_thresholds(smoothed: list[np.ndarray], sample_rate: float) -> FeatureConfig:
+    """The config whose per-component exceedance thresholds fit smoothed training segments.
 
     Each component's pooled |values| are one array, partitioned in place.
     """
@@ -447,15 +433,15 @@ def fit_nvht_thresholds(smoothed: list[np.ndarray], config: FeatureConfig) -> Fe
         return tuple(np.percentile(pooled, NVHT_PERCENTILES, overwrite_input=True).tolist())
 
     thresholds = tuple(percentiles(np.concatenate([s[:, ci] for s in smoothed])) for ci in range(3))
-    return replace(config, nvht_thresholds=thresholds)
+    return FeatureConfig(sample_rate, thresholds)
 
 
-def fit_features(segments: list[np.ndarray], config: FeatureConfig) -> tuple[FeatureConfig, np.ndarray]:
+def fit_features(segments: list[np.ndarray], sample_rate: float) -> tuple[FeatureConfig, np.ndarray]:
     """Fit the exceedance thresholds on training segments and featurise them.
 
     Each segment is smoothed once, for both; returns the fitted config and the
     ``(k, 82)`` vectors.
     """
-    smoothed = smooth_segments(segments, config.smooth_k)
-    fitted = fit_nvht_thresholds(smoothed, config)
+    smoothed = smooth_segments(segments)
+    fitted = fit_nvht_thresholds(smoothed, sample_rate)
     return fitted, _featurise(smoothed, fitted, smooth=False)

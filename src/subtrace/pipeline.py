@@ -3,8 +3,9 @@
 A corpus directory holds one network, a track profile per forward interval,
 trips and other-mode recordings, all reproducible from its manifest's seed.
 An attack model bundles the network, the ride extractor and the interval
-ensemble into one JSON document that states each fact once; the segmenter
-takes its settings from the network.
+ensemble into one JSON document that holds the line and what training
+fitted, and nothing else: the segmenter and the extractor's window take
+their settings from the network.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import coord, segment
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
-from .features import FeatureConfig, fit_features
+from .features import fit_features
 from .infer import check_mode, classify_segments, infer_with_segment_tolerance, plan_span
 from .model import (
     FORWARD,
@@ -274,6 +275,7 @@ def true_segments(trace: Trace) -> list[tuple[np.ndarray, int]]:
 
 
 def mode_window_size(network: MetroNetwork) -> int:
+    """The ride extractor's window, in samples: half the shortest station interval."""
     return network.samples(network.min_interval_duration) // 2
 
 
@@ -293,7 +295,7 @@ def train_mode_model(corpus: Corpus) -> ModeModel:
                 if block.size:
                     rows.append(window_features(block, thresholds))
                     labels.append(np.full(len(block), label))
-    return train_mode_classifier(np.concatenate(rows), np.concatenate(labels), thresholds, m)
+    return train_mode_classifier(np.concatenate(rows), np.concatenate(labels), thresholds)
 
 
 def interval_training_rows(
@@ -315,7 +317,7 @@ def train_ensemble_on(
     network: MetroNetwork,
     config: PipelineConfig,
 ) -> IntervalEnsemble:
-    fconfig, X = fit_features(segments, FeatureConfig(sample_rate=network.sample_rate))
+    fconfig, X = fit_features(segments, network.sample_rate)
     train = TrainingSet(X=X, y=np.array(uids, int), n_classes=network.num_intervals)
     return train_interval_ensemble(
         train,
@@ -345,7 +347,7 @@ class AttackModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "kind": "attack_model",
             "network": network_to_dict(self.network),
             "mode_model": self.mode_model.to_dict(),
@@ -361,9 +363,9 @@ class AttackModel:
         if (
             not isinstance(doc, dict)
             or doc.get("kind") != "attack_model"
-            or doc.get("schema_version") != 3
+            or doc.get("schema_version") != 4
         ):
-            raise ValueError("not a version-3 attack model document")
+            raise ValueError("not a version-4 attack model document")
 
         def section(key: str, parse):
             try:
@@ -422,7 +424,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
             f"trace sample rate {trace.sample_rate:g} Hz differs from the model's {rate:g} Hz"
         )
     series = coord.transform(trace)
-    spans = extract_spans(series.hra, model.mode_model)
+    spans = extract_spans(series.hra, model.mode_model, mode_window_size(model.network))
 
     # plan every span first, so the whole trace is featurised and classified in one batch
     results, plans = [], []

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from subtrace import coord
-from subtrace.pipeline import Corpus, PipelineConfig, build_corpus, train_mode_model
+from subtrace.pipeline import (
+    Corpus,
+    PipelineConfig,
+    build_corpus,
+    mode_window_size,
+    train_mode_model,
+)
 from subtrace.simgen import gen_mixed_day
 
 
@@ -40,7 +46,7 @@ def acceptance_corpus() -> Corpus:
 
 @pytest.fixture(scope="session")
 def acceptance_series(acceptance_corpus):
-    """Mode model and HRA series of the acceptance corpus trips and mixed days."""
+    """Mode model, its window and the HRA series of the acceptance corpus trips and mixed days."""
     corpus = acceptance_corpus
     model = train_mode_model(corpus)
     trips = [coord.transform(t).hra for t in corpus.trips]
@@ -56,4 +62,4 @@ def acceptance_series(acceptance_corpus):
             network=corpus.network, profiles=corpus.profiles,
         )
         days.append(coord.transform(day).hra)
-    return model, trips, days
+    return model, mode_window_size(corpus.network), trips, days

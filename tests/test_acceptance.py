@@ -108,12 +108,13 @@ def test_01_rotation_matches_independent_construction():
 
 def test_02_extraction_covers_rides_without_false_positives(corpus):
     mode_model = pipeline.train_mode_model(corpus)
+    w = pipeline.mode_window_size(corpus.network)
 
     covered = total = 0
     for trace in corpus.trips:
         series = coord.transform(trace)
         mask = np.zeros(len(series.hra), dtype=bool)
-        for span in extract.extract_spans(series.hra, mode_model):
+        for span in extract.extract_spans(series.hra, mode_model, w):
             mask[span.start:span.end] = True
         rate = trace.sample_rate
         for r in trace.truth_ranges("metro"):
@@ -125,7 +126,7 @@ def test_02_extraction_covers_rides_without_false_positives(corpus):
     false_spans = 0
     for trace in corpus.modes:
         series = coord.transform(trace)
-        false_spans += len(extract.extract_spans(series.hra, mode_model))
+        false_spans += len(extract.extract_spans(series.hra, mode_model, w))
 
     ok = coverage >= 0.99 and false_spans == 0
     verdict(2, "ride extraction",

@@ -31,7 +31,13 @@ from subtrace.features import (
     extract_batch,
     fit_features,
 )
-from subtrace.pipeline import PipelineConfig, build_corpus, interval_training_rows, train_mode_model
+from subtrace.pipeline import (
+    PipelineConfig,
+    build_corpus,
+    interval_training_rows,
+    mode_window_size,
+    train_mode_model,
+)
 
 
 def cluster_set(seed: int, n_classes: int = 4, n_per: int = 20, d: int = 5) -> TrainingSet:
@@ -524,7 +530,7 @@ def loo_fold():
     """The 390 training rows of the acceptance corpus's first leave-one-out fold."""
     corpus = build_corpus(PipelineConfig())
     segs, uids = interval_training_rows(corpus, list(range(1, len(corpus.trips))))
-    fconfig, X = fit_features(segs, FeatureConfig(sample_rate=corpus.network.sample_rate))
+    fconfig, X = fit_features(segs, corpus.network.sample_rate)
     held_out, _ = interval_training_rows(corpus, [0])
     probe = extract_batch(held_out, fconfig)
     return TrainingSet(X=X, y=uids, n_classes=corpus.network.num_intervals), probe
@@ -795,7 +801,8 @@ class TestScreenedVote:
         # the two-class, five-feature mode model takes the same screened predict
         mode = train_mode_model(small_corpus)
         hra = coord.transform(small_corpus.trips[0]).hra
-        windows = np.lib.stride_tricks.sliding_window_view(hra, mode.window)[::7]
+        w = mode_window_size(small_corpus.network)
+        windows = np.lib.stride_tricks.sliding_window_view(hra, w)[::7]
         rows = window_features(windows, mode.thresholds)
         want = np.argmax(mode.nb.log_joint(rows), axis=1)
         assert mode.nb.predict(rows).tobytes() == want.tobytes()

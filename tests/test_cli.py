@@ -77,10 +77,10 @@ SHORT_INTERVAL_ERROR = "need 0 < shortest dwell <= shortest interval in samples,
 # case -> (path of a field in the six-interval attack model, its bad value,
 # what the error names); each used to load, crash or fail without a section
 BAD_MODEL_FIELDS = {
-    "fractional smooth_k": (
-        ("ensemble", "feature_config", "smooth_k"), 2.5, ("'ensemble' section", "smooth_k")
+    "null exceedance thresholds": (
+        ("ensemble", "feature_config", "nvht_thresholds"), None,
+        ("'ensemble' section", "nvht_thresholds must be 3 rows of 3 finite numbers, got None"),
     ),
-    "negative mode window": (("mode_model", "window"), -5, ("'mode_model' section", "window")),
     "NaN network rate": (
         ("network", "sample_rate"), float("nan"),
         ("'network' section", "attack model: sample_rate must be positive and finite"),
@@ -414,6 +414,21 @@ class TestDataErrors:
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("subtrace:")
 
+    def test_attack_model_is_a_directory(self, tmp_path, corpus_dir, capsys):
+        trace = str(Path(corpus_dir) / "trips/trip_000.jsonl")
+        args = ["attack", "--model", str(tmp_path), "--trace", trace]
+        assert cli.main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("subtrace:") and "Is a directory" in err, err
+
+    def test_generate_out_is_a_file(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["generate", "--out", str(out), "--config", cfg_file]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("subtrace:") and "Not a directory" in err, err
+        assert out.read_text() == ""
+
     def test_attack_garbage_trace(self, tmp_path, model_file, capsys):
         trace = tmp_path / "junk.jsonl"
         trace.write_text("this is not a trace\n")
@@ -472,13 +487,14 @@ class TestDataErrors:
         [
             (_drop("ensemble"), "'ensemble' section"),
             (lambda doc: {**doc, "ensemble": {**doc["ensemble"], "forest": 5}}, "'ensemble' section"),
-            (lambda doc: [doc], "not a version-3 attack model document"),
-            (lambda doc: {**doc, "schema_version": 1}, "not a version-3 attack model document"),
-            (lambda doc: {**doc, "schema_version": 2}, "not a version-3 attack model document"),
+            (lambda doc: [doc], "not a version-4 attack model document"),
+            (lambda doc: {**doc, "schema_version": 1}, "not a version-4 attack model document"),
+            (lambda doc: {**doc, "schema_version": 2}, "not a version-4 attack model document"),
+            (lambda doc: {**doc, "schema_version": 3}, "not a version-4 attack model document"),
             (_five_column_leaf_probs, "'ensemble' section"),
         ],
         ids=["no ensemble", "forest a number", "top-level list", "version 1", "version 2",
-             "5-column leaf probs"],
+             "version 3", "5-column leaf probs"],
     )
     def test_attack_malformed_model(self, tmp_path, corpus_dir, model_file, capsys, damage, named):
         model = tmp_path / "bad_model.json"

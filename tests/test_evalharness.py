@@ -130,6 +130,12 @@ def small_ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
+def with_other_thresholds(ensemble):
+    """The ensemble with its exceedance thresholds doubled, so it featurises otherwise."""
+    thr = tuple(tuple(2 * t for t in row) for row in ensemble.config.nvht_thresholds)
+    return replace(ensemble, config=replace(ensemble.config, nvht_thresholds=thr))
+
+
 def record_featurised(monkeypatch) -> list[list[tuple[bytes, object]]]:
     """Patch the batch extractor to log each call's segments, as bytes, with its config."""
     calls = []
@@ -222,7 +228,7 @@ class TestFeatureReuse:
         # hand the second copy the first copy's features
         trip = small_corpus.trips[0]
         corpus = replace(small_corpus, trips=[trip, trip])
-        other = replace(small_ensemble, config=replace(small_ensemble.config, smooth_k=5))
+        other = with_other_thresholds(small_ensemble)
         ensembles = [small_ensemble, other]
         calls = record_featurised(monkeypatch)
         report = evaluate_subtrips(corpus, lambda ti: ensembles[ti], self.LENGTHS)
@@ -236,7 +242,7 @@ class TestFeatureReuse:
         self, small_corpus, small_ensemble, monkeypatch
     ):
         corpus = replace(small_corpus, trips=small_corpus.trips[:1])
-        other = replace(small_ensemble, config=replace(small_ensemble.config, smooth_k=5))
+        other = with_other_thresholds(small_ensemble)
 
         def alternating():
             ensembles = itertools.cycle([small_ensemble, other])

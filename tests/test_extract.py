@@ -38,9 +38,7 @@ def toy_model():
     loud_row = [LOUD, 0.0, float(W), float(W), float(W)]
     X = np.array([quiet_row] * 8 + [loud_row] * 8)
     y = np.array([0] * 8 + [1] * 8)
-    return ModeModel(
-        nb=GaussianNB.fit(X, y, 2), thresholds=(1.0, 2.0, 3.0), window=W
-    )
+    return ModeModel(nb=GaussianNB.fit(X, y, 2), thresholds=(1.0, 2.0, 3.0))
 
 
 def series(*parts):
@@ -87,24 +85,23 @@ class TestWindowFeatures:
 
 class TestTrainModeClassifier:
     def test_separable_data(self, toy_model):
-        labels = classify_windows(series((QUIET, W), (LOUD, W)), toy_model)
+        labels = classify_windows(series((QUIET, W), (LOUD, W)), toy_model, W)
         assert labels.tolist() == [NON_METRO, METRO]
 
     def test_shape_checked(self):
         with pytest.raises(ValueError, match=r"\(n, 5\)"):
-            train_mode_classifier(np.ones((4, 3)), np.array([0, 0, 1, 1]), (1, 2, 3), W)
+            train_mode_classifier(np.ones((4, 3)), np.array([0, 0, 1, 1]), (1, 2, 3))
 
     def test_both_classes_required(self):
         with pytest.raises(ValueError, match="both"):
-            train_mode_classifier(np.ones((4, 5)), np.zeros(4, int), (1, 2, 3), W)
+            train_mode_classifier(np.ones((4, 5)), np.zeros(4, int), (1, 2, 3))
 
     def test_round_trip(self, toy_model):
         back = ModeModel.from_dict(toy_model.to_dict())
         assert back.thresholds == toy_model.thresholds
-        assert back.window == W
         hra = series((LOUD, W), (QUIET, W), (LOUD, W))
-        labels = classify_windows(hra, back)
-        assert labels.tolist() == classify_windows(hra, toy_model).tolist() == [1, 0, 1]
+        labels = classify_windows(hra, back, W)
+        assert labels.tolist() == classify_windows(hra, toy_model, W).tolist() == [1, 0, 1]
 
     def test_bad_document_rejected(self, toy_model):
         doc = toy_model.to_dict()
@@ -116,24 +113,24 @@ class TestTrainModeClassifier:
 class TestClassifyWindows:
     def test_window_count_includes_partial(self, toy_model):
         hra = series((QUIET, 3 * W + W // 2))
-        assert len(classify_windows(hra, toy_model)) == 4
+        assert len(classify_windows(hra, toy_model, W)) == 4
 
     def test_pure_series(self, toy_model):
-        labels = classify_windows(series((LOUD, 5 * W)), toy_model)
+        labels = classify_windows(series((LOUD, 5 * W)), toy_model, W)
         assert labels.tolist() == [METRO] * 5
-        labels = classify_windows(series((QUIET, 5 * W)), toy_model)
+        labels = classify_windows(series((QUIET, 5 * W)), toy_model, W)
         assert labels.tolist() == [NON_METRO] * 5
 
     def test_trailing_partial_judged_on_full_window(self, toy_model):
         # the remainder alone is quiet-majority, but the last full W samples
         # are loud-majority, so the partial inherits the metro label
         hra = series((LOUD, 2 * W + 2), (QUIET, 9))
-        labels = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model, W)
         assert labels.tolist() == [METRO, METRO, METRO]
 
     @pytest.mark.parametrize("value,label", [(LOUD, METRO), (QUIET, NON_METRO)])
     def test_series_shorter_than_a_window_is_one_window(self, toy_model, value, label):
-        labels = classify_windows(series((value, W // 2)), toy_model)
+        labels = classify_windows(series((value, W // 2)), toy_model, W)
         assert labels.tolist() == [label]
 
 
@@ -141,7 +138,7 @@ class TestRefineBoundaries:
     def test_exact_interior_boundaries(self, toy_model):
         # loud block [2W, 5W); the back-scan lands on the exact transition
         hra = series((QUIET, 2 * W), (LOUD, 3 * W), (QUIET, 2 * W))
-        labels = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model, W)
         assert labels.tolist() == [0, 0, 1, 1, 1, 0, 0]
         spans = refine_boundaries(labels, hra, toy_model, W)
         assert spans == [MetroSpan(2 * W, 5 * W)]
@@ -159,7 +156,7 @@ class TestRefineBoundaries:
 
     def test_two_rides_stay_separate(self, toy_model):
         hra = series((LOUD, 2 * W), (QUIET, 2 * W), (LOUD, 2 * W))
-        labels = classify_windows(hra, toy_model)
+        labels = classify_windows(hra, toy_model, W)
         spans = refine_boundaries(labels, hra, toy_model, W)
         assert spans == [MetroSpan(0, 2 * W), MetroSpan(4 * W, 6 * W)]
 
@@ -178,15 +175,15 @@ class TestRefineBoundaries:
 class TestExtractSpans:
     def test_end_to_end_exact(self, toy_model):
         hra = series((QUIET, 5 * W), (LOUD, 15 * W), (QUIET, 5 * W))
-        assert extract_spans(hra, toy_model) == [MetroSpan(5 * W, 20 * W)]
+        assert extract_spans(hra, toy_model, W) == [MetroSpan(5 * W, 20 * W)]
 
     def test_ride_running_into_series_end(self, toy_model):
         hra = series((QUIET, 5 * W), (LOUD, 2 * W + W // 2))
-        spans = extract_spans(hra, toy_model)
+        spans = extract_spans(hra, toy_model, W)
         assert spans == [MetroSpan(5 * W, int(7.5 * W))]
 
     def test_all_quiet(self, toy_model):
-        assert extract_spans(series((QUIET, 10 * W)), toy_model) == []
+        assert extract_spans(series((QUIET, 10 * W)), toy_model, W) == []
 
 
 class TestMetroSpan:
@@ -223,11 +220,10 @@ class TestBackScanMatchesLoop:
     """One block and one predict per transition give the old loop's samples."""
 
     def test_every_transition(self, acceptance_series):
-        model, trips, days = acceptance_series
-        w = model.window
+        model, w, trips, days = acceptance_series
         n_cases = 0
         for hra in trips + days:
-            labels = classify_windows(hra, model)
+            labels = classify_windows(hra, model, w)
             for src, boundary in scan_cases(hra, labels, w):
                 got = extract._locate_start(src, model, boundary, w)
                 assert got == loop_locate_start(src, model, boundary, w)
@@ -236,8 +232,7 @@ class TestBackScanMatchesLoop:
 
     def test_boundaries_near_the_series_ends(self, acceptance_series):
         # the last two window starts have windows cut short by the series end
-        model, _, days = acceptance_series
-        w = model.window
+        model, w, _, days = acceptance_series
         for hra in days:
             n = len(hra)
             last = (n - 1) // w * w
@@ -248,10 +243,10 @@ class TestBackScanMatchesLoop:
                     assert got == loop_locate_start(src, model, boundary, w)
 
     def test_extracted_spans(self, acceptance_series, monkeypatch):
-        model, _, days = acceptance_series
-        spans = [extract_spans(hra, model) for hra in days]
+        model, w, _, days = acceptance_series
+        spans = [extract_spans(hra, model, w) for hra in days]
         monkeypatch.setattr(extract, "_locate_start", loop_locate_start)
-        assert spans == [extract_spans(hra, model) for hra in days]
+        assert spans == [extract_spans(hra, model, w) for hra in days]
         assert all(spans)
 
     @pytest.mark.parametrize("tail", [1, 3, W // 2, W - 2, W - 1, W + 3])

@@ -5,6 +5,7 @@ the batched one must match bit for bit, alone or in any batch."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ from subtrace.features import (
 from subtrace.pipeline import interval_training_rows, true_segments
 
 THRESHOLDS = (0.5, 2.5, 3.5)
+FITTED = ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0))
+
+
+@contextmanager
+def constants(smooth_k=features.SMOOTH_K, peak_windows_s=features.PEAK_WINDOWS_S):
+    """The extractor, and the loop extractor, with another smoothing width or peak windows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "SMOOTH_K", smooth_k)
+        mp.setattr(features, "PEAK_WINDOWS_S", peak_windows_s)
+        yield
 
 
 def smooth_oracle(x: np.ndarray, k: int) -> np.ndarray:
@@ -44,14 +55,13 @@ def east_only_vector(x, windows=(10,), thresholds=THRESHOLDS) -> np.ndarray:
     """
     cfg = FeatureConfig(
         sample_rate=10.0,
-        smooth_k=1,
-        peak_windows_s=tuple(w / 10.0 for w in windows),
         nvht_thresholds=(tuple(thresholds), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
     )
-    assert cfg.peak_windows() == tuple(windows)
     seg = np.zeros((len(x), 3))
     seg[:, 0] = x
-    return extract_features(seg, cfg)
+    with constants(smooth_k=1, peak_windows_s=tuple(w / 10.0 for w in windows)):
+        assert cfg.peak_windows() == tuple(windows)
+        return extract_features(seg, cfg)
 
 
 def statistical_features(x) -> np.ndarray:
@@ -67,45 +77,42 @@ def peak_features(x, windows) -> np.ndarray:
 
 class TestFeatureConfig:
     def test_peak_windows(self):
-        cfg = FeatureConfig(sample_rate=10.0)
+        cfg = FeatureConfig(sample_rate=10.0, nvht_thresholds=FITTED)
         assert cfg.peak_windows() == (10, 20, 40)
 
     def test_peak_windows_floor_one(self):
-        cfg = FeatureConfig(sample_rate=10.0, peak_windows_s=(0.04,))
-        assert cfg.peak_windows() == (1,)
+        # at 0.1 Hz every window rounds to no sample at all
+        cfg = FeatureConfig(sample_rate=0.1, nvht_thresholds=FITTED)
+        assert cfg.peak_windows() == (1, 1, 1)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"sample_rate": 0.0},
             {"sample_rate": -1.0},
-            {"sample_rate": 10.0, "smooth_k": 0},
-            {"sample_rate": 10.0, "peak_windows_s": ()},
+            {"nvht_thresholds": ((1.0, 2.0, True),) * 3},
+            {"nvht_thresholds": ()},
             {"sample_rate": float("nan")},
             {"sample_rate": True},
-            {"sample_rate": 10.0, "smooth_k": 2.5},
-            {"sample_rate": 10.0, "peak_windows_s": (1.0, -2.0)},
-            {"sample_rate": 10.0, "nvht_thresholds": ((1.0, 2.0, 3.0),) * 2},
-            {"sample_rate": 10.0, "nvht_thresholds": ((1.0, 2.0, "3"),) * 3},
+            {"nvht_thresholds": ((1.0, float("nan"), 3.0),) * 3},
+            {"nvht_thresholds": ((1.0, 2.0),) * 3},
+            {"nvht_thresholds": ((1.0, 2.0, 3.0),) * 2},
+            {"nvht_thresholds": ((1.0, 2.0, "3"),) * 3},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
-            FeatureConfig(**kw)
+            FeatureConfig(**{"sample_rate": 10.0, "nvht_thresholds": FITTED, **kw})
 
     def test_dict_round_trip(self):
-        cfg = FeatureConfig(
-            sample_rate=10.0,
-            smooth_k=7,
-            peak_windows_s=(1.0, 3.0),
-            nvht_thresholds=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)),
-        )
+        cfg = FeatureConfig(sample_rate=10.0, nvht_thresholds=FITTED)
         back = FeatureConfig.from_dict(cfg.to_dict(), 10.0)
         assert back == cfg
 
-    def test_dict_round_trip_unfitted(self):
-        cfg = FeatureConfig(sample_rate=5.0)
-        assert FeatureConfig.from_dict(cfg.to_dict(), 5.0) == cfg
+    def test_dict_holds_only_the_thresholds(self):
+        # the rate is the network's, and smoothing and peak windows are constants
+        cfg = FeatureConfig(sample_rate=5.0, nvht_thresholds=FITTED)
+        assert cfg.to_dict() == {"nvht_thresholds": [list(t) for t in FITTED]}
 
 
 class TestSmooth:
@@ -113,14 +120,16 @@ class TestSmooth:
     def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(3)
         seg = rng.normal(size=(50, 3))
-        out = smooth_segments([seg], k)[0]
+        with constants(smooth_k=k):
+            out = smooth_segments([seg])[0]
         assert out.shape == seg.shape
         for c in range(3):
             assert np.allclose(out[:, c], smooth_oracle(seg[:, c], k), atol=1e-12)
 
     def test_k_one_returns_copy(self):
         x = np.arange(15.0).reshape(5, 3)
-        out = smooth_segments([x], 1)[0]
+        with constants(smooth_k=1):
+            out = smooth_segments([x])[0]
         assert np.array_equal(out, x)
         out[0, 0] = 99.0
         assert x[0, 0] == 0.0
@@ -128,20 +137,20 @@ class TestSmooth:
     def test_even_k_widened(self):
         rng = np.random.default_rng(4)
         segs = [rng.normal(size=(30, 3)), rng.normal(size=(7, 3))]
-        for a, b in zip(smooth_segments(segs, 8), smooth_segments(segs, 9)):
+        with constants(smooth_k=8):
+            even = smooth_segments(segs)
+        with constants(smooth_k=9):
+            odd = smooth_segments(segs)
+        for a, b in zip(even, odd):
             assert np.array_equal(a, b)
 
     def test_constant_unchanged(self):
         x = np.full((20, 3), 2.5)
-        assert np.allclose(smooth_segments([x], 9)[0], x)
+        assert np.allclose(smooth_segments([x])[0], x)
 
     def test_empty(self):
-        assert smooth_segments([np.empty((0, 3))], 9)[0].shape == (0, 3)
-        assert smooth_segments([], 9) == []
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError):
-            smooth_segments([np.ones((5, 3))], 0)
+        assert smooth_segments([np.empty((0, 3))])[0].shape == (0, 3)
+        assert smooth_segments([]) == []
 
 
 class TestStatisticalFeatures:
@@ -289,9 +298,8 @@ class TestExtractFeatures:
         assert np.array_equal(a, b)
 
     def test_unfitted_config_rejected(self):
-        cfg = FeatureConfig(sample_rate=10.0)
-        with pytest.raises(ValueError):
-            extract_features(np.zeros((50, 3)), cfg)
+        with pytest.raises(ValueError, match="nvht_thresholds must be 3 rows"):
+            FeatureConfig(sample_rate=10.0, nvht_thresholds=None)
 
     @pytest.mark.parametrize("shape", [(50,), (50, 2), (0, 3)])
     def test_bad_segment_shape(self, cfg, shape):
@@ -306,21 +314,24 @@ class TestFitThresholds:
     def test_pooled_percentiles(self):
         rng = np.random.default_rng(9)
         segs = [rng.normal(size=(40, 3)), rng.normal(size=(60, 3))]
-        cfg = FeatureConfig(sample_rate=10.0, smooth_k=5)
-        fitted = fit_nvht_thresholds(smooth_segments(segs, 5), cfg)
+        with constants(smooth_k=5):
+            fitted = fit_nvht_thresholds(smooth_segments(segs), 10.0)
+        assert fitted.sample_rate == 10.0
         for c in range(3):
             pooled = np.concatenate([np.abs(_loop_smooth(s[:, c], 5)) for s in segs])
             want = tuple(float(np.percentile(pooled, p)) for p in NVHT_PERCENTILES)
             assert fitted.nvht_thresholds[c] == want
 
-    def test_original_config_untouched(self):
-        cfg = FeatureConfig(sample_rate=10.0)
-        fit_nvht_thresholds(smooth_segments([np.ones((30, 3))], cfg.smooth_k), cfg)
-        assert cfg.nvht_thresholds is None
+    def test_smoothed_segments_untouched(self):
+        # the pooled values are taken absolute and partitioned in a copy
+        smoothed = smooth_segments([np.random.default_rng(10).normal(size=(30, 3))])
+        before = smoothed[0].copy()
+        fit_nvht_thresholds(smoothed, 10.0)
+        assert smoothed[0].tobytes() == before.tobytes()
 
     def test_no_segments(self):
         with pytest.raises(ValueError):
-            fit_nvht_thresholds([], FeatureConfig(sample_rate=10.0))
+            fit_nvht_thresholds([], 10.0)
 
 
 # --- frozen per-component extractor ----------------------------------------------
@@ -417,7 +428,7 @@ def _loop_peaks(x: np.ndarray, window_sizes) -> np.ndarray:
 
 def loop_extract_vector(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
     seg = np.asarray(segment, dtype=float)
-    sm = [_loop_smooth(seg[:, ci], config.smooth_k) for ci in range(3)]
+    sm = [_loop_smooth(seg[:, ci], features.SMOOTH_K) for ci in range(3)]
     stats = [_loop_stats(sm[ci], config.nvht_thresholds[ci]) for ci in range(3)]
     peaks = [_loop_peaks(sm[ci], config.peak_windows()) for ci in range(3)]
     return np.concatenate([*stats, [float(len(seg))], *peaks])
@@ -425,7 +436,7 @@ def loop_extract_vector(segment: np.ndarray, config: FeatureConfig) -> np.ndarra
 
 def loop_fit_thresholds(segments, config: FeatureConfig):
     pooled = [
-        np.concatenate([np.abs(_loop_smooth(np.asarray(s, float)[:, ci], config.smooth_k))
+        np.concatenate([np.abs(_loop_smooth(np.asarray(s, float)[:, ci], features.SMOOTH_K))
                         for s in segments])
         for ci in range(3)
     ]
@@ -496,15 +507,10 @@ def assert_same_bytes(segments, cfg):
         assert row.tobytes() == want.tobytes(), f"differs on a {s.shape} segment"
 
 
-DEFAULT_K = FeatureConfig(sample_rate=10.0).smooth_k
-
-
 @pytest.fixture(scope="module")
 def acceptance_segments(acceptance_corpus):
     segs = [seg for trip in acceptance_corpus.trips for seg, _ in true_segments(trip)]
-    cfg = fit_nvht_thresholds(
-        smooth_segments(segs, DEFAULT_K), FeatureConfig(acceptance_corpus.network.sample_rate)
-    )
+    cfg = fit_nvht_thresholds(smooth_segments(segs), acceptance_corpus.network.sample_rate)
     return segs, cfg
 
 
@@ -527,13 +533,13 @@ class TestMatchesLoopExtractor:
         # the pool of a leave-one-out fold: all but ten consecutive segments
         segs, cfg = acceptance_segments
         fold = segs[:held_out] + segs[held_out + 10:]
-        fitted = fit_nvht_thresholds(smooth_segments(fold, cfg.smooth_k), FeatureConfig(cfg.sample_rate))
+        fitted = fit_nvht_thresholds(smooth_segments(fold), cfg.sample_rate)
         assert fitted.nvht_thresholds == loop_fit_thresholds(fold, cfg)
 
     def test_training_fold_smoothed_once(self, acceptance_corpus):
         # what train_ensemble_on fits: thresholds and vectors of one fold
         segs, _ = interval_training_rows(acceptance_corpus, list(range(1, 40)))
-        fitted, X = fit_features(segs, FeatureConfig(acceptance_corpus.network.sample_rate))
+        fitted, X = fit_features(segs, acceptance_corpus.network.sample_rate)
         assert fitted.nvht_thresholds == loop_fit_thresholds(segs, fitted)
         want = np.stack([loop_extract_vector(s, fitted) for s in segs])
         assert X.tobytes() == want.tobytes()
@@ -543,7 +549,8 @@ class TestMatchesLoopExtractor:
         # length crosses each window size and its multiples
         segs, cfg = acceptance_segments
         rng = np.random.default_rng(21)
-        lengths = {1, 2, cfg.smooth_k - 1, cfg.smooth_k, cfg.smooth_k + 1}
+        k = features.SMOOTH_K
+        lengths = {1, 2, k - 1, k, k + 1}
         for w in cfg.peak_windows():
             lengths |= {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, 3 * w + 7}
         prefixes = []
@@ -572,20 +579,21 @@ class TestMatchesLoopExtractor:
         # 32 samples that repeat with period 16 have exactly zero odd FFT
         # bins; entropy then drops those bins and sums the rest on its own,
         # in the order the loop extractor sums them
-        cfg = FeatureConfig(sample_rate=10.0, smooth_k=1, nvht_thresholds=self.CFG.nvht_thresholds)
         rng = np.random.default_rng(26)
-        assert_same_bytes([np.tile(rng.normal(size=(16, 3)), (2, 1)) for _ in range(20)], cfg)
+        segs = [np.tile(rng.normal(size=(16, 3)), (2, 1)) for _ in range(20)]
+        with constants(smooth_k=1):
+            assert_same_bytes(segs, self.CFG)
 
     def test_other_window_sizes_and_smoothing(self):
         cfg = FeatureConfig(
             sample_rate=25.0,
-            smooth_k=4,
-            peak_windows_s=(0.2, 0.44, 3.0),
             nvht_thresholds=((0.2, 0.5, 1.0), (0.1, 0.2, 0.3), (1.0, 1.5, 2.0)),
         )
         rng = np.random.default_rng(23)
         segs = [rng.normal(size=(int(n), 3)) for n in rng.integers(1, 400, size=25)]
-        assert_same_bytes(segs, cfg)
+        with constants(smooth_k=4, peak_windows_s=(0.2, 0.44, 3.0)):
+            assert cfg.peak_windows() == (5, 11, 75)
+            assert_same_bytes(segs, cfg)
 
 
 class TestBatchIndependence:
@@ -625,10 +633,10 @@ class TestBatchIndependence:
     def test_chunk_boundaries(self, mixed, budget, monkeypatch):
         # a budget of one sample puts every segment in a chunk of its own
         batch = extract_batch(mixed, self.CFG)
-        fitted, X = fit_features(mixed, FeatureConfig(10.0))
+        fitted, X = fit_features(mixed, 10.0)
         monkeypatch.setattr(features, "CHUNK_SAMPLES", budget)
         assert extract_batch(mixed, self.CFG).tobytes() == batch.tobytes()
-        fitted_small, X_small = fit_features(mixed, FeatureConfig(10.0))
+        fitted_small, X_small = fit_features(mixed, 10.0)
         assert fitted_small == fitted
         assert X_small.tobytes() == X.tobytes() == extract_batch(mixed, fitted).tobytes()
 
@@ -672,20 +680,16 @@ class TestPeakFinderMatchesFrozen:
     def test_loop_extractor_other_windows(self, windows):
         # only the extrema: the statistics' max of a row of mixed signed zeros
         # may be either zero, in the frozen extractor as in this one
-        cfg = FeatureConfig(
-            sample_rate=10.0,
-            smooth_k=1,
-            peak_windows_s=tuple(w / 10.0 for w in windows),
-            nvht_thresholds=TestMatchesLoopExtractor.CFG.nvht_thresholds,
-        )
-        assert cfg.peak_windows() == windows
+        cfg = TestMatchesLoopExtractor.CFG
         rng = np.random.default_rng(27)
         segs = [
             np.moveaxis(sm, 1, 2)[j, : n[j]]
             for sm, n in self.blocks(rng, 30)
             for j in range(len(n))
         ]
-        got = extract_batch(segs, cfg)[:, 3 * STATS_DIM + 1 :]
+        with constants(smooth_k=1, peak_windows_s=tuple(w / 10.0 for w in windows)):
+            assert cfg.peak_windows() == windows
+            got = extract_batch(segs, cfg)[:, 3 * STATS_DIM + 1 :]
         for seg, row in zip(segs, got):
             want = np.concatenate([_loop_peaks(seg[:, ci], windows) for ci in range(3)])
             assert row.tobytes() == want.tobytes(), f"differs on a {seg.shape} segment"

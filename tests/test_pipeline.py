@@ -167,8 +167,10 @@ class TestTrueTripLayout:
 
 class TestModeModel:
     def test_window_and_thresholds(self, small_corpus):
+        # the window is the line's: half its shortest interval, 87.9 s at 10 Hz
+        net = small_corpus.network
+        assert mode_window_size(net) == net.samples(net.min_interval_duration) // 2 == 439
         model = train_mode_model(small_corpus)
-        assert model.window == mode_window_size(small_corpus.network)
         ta, tb, tc = model.thresholds
         assert 0 < ta < tb < tc
 
@@ -177,9 +179,10 @@ class TestModeModel:
         from subtrace.extract import classify_windows
 
         model = attack_model.mode_model
-        trip_labels = classify_windows(transform(small_corpus.trips[0]).hra, model)
+        w = mode_window_size(small_corpus.network)
+        trip_labels = classify_windows(transform(small_corpus.trips[0]).hra, model, w)
         static = next(m for m in small_corpus.modes if m.device_id.startswith("sim-static"))
-        static_labels = classify_windows(transform(static).hra, model)
+        static_labels = classify_windows(transform(static).hra, model, w)
         assert np.mean(trip_labels) > 0.9
         assert not np.any(static_labels)
 
@@ -204,8 +207,9 @@ class TestAttackModel:
         ):
             assert got.tobytes() == want.tobytes()
         hra = coord.transform(small_corpus.trips[0]).hra
-        assert classify_windows(hra, back.mode_model).tobytes() == classify_windows(
-            hra, attack_model.mode_model
+        w = mode_window_size(small_corpus.network)
+        assert classify_windows(hra, back.mode_model, w).tobytes() == classify_windows(
+            hra, attack_model.mode_model, w
         ).tobytes()
 
     def test_document_states_each_fact_once(self, attack_model):
@@ -223,7 +227,19 @@ class TestAttackModel:
         repeated = ("kind", "schema_version", "n_classes", "sample_rate")
         found = {p for p in paths(doc) if p[-1] in repeated}
         assert found == {("kind",), ("schema_version",), ("network", "sample_rate")}
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
+        # beyond the line, only what training fitted
+        assert set(doc["mode_model"]) == {"thresholds", "nb"}
+        assert set(doc["ensemble"]["feature_config"]) == {"nvht_thresholds"}
+
+    def test_version_3_document_refused(self, attack_model):
+        # version 3 also stored the mode window and the smoothing and peak windows
+        doc = attack_model.to_dict()
+        doc["schema_version"] = 3
+        doc["mode_model"]["window"] = 439
+        doc["ensemble"]["feature_config"].update(smooth_k=9, peak_windows_s=[1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="not a version-4 attack model document"):
+            AttackModel.from_dict(doc)
 
     def test_foreign_document_rejected(self, attack_model):
         doc = attack_model.to_dict()
@@ -346,7 +362,7 @@ class TestAttackTrace:
         span = report["spans"][0]
         # the span must cover the whole ride; the boundary search works at
         # mode-window granularity, so it may bleed that far into stillness
-        bleed = 3.0 * attack_model.mode_model.window / small_corpus.network.sample_rate
+        bleed = 3.0 * mode_window_size(small_corpus.network) / small_corpus.network.sample_rate
         assert metro.start - bleed <= span["t_start"] <= metro.start + 2.0
         assert metro.end - 2.0 <= span["t_end"] <= metro.end + bleed
         assert span["length"] == 3

@@ -309,7 +309,7 @@ class TestScanMatchesLoop:
     """
 
     def test_acceptance_subtrips(self, acceptance_corpus, acceptance_series, compared):
-        _, trips, _ = acceptance_series
+        _, _, trips, _ = acceptance_series
         network = acceptance_corpus.network
         subtrips = enumerate_subtrips(acceptance_corpus, (3, 5, 7))
         for st in subtrips:
@@ -328,10 +328,10 @@ class TestScanMatchesLoop:
         assert compared.scans >= len(acceptance_corpus.trips)
 
     def test_mixed_day_spans(self, acceptance_corpus, acceptance_series, compared):
-        model, _, days = acceptance_series
+        model, w, _, days = acceptance_series
         n_spans = 0
         for hra in days:
-            for span in extract_spans(hra, model):
+            for span in extract_spans(hra, model, w):
                 find_final_segment_points(hra[span.start : span.end], acceptance_corpus.network)
                 n_spans += 1
         assert compared.mismatches == []
