@@ -21,7 +21,8 @@ half, given a 2-entry ``acc``, given a ``0xff`` byte, or repeating line
 shortest dwell, or null exceedance thresholds), and trains on two damaged copies of the corpus (a ``profiles.json`` in both
 directions, as version-2 corpora stored it, or a ``network.json`` whose
 interval 1 starts at a station interval 0 does not end at), and prints
-each exit code with a digest of the error message. Nothing is written in
+each exit code with a digest of what the command printed, which is the
+error message alone when it is refused. Nothing is written in
 the checkout. To check that a change leaves every output
 byte-identical, run the script on the parent and on the change and diff
 what they print::
@@ -165,11 +166,16 @@ def key_paths(doc, prefix: str = "") -> set[str]:
 
 
 def refused(argv: list[str], shown: Path) -> None:
-    """Run ``argv`` and print its exit code and error digest under its command and ``shown``."""
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
+    """Run ``argv`` and print its exit code and output digest under its command and ``shown``.
+
+    The digest covers its stdout, then its stderr; a refused command writes
+    only the error message, so a command that is not refused shows by a
+    digest that changes, never by output between the digest lines.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
-    digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256((stdout.getvalue() + stderr.getvalue()).encode()).hexdigest()
     print(f"{digest}  {argv[0]} {shown} exit code {code}")
 
 

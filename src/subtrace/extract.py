@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import GaussianNB
-from .model import is_finite_real
+from .model import is_finite_real, percentiles
 
 # Low / mid / high percentiles of metro-class HRA.  The low threshold must
 # clear the stationary sensor-noise ceiling so its count reads "any real
@@ -57,7 +57,7 @@ def fit_thresholds(metro_hra: np.ndarray) -> tuple[float, float, float]:
     metro_hra = np.asarray(metro_hra, dtype=float)
     if metro_hra.size == 0:
         raise ValueError("no metro HRA samples to fit thresholds")
-    ta, tb, tc = (float(np.percentile(metro_hra, p)) for p in THRESHOLD_PERCENTILES)
+    ta, tb, tc = percentiles(metro_hra, THRESHOLD_PERCENTILES)
     if not ta < tb < tc:
         raise ValueError(f"degenerate thresholds {ta}, {tb}, {tc}: HRA has no spread")
     return ta, tb, tc

@@ -16,10 +16,13 @@ the exceedance thresholds that training fitted.
 matrix and ``extract_features`` is its batch of one. A trainer calls
 ``fit_features``, which smooths each segment once (``smooth_segments``),
 takes the exceedance thresholds from those smoothed arrays
-(``fit_nvht_thresholds``) and featurises the same arrays. An attack or an
-evaluation featurises all the distinct segments of one recording in one
-``extract_batch`` call (``infer.classify_segments``), so nothing here
-remembers a segment between calls.
+(``fit_nvht_thresholds``) and featurises the same arrays. A component's
+thresholds are the ``NVHT_PERCENTILES`` of its pooled absolute values, by
+numpy's linear rule, bit for bit; ``model.percentiles`` places each order
+statistic they need with a single-kth partition of the pooled array. An
+attack or an evaluation featurises all the distinct segments of one
+recording in one ``extract_batch`` call (``infer.classify_segments``), so
+nothing here remembers a segment between calls.
 
 A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import is_finite_real
+from .model import is_finite_real, percentiles
 
 # the centered moving-average width, in samples, and the extrema window sizes, in
 # seconds; both are read at call time
@@ -423,17 +426,18 @@ def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
 def fit_nvht_thresholds(smoothed: list[np.ndarray], sample_rate: float) -> FeatureConfig:
     """The config whose per-component exceedance thresholds fit smoothed training segments.
 
-    Each component's pooled |values| are one array, partitioned in place.
+    Each component's pooled |values| are one new array, which
+    ``model.percentiles`` partitions in place.
     """
     if not smoothed:
         raise ValueError("no segments to fit thresholds")
 
-    def percentiles(pooled: np.ndarray) -> tuple[float, ...]:
+    def thresholds(pooled: np.ndarray) -> tuple[float, ...]:
         np.abs(pooled, out=pooled)
-        return tuple(np.percentile(pooled, NVHT_PERCENTILES, overwrite_input=True).tolist())
+        return percentiles(pooled, NVHT_PERCENTILES, overwrite_input=True)
 
-    thresholds = tuple(percentiles(np.concatenate([s[:, ci] for s in smoothed])) for ci in range(3))
-    return FeatureConfig(sample_rate, thresholds)
+    fitted = tuple(thresholds(np.concatenate([s[:, ci] for s in smoothed])) for ci in range(3))
+    return FeatureConfig(sample_rate, fitted)
 
 
 def fit_features(segments: list[np.ndarray], sample_rate: float) -> tuple[FeatureConfig, np.ndarray]:

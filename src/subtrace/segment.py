@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MetroNetwork
+from .model import MetroNetwork, percentiles
 
 QUORUM = 0.95
 RESEARCH_QUORUM = 0.80
@@ -91,7 +91,7 @@ def find_final_segment_points(hra: np.ndarray, network: MetroNetwork) -> tuple[l
     Returns the sorted points and a warning flag that is set when a gap too
     long to be one ride survives every escalation.
     """
-    t1 = float(np.percentile(hra, T1_PERCENTILE))
+    (t1,) = percentiles(hra, (T1_PERCENTILE,))
     l_w, l_min = network.samples(network.dwell_min), network.samples(network.min_interval_duration)
     l_max = network.samples(network.max_interval_duration + network.dwell_max)
     return _final_points(hra, t1, DELTA_FRACTION * t1, l_w, l_min, l_max)

@@ -318,6 +318,20 @@ def _add_hand_shake(acc: np.ndarray, t: np.ndarray, noise: NoiseConfig, rng) -> 
         cursor += dur + rng.exponential(20.0)
 
 
+def _phone_frame(orient: np.ndarray, f_world: np.ndarray) -> np.ndarray:
+    """Phone-frame readings of (n, 3) earth-frame specific force under orientations in degrees.
+
+    Each sample is rotated by the transpose of its ``coord`` rotation, and
+    each phone axis sums its three products left to right.
+    """
+    R, _ = coord.rotation_matrices(np.radians(orient))
+    fe, fn, fu = f_world.T
+    acc = np.empty((len(f_world), 3))
+    for i in range(3):
+        acc[:, i] = R[0, i] * fe + R[1, i] * fn + R[2, i] * fu
+    return acc
+
+
 def _render_phone(
     world: np.ndarray,
     speed: np.ndarray | None,
@@ -341,9 +355,7 @@ def _render_phone(
         world = world + vib * np.stack([amp, amp, 1.5 * amp], axis=1)
 
     orient = _orientation_walk(n, dt, noise, orient_rng)
-    R, _ = coord.rotation_matrices(np.radians(orient))
-    f_world = world + np.array([0.0, 0.0, GRAVITY])
-    acc = np.einsum("nji,nj->ni", R, f_world)
+    acc = _phone_frame(orient, world + np.array([0.0, 0.0, GRAVITY]))
 
     _add_hand_shake(acc, t, noise, shake_rng)
     acc = acc + white_rng.standard_normal((n, 3)) * noise.sensor_sigma

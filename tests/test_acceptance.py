@@ -34,7 +34,7 @@ from subtrace.evalharness import (
 from subtrace.infer import rank_hypotheses
 from subtrace.simgen import distinctive_intervals
 
-from test_coord import euler_oracle, random_orientations
+from test_coord import euler_oracle, random_orientations, stacked_rotations
 from test_infer import brute_force_best
 
 SMALL_CONFIG = {
@@ -81,7 +81,7 @@ def test_01_rotation_matches_independent_construction():
     orient = random_orientations(n, rng)
     acc = rng.normal(0.0, 5.0, size=(n, 3))
 
-    R, degen = coord.rotation_matrices(orient)
+    R, degen = stacked_rotations(orient)
     expected = np.empty_like(R)
     for i in range(n):
         expected[i] = euler_oracle(*orient[i])
@@ -94,7 +94,7 @@ def test_01_rotation_matches_independent_construction():
 
     spun = orient.copy()
     spun[:, 2] = rng.uniform(-np.pi, np.pi, size=n)
-    Rb, _ = coord.rotation_matrices(spun)
+    Rb, _ = stacked_rotations(spun)
     wb = np.einsum("nij,nj->ni", Rb, acc)
     yaw_err = float(max(
         np.max(np.abs(np.hypot(world[:, 0], world[:, 1]) - np.hypot(wb[:, 0], wb[:, 1]))),

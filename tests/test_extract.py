@@ -57,6 +57,13 @@ class TestThresholds:
         with pytest.raises(ValueError, match="degenerate"):
             fit_thresholds(np.full(100, 1.5))
 
+    def test_numpys_percentiles_and_input_kept_in_order(self):
+        hra = np.random.default_rng(4).exponential(size=3001)
+        before = hra.copy()
+        thresholds = fit_thresholds(hra)
+        assert thresholds == tuple(float(np.percentile(before, p)) for p in extract.THRESHOLD_PERCENTILES)
+        assert hra.tobytes() == before.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no metro HRA"):
             fit_thresholds(np.array([]))

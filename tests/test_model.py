@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from subtrace.extract import THRESHOLD_PERCENTILES
+from subtrace.features import NVHT_PERCENTILES
 from subtrace.infer import TraceHypothesis, candidate_runs
 from subtrace.model import (
     FORWARD,
@@ -20,10 +22,12 @@ from subtrace.model import (
     load_network,
     load_trace,
     normalize_orientation,
+    percentiles,
     save_network,
     save_trace,
 )
 from subtrace.pipeline import write_corpus
+from subtrace.segment import T1_PERCENTILE
 
 
 def make_trace(n=50, rate=25.0, truth=()):
@@ -654,3 +658,77 @@ class TestMalformedNamesLine:
         path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         with pytest.raises(TraceFormatError, match=rf"^case\.jsonl:{lineno}: "):
             load_trace(path)
+
+
+# --- percentiles -----------------------------------------------------------------
+
+QUANTILE_SETS = [
+    (0.0,),
+    (100.0,),
+    (0.0, 100.0),
+    NVHT_PERCENTILES,
+    THRESHOLD_PERCENTILES,
+    (T1_PERCENTILE,),
+    (99.9, 0.1, 50.0, 50.0),
+]
+
+
+def pool(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "all equal":
+        return np.full(n, rng.normal())
+    values = np.abs(rng.normal(size=n))  # "zeros": |values| with a share of exact zeros
+    values[rng.random(n) < 0.3] = 0.0
+    return values
+
+
+def assert_numpys(values: np.ndarray, qs) -> None:
+    """``percentiles`` equals np.percentile of the list and of each q alone, bit for bit."""
+    got = np.array(percentiles(values, qs))
+    assert got.tobytes() == np.percentile(values, list(qs)).tobytes()
+    assert got.tobytes() == np.array([np.percentile(values, q) for q in qs]).tobytes()
+
+
+class TestPercentiles:
+    @pytest.mark.parametrize("kind", ["normal", "ties", "all equal", "zeros"])
+    def test_bit_equal_to_numpy_on_seeded_pools(self, kind):
+        rng = np.random.default_rng(["normal", "ties", "all equal", "zeros"].index(kind))
+        sizes = [1, 2, 3, 4, 5, 7, 10, 11, 100, 101, 2000, *rng.integers(1, 2001, size=60)]
+        for n in sizes:
+            values = pool(kind, int(n), rng)
+            for qs in QUANTILE_SETS + [tuple(rng.uniform(0.0, 100.0, size=3))]:
+                assert_numpys(values, qs)
+
+    def test_interpolation_weights_either_side_of_a_half(self):
+        # sorted, 1.0 sits at index 1 and 4.0 at index 2: weights 0.3 and 0.7 take both lerp branches
+        values = np.array([4.0, 0.0, 1.0, 9.0, 16.0])
+        for qs in [(32.5,), (42.5,), (37.5,), (12.5, 87.5)]:
+            assert_numpys(values, qs)
+
+    def test_all_negative_zero(self):
+        # numpy's interpolation turns some of these into +0.0, at the last index too
+        for n in [1, 2, 3, 10, 101]:
+            for qs in QUANTILE_SETS:
+                assert_numpys(np.full(n, -0.0), qs)
+
+    def test_copy_left_in_order(self):
+        values = np.random.default_rng(1).normal(size=500)
+        before = values.copy()
+        percentiles(values, NVHT_PERCENTILES)
+        assert values.tobytes() == before.tobytes()
+
+    def test_overwrite_input_partitions_in_place(self):
+        values = np.random.default_rng(2).normal(size=500)
+        want = np.percentile(values, NVHT_PERCENTILES).tolist()
+        before = values.copy()
+        assert list(percentiles(values, NVHT_PERCENTILES, overwrite_input=True)) == want
+        assert values.tobytes() != before.tobytes()
+        assert np.array_equal(np.sort(values), np.sort(before))
+
+    @pytest.mark.parametrize("values", [np.array([]), np.zeros((3, 2))], ids=["empty", "2-d"])
+    def test_rejects_empty_and_2d(self, values):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            percentiles(values, (50.0,))

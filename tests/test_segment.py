@@ -71,6 +71,14 @@ class TestDerivedSettings:
         assert t1 == pytest.approx(np.percentile(hra, T1_PERCENTILE))
         assert delta == pytest.approx(DELTA_FRACTION * t1)
 
+    def test_t1_is_numpys_percentile_and_span_kept_in_order(self, small_corpus, core_args):
+        hra = np.random.default_rng(8).exponential(size=1001)
+        before = hra.copy()
+        find_final_segment_points(hra, small_corpus.network)
+        (t1, *_), = core_args
+        assert t1 == float(np.percentile(before, T1_PERCENTILE))
+        assert hra.tobytes() == before.tobytes()
+
 
 class TestFindSegPoints:
     def scan(self, hra, start=0, end=None, t1=1.0, quorum=0.95, l_w=10, l_min=30):
