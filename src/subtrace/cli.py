@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import evalharness, pipeline
+from . import evalharness, infer, pipeline
 from .model import dump_json, load_json, load_trace
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="infer rides hidden in one trace")
     p.add_argument("--model", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--mode", choices=("full", "reduced"), default="full")
+    p.add_argument("--mode", choices=infer.DECODE_MODES, default="full")
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.set_defaults(fn=_cmd_attack)
 
@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--protocol", choices=("supervised", "semisupervised"), required=True)
     p.add_argument(
-        "--lengths", type=_lengths, default="3,5,7", help="comma-separated subtrip lengths"
+        "--lengths", type=_lengths, default=evalharness.DEFAULT_LENGTHS,
+        help="comma-separated subtrip lengths",
     )
     p.add_argument("--out", help="report path (stdout when omitted)")
     p.add_argument("--seed", type=int, default=None)

@@ -14,19 +14,20 @@ the exceedance thresholds that training fitted.
 
 ``extract_batch`` turns a list of k ``(n, 3)`` segments into a ``(k, 82)``
 matrix and ``extract_features`` is its batch of one. A trainer calls
-``fit_features``, which smooths each segment once (``smooth_segments``),
-takes the exceedance thresholds from those smoothed arrays
-(``fit_nvht_thresholds``) and featurises the same arrays. A component's
-thresholds are the ``NVHT_PERCENTILES`` of its pooled absolute values, by
-numpy's linear rule, bit for bit; ``model.percentiles`` places each order
-statistic they need with a single-kth partition of the pooled array. An
-attack or an evaluation featurises all the distinct segments of one
-recording in one ``extract_batch`` call (``infer.classify_segments``), so
-nothing here remembers a segment between calls.
+``fit_features``, which takes the exceedance thresholds from the smoothed
+rows of its segments (``fit_nvht_thresholds``) and featurises the same
+smoothed blocks. A component's thresholds are the ``NVHT_PERCENTILES`` of
+its pooled absolute values, by numpy's linear rule, bit for bit;
+``model.percentiles`` places each order statistic they need with a
+single-kth partition of the pooled array. An attack or an evaluation
+featurises all the distinct segments of one recording in one
+``extract_batch`` call (``infer.classify_segments``), so nothing here
+remembers a segment between calls.
 
 A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is
-one ``(s, 3, L)`` block: segment, component, sample, padded with -0.0. A
+one ``(s, 3, L)`` block: segment, component, sample, padded with -0.0 and
+smoothed once (``_smoothed_chunks``), for training and decoding alike. A
 vector is byte-identical to featurising its segment alone, whatever else
 shares its batch or chunk, with one exception: the three max columns (1,
 16 and 31) of a component whose largest value is a zero, held as both 0.0
@@ -165,15 +166,6 @@ def _padded(arrays: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
     return block
 
 
-def _checked(segments: list[np.ndarray]) -> list[np.ndarray]:
-    """The segments as float arrays, each checked to be ``(n, 3)``."""
-    segs = [np.asarray(s, dtype=float) for s in segments]
-    for s in segs:
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise ValueError(f"expected (n, 3) segment, got {s.shape}")
-    return segs
-
-
 def _smoothed(block: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     """Centered moving average of each row of a ``_padded`` block over its first n samples.
 
@@ -194,21 +186,23 @@ def _smoothed(block: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     return (cs[:, :, 2 * h + 1 :] - cs[:, :, :L]) / np.maximum(width, 1)[:, None, :]
 
 
-def smooth_segments(segments: list[np.ndarray]) -> list[np.ndarray]:
-    """Centered moving average of each ``(n, 3)`` segment along its samples, ``SMOOTH_K`` wide.
+def _smoothed_chunks(segments: list[np.ndarray]):
+    """Each ``_chunks`` chunk of k ``(n, 3)`` segments, smoothed ``SMOOTH_K`` wide.
 
-    An even width is widened by one and edges truncate. Each result is an
-    ``(n, 3)`` view into its chunk's smoothed block.
+    Yields the chunk's segment indices, their lengths and its ``_smoothed``
+    ``(s, 3, L)`` block. A segment that is not ``(n, 3)``, or is empty,
+    raises ``ValueError``.
     """
-    segs = _checked(segments)
+    segs = [np.asarray(s, dtype=float) for s in segments]
+    for s in segs:
+        if s.ndim != 2 or s.shape[1] != 3:
+            raise ValueError(f"expected (n, 3) segment, got {s.shape}")
     lengths = [len(s) for s in segs]
-    out: list[np.ndarray] = [None] * len(segs)  # type: ignore[list-item]
+    if 0 in lengths:
+        raise ValueError("empty segment")
     for chunk in _chunks(lengths):
         n = np.array([lengths[i] for i in chunk])
-        block = _smoothed(_padded([segs[i] for i in chunk], n), n, SMOOTH_K)
-        for j, i in enumerate(chunk):
-            out[i] = block[j, :, : lengths[i]].T
-    return out
+        yield chunk, n, _smoothed(_padded([segs[i] for i in chunk], n), n, SMOOTH_K)
 
 
 def _stats_and_nominees(sm: np.ndarray, n: np.ndarray, config: FeatureConfig) -> tuple:
@@ -387,25 +381,19 @@ def _ranked_clusters(
     return out.reshape(R, 2 * N_EXTREMA)
 
 
-def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) -> np.ndarray:
-    """The ``(k, 82)`` vectors of k ``(n, 3)`` segments, smoothed here when ``smooth``."""
-    lengths = [len(s) for s in segments]
-    if 0 in lengths:
-        raise ValueError("empty segment")
-    out = np.empty((len(segments), FEATURE_DIM))
-    if not segments:
-        return out
-    order, idx, strength = [], [], []
-    for chunk in _chunks(lengths):
-        n = np.array([lengths[i] for i in chunk])
-        block = _padded([segments[i] for i in chunk], n)
-        if smooth:
-            block = _smoothed(block, n, SMOOTH_K)
+def _featurise(chunks, k: int, config: FeatureConfig) -> np.ndarray:
+    """The ``(k, 82)`` vectors of k segments, read off their ``_smoothed_chunks``."""
+    out = np.empty((k, FEATURE_DIM))
+    order, lengths, idx, strength = [], [], [], []
+    for chunk, n, block in chunks:
         out[chunk, :PEAKS_AT], chunk_idx, chunk_strength = _stats_and_nominees(block, n, config)
         order += chunk
+        lengths.append(n)
         idx.append(chunk_idx)
         strength.append(chunk_strength)
-    n = np.repeat(np.array(lengths)[order], 6)
+    if not order:
+        return out
+    n = np.repeat(np.concatenate(lengths), 6)
     ranked = _ranked_clusters(np.vstack(idx), np.vstack(strength), n, min(config.peak_windows()))
     # (k, peak or valley, component, 6) -> (k, component, peak then valley)
     ranked = ranked.reshape(-1, 2, 3, 2 * N_EXTREMA).transpose(0, 2, 1, 3)
@@ -415,7 +403,7 @@ def _featurise(segments: list[np.ndarray], config: FeatureConfig, smooth: bool) 
 
 def extract_batch(segments: list[np.ndarray], config: FeatureConfig) -> np.ndarray:
     """The ``(k, 82)`` vectors of k ``(n, 3)`` Earth-frame segments of (east, north, vertical)."""
-    return _featurise(_checked(segments), config, smooth=True)
+    return _featurise(_smoothed_chunks(segments), len(segments), config)
 
 
 def extract_features(segment: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -443,9 +431,11 @@ def fit_nvht_thresholds(smoothed: list[np.ndarray], sample_rate: float) -> Featu
 def fit_features(segments: list[np.ndarray], sample_rate: float) -> tuple[FeatureConfig, np.ndarray]:
     """Fit the exceedance thresholds on training segments and featurise them.
 
-    Each segment is smoothed once, for both; returns the fitted config and the
-    ``(k, 82)`` vectors.
+    Each segment is smoothed once, for both: the thresholds pool the
+    segments' smoothed ``(n, 3)`` views in chunk order, which no order
+    statistic depends on. Returns the fitted config and the ``(k, 82)`` vectors.
     """
-    smoothed = smooth_segments(segments)
+    chunks = list(_smoothed_chunks(segments))
+    smoothed = [block[j, :, :nj].T for _, n, block in chunks for j, nj in enumerate(n.tolist())]
     fitted = fit_nvht_thresholds(smoothed, sample_rate)
-    return fitted, _featurise(smoothed, fitted, smooth=False)
+    return fitted, _featurise(chunks, len(segments), fitted)

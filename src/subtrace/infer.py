@@ -136,10 +136,9 @@ def _planned_cuts(
     return cuts
 
 
-def _snap_cuts(cuts: list[int], hra: np.ndarray, rate: float) -> tuple[int, ...] | None:
-    """Move each cut to the quietest sample nearby; reject crossed layouts."""
+def _snap_cuts(cuts: list[int], hra: np.ndarray, w: int) -> tuple[int, ...] | None:
+    """Move each cut to the quietest sample within ``w`` of it; reject crossed layouts."""
     n = len(hra)
-    w = int(round(SNAP_WINDOW_S * rate))
     snapped = []
     prev = 0
     for c in cuts:
@@ -215,7 +214,7 @@ def plan_span(
         for start, direction in candidate_runs(fam, m):
             durations = [network.nominal_duration(u) for u in _ride(start, direction, fam)]
             cuts = _planned_cuts(durations, network.dwell_nominal, n_samples, rate)
-            snapped = _snap_cuts(cuts, hra, rate)
+            snapped = _snap_cuts(cuts, hra, network.samples(SNAP_WINDOW_S))
             if snapped is not None:
                 recuts.append((start, direction, snapped))
     return SpanPlan(lo, hi, n_detected, detected_cuts if use_detected else None, tuple(recuts))

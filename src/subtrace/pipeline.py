@@ -328,6 +328,9 @@ def train_ensemble_on(
     )
 
 
+MODEL_VERSION = 4  # the attack model document's schema_version
+
+
 @dataclass
 class AttackModel:
     """Everything needed to run the attack on a raw trace."""
@@ -347,7 +350,7 @@ class AttackModel:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 4,
+            "schema_version": MODEL_VERSION,
             "kind": "attack_model",
             "network": network_to_dict(self.network),
             "mode_model": self.mode_model.to_dict(),
@@ -363,9 +366,9 @@ class AttackModel:
         if (
             not isinstance(doc, dict)
             or doc.get("kind") != "attack_model"
-            or doc.get("schema_version") != 4
+            or doc.get("schema_version") != MODEL_VERSION
         ):
-            raise ValueError("not a version-4 attack model document")
+            raise ValueError(f"not a version-{MODEL_VERSION} attack model document")
 
         def section(key: str, parse):
             try:

@@ -84,7 +84,6 @@ class NoiseConfig:
     hand_shake_freq: float = 5.0  # Hz, above the smoothing cutoff
     orientation_drift_rate: float = 0.3  # deg/s random-walk scale
     sensor_sigma: float = 0.03  # m/s^2 white noise per axis
-    defense_noise_amp: float = 0.0  # m/s^2, deliberate masking noise
     track_vibration_amp: float = 0.18  # m/s^2 per axis at the reference speed
 
     def __post_init__(self):
@@ -341,10 +340,10 @@ def _render_phone(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotate world motion into a noisy phone frame; returns (t, acc, orient).
 
-    ``streams`` holds the orientation, shake, white, vibration and defense
-    generators, in that order.
+    ``streams`` holds the orientation, shake, white and vibration generators,
+    in that order.
     """
-    orient_rng, shake_rng, white_rng, vib_rng, defense_rng = streams
+    orient_rng, shake_rng, white_rng, vib_rng = streams
     n = len(world)
     dt = 1.0 / rate
     t = np.arange(n) * dt
@@ -359,12 +358,10 @@ def _render_phone(
 
     _add_hand_shake(acc, t, noise, shake_rng)
     acc = acc + white_rng.standard_normal((n, 3)) * noise.sensor_sigma
-    if noise.defense_noise_amp > 0:
-        acc = acc + defense_rng.standard_normal((n, 3)) * noise.defense_noise_amp
     return t, acc, orient
 
 
-def _streams(seed: int, n: int = 6) -> list[np.random.Generator]:
+def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(n)]
 
 
@@ -391,7 +388,7 @@ def gen_trip(
     if not network.fits(start_interval, length):
         raise ValueError(f"interval run {gids} does not fit one direction of the line")
 
-    dwell_rng, scale_rng, *render = _streams(seed, 7)
+    dwell_rng, scale_rng, *render = _streams(seed, 6)
     rate = network.sample_rate
     dt = 1.0 / rate
 
@@ -488,7 +485,7 @@ def gen_other_mode(
     if mode == "static":
         # a resting phone is not hand-held
         noise = replace(noise, hand_shake_amp=0.0)
-    motion_rng, *render = _streams(seed, 6)
+    motion_rng, *render = _streams(seed, 5)
     dt = 1.0 / sample_rate
     n = max(1, round(duration * sample_rate))
     world = _mode_world(mode, n, dt, motion_rng)

@@ -63,7 +63,7 @@ BAD_CONFIG_VALUES = {
 BAD_NOISE_VALUES = {
     "string": ("hand_shake_amp", "2"),
     "nan": ("sensor_sigma", float("nan")),
-    "infinite": ("defense_noise_amp", float("inf")),
+    "infinite": ("hand_shake_amp", float("inf")),
     "negative": ("track_vibration_amp", -0.1),
     "bool": ("orientation_drift_rate", True),
     "null": ("hand_shake_freq", None),
@@ -593,6 +593,15 @@ class TestDataErrors:
         args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
         assert cli.main(args) == cli.EXIT_DATA
         assert capsys.readouterr().err.startswith(f"subtrace: noise field {field} ")
+        assert not (tmp_path / "c").exists()
+
+    def test_generate_removed_defense_noise_key(self, tmp_path, capsys):
+        # defense noise is simgen.apply_defense_noise alone; NoiseConfig has no such field
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"noise": {"defense_noise_amp": 0.5}}))
+        args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
+        assert cli.main(args) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "subtrace: unknown noise keys: ['defense_noise_amp']\n"
         assert not (tmp_path / "c").exists()
 
     def test_generate_malformed_config(self, tmp_path, capsys):

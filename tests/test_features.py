@@ -23,7 +23,6 @@ from subtrace.features import (
     extract_features,
     fit_features,
     fit_nvht_thresholds,
-    smooth_segments,
 )
 from subtrace.pipeline import interval_training_rows, true_segments
 
@@ -38,6 +37,15 @@ def constants(smooth_k=features.SMOOTH_K, peak_windows_s=features.PEAK_WINDOWS_S
         mp.setattr(features, "SMOOTH_K", smooth_k)
         mp.setattr(features, "PEAK_WINDOWS_S", peak_windows_s)
         yield
+
+
+def smoothed_rows(segments: list[np.ndarray]) -> list[np.ndarray]:
+    """Each segment's smoothed ``(n, 3)`` rows, read off the blocks featurisation smooths."""
+    out = [None] * len(segments)
+    for chunk, n, block in features._smoothed_chunks(segments):
+        for j, i in enumerate(chunk):
+            out[i] = block[j, :, : n[j]].T
+    return out
 
 
 def smooth_oracle(x: np.ndarray, k: int) -> np.ndarray:
@@ -121,7 +129,7 @@ class TestSmooth:
         rng = np.random.default_rng(3)
         seg = rng.normal(size=(50, 3))
         with constants(smooth_k=k):
-            out = smooth_segments([seg])[0]
+            out = smoothed_rows([seg])[0]
         assert out.shape == seg.shape
         for c in range(3):
             assert np.allclose(out[:, c], smooth_oracle(seg[:, c], k), atol=1e-12)
@@ -129,7 +137,7 @@ class TestSmooth:
     def test_k_one_returns_copy(self):
         x = np.arange(15.0).reshape(5, 3)
         with constants(smooth_k=1):
-            out = smooth_segments([x])[0]
+            out = smoothed_rows([x])[0]
         assert np.array_equal(out, x)
         out[0, 0] = 99.0
         assert x[0, 0] == 0.0
@@ -138,19 +146,15 @@ class TestSmooth:
         rng = np.random.default_rng(4)
         segs = [rng.normal(size=(30, 3)), rng.normal(size=(7, 3))]
         with constants(smooth_k=8):
-            even = smooth_segments(segs)
+            even = smoothed_rows(segs)
         with constants(smooth_k=9):
-            odd = smooth_segments(segs)
+            odd = smoothed_rows(segs)
         for a, b in zip(even, odd):
             assert np.array_equal(a, b)
 
     def test_constant_unchanged(self):
         x = np.full((20, 3), 2.5)
-        assert np.allclose(smooth_segments([x])[0], x)
-
-    def test_empty(self):
-        assert smooth_segments([np.empty((0, 3))])[0].shape == (0, 3)
-        assert smooth_segments([]) == []
+        assert np.allclose(smoothed_rows([x])[0], x)
 
 
 class TestStatisticalFeatures:
@@ -315,7 +319,7 @@ class TestFitThresholds:
         rng = np.random.default_rng(9)
         segs = [rng.normal(size=(40, 3)), rng.normal(size=(60, 3))]
         with constants(smooth_k=5):
-            fitted = fit_nvht_thresholds(smooth_segments(segs), 10.0)
+            fitted = fit_nvht_thresholds(smoothed_rows(segs), 10.0)
         assert fitted.sample_rate == 10.0
         for c in range(3):
             pooled = np.concatenate([np.abs(_loop_smooth(s[:, c], 5)) for s in segs])
@@ -324,7 +328,7 @@ class TestFitThresholds:
 
     def test_smoothed_segments_untouched(self):
         # the pooled values are taken absolute and partitioned in a copy
-        smoothed = smooth_segments([np.random.default_rng(10).normal(size=(30, 3))])
+        smoothed = smoothed_rows([np.random.default_rng(10).normal(size=(30, 3))])
         before = smoothed[0].copy()
         fit_nvht_thresholds(smoothed, 10.0)
         assert smoothed[0].tobytes() == before.tobytes()
@@ -332,6 +336,10 @@ class TestFitThresholds:
     def test_no_segments(self):
         with pytest.raises(ValueError):
             fit_nvht_thresholds([], 10.0)
+
+    def test_fit_features_refuses_empty_segment(self):
+        with pytest.raises(ValueError, match="empty segment"):
+            fit_features([np.zeros((5, 3)), np.empty((0, 3))], 10.0)
 
 
 # --- frozen per-component extractor ----------------------------------------------
@@ -510,7 +518,7 @@ def assert_same_bytes(segments, cfg):
 @pytest.fixture(scope="module")
 def acceptance_segments(acceptance_corpus):
     segs = [seg for trip in acceptance_corpus.trips for seg, _ in true_segments(trip)]
-    cfg = fit_nvht_thresholds(smooth_segments(segs), acceptance_corpus.network.sample_rate)
+    cfg = fit_nvht_thresholds(smoothed_rows(segs), acceptance_corpus.network.sample_rate)
     return segs, cfg
 
 
@@ -533,7 +541,7 @@ class TestMatchesLoopExtractor:
         # the pool of a leave-one-out fold: all but ten consecutive segments
         segs, cfg = acceptance_segments
         fold = segs[:held_out] + segs[held_out + 10:]
-        fitted = fit_nvht_thresholds(smooth_segments(fold), cfg.sample_rate)
+        fitted = fit_nvht_thresholds(smoothed_rows(fold), cfg.sample_rate)
         assert fitted.nvht_thresholds == loop_fit_thresholds(fold, cfg)
 
     def test_training_fold_smoothed_once(self, acceptance_corpus):

@@ -263,14 +263,6 @@ class TestNoiseLayering:
         assert np.any(delta != 0.0)
         assert np.mean(np.all(delta == 0.0, axis=1)) > 0.5  # bursts are sparse
 
-    def test_defense_field_adds_noise_only(self, line):
-        net, profiles = line
-        plain = gen_trip(net, profiles, 0, 3, NoiseConfig(), seed=7)
-        masked = gen_trip(net, profiles, 0, 3, NoiseConfig(defense_noise_amp=0.7), seed=7)
-        np.testing.assert_array_equal(plain.orient, masked.orient)
-        delta = masked.acc - plain.acc
-        assert np.std(delta) == pytest.approx(0.7, rel=0.05)
-
     def test_apply_defense_noise(self, line):
         net, profiles = line
         trace = gen_trip(net, profiles, 0, 2, NoiseConfig(), seed=7)
