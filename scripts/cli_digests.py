@@ -6,13 +6,15 @@ temporary directory, through the ``subtrace`` package in this checkout's
 full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Those evaluation files
-hold only rounded accuracies, so two more lines follow, one per attack
-mode (full, then reduced): the digest of every decoded subtrip of
-``evalharness.evaluate_subtrips`` at lengths 1, 2 and 3 on the generated
-corpus with the trained model's ensemble, one ``trip start_leg length:
+hold only rounded accuracies, so three more lines follow: the digest of
+every decoded subtrip of ``evalharness.evaluate_subtrips`` at lengths 1, 2
+and 3 with the trained model's ensemble, one ``trip start_leg length:
 start direction length score`` line per subtrip with the score as
-``float.hex``. Then it prints every key path of ``model.json``, sorted, one
-``model.json key`` line each, with list indices collapsed
+``float.hex``, on the generated corpus in full and in reduced mode, then in
+full mode on that corpus under defense noise at factor 1.0
+(``evalharness.defended_corpus``), where re-cut runs win some spans. Then
+it prints every key path of ``model.json``, sorted, one ``model.json key``
+line each, with list indices collapsed
 (``ensemble.forest.trees[].probs``), so a change to the model format shows
 by name. Then it attacks four malformed copies of trip 0 (line 401 cut in
 half, given a 2-entry ``acc``, given a ``0xff`` byte, or repeating line
@@ -137,19 +139,24 @@ def run_commands() -> int:
 
 
 def decoded_subtrips() -> None:
-    """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode."""
+    """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode and corpus."""
     corpus = pipeline.load_corpus("corpus")
     ensemble = pipeline.AttackModel.load("model.json").ensemble
-    for mode in ("full", "reduced"):
-        report = evalharness.evaluate_subtrips(corpus, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
+    defended, _ = evalharness.defended_corpus(corpus, pipeline.PipelineConfig(**SMALL_CONFIG), 1.0)
+    lengths = ",".join(map(str, EVAL_LENGTHS))
+    for mode, which, decoded in (
+        ("full", "", corpus),
+        ("reduced", "", corpus),
+        ("full", " defended 1.0", defended),
+    ):
+        report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
         lines = [
             f"{st.trip} {st.start_leg} {st.length}: "
             + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
             for st, h in report.predictions
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        lengths = ",".join(map(str, EVAL_LENGTHS))
-        print(f"{digest}  evaluate_subtrips {mode} lengths {lengths}: {len(lines)} subtrips")
+        print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
 
 
 def key_paths(doc, prefix: str = "") -> set[str]:

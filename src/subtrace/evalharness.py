@@ -5,9 +5,10 @@ fixed lengths cut at the true dwell centers; a prediction counts only if
 start interval, direction, and length all match. Each subtrip is cut by
 the attack's own segmenter and planned and decoded in its trip's sample
 coordinates, as the attack decodes a span (``infer``): the cut layouts of a
-trip's subtrips are planned first, then every distinct segment they cut from
-the trip's ``(n, 3)`` earth-frame array is featurised and classified in one
-batch per (trip, model), and then each subtrip is scored from those rows.
+trip's subtrips are planned first, then the distinct segments their decoding
+needs from the trip's ``(n, 3)`` earth-frame array are featurised and
+classified in at most two batches per (trip, model), and then each subtrip
+is scored from those rows.
 Cut points are scored against the true dwell centres within the fixed
 ``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
@@ -191,7 +192,7 @@ def evaluate_subtrips(
         series = series_by_trip[trip]
         ensembles = [ensemble_for(st.trip) for st in group]
         plans = [plan_subtrip(series, st, corpus.network, mode) for st in group]
-        # one batch per (trip, model); the list above keeps every id in use
+        # one classify_segments call per (trip, model); the list above keeps every id in use
         by_model: dict[int, list[int]] = {}
         for i, ensemble in enumerate(ensembles):
             by_model.setdefault(id(ensemble), []).append(i)

@@ -7,26 +7,34 @@ across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
-A recording is decoded in three phases, so that each of its segments is
-featurised and classified once, in one batch:
+A recording is decoded in five phases, so that each segment it needs is
+featurised and classified once, in at most two batches:
 
 1. *Plan.* ``plan_span`` fixes every cut layout of one span, a ``[lo, hi)``
    range of the whole recording's samples: the detected cuts and, in "full"
-   mode, the re-cut layouts of the n-1 and n+1 families. "reduced" mode
-   plans the detected layout alone.
-2. *Batch.* ``classify_segments`` featurises the distinct segments of every
-   plan of the recording in one ``features.extract_batch`` call and
-   classifies them in one ``predict_matrix`` call.
-3. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
-   plan from those probability rows and returns a ``ToleranceResult``; a
-   span that no hypothesis fits is a result whose ``best`` is ``None``, not
-   an error.
+   mode, one re-cut layout per candidate run of the n-1 and n+1 families.
+   "reduced" mode plans the detected layout alone.
+2. *Round 1.* ``classify_segments`` featurises the detected layouts'
+   segments and each re-cut run's first segment, its *probe*, in one
+   ``features.extract_batch`` call and classifies them in one
+   ``predict_matrix`` call.
+3. *Screen.* A re-cut run is ruled out when its probe alone proves that its
+   mean per-segment score falls below the detected layout's best
+   (``_screen``, which proves the bound).
+4. *Round 2.* The other segments of the runs that survive are featurised
+   and classified in one more batch. Reduced mode plans no re-cuts, so it
+   needs no second round.
+5. *Score.* ``infer_with_segment_tolerance``, the one scorer, applies the
+   same screen and decodes each plan from the probability rows; a span
+   that no hypothesis fits is a result whose ``best`` is ``None``, not an
+   error.
 
 The attack and the evaluation harness both decode this way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +47,10 @@ from .model import FORWARD, REVERSE, MetroNetwork
 LOG_EPS = 1e-12
 SNAP_WINDOW_S = 10.0
 DECODE_MODES = ("full", "reduced")
-TOP_K = 3  # hypotheses kept in ``ToleranceResult.ranked``
+# the largest term a probability row can add to a run's score: p <= 1 + 1e-9
+T_MAX = math.log1p(1e-9 + LOG_EPS)
+# how far below the detected best a screened-out run's bound lies; _screen shows it is wide enough
+BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,6 @@ class ToleranceResult:
     best: TraceHypothesis | None  # None when no hypothesis fits the span
     points: tuple[int, ...]  # interior cuts the winning hypothesis used
     detected: int  # segment count the segmenter reported
-    ranked: tuple[tuple[TraceHypothesis, tuple[int, ...]], ...]
 
 
 def _planned_cuts(
@@ -167,16 +177,10 @@ class SpanPlan:
     detected_cuts: tuple[int, ...] | None
     recuts: tuple[tuple[int, str, tuple[int, ...]], ...]
 
-    def segments(self) -> set[tuple[int, int]]:
-        """The ``[a, b)`` recording samples of every segment some layout cuts."""
-        layouts = {cuts for _, _, cuts in self.recuts}
-        if self.detected_cuts is not None:
-            layouts.add(self.detected_cuts)
-        return {
-            (self.lo + a, self.lo + b)
-            for cuts in layouts
-            for a, b in zip([0, *cuts], [*cuts, self.hi - self.lo])
-        }
+    def layout(self, cuts: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The ``[a, b)`` recording samples of each segment ``cuts`` makes, in ride order."""
+        bounds = [self.lo, *(self.lo + c for c in cuts), self.hi]
+        return list(zip(bounds[:-1], bounds[1:]))
 
 
 def plan_span(
@@ -220,21 +224,85 @@ def plan_span(
     return SpanPlan(lo, hi, n_detected, detected_cuts if use_detected else None, tuple(recuts))
 
 
+def _screen(
+    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
+) -> tuple[TraceHypothesis | None, tuple[tuple[int, str, tuple[int, ...]], ...]]:
+    """The detected layout's best hypothesis and the re-cut runs that could still beat it.
+
+    Reads the rows of the detected layout's segments and of each re-cut
+    run's first segment (its probe) alone. Runs are kept in plan order. A
+    run of L segments whose probe term is t is ruled out when
+
+        (t + (L - 1) * T_MAX) / L < tau - BAND,
+
+    tau being the detected best's ``mean_score``. Without detected cuts tau
+    is -inf, so every run is kept.
+
+    Why a ruled-out run can neither win nor tie. ``predict_matrix`` divides
+    each non-negative row by its sum, so p <= 1 + 1e-9, and every real term
+    log(p + LOG_EPS) lies in [log LOG_EPS, T_MAX], below 28 in magnitude.
+    Let e = 2 ** -44, sixteen units in the last place of a float below 32
+    in magnitude. ``np.log`` is within 4 such units and one rounding within
+    half a unit, so each float term, the probe's included, is within e / 2
+    of its real term. Summing a run's L float terms rounds by less than
+    (L - 1) L e / 16 and the division by L by e / 32, so its float mean
+    exceeds the real (t + (L - 1) T_MAX) / L by less than e / 2 + L e / 16,
+    t being the probe's real term. The screen's float bound is within e of
+    that real bound. A ruled-out run's float mean is therefore below
+    tau - BAND + (L / 16 + 2) e, which is below tau for any run of fewer
+    than 250,000 segments. The winner's mean is at least tau, since the
+    detected best competes, so the run loses on the first sort key.
+    """
+    if plan.detected_cuts is None:
+        return None, plan.recuts
+    best = rank_hypotheses(_matrix(plan, plan.detected_cuts, rows))[0]
+    if not plan.recuts:
+        return best, ()
+    probe = np.array([rows[plan.layout(cuts)[0]][start] for start, _, cuts in plan.recuts])
+    length = np.array([len(cuts) + 1 for _, _, cuts in plan.recuts])
+    bound = (np.log(probe + LOG_EPS) + (length - 1) * T_MAX) / length
+    keep = bound >= best.mean_score - BAND
+    return best, tuple(run for run, kept in zip(plan.recuts, keep) if kept)
+
+
+def _matrix(
+    plan: SpanPlan, cuts: tuple[int, ...], rows: dict[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """The (segments, intervals) probability matrix of one cut layout of ``plan``."""
+    return np.array([rows[seg] for seg in plan.layout(cuts)])
+
+
 def classify_segments(
     series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
 ) -> dict[tuple[int, int], np.ndarray]:
-    """The probability row of every distinct segment the plans cut, keyed by its ``[a, b)``.
+    """The probability row of every segment the plans' decoding reads, keyed by its ``[a, b)``.
 
-    All of them are featurised in one ``features.extract_batch`` call under
-    ``ensemble.config`` and classified in one ``predict_matrix`` call, so a
-    segment that several layouts or spans share is computed once. Plans
-    that cut nothing classify nothing.
+    Two rounds, each one ``features.extract_batch`` call under
+    ``ensemble.config`` and one ``predict_matrix`` call over the distinct
+    segments not yet classified: round 1 takes every detected layout's
+    segments and every re-cut run's probe, round 2 the other segments of
+    the runs that ``_screen`` keeps. A segment that several layouts or
+    spans share is computed once; a round with nothing left to classify is
+    skipped, so plans that cut nothing classify nothing.
     """
-    spans = sorted(set().union(*(plan.segments() for plan in plans)))
-    if not spans:
-        return {}
-    X = features.extract_batch([series.enu[a:b] for a, b in spans], ensemble.config)
-    return dict(zip(spans, ensemble.predict_matrix(X)))
+    rows: dict[tuple[int, int], np.ndarray] = {}
+
+    def classify(segments) -> None:
+        spans = sorted(set(segments) - rows.keys())
+        if spans:
+            X = features.extract_batch([series.enu[a:b] for a, b in spans], ensemble.config)
+            rows.update(zip(spans, ensemble.predict_matrix(X)))
+
+    first: list[tuple[int, int]] = []
+    for plan in plans:
+        if plan.detected_cuts is not None:
+            first += plan.layout(plan.detected_cuts)
+        first += [plan.layout(cuts)[0] for _, _, cuts in plan.recuts]
+    classify(first)
+    classify(
+        seg for plan in plans for _, _, cuts in _screen(plan, rows)[1] for seg in plan.layout(cuts)
+    )
+    return rows
 
 
 def infer_with_segment_tolerance(
@@ -243,45 +311,35 @@ def infer_with_segment_tolerance(
     """Decode one planned span from the probability rows of its segments.
 
     ``rows`` maps each segment's ``[a, b)`` recording samples to its
-    probability row, as ``classify_segments`` returns them. The detected
-    layout's ``TOP_K`` best hypotheses and every re-cut run compete on mean
-    per-segment score, with ties going to the layout that matches the
-    detected count. ``ranked`` holds the ``TOP_K`` best hypotheses with their
-    cuts. When no layout fits, ``best`` is ``None`` and ``ranked`` is empty.
+    probability row, as ``classify_segments`` returns them; a row of a run
+    that ``_screen`` rules out is never read, and given every row the result
+    is the same. The detected layout's best hypothesis (the first of
+    ``rank_hypotheses``) and every re-cut run the screen keeps compete on
+    mean per-segment score, with ties going to the layout that matches the
+    detected count, then the lower start interval, then forward. When no
+    layout fits, ``best`` is ``None``.
     """
-    n_detected = plan.detected
-    if plan.detected_cuts is None and not plan.recuts:
-        return ToleranceResult(best=None, points=(), detected=n_detected, ranked=())
-
-    def matrix_for(cuts: tuple[int, ...]) -> np.ndarray:
-        bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
-        return np.array([rows[sp] for sp in zip(bounds[:-1], bounds[1:])])
-
+    detected_best, runs = _screen(plan, rows)
     scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
-    if plan.detected_cuts is not None:
-        P = matrix_for(plan.detected_cuts)
-        for h in rank_hypotheses(P)[:TOP_K]:
-            scored.append((h, plan.detected_cuts))
-    for start, direction, cuts in plan.recuts:
-        P = matrix_for(cuts)
+    if detected_best is not None:
+        scored.append((detected_best, plan.detected_cuts))
+    for start, direction, cuts in runs:
+        P = _matrix(plan, cuts, rows)
         h = TraceHypothesis(start, direction, len(cuts) + 1, score_run(P, start, direction))
         scored.append((h, cuts))
+    if not scored:
+        return ToleranceResult(best=None, points=(), detected=plan.detected)
 
-    scored.sort(
+    best, best_cuts = min(
+        scored,
         key=lambda hc: (
             -hc[0].mean_score,
-            abs(hc[0].length - n_detected),
+            abs(hc[0].length - plan.detected),
             hc[0].start_interval,
             hc[0].direction != FORWARD,
-        )
+        ),
     )
-    best, best_cuts = scored[0]
-    return ToleranceResult(
-        best=best,
-        points=best_cuts,
-        detected=n_detected,
-        ranked=tuple(scored[:TOP_K]),
-    )
+    return ToleranceResult(best=best, points=best_cuts, detected=plan.detected)
 
 
 def check_mode(mode: str) -> None:

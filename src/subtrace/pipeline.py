@@ -429,7 +429,7 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model, mode_window_size(model.network))
 
-    # plan every span first, so the whole trace is featurised and classified in one batch
+    # plan every span first, so the whole trace is featurised and classified in at most two batches
     results, plans = [], []
     for span in spans:
         lo, hi = span.start, span.end

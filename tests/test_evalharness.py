@@ -149,6 +149,39 @@ def record_featurised(monkeypatch) -> list[list[tuple[bytes, object]]]:
     return calls
 
 
+def record_rounds(monkeypatch) -> list[list[list[tuple[bytes, object]]]]:
+    """Patch the batch extractor and the harness's classifier to log each
+    ``classify_segments`` call as the list of its ``extract_batch`` calls."""
+    calls = record_featurised(monkeypatch)
+    rounds = []
+    real = evalharness.classify_segments
+
+    def logging_classify(series, plans, ensemble):
+        first = len(calls)
+        rows = real(series, plans, ensemble)
+        rounds.append(calls[first:])
+        return rows
+
+    monkeypatch.setattr(evalharness, "classify_segments", logging_classify)
+    return rounds
+
+
+def every_segment_bytes(corpus, lengths, mode) -> set[bytes]:
+    """Every segment some cut layout of some subtrip cuts: what an exhaustive decoder featurises."""
+    segs = set()
+    for trip, trace in enumerate(corpus.trips):
+        series = coord.transform(trace)
+        for st in enumerate_subtrips(corpus, lengths):
+            if st.trip != trip:
+                continue
+            plan = plan_subtrip(series, st, corpus.network, mode)
+            layouts = [cuts for _, _, cuts in plan.recuts]
+            if plan.detected_cuts is not None:
+                layouts.append(plan.detected_cuts)
+            segs |= {series.enu[a:b].tobytes() for cuts in layouts for a, b in plan.layout(cuts)}
+    return segs
+
+
 def record_decoded(monkeypatch) -> list:
     """Patch the scorer to log the ``ToleranceResult`` of every subtrip the harness decodes."""
     results = []
@@ -185,13 +218,14 @@ def separate_predictions(corpus, ensemble_for, lengths, mode):
 
 
 def same_result(a, b) -> bool:
-    """Two ``ToleranceResult``s equal, scores bit for bit."""
-    bits = lambda res: [h.score.hex() for h, _ in res.ranked]  # noqa: E731
+    """Two ``ToleranceResult``s equal: ``best`` with its score bit for bit, and ``points``."""
+    bits = lambda res: None if res.best is None else res.best.score.hex()  # noqa: E731
     return a == b and bits(a) == bits(b)
 
 
 class TestFeatureReuse:
-    """evaluate_subtrips featurises each segment of a trip once, in one batch per (trip, model)."""
+    """evaluate_subtrips featurises each segment of a trip once, in at most two batches per
+    (trip, model)."""
 
     LENGTHS = (3, 5)
 
@@ -200,26 +234,33 @@ class TestFeatureReuse:
         self, small_corpus, small_ensemble, mode, monkeypatch
     ):
         corpus = replace(small_corpus, trips=small_corpus.trips[:3])
-        calls = record_featurised(monkeypatch)
+        rounds = record_rounds(monkeypatch)
         decoded = record_decoded(monkeypatch)
         report = evaluate_subtrips(corpus, lambda _: small_ensemble, self.LENGTHS, mode=mode)
-        batched = list(calls)
-        calls.clear()
         monkeypatch.undo()
         calls = record_featurised(monkeypatch)
         alone = separate_results(corpus, lambda _: small_ensemble, self.LENGTHS, mode)
 
-        # same results with the same scores, bit for bit: best, cuts and ranking
+        # same results with the same scores, bit for bit: best and cuts
         assert len(decoded) == len(alone) == len(report.predictions)
         assert all(same_result(a, b) for a, b in zip(decoded, alone))
         assert [hyp for _, hyp in report.predictions] == [res.best for res in alone]
         assert all(res.best is not None for res in alone)
-        # one batch per trip, holding every segment the separate runs featurise, once each
-        assert len(batched) == len(corpus.trips)
-        shared = [seg for call in batched for seg, _ in call]
+        # at most two batches per trip (one without re-cuts), each segment in one of them,
+        # and only segments the separate runs featurise too
+        assert len(rounds) == len(corpus.trips)
+        assert all(1 <= len(r) <= (2 if mode == "full" else 1) for r in rounds)
+        shared = [seg for r in rounds for call in r for seg, _ in call]
         distinct = {seg for call in calls for seg, _ in call}
-        assert len(shared) == len(distinct) < sum(len(call) for call in calls)
-        assert set(shared) == distinct
+        assert len(shared) == len(set(shared)) < sum(len(call) for call in calls)
+        assert set(shared) <= distinct
+        # the screen featurises fewer samples than every layout's segments
+        exhaustive = every_segment_bytes(corpus, self.LENGTHS, mode)
+        samples = lambda segs: sum(len(seg) for seg in segs)  # noqa: E731
+        if mode == "full":
+            assert samples(shared) < samples(exhaustive)
+        else:
+            assert set(shared) == exhaustive
 
     def test_trips_with_different_configs_share_nothing(
         self, small_corpus, small_ensemble, monkeypatch
@@ -230,11 +271,15 @@ class TestFeatureReuse:
         corpus = replace(small_corpus, trips=[trip, trip])
         other = with_other_thresholds(small_ensemble)
         ensembles = [small_ensemble, other]
-        calls = record_featurised(monkeypatch)
+        rounds = record_rounds(monkeypatch)
         report = evaluate_subtrips(corpus, lambda ti: ensembles[ti], self.LENGTHS)
 
-        assert [{c for _, c in call} for call in calls] == [{e.config} for e in ensembles]
-        assert {seg for seg, _ in calls[0]} == {seg for seg, _ in calls[1]}
+        configs = [{c for call in r for _, c in call} for r in rounds]
+        assert configs == [{e.config} for e in ensembles]
+        # round 1 (detected layouts and probes) cuts the same segments for both models;
+        # round 2 depends on what each model's rows rule out
+        first, second = ({seg for seg, _ in r[0]} for r in rounds)
+        assert first == second
         alone = separate_predictions(corpus, lambda ti: ensembles[ti], self.LENGTHS, "full")
         assert [hyp for _, hyp in report.predictions] == alone
 
@@ -248,10 +293,10 @@ class TestFeatureReuse:
             ensembles = itertools.cycle([small_ensemble, other])
             return lambda _: next(ensembles)
 
-        calls = record_featurised(monkeypatch)
+        rounds = record_rounds(monkeypatch)
         report = evaluate_subtrips(corpus, alternating(), self.LENGTHS)
-        # one batch per model the trip's subtrips were given
-        assert [{c for _, c in call} for call in calls] == [
+        # one classification per model the trip's subtrips were given
+        assert [{c for call in r for _, c in call} for r in rounds] == [
             {small_ensemble.config}, {other.config}
         ]
         alone = separate_predictions(corpus, alternating(), self.LENGTHS, "full")
@@ -284,7 +329,7 @@ class TestPredictSubtripOutcome:
         series = coord.transform(small_corpus.trips[st.trip])
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
         plan = plan_subtrip(series, st, small_corpus.network, mode)
-        assert plan.segments() == set()
+        assert plan.detected_cuts is None and plan.recuts == ()
         assert predict_subtrip(plan, {}) is None
         corpus = replace(small_corpus, trips=small_corpus.trips[:1])
         report = evaluate_subtrips(corpus, lambda _: small_ensemble, (3,), mode=mode)

@@ -1,7 +1,10 @@
-"""Ride inference checked against a naive exhaustive reference.
+"""Ride inference checked against naive exhaustive references.
 
 brute_force_best re-derives the winning hypothesis with explicit id lists
 and scalar log sums, sharing no code with the ranking under test.
+exhaustive_decode is a frozen copy of the span scorer from before re-cut
+runs were screened: it scores every layout from every segment's row, so the
+screened two-round decoder must pick the same ride, cuts and score bits.
 """
 
 import math
@@ -11,11 +14,18 @@ import numpy as np
 import pytest
 
 from subtrace import coord, features, infer
-from subtrace.evalharness import single_model_ensemble
+from subtrace.evalharness import (
+    defended_corpus,
+    enumerate_subtrips,
+    paired_corpus,
+    plan_subtrip,
+    single_model_ensemble,
+)
 from subtrace.features import extract_batch
 from subtrace.infer import (
     FORWARD,
     REVERSE,
+    SpanPlan,
     TraceHypothesis,
     candidate_runs,
     rank_hypotheses,
@@ -196,14 +206,6 @@ class TestSegmentTolerance:
         got = (r.best.start_interval, r.best.direction, r.best.length)
         assert got == (lay.uids[0], lay.direction, lay.n_legs)
 
-    def test_ranked_is_ordered_and_typed(self, small_corpus, ensemble):
-        lay, series, pts = self._layout(small_corpus, 0)
-        r = decode(series, *lay.span, ensemble, small_corpus.network, pts, "full")
-        means = [h.mean_score for h, _ in r.ranked]
-        assert means == sorted(means, reverse=True)
-        for _, cuts in r.ranked:
-            assert list(cuts) == sorted(cuts)
-
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_same_result_in_recording_and_span_coordinates(self, small_corpus, ensemble, mode):
         # decoding [lo, hi) of the whole trip must match decoding a series that starts at lo
@@ -219,7 +221,6 @@ class TestSegmentTolerance:
                 assert whole.best == own.best
                 assert whole.best.score.hex() == own.best.score.hex()
                 assert (whole.points, whole.detected) == (own.points, own.detected)
-                assert whole.ranked == own.ranked
 
 
 def layout_stub(P, seg_len=10):
@@ -247,12 +248,11 @@ class TestDecodeSpan:
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
             plan, rows, points = layout_stub(P)
-            assert plan.segments() == set(rows)
+            assert set(plan.layout(plan.detected_cuts)) == set(rows)
             res = infer.infer_with_segment_tolerance(plan, rows)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
-            assert res.ranked == tuple((h, tuple(points)) for h in want[: infer.TOP_K])
             assert (res.points, res.detected) == (tuple(points), n)
 
     def test_reduced_equals_ranking_on_corpus(self, small_corpus, ensemble):
@@ -267,7 +267,7 @@ class TestDecodeSpan:
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
-            assert res.ranked == tuple((h, tuple(points)) for h in want[: infer.TOP_K])
+            assert res.points == tuple(points)
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_unscorable_span_is_a_result(self, small_corpus, ensemble, mode, monkeypatch):
@@ -283,5 +283,268 @@ class TestDecodeSpan:
         monkeypatch.setattr(features, "extract_batch", never)
         res = decode(series, 0, n, ensemble, small_corpus.network, points, mode)
         assert res.best is None
-        assert res.ranked == () and res.points == ()
+        assert res.points == ()
         assert res.detected == m + 3
+
+
+# --- the re-cut screen against a frozen exhaustive scorer ---------------------
+
+
+def every_segment(plan):
+    """Every segment some cut layout of ``plan`` makes: what an exhaustive decoder featurises."""
+    layouts = [cuts for _, _, cuts in plan.recuts]
+    if plan.detected_cuts is not None:
+        layouts.append(plan.detected_cuts)
+    return {seg for cuts in layouts for seg in plan.layout(cuts)}
+
+
+def exhaustive_decode(plan, rows):
+    """``(best, points)`` of ``plan`` with every layout scored, as the scorer did before screening.
+
+    The detected layout's three best hypotheses and every re-cut run compete
+    on mean score; ties go to the detected count, then the lower start, then
+    forward. ``rows`` must hold every segment's row.
+    """
+    def matrix_for(cuts):
+        bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
+        return np.array([rows[sp] for sp in zip(bounds[:-1], bounds[1:])])
+
+    scored = []
+    if plan.detected_cuts is not None:
+        for h in rank_hypotheses(matrix_for(plan.detected_cuts))[:3]:
+            scored.append((h, plan.detected_cuts))
+    for start, direction, cuts in plan.recuts:
+        score = score_run(matrix_for(cuts), start, direction)
+        h = TraceHypothesis(start, direction, len(cuts) + 1, score)
+        scored.append((h, cuts))
+    if not scored:
+        return None, ()
+    scored.sort(
+        key=lambda hc: (
+            -hc[0].mean_score,
+            abs(hc[0].length - plan.detected),
+            hc[0].start_interval,
+            hc[0].direction != FORWARD,
+        )
+    )
+    return scored[0]
+
+
+class ReadLog(dict):
+    """Probability rows that remember which of them the scorer read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, seg):
+        self.read.add(seg)
+        return super().__getitem__(seg)
+
+
+def assert_same_as_exhaustive(plan, rows, all_rows):
+    """The scorer, given its own rows or every row, matches the frozen scorer bit for bit."""
+    want_best, want_points = exhaustive_decode(plan, all_rows)
+    for given in (rows, all_rows):
+        res = infer.infer_with_segment_tolerance(plan, given)
+        assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
+        if want_best is not None:
+            assert res.best.score.hex() == want_best.score.hex()
+
+
+@pytest.fixture(scope="module")
+def noisy_corpora(small_corpus, small_config):
+    return {
+        "clean": small_corpus,
+        "defense": defended_corpus(small_corpus, small_config, 1.0)[0],
+        "shake": paired_corpus(small_config, hand_shake_amp=16.0),
+    }
+
+
+class TestScreenAgainstExhaustive:
+    """Screened two-round decoding picks what scoring every layout picks, featurising less."""
+
+    @pytest.mark.parametrize("setting", ["clean", "defense", "shake"])
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_six_interval_corpus(self, noisy_corpora, ensemble, setting, mode):
+        corpus = noisy_corpora[setting]
+        screened = exhaustive = 0
+        for trip, trace in enumerate(corpus.trips):
+            series = coord.transform(trace)
+            sts = [st for st in enumerate_subtrips(corpus, (2, 3, 5)) if st.trip == trip]
+            plans = [plan_subtrip(series, st, corpus.network, mode) for st in sts]
+            rows = infer.classify_segments(series, plans, ensemble)
+            segs = sorted(set().union(*(every_segment(p) for p in plans)))
+            X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
+            all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
+            assert rows.keys() <= all_rows.keys()
+            for plan in plans:
+                assert_same_as_exhaustive(plan, rows, all_rows)
+            screened += len(rows)
+            exhaustive += len(all_rows)
+        if mode == "reduced":
+            assert screened == exhaustive
+        elif setting == "clean":
+            assert screened < exhaustive
+
+    def test_unscreened_without_detected_cuts(self, small_corpus, ensemble):
+        # m + 1 segments: the detected layout fits no ride, so tau is -inf and every
+        # run of the n - 1 family is featurised and scored
+        m = small_corpus.network.num_intervals
+        lay = true_trip_layout(small_corpus.trips[0])
+        series = coord.transform(small_corpus.trips[0])
+        lo, hi = lay.span
+        points = [int(p) for p in np.linspace(0, hi - lo, m + 2)[1:-1]]
+        plan = infer.plan_span(series, lo, hi, small_corpus.network, points, "full")
+        assert plan.detected_cuts is None and len(plan.recuts) > 1
+        rows = infer.classify_segments(series, [plan], ensemble)
+        assert rows.keys() == every_segment(plan)
+        log = ReadLog(rows)
+        assert_same_as_exhaustive(plan, log, rows)
+        assert log.read == every_segment(plan)
+
+
+M = 6
+SPAN = 1200
+
+
+def stub_plan(detected, runs, m=M):
+    """A hand-built plan and its rows: ``detected`` rows (or ``None``) and re-cut runs.
+
+    ``runs`` holds ``(start, direction, rows)``. Layout r (0 the detected one,
+    r >= 1 the runs) of k rows cuts at j * (SPAN // k) + r, so no two layouts
+    share a segment unless both have one row.
+    """
+    all_rows = {}
+
+    def cut(r, layout_rows):
+        k = len(layout_rows)
+        cuts = tuple(j * (SPAN // k) + r for j in range(1, k))
+        bounds = [0, *cuts, SPAN]
+        for seg, row in zip(zip(bounds[:-1], bounds[1:]), layout_rows):
+            all_rows[seg] = np.asarray(row, dtype=float)
+        return cuts
+
+    detected_cuts = None if detected is None else cut(0, detected)
+    recuts = tuple((s, d, cut(r, rws)) for r, (s, d, rws) in enumerate(runs, start=1))
+    n = len(detected) if detected is not None else len(runs[0][2]) + 1
+    return SpanPlan(0, SPAN, n, detected_cuts, recuts), all_rows
+
+
+def onehot(col, p=1.0, m=M):
+    """A row with ``p`` at ``col`` and the rest spread evenly."""
+    row = np.full(m, (1.0 - p) / (m - 1))
+    row[col] = p
+    return row
+
+
+def run_segments(plan, r):
+    """The segments of re-cut run ``r`` (counting from 0), probe first."""
+    return plan.layout(plan.recuts[r][2])
+
+
+class TestScreenEdges:
+    """Plans built at the bound's edges, checked against the frozen exhaustive scorer."""
+
+    def decode_logged(self, plan, all_rows):
+        log = ReadLog(all_rows)
+        assert_same_as_exhaustive(plan, log, all_rows)
+        log.read.clear()
+        res = infer.infer_with_segment_tolerance(plan, log)
+        return res, log.read
+
+    def test_probe_of_one_is_kept_and_can_win(self):
+        # detected: 0.9 on the ride 0, 1, 2; run: probe p = 1.0 exactly, then certainty
+        detected = [onehot(j, 0.9) for j in range(3)]
+        runs = [(1, FORWARD, [onehot(1, 1.0), onehot(2, 1.0), onehot(3, 1.0), onehot(4, 1.0)])]
+        plan, rows = stub_plan(detected, runs)
+        res, read = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= read
+        assert (res.best.start_interval, res.best.length) == (1, 4)
+
+    def test_probe_of_one_is_kept_and_can_lose(self):
+        detected = [onehot(j, 0.9) for j in range(3)]
+        runs = [(1, FORWARD, [onehot(1, 1.0), onehot(0, 0.9), onehot(0, 0.9), onehot(0, 0.9)])]
+        plan, rows = stub_plan(detected, runs)
+        res, read = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= read
+        assert res.best.length == 3 and res.points == plan.detected_cuts
+
+    def test_probe_of_zero_is_ruled_out_unread(self):
+        # the run's other rows are certain, yet its zero probe alone proves it loses
+        detected = [onehot(j, 0.5) for j in range(3)]
+        runs = [(0, FORWARD, [onehot(1, 1.0), onehot(1, 1.0), onehot(2, 1.0), onehot(3, 1.0)])]
+        plan, rows = stub_plan(detected, runs)
+        assert rows[run_segments(plan, 0)[0]][0] == 0.0
+        res, read = self.decode_logged(plan, rows)
+        probe, *rest = run_segments(plan, 0)
+        assert probe in read and not read & set(rest)
+        assert res.points == plan.detected_cuts
+
+    def test_probe_of_zero_is_kept_when_it_can_still_win(self):
+        # a long run on a wide line: a zero probe spread over nine certain segments
+        # still beats a uniform detected layout of eight
+        m = 30
+        detected = [np.full(m, 1.0 / m)] * 8
+        runs = [(0, FORWARD, [onehot(1, 1.0, m)] + [onehot(j, 1.0, m) for j in range(1, 9)])]
+        plan, rows = stub_plan(detected, runs, m)
+        res, read = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= read
+        assert (res.best.start_interval, res.best.length) == (0, 9)
+
+    @pytest.mark.parametrize("offset, kept", [(-0.5, True), (-2.0, False)])
+    def test_band_edge(self, offset, kept, monkeypatch):
+        # a one-segment run scores its probe term alone; its bound sits just inside
+        # or just outside BAND below the detected best
+        detected = [onehot(j, 0.7) for j in range(2)]
+        tau = infer.rank_hypotheses(np.array(detected))[0].mean_score
+        p = math.exp(tau + offset * infer.BAND) - infer.LOG_EPS
+        plan, rows = stub_plan(detected, [(2, REVERSE, [onehot(2, p)])])
+        res, read = self.decode_logged(plan, rows)
+        assert (run_segments(plan, 0)[0] in read) and res.points == plan.detected_cuts
+        assert res.best.length == 2
+        # the run's only row is its probe: what shows the screen is whether it was scored
+        scored = []
+        real = infer.score_run
+        monkeypatch.setattr(
+            infer, "score_run", lambda P, s, d: scored.append((s, d, len(P))) or real(P, s, d)
+        )
+        infer.infer_with_segment_tolerance(plan, rows)
+        assert ((2, REVERSE, 1) in scored) == kept
+
+    def test_run_that_ties_the_detected_best_is_scored_and_loses_the_tie(self):
+        # uniform rows: a one-segment run's mean t equals the two-segment
+        # detected best's (t + t) / 2 exactly, so the detected count decides
+        uniform = np.full(M, 1.0 / M)
+        plan, rows = stub_plan([uniform, uniform], [(3, REVERSE, [uniform])])
+        tau = infer.rank_hypotheses(np.array([uniform, uniform]))[0].mean_score
+        assert tau == infer.score_run(np.array([uniform]), 3, REVERSE)
+        res, read = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= read
+        assert res.points == plan.detected_cuts
+        assert (res.best.start_interval, res.best.direction) == (0, FORWARD)
+
+    def test_tied_runs_break_toward_lower_start_then_forward(self):
+        # three runs of equal score beat a weak detected layout; the lower start wins,
+        # and at equal start forward beats reverse
+        weak = [onehot(0, 0.2), onehot(5, 0.2), onehot(0, 0.2)]
+        certain = [onehot(2, 1.0), onehot(3, 1.0)]
+        mirrored = [onehot(2, 1.0), onehot(1, 1.0)]
+        runs = [
+            (3, FORWARD, [onehot(3, 1.0), onehot(4, 1.0)]),
+            (2, REVERSE, mirrored),
+            (2, FORWARD, certain),
+        ]
+        plan, rows = stub_plan(weak, runs)
+        res, read = self.decode_logged(plan, rows)
+        assert all(set(run_segments(plan, r)) <= read for r in range(3))
+        assert (res.best.start_interval, res.best.direction) == (2, FORWARD)
+        assert res.points == plan.recuts[2][2]
+
+    def test_no_detected_cuts_screens_nothing(self):
+        # every probe is zero, yet without a detected best nothing is ruled out
+        runs = [(s, FORWARD, [onehot((s + 1) % M, 1.0), onehot(s + 1, 1.0)]) for s in range(3)]
+        plan, rows = stub_plan(None, runs)
+        res, read = self.decode_logged(plan, rows)
+        assert read == every_segment(plan)
+        assert res.best.start_interval == 0

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subtrace import coord, features, pipeline, segment
+from subtrace import coord, features, infer, pipeline, segment
 from subtrace.extract import classify_windows
 from subtrace.features import extract_batch
 from subtrace.model import Trace, TraceFormatError
@@ -393,10 +393,26 @@ class TestAttackTrace:
 
         monkeypatch.setattr(features, "extract_batch", logging_extract)
         report = attack_trace(day, attack_model, mode="full")
+        monkeypatch.undo()
         assert [s.get("intervals") for s in report["spans"]] == [[0, 1, 2], [5, 4, 3]]
-        # both rides' segments in one batch, each segment once
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) > 0
+        # both rides' segments in at most two batches, each segment once
+        assert 1 <= len(calls) <= 2
+        shared = [seg for call in calls for seg in call]
+        assert len(shared) == len(set(shared)) > 0
+        # only segments that decoding each ride alone featurises, and fewer samples
+        # than every cut layout's segments
+        series = coord.transform(day)
+        alone, exhaustive = set(), set()
+        for span in report["spans"]:
+            lo, hi = span["span"]
+            points, _ = segment.find_final_segment_points(series.hra[lo:hi], net)
+            plan = infer.plan_span(series, lo, hi, net, points, "full")
+            alone |= set(infer.classify_segments(series, [plan], attack_model.ensemble))
+            assert plan.detected_cuts is not None
+            for cuts in [plan.detected_cuts, *(cuts for _, _, cuts in plan.recuts)]:
+                exhaustive |= set(plan.layout(cuts))
+        assert set(shared) <= {series.enu[a:b].tobytes() for a, b in alone}
+        assert sum(map(len, shared)) < sum(series.enu[a:b].nbytes for a, b in exhaustive)
 
     def test_walk_only_trace_yields_nothing(self, small_config, attack_model):
         walk = gen_other_mode("walk", 120.0, small_config.noise, seed=9)
