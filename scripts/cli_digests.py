@@ -6,13 +6,15 @@ temporary directory, through the ``subtrace`` package in this checkout's
 full and reduced mode, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Those evaluation files
-hold only rounded accuracies, so three more lines follow: the digest of
+hold only rounded accuracies, so four more lines follow: the digest of
 every decoded subtrip of ``evalharness.evaluate_subtrips`` at lengths 1, 2
 and 3 with the trained model's ensemble, one ``trip start_leg length:
 start direction length score`` line per subtrip with the score as
 ``float.hex``, on the generated corpus in full and in reduced mode, then in
 full mode on that corpus under defense noise at factor 1.0
-(``evalharness.defended_corpus``), where re-cut runs win some spans. Then
+(``evalharness.defended_corpus``) and on its hand-shake-16 twin
+(``evalharness.paired_corpus`` with ``hand_shake_amp=16.0``), where re-cut
+runs win some spans. Then
 it prints every key path of ``model.json``, sorted, one ``model.json key``
 line each, with list indices collapsed
 (``ensemble.forest.trees[].probs``), so a change to the model format shows
@@ -142,12 +144,15 @@ def decoded_subtrips() -> None:
     """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode and corpus."""
     corpus = pipeline.load_corpus("corpus")
     ensemble = pipeline.AttackModel.load("model.json").ensemble
-    defended, _ = evalharness.defended_corpus(corpus, pipeline.PipelineConfig(**SMALL_CONFIG), 1.0)
+    config = pipeline.PipelineConfig(**SMALL_CONFIG)
+    defended, _ = evalharness.defended_corpus(corpus, config, 1.0)
+    shaken = evalharness.paired_corpus(config, hand_shake_amp=16.0)
     lengths = ",".join(map(str, EVAL_LENGTHS))
     for mode, which, decoded in (
         ("full", "", corpus),
         ("reduced", "", corpus),
         ("full", " defended 1.0", defended),
+        ("full", " hand shake 16", shaken),
     ):
         report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
         lines = [

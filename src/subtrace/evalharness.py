@@ -30,6 +30,7 @@ from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import extract_batch, fit_features
 from .infer import (
+    Screened,
     SpanPlan,
     TraceHypothesis,
     check_mode,
@@ -148,10 +149,14 @@ def plan_subtrip(
 
 
 def predict_subtrip(
-    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
+    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray], screened: Screened | None = None
 ) -> TraceHypothesis | None:
-    """Decode one planned subtrip from its trip's classified segments; ``None`` when no ride fits."""
-    return infer_with_segment_tolerance(plan, rows).best
+    """Decode one planned subtrip from its trip's classified segments; ``None`` when no ride fits.
+
+    ``screened`` is the plan's screen result from ``classify_segments``, as
+    ``infer_with_segment_tolerance`` takes it.
+    """
+    return infer_with_segment_tolerance(plan, rows, screened).best
 
 
 @dataclass
@@ -198,9 +203,9 @@ def evaluate_subtrips(
             by_model.setdefault(id(ensemble), []).append(i)
         hyps: list[TraceHypothesis | None] = [None] * len(group)
         for idx in by_model.values():
-            rows = classify_segments(series, [plans[i] for i in idx], ensembles[idx[0]])
-            for i in idx:
-                hyps[i] = predict_subtrip(plans[i], rows)
+            rows, screens = classify_segments(series, [plans[i] for i in idx], ensembles[idx[0]])
+            for i, screened in zip(idx, screens):
+                hyps[i] = predict_subtrip(plans[i], rows, screened)
         preds.extend(zip(group, hyps))
 
     correct = {L: 0 for L in lengths}

@@ -8,7 +8,8 @@ winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
 A recording is decoded in five phases, so that each segment it needs is
-featurised and classified once, in at most two batches:
+featurised and classified once, in at most two batches, and each plan is
+screened once:
 
 1. *Plan.* ``plan_span`` fixes every cut layout of one span, a ``[lo, hi)``
    range of the whole recording's samples: the detected cuts and, in "full"
@@ -20,14 +21,15 @@ featurised and classified once, in at most two batches:
    ``predict_matrix`` call.
 3. *Screen.* A re-cut run is ruled out when its probe alone proves that its
    mean per-segment score falls below the detected layout's best
-   (``_screen``, which proves the bound).
+   (``_screen``, which proves the bound). ``classify_segments`` screens
+   each plan once and returns the results with the rows.
 4. *Round 2.* The other segments of the runs that survive are featurised
    and classified in one more batch. Reduced mode plans no re-cuts, so it
    needs no second round.
-5. *Score.* ``infer_with_segment_tolerance``, the one scorer, applies the
-   same screen and decodes each plan from the probability rows; a span
-   that no hypothesis fits is a result whose ``best`` is ``None``, not an
-   error.
+5. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
+   plan from the probability rows and its screen result (given the rows
+   alone, it screens the plan itself); a span that no hypothesis fits is a
+   result whose ``best`` is ``None``, not an error.
 
 The attack and the evaluation harness both decode this way.
 """
@@ -104,15 +106,25 @@ def score_run(P: np.ndarray, start: int, direction: str) -> float:
 def rank_hypotheses(P: np.ndarray) -> list[TraceHypothesis]:
     """Score every feasible run against a row-stochastic (n, m) matrix, best first.
 
-    Ties break toward the lower start interval, forward before reverse.
+    All runs are scored at once: one gather from the matrix's log
+    probabilities gives a row of terms per run, in ``candidate_runs`` order,
+    and one row-wise sum adds them. Each score has ``score_run``'s bits,
+    since ``log`` is elementwise and numpy sums each contiguous row in the
+    same pairwise order as a 1-D array. Ties break toward the lower start
+    interval, forward before reverse.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     n, m = P.shape
     candidates = candidate_runs(n, m)
     if not candidates:
         raise ValueError(f"no feasible run of {n} segments on {m} intervals")
+    steps = np.arange(n)
+    forward = np.arange(m - n + 1)[:, None] + steps
+    # the reverse run from start s + n - 1 reads forward run s's columns backwards
+    cols = np.concatenate([forward, forward[:, ::-1]])
+    scores = np.log(P + LOG_EPS)[steps, cols].sum(axis=1)
     hyps = [
-        TraceHypothesis(s, d, n, score_run(P, s, d)) for s, d in candidates
+        TraceHypothesis(s, d, n, score) for (s, d), score in zip(candidates, scores.tolist())
     ]
     hyps.sort(key=lambda h: (-h.score, h.start_interval, h.direction != FORWARD))
     return hyps
@@ -182,6 +194,10 @@ class SpanPlan:
         bounds = [self.lo, *(self.lo + c for c in cuts), self.hi]
         return list(zip(bounds[:-1], bounds[1:]))
 
+    def probe(self, cuts: tuple[int, ...]) -> tuple[int, int]:
+        """The first segment ``cuts`` makes, ``layout(cuts)[0]``, without cutting the rest."""
+        return (self.lo, self.lo + cuts[0] if cuts else self.hi)
+
 
 def plan_span(
     series: EnuSeries,
@@ -224,9 +240,11 @@ def plan_span(
     return SpanPlan(lo, hi, n_detected, detected_cuts if use_detected else None, tuple(recuts))
 
 
-def _screen(
-    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
-) -> tuple[TraceHypothesis | None, tuple[tuple[int, str, tuple[int, ...]], ...]]:
+# a plan's screen result: the detected layout's best hypothesis and the re-cut runs kept
+Screened = tuple[TraceHypothesis | None, tuple[tuple[int, str, tuple[int, ...]], ...]]
+
+
+def _screen(plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]) -> Screened:
     """The detected layout's best hypothesis and the re-cut runs that could still beat it.
 
     Reads the rows of the detected layout's segments and of each re-cut
@@ -244,8 +262,12 @@ def _screen(
     Let e = 2 ** -44, sixteen units in the last place of a float below 32
     in magnitude. ``np.log`` is within 4 such units and one rounding within
     half a unit, so each float term, the probe's included, is within e / 2
-    of its real term. Summing a run's L float terms rounds by less than
-    (L - 1) L e / 16 and the division by L by e / 32, so its float mean
+    of its real term. A run's sum is one row of ``rank_hypotheses``'
+    row-wise sum or ``score_run``'s sum, both in numpy's pairwise order: L - 1
+    roundings, each of a partial sum of j <= L terms, below 32 j, so within
+    j e / 16. Left-to-right adding, with j = 2, ..., L, has the largest such
+    total of any order. Summing a run's L float terms therefore rounds by
+    less than (L - 1) L e / 16, and the division by L by e / 32, so its float mean
     exceeds the real (t + (L - 1) T_MAX) / L by less than e / 2 + L e / 16,
     t being the probe's real term. The screen's float bound is within e of
     that real bound. A ruled-out run's float mean is therefore below
@@ -258,7 +280,7 @@ def _screen(
     best = rank_hypotheses(_matrix(plan, plan.detected_cuts, rows))[0]
     if not plan.recuts:
         return best, ()
-    probe = np.array([rows[plan.layout(cuts)[0]][start] for start, _, cuts in plan.recuts])
+    probe = np.array([rows[plan.probe(cuts)][start] for start, _, cuts in plan.recuts])
     length = np.array([len(cuts) + 1 for _, _, cuts in plan.recuts])
     bound = (np.log(probe + LOG_EPS) + (length - 1) * T_MAX) / length
     keep = bound >= best.mean_score - BAND
@@ -274,16 +296,18 @@ def _matrix(
 
 def classify_segments(
     series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
-) -> dict[tuple[int, int], np.ndarray]:
-    """The probability row of every segment the plans' decoding reads, keyed by its ``[a, b)``.
+) -> tuple[dict[tuple[int, int], np.ndarray], list[Screened]]:
+    """The probability row of every segment the plans' decoding reads, and each plan's screen.
 
-    Two rounds, each one ``features.extract_batch`` call under
-    ``ensemble.config`` and one ``predict_matrix`` call over the distinct
-    segments not yet classified: round 1 takes every detected layout's
-    segments and every re-cut run's probe, round 2 the other segments of
-    the runs that ``_screen`` keeps. A segment that several layouts or
-    spans share is computed once; a round with nothing left to classify is
-    skipped, so plans that cut nothing classify nothing.
+    Rows are keyed by their segment's ``[a, b)``. Two rounds, each one
+    ``features.extract_batch`` call under ``ensemble.config`` and one
+    ``predict_matrix`` call over the distinct segments not yet classified:
+    round 1 takes every detected layout's segments and every re-cut run's
+    probe, round 2 the other segments of the runs that ``_screen`` keeps.
+    A segment that several layouts or spans share is computed once; a round
+    with nothing left to classify is skipped, so plans that cut nothing
+    classify nothing. The second value holds ``_screen``'s result for each
+    plan, in order, for ``infer_with_segment_tolerance``.
     """
     rows: dict[tuple[int, int], np.ndarray] = {}
 
@@ -297,29 +321,37 @@ def classify_segments(
     for plan in plans:
         if plan.detected_cuts is not None:
             first += plan.layout(plan.detected_cuts)
-        first += [plan.layout(cuts)[0] for _, _, cuts in plan.recuts]
+        first += [plan.probe(cuts) for _, _, cuts in plan.recuts]
     classify(first)
+    screens = [_screen(plan, rows) for plan in plans]
     classify(
-        seg for plan in plans for _, _, cuts in _screen(plan, rows)[1] for seg in plan.layout(cuts)
+        seg
+        for plan, (_, runs) in zip(plans, screens)
+        for _, _, cuts in runs
+        for seg in plan.layout(cuts)
     )
-    return rows
+    return rows, screens
 
 
 def infer_with_segment_tolerance(
-    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]
+    plan: SpanPlan,
+    rows: dict[tuple[int, int], np.ndarray],
+    screened: Screened | None = None,
 ) -> ToleranceResult:
     """Decode one planned span from the probability rows of its segments.
 
     ``rows`` maps each segment's ``[a, b)`` recording samples to its
     probability row, as ``classify_segments`` returns them; a row of a run
     that ``_screen`` rules out is never read, and given every row the result
-    is the same. The detected layout's best hypothesis (the first of
+    is the same. ``screened`` is the plan's screen result as
+    ``classify_segments`` returns it; without it the plan is screened here,
+    from ``rows``. The detected layout's best hypothesis (the first of
     ``rank_hypotheses``) and every re-cut run the screen keeps compete on
     mean per-segment score, with ties going to the layout that matches the
     detected count, then the lower start interval, then forward. When no
     layout fits, ``best`` is ``None``.
     """
-    detected_best, runs = _screen(plan, rows)
+    detected_best, runs = _screen(plan, rows) if screened is None else screened
     scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
     if detected_best is not None:
         scored.append((detected_best, plan.detected_cuts))

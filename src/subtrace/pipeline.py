@@ -443,10 +443,10 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
             }
         )
         plans.append(plan_span(series, lo, hi, model.network, points, mode))
-    rows = classify_segments(series, plans, model.ensemble)
+    rows, screens = classify_segments(series, plans, model.ensemble)
 
-    for entry, plan in zip(results, plans):
-        res = infer_with_segment_tolerance(plan, rows)
+    for entry, plan, screened in zip(results, plans, screens):
+        res = infer_with_segment_tolerance(plan, rows, screened)
         hyp = res.best
         if hyp is None:
             entry["error"] = "no feasible hypothesis for this span"

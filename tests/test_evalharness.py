@@ -158,9 +158,9 @@ def record_rounds(monkeypatch) -> list[list[list[tuple[bytes, object]]]]:
 
     def logging_classify(series, plans, ensemble):
         first = len(calls)
-        rows = real(series, plans, ensemble)
+        classified = real(series, plans, ensemble)
         rounds.append(calls[first:])
-        return rows
+        return classified
 
     monkeypatch.setattr(evalharness, "classify_segments", logging_classify)
     return rounds
@@ -187,8 +187,8 @@ def record_decoded(monkeypatch) -> list:
     results = []
     real = evalharness.infer_with_segment_tolerance
 
-    def logging_score(plan, rows):
-        results.append(real(plan, rows))
+    def logging_score(plan, rows, screened):
+        results.append(real(plan, rows, screened))
         return results[-1]
 
     monkeypatch.setattr(evalharness, "infer_with_segment_tolerance", logging_score)
@@ -198,9 +198,8 @@ def record_decoded(monkeypatch) -> list:
 def decode_alone(series, st, ensemble, network, mode):
     """One subtrip planned, featurised, classified and scored on its own."""
     plan = plan_subtrip(series, st, network, mode)
-    return infer.infer_with_segment_tolerance(
-        plan, infer.classify_segments(series, [plan], ensemble)
-    )
+    rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
+    return infer.infer_with_segment_tolerance(plan, rows, screened)
 
 
 def separate_results(corpus, ensemble_for, lengths, mode):

@@ -2,9 +2,12 @@
 
 brute_force_best re-derives the winning hypothesis with explicit id lists
 and scalar log sums, sharing no code with the ranking under test.
-exhaustive_decode is a frozen copy of the span scorer from before re-cut
-runs were screened: it scores every layout from every segment's row, so the
-screened two-round decoder must pick the same ride, cuts and score bits.
+frozen_score_run and frozen_rank are frozen copies of the scorer from before
+all runs of a matrix were scored as one array: one numpy sum per hypothesis,
+whose bits the array ranking must reproduce. exhaustive_decode is a frozen
+copy of the span scorer from before re-cut runs were screened, built on
+them: it scores every layout from every segment's row, so the screened
+two-round decoder must pick the same ride, cuts and score bits.
 """
 
 import math
@@ -12,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from dataclasses import replace
 
 from subtrace import coord, features, infer
 from subtrace.evalharness import (
@@ -31,7 +36,7 @@ from subtrace.infer import (
     rank_hypotheses,
     score_run,
 )
-from subtrace.pipeline import true_trip_layout
+from subtrace.pipeline import PipelineConfig, true_trip_layout
 from subtrace.segment import find_final_segment_points
 
 EPS = 1e-12
@@ -69,6 +74,47 @@ def brute_force_best(P) -> tuple[int, str, float]:
 def random_matrix(rng, n, m):
     P = rng.random((n, m))
     return P / P.sum(axis=1, keepdims=True)
+
+
+def frozen_score_run(P, start, direction):
+    """Log-likelihood of one run: a gather, a log and a sum of its own."""
+    n = len(P)
+    ride = range(start, start + n) if direction == FORWARD else range(start, start - n, -1)
+    return float(np.sum(np.log(P[np.arange(n), ride] + EPS)))
+
+
+def frozen_rank(P):
+    """Every feasible run scored one at a time, best first, ties to the lower start, then forward."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    n, m = P.shape
+    runs = [(s, FORWARD) for s in range(m - n + 1)] + [(s, REVERSE) for s in range(n - 1, m)]
+    hyps = [TraceHypothesis(s, d, n, frozen_score_run(P, s, d)) for s, d in runs]
+    hyps.sort(key=lambda h: (-h.score, h.start_interval, h.direction != FORWARD))
+    return hyps
+
+
+class TestArrayScoresMatchFrozenScorer:
+    """One row-wise sum over the gathered log terms gives every run the per-run sum's bits."""
+
+    @staticmethod
+    def ranked(hyps):
+        return [(h.start_interval, h.direction, h.length, h.score.hex()) for h in hyps]
+
+    @pytest.mark.parametrize("kind", ["random", "spiky", "uniform"])
+    def test_every_run_of_every_shape(self, kind):
+        # runs of 8 or more rows cross numpy's pairwise-sum block
+        rng = np.random.default_rng(407)
+        for m in range(1, 13):
+            for n in range(1, m + 1):
+                for _ in range(1 if kind == "uniform" else 4):
+                    if kind == "random":
+                        P = random_matrix(rng, n, m)
+                    elif kind == "spiky":
+                        P = np.zeros((n, m))
+                        P[np.arange(n), rng.integers(0, m, size=n)] = 1.0
+                    else:
+                        P = np.full((n, m), 1.0 / m)
+                    assert self.ranked(rank_hypotheses(P)) == self.ranked(frozen_rank(P))
 
 
 class TestCandidateRuns:
@@ -177,7 +223,8 @@ def ensemble(small_corpus, small_config):
 def decode(series, lo, hi, ensemble, network, points, mode):
     """Plan, classify and score samples ``[lo, hi)`` of ``series`` on their own."""
     plan = infer.plan_span(series, lo, hi, network, points, mode)
-    return infer.infer_with_segment_tolerance(plan, infer.classify_segments(series, [plan], ensemble))
+    rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
+    return infer.infer_with_segment_tolerance(plan, rows, screened)
 
 
 class TestSegmentTolerance:
@@ -303,7 +350,8 @@ def exhaustive_decode(plan, rows):
 
     The detected layout's three best hypotheses and every re-cut run compete
     on mean score; ties go to the detected count, then the lower start, then
-    forward. ``rows`` must hold every segment's row.
+    forward. Every run is scored one at a time by the frozen scorer.
+    ``rows`` must hold every segment's row.
     """
     def matrix_for(cuts):
         bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
@@ -311,10 +359,10 @@ def exhaustive_decode(plan, rows):
 
     scored = []
     if plan.detected_cuts is not None:
-        for h in rank_hypotheses(matrix_for(plan.detected_cuts))[:3]:
+        for h in frozen_rank(matrix_for(plan.detected_cuts))[:3]:
             scored.append((h, plan.detected_cuts))
     for start, direction, cuts in plan.recuts:
-        score = score_run(matrix_for(cuts), start, direction)
+        score = frozen_score_run(matrix_for(cuts), start, direction)
         h = TraceHypothesis(start, direction, len(cuts) + 1, score)
         scored.append((h, cuts))
     if not scored:
@@ -342,14 +390,44 @@ class ReadLog(dict):
         return super().__getitem__(seg)
 
 
-def assert_same_as_exhaustive(plan, rows, all_rows):
-    """The scorer, given its own rows or every row, matches the frozen scorer bit for bit."""
+def assert_same_as_exhaustive(plan, rows, all_rows, screened=None):
+    """The scorer matches the frozen scorer bit for bit.
+
+    It is given its own rows, every row, and its own rows with the plan's
+    screen result from ``classify_segments`` when ``screened`` is one.
+    """
     want_best, want_points = exhaustive_decode(plan, all_rows)
-    for given in (rows, all_rows):
-        res = infer.infer_with_segment_tolerance(plan, given)
+    calls = [(rows,), (all_rows,)] + ([(rows, screened)] if screened is not None else [])
+    for args in calls:
+        res = infer.infer_with_segment_tolerance(plan, *args)
         assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
         if want_best is not None:
             assert res.best.score.hex() == want_best.score.hex()
+
+
+def check_corpus(corpus, ensemble, lengths, mode):
+    """Decode every subtrip of ``corpus`` both ways; the counts of segments classified screened and exhaustively."""
+    screened = exhaustive = 0
+    for trip, trace in enumerate(corpus.trips):
+        series = coord.transform(trace)
+        sts = [st for st in enumerate_subtrips(corpus, lengths) if st.trip == trip]
+        plans = [plan_subtrip(series, st, corpus.network, mode) for st in sts]
+        rows, screens = infer.classify_segments(series, plans, ensemble)
+        segs = sorted(set().union(*(every_segment(p) for p in plans)))
+        X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
+        all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
+        assert rows.keys() <= all_rows.keys()
+        for plan, screen in zip(plans, screens):
+            assert_same_as_exhaustive(plan, rows, all_rows, screen)
+        screened += len(rows)
+        exhaustive += len(all_rows)
+    return screened, exhaustive
+
+
+@pytest.fixture(scope="module")
+def default_ensemble(acceptance_corpus):
+    """The default config's model, trained on every true cut of the default corpus."""
+    return single_model_ensemble(acceptance_corpus, PipelineConfig())
 
 
 @pytest.fixture(scope="module")
@@ -367,25 +445,21 @@ class TestScreenAgainstExhaustive:
     @pytest.mark.parametrize("setting", ["clean", "defense", "shake"])
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_six_interval_corpus(self, noisy_corpora, ensemble, setting, mode):
-        corpus = noisy_corpora[setting]
-        screened = exhaustive = 0
-        for trip, trace in enumerate(corpus.trips):
-            series = coord.transform(trace)
-            sts = [st for st in enumerate_subtrips(corpus, (2, 3, 5)) if st.trip == trip]
-            plans = [plan_subtrip(series, st, corpus.network, mode) for st in sts]
-            rows = infer.classify_segments(series, plans, ensemble)
-            segs = sorted(set().union(*(every_segment(p) for p in plans)))
-            X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
-            all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
-            assert rows.keys() <= all_rows.keys()
-            for plan in plans:
-                assert_same_as_exhaustive(plan, rows, all_rows)
-            screened += len(rows)
-            exhaustive += len(all_rows)
+        screened, exhaustive = check_corpus(noisy_corpora[setting], ensemble, (2, 3, 5), mode)
         if mode == "reduced":
             assert screened == exhaustive
         elif setting == "clean":
             assert screened < exhaustive
+
+    @pytest.mark.parametrize("setting", ["clean", "defense"])
+    def test_ten_interval_corpus(self, acceptance_corpus, default_ensemble, setting):
+        # the benchmark's traffic: the default line and model, lengths 3, 5 and 7, full mode
+        corpus = acceptance_corpus
+        if setting == "defense":
+            corpus = defended_corpus(corpus, PipelineConfig(), 1.0)[0]
+        few = replace(corpus, trips=corpus.trips[:3])
+        screened, exhaustive = check_corpus(few, default_ensemble, (3, 5, 7), "full")
+        assert screened < exhaustive
 
     def test_unscreened_without_detected_cuts(self, small_corpus, ensemble):
         # m + 1 segments: the detected layout fits no ride, so tau is -inf and every
@@ -397,7 +471,7 @@ class TestScreenAgainstExhaustive:
         points = [int(p) for p in np.linspace(0, hi - lo, m + 2)[1:-1]]
         plan = infer.plan_span(series, lo, hi, small_corpus.network, points, "full")
         assert plan.detected_cuts is None and len(plan.recuts) > 1
-        rows = infer.classify_segments(series, [plan], ensemble)
+        rows, _ = infer.classify_segments(series, [plan], ensemble)
         assert rows.keys() == every_segment(plan)
         log = ReadLog(rows)
         assert_same_as_exhaustive(plan, log, rows)

@@ -407,7 +407,7 @@ class TestAttackTrace:
             lo, hi = span["span"]
             points, _ = segment.find_final_segment_points(series.hra[lo:hi], net)
             plan = infer.plan_span(series, lo, hi, net, points, "full")
-            alone |= set(infer.classify_segments(series, [plan], attack_model.ensemble))
+            alone |= set(infer.classify_segments(series, [plan], attack_model.ensemble)[0])
             assert plan.detected_cuts is not None
             for cuts in [plan.detected_cuts, *(cuts for _, _, cuts in plan.recuts)]:
                 exhaustive |= set(plan.layout(cuts))
