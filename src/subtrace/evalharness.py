@@ -149,7 +149,7 @@ def plan_subtrip(
 
 
 def predict_subtrip(
-    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray], screened: Screened | None = None
+    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray], screened: Screened
 ) -> TraceHypothesis | None:
     """Decode one planned subtrip from its trip's classified segments; ``None`` when no ride fits.
 

@@ -27,9 +27,8 @@ screened once:
    and classified in one more batch. Reduced mode plans no re-cuts, so it
    needs no second round.
 5. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
-   plan from the probability rows and its screen result (given the rows
-   alone, it screens the plan itself); a span that no hypothesis fits is a
-   result whose ``best`` is ``None``, not an error.
+   plan from the probability rows and its screen result; a span that no
+   hypothesis fits is a result whose ``best`` is ``None``, not an error.
 
 The attack and the evaluation harness both decode this way.
 """
@@ -336,22 +335,21 @@ def classify_segments(
 def infer_with_segment_tolerance(
     plan: SpanPlan,
     rows: dict[tuple[int, int], np.ndarray],
-    screened: Screened | None = None,
+    screened: Screened,
 ) -> ToleranceResult:
     """Decode one planned span from the probability rows of its segments.
 
     ``rows`` maps each segment's ``[a, b)`` recording samples to its
-    probability row, as ``classify_segments`` returns them; a row of a run
-    that ``_screen`` rules out is never read, and given every row the result
-    is the same. ``screened`` is the plan's screen result as
-    ``classify_segments`` returns it; without it the plan is screened here,
-    from ``rows``. The detected layout's best hypothesis (the first of
+    probability row and ``screened`` is the plan's ``_screen`` result, both
+    as ``classify_segments`` returns them; a row of a run that the screen
+    rules out is never read, and given every row the result is the same.
+    The detected layout's best hypothesis (the first of
     ``rank_hypotheses``) and every re-cut run the screen keeps compete on
     mean per-segment score, with ties going to the layout that matches the
     detected count, then the lower start interval, then forward. When no
     layout fits, ``best`` is ``None``.
     """
-    detected_best, runs = _screen(plan, rows) if screened is None else screened
+    detected_best, runs = screened
     scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
     if detected_best is not None:
         scored.append((detected_best, plan.detected_cuts))

@@ -329,7 +329,7 @@ class TestPredictSubtripOutcome:
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
         plan = plan_subtrip(series, st, small_corpus.network, mode)
         assert plan.detected_cuts is None and plan.recuts == ()
-        assert predict_subtrip(plan, {}) is None
+        assert predict_subtrip(plan, {}, (None, ())) is None
         corpus = replace(small_corpus, trips=small_corpus.trips[:1])
         report = evaluate_subtrips(corpus, lambda _: small_ensemble, (3,), mode=mode)
         hyps = [hyp for _, hyp in report.predictions]

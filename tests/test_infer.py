@@ -220,6 +220,11 @@ def ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
+def screen_and_decode(plan, rows):
+    """Screen ``plan`` from ``rows`` and decode it, as ``classify_segments`` and the scorer do."""
+    return infer.infer_with_segment_tolerance(plan, rows, infer._screen(plan, rows))
+
+
 def decode(series, lo, hi, ensemble, network, points, mode):
     """Plan, classify and score samples ``[lo, hi)`` of ``series`` on their own."""
     plan = infer.plan_span(series, lo, hi, network, points, mode)
@@ -296,7 +301,7 @@ class TestDecodeSpan:
             P = random_matrix(rng, n, m)
             plan, rows, points = layout_stub(P)
             assert set(plan.layout(plan.detected_cuts)) == set(rows)
-            res = infer.infer_with_segment_tolerance(plan, rows)
+            res = screen_and_decode(plan, rows)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -390,16 +395,17 @@ class ReadLog(dict):
         return super().__getitem__(seg)
 
 
-def assert_same_as_exhaustive(plan, rows, all_rows, screened=None):
+def assert_same_as_exhaustive(plan, rows, all_rows, screened):
     """The scorer matches the frozen scorer bit for bit.
 
-    It is given its own rows, every row, and its own rows with the plan's
-    screen result from ``classify_segments`` when ``screened`` is one.
+    It is given its own rows with ``screened``, the plan's screen result
+    from them, and every row with the plan screened from every row.
     """
     want_best, want_points = exhaustive_decode(plan, all_rows)
-    calls = [(rows,), (all_rows,)] + ([(rows, screened)] if screened is not None else [])
-    for args in calls:
-        res = infer.infer_with_segment_tolerance(plan, *args)
+    for res in (
+        infer.infer_with_segment_tolerance(plan, rows, screened),
+        screen_and_decode(plan, all_rows),
+    ):
         assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
         if want_best is not None:
             assert res.best.score.hex() == want_best.score.hex()
@@ -471,10 +477,10 @@ class TestScreenAgainstExhaustive:
         points = [int(p) for p in np.linspace(0, hi - lo, m + 2)[1:-1]]
         plan = infer.plan_span(series, lo, hi, small_corpus.network, points, "full")
         assert plan.detected_cuts is None and len(plan.recuts) > 1
-        rows, _ = infer.classify_segments(series, [plan], ensemble)
+        rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
         assert rows.keys() == every_segment(plan)
         log = ReadLog(rows)
-        assert_same_as_exhaustive(plan, log, rows)
+        assert_same_as_exhaustive(plan, log, rows, screened)
         assert log.read == every_segment(plan)
 
 
@@ -522,9 +528,9 @@ class TestScreenEdges:
 
     def decode_logged(self, plan, all_rows):
         log = ReadLog(all_rows)
-        assert_same_as_exhaustive(plan, log, all_rows)
+        assert_same_as_exhaustive(plan, log, all_rows, infer._screen(plan, log))
         log.read.clear()
-        res = infer.infer_with_segment_tolerance(plan, log)
+        res = screen_and_decode(plan, log)
         return res, log.read
 
     def test_probe_of_one_is_kept_and_can_win(self):
@@ -583,7 +589,7 @@ class TestScreenEdges:
         monkeypatch.setattr(
             infer, "score_run", lambda P, s, d: scored.append((s, d, len(P))) or real(P, s, d)
         )
-        infer.infer_with_segment_tolerance(plan, rows)
+        screen_and_decode(plan, rows)
         assert ((2, REVERSE, 1) in scored) == kept
 
     def test_run_that_ties_the_detected_best_is_scored_and_loses_the_tie(self):
