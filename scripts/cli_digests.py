@@ -3,7 +3,11 @@
 The run uses the six-interval configuration the CLI tests use, in a
 temporary directory, through the ``subtrace`` package in this checkout's
 ``src``: it generates a corpus, trains a model, attacks trips 0, 1 and 5 in
-full and reduced mode, bootstraps a model (printing its exit code) and
+full and reduced mode, attacks in both modes a mixed day on the same line
+that holds two rides (``write_two_ride_day``: stillness, a forward ride
+over intervals 0-2, a walk, a reverse ride over intervals 5-3, stillness),
+whose report holds several spans of one recording, in order, each with its
+segmenter warning, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Those evaluation files
 hold only rounded accuracies, so four more lines follow: the digest of
@@ -51,7 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subtrace import cli, evalharness, pipeline  # noqa: E402
-from subtrace.simgen import load_profiles, save_profiles  # noqa: E402
+from subtrace.model import save_trace  # noqa: E402
+from subtrace.simgen import gen_mixed_day, load_profiles, save_profiles  # noqa: E402
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -114,16 +119,38 @@ def run(argv: list[str], stdout_file: str | None = None, ok=(cli.EXIT_OK,)) -> i
     return code
 
 
+def write_two_ride_day(path: str) -> None:
+    """Write a seed-57 day on the generated corpus's line: two three-interval rides, one each way."""
+    corpus = pipeline.load_corpus("corpus")
+    net = corpus.network
+    day = gen_mixed_day(
+        [
+            ("static", 90.0),
+            ("trip", {"start_interval": 0, "length": 3}),
+            ("walk", 180.0),
+            ("trip", {"start_interval": net.directed(5, "reverse"), "length": 3}),
+            ("static", 90.0),
+        ],
+        pipeline.PipelineConfig(**SMALL_CONFIG).noise,
+        seed=57,
+        network=net,
+        profiles=corpus.profiles,
+    )
+    save_trace(day, path)
+
+
 def run_commands() -> int:
     """Run every command in the current directory; returns bootstrap's exit code."""
     Path("config.json").write_text(json.dumps(SMALL_CONFIG))
     cfg = ["--config", "config.json"]
     run(["generate", "--out", "corpus", *cfg], stdout_file="generate.out")
     run(["train", "--corpus", "corpus", "--out", "model.json", *cfg], stdout_file="train.out")
-    for i in TRIPS:
-        trace = f"corpus/trips/trip_{i:03d}.jsonl"
+    write_two_ride_day("two_ride_day.jsonl")
+    traces = {f"{i:03d}": f"corpus/trips/trip_{i:03d}.jsonl" for i in TRIPS}
+    traces["two_ride_day"] = "two_ride_day.jsonl"
+    for name, trace in traces.items():
         for mode in ("full", "reduced"):
-            out = f"attack_{mode}_{i:03d}.json"
+            out = f"attack_{mode}_{name}.json"
             run(["attack", "--model", "model.json", "--trace", trace, "--mode", mode, "--out", out])
     code = run(
         ["bootstrap", "--corpus", "corpus", "--out", "boot.json",

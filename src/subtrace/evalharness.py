@@ -2,13 +2,12 @@
 
 Supervised: leave-one-trip-out, scoring every contiguous subtrip of a few
 fixed lengths cut at the true dwell centers; a prediction counts only if
-start interval, direction, and length all match. Each subtrip is cut by
-the attack's own segmenter and planned and decoded in its trip's sample
-coordinates, as the attack decodes a span (``infer``): the cut layouts of a
-trip's subtrips are planned first, then the distinct segments their decoding
-needs from the trip's ``(n, 3)`` earth-frame array are featurised and
-classified in at most two batches per (trip, model), and then each subtrip
-is scored from those rows.
+start interval, direction, and length all match. Each subtrip is decoded
+in its trip's sample coordinates as the attack decodes a ride, by
+``infer.decode_spans``: one call per (trip, model) segments and plans the
+trip's subtrips, featurises and classifies the distinct segments their
+decoding needs from the trip's ``(n, 3)`` earth-frame array in at most two
+batches, and scores each subtrip from those rows.
 Cut points are scored against the true dwell centres within the fixed
 ``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
@@ -29,16 +28,8 @@ import numpy as np
 from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import extract_batch, fit_features
-from .infer import (
-    Screened,
-    SpanPlan,
-    TraceHypothesis,
-    check_mode,
-    classify_segments,
-    infer_with_segment_tolerance,
-    plan_span,
-)
-from .model import FORWARD, REVERSE, MetroNetwork, is_integer
+from .infer import ToleranceResult, TraceHypothesis, check_mode, decode_spans
+from .model import FORWARD, REVERSE, is_integer
 from .pipeline import (
     Corpus,
     PipelineConfig,
@@ -136,27 +127,10 @@ def enumerate_subtrips(corpus: Corpus, lengths: tuple[int, ...]) -> list[Subtrip
     return subtrips
 
 
-def plan_subtrip(
-    series: coord.EnuSeries, st: Subtrip, network: MetroNetwork, mode: str
-) -> SpanPlan:
-    """Segment one subtrip of the trip ``series`` and plan its cut layouts.
-
-    An unknown ``mode`` raises ``ValueError``.
-    """
-    lo, hi = st.span
-    points, _ = segment.find_final_segment_points(series.hra[lo:hi], network)
-    return plan_span(series, lo, hi, network, points, mode)
-
-
-def predict_subtrip(
-    plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray], screened: Screened
-) -> TraceHypothesis | None:
-    """Decode one planned subtrip from its trip's classified segments; ``None`` when no ride fits.
-
-    ``screened`` is the plan's screen result from ``classify_segments``, as
-    ``infer_with_segment_tolerance`` takes it.
-    """
-    return infer_with_segment_tolerance(plan, rows, screened).best
+# a step of its own only because the benchmark's tracer times it by this name, once per subtrip
+def predict_subtrip(result: ToleranceResult) -> TraceHypothesis | None:
+    """The ride a decoded subtrip names; ``None`` when no ride fits."""
+    return result.best
 
 
 @dataclass
@@ -194,18 +168,17 @@ def evaluate_subtrips(
     preds: list[tuple[Subtrip, TraceHypothesis | None]] = []
     for trip, group in itertools.groupby(enumerate_subtrips(corpus, lengths), lambda st: st.trip):
         group = list(group)
-        series = series_by_trip[trip]
         ensembles = [ensemble_for(st.trip) for st in group]
-        plans = [plan_subtrip(series, st, corpus.network, mode) for st in group]
-        # one classify_segments call per (trip, model); the list above keeps every id in use
+        # one decode_spans call per (trip, model); the list above keeps every id in use
         by_model: dict[int, list[int]] = {}
         for i, ensemble in enumerate(ensembles):
             by_model.setdefault(id(ensemble), []).append(i)
         hyps: list[TraceHypothesis | None] = [None] * len(group)
         for idx in by_model.values():
-            rows, screens = classify_segments(series, [plans[i] for i in idx], ensembles[idx[0]])
-            for i, screened in zip(idx, screens):
-                hyps[i] = predict_subtrip(plans[i], rows, screened)
+            spans, ensemble = [group[i].span for i in idx], ensembles[idx[0]]
+            decoded = decode_spans(series_by_trip[trip], spans, corpus.network, ensemble, mode)
+            for i, (result, _) in zip(idx, decoded):
+                hyps[i] = predict_subtrip(result)
         preds.extend(zip(group, hyps))
 
     correct = {L: 0 for L in lengths}
@@ -454,14 +427,7 @@ def defended_corpus(corpus: Corpus, config: PipelineConfig, factor: float = DEFE
         apply_defense_noise(t, amp, child_seed(config.seed, 9, ti))
         for ti, t in enumerate(corpus.trips)
     ]
-    guarded = Corpus(
-        network=corpus.network,
-        profiles=corpus.profiles,
-        trips=defended,
-        modes=corpus.modes,
-        manifest=corpus.manifest,
-    )
-    return guarded, amp
+    return replace(corpus, trips=defended), amp
 
 
 def mode_agreement(

@@ -21,8 +21,8 @@ its pooled absolute values, by numpy's linear rule, bit for bit;
 ``model.percentiles`` places each order statistic they need with a
 single-kth partition of the pooled array. An attack or an evaluation
 featurises the distinct segments it needs from one recording in at most
-two ``extract_batch`` calls (``infer.classify_segments``), each segment
-once, so nothing here remembers a segment between calls.
+two ``extract_batch`` calls (``infer.decode_spans``), each segment once,
+so nothing here remembers a segment between calls.
 
 A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is

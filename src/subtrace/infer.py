@@ -7,30 +7,33 @@ across the per-segment distributions, a deterministic tie-break picks the
 winner, and an optional tolerance pass re-cuts the span under the n-1 and n+1
 hypotheses in case the segmenter missed or invented one stop.
 
-A recording is decoded in five phases, so that each segment it needs is
+``decode_spans`` decodes every span of one recording, each a ``[lo, hi)``
+range of its samples, in six phases, so that each segment it needs is
 featurised and classified once, in at most two batches, and each plan is
 screened once:
 
-1. *Plan.* ``plan_span`` fixes every cut layout of one span, a ``[lo, hi)``
-   range of the whole recording's samples: the detected cuts and, in "full"
-   mode, one re-cut layout per candidate run of the n-1 and n+1 families.
-   "reduced" mode plans the detected layout alone.
-2. *Round 1.* ``classify_segments`` featurises the detected layouts'
-   segments and each re-cut run's first segment, its *probe*, in one
+1. *Segment.* ``segment.find_final_segment_points`` cuts each span at its
+   dwells.
+2. *Plan.* ``plan_span`` fixes every cut layout of one span: the detected
+   cuts and, in "full" mode, one re-cut layout per candidate run of the n-1
+   and n+1 families. "reduced" mode plans the detected layout alone.
+3. *Round 1.* ``_classify`` featurises the detected layouts' segments and
+   each re-cut run's first segment, its *probe*, in one
    ``features.extract_batch`` call and classifies them in one
    ``predict_matrix`` call.
-3. *Screen.* A re-cut run is ruled out when its probe alone proves that its
+4. *Screen.* A re-cut run is ruled out when its probe alone proves that its
    mean per-segment score falls below the detected layout's best
-   (``_screen``, which proves the bound). ``classify_segments`` screens
-   each plan once and returns the results with the rows.
-4. *Round 2.* The other segments of the runs that survive are featurised
+   (``_screen``, which proves the bound). ``_classify`` screens each plan
+   once and returns the results with the rows.
+5. *Round 2.* The other segments of the runs that survive are featurised
    and classified in one more batch. Reduced mode plans no re-cuts, so it
    needs no second round.
-5. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
+6. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
    plan from the probability rows and its screen result; a span that no
    hypothesis fits is a result whose ``best`` is ``None``, not an error.
 
-The attack and the evaluation harness both decode this way.
+The attack decodes a recording's extracted rides, and the evaluation
+harness a trip's subtrips, through ``decode_spans`` alone.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features
+from . import features, segment
 from .classify import IntervalEnsemble
 from .coord import EnuSeries
 from .model import FORWARD, REVERSE, MetroNetwork
@@ -293,7 +296,7 @@ def _matrix(
     return np.array([rows[seg] for seg in plan.layout(cuts)])
 
 
-def classify_segments(
+def _classify(
     series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
 ) -> tuple[dict[tuple[int, int], np.ndarray], list[Screened]]:
     """The probability row of every segment the plans' decoding reads, and each plan's screen.
@@ -341,7 +344,7 @@ def infer_with_segment_tolerance(
 
     ``rows`` maps each segment's ``[a, b)`` recording samples to its
     probability row and ``screened`` is the plan's ``_screen`` result, both
-    as ``classify_segments`` returns them; a row of a run that the screen
+    as ``_classify`` returns them; a row of a run that the screen
     rules out is never read, and given every row the result is the same.
     The detected layout's best hypothesis (the first of
     ``rank_hypotheses``) and every re-cut run the screen keeps compete on
@@ -370,6 +373,31 @@ def infer_with_segment_tolerance(
         ),
     )
     return ToleranceResult(best=best, points=best_cuts, detected=plan.detected)
+
+
+def decode_spans(
+    series: EnuSeries,
+    spans: list[tuple[int, int]],
+    network: MetroNetwork,
+    ensemble: IntervalEnsemble,
+    mode: str,
+) -> list[tuple[ToleranceResult, bool]]:
+    """Each ``[lo, hi)`` span of ``series`` decoded, with its segmenter warning, in span order.
+
+    Every span is segmented and planned first, so that the spans' segments
+    are featurised and classified together, in at most two batches. An
+    unknown ``mode`` raises ``ValueError`` when the first span is planned.
+    """
+    plans, warnings = [], []
+    for lo, hi in spans:
+        points, warn = segment.find_final_segment_points(series.hra[lo:hi], network)
+        plans.append(plan_span(series, lo, hi, network, points, mode))
+        warnings.append(bool(warn))
+    rows, screens = _classify(series, plans, ensemble)
+    return [
+        (infer_with_segment_tolerance(plan, rows, screened), warn)
+        for plan, screened, warn in zip(plans, screens, warnings)
+    ]
 
 
 def check_mode(mode: str) -> None:

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import coord, segment
+from . import coord
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .extract import ModeModel, extract_spans, fit_thresholds, train_mode_classifier, window_features
 from .features import fit_features
-from .infer import check_mode, classify_segments, infer_with_segment_tolerance, plan_span
+from .infer import check_mode, decode_spans
 from .model import (
     FORWARD,
     REVERSE,
@@ -429,24 +429,19 @@ def attack_trace(trace: Trace, model: AttackModel, mode: str = "full") -> dict:
     series = coord.transform(trace)
     spans = extract_spans(series.hra, model.mode_model, mode_window_size(model.network))
 
-    # plan every span first, so the whole trace is featurised and classified in at most two batches
-    results, plans = [], []
-    for span in spans:
+    decoded = decode_spans(
+        series, [(s.start, s.end) for s in spans], model.network, model.ensemble, mode
+    )
+    results = []
+    for span, (res, warn) in zip(spans, decoded):
         lo, hi = span.start, span.end
-        points, warn = segment.find_final_segment_points(series.hra[lo:hi], model.network)
-        results.append(
-            {
-                "span": [int(lo), int(hi)],
-                "t_start": float(trace.t[lo]),
-                "t_end": float(trace.t[hi - 1]),
-                "warning": bool(warn),
-            }
-        )
-        plans.append(plan_span(series, lo, hi, model.network, points, mode))
-    rows, screens = classify_segments(series, plans, model.ensemble)
-
-    for entry, plan, screened in zip(results, plans, screens):
-        res = infer_with_segment_tolerance(plan, rows, screened)
+        entry = {
+            "span": [int(lo), int(hi)],
+            "t_start": float(trace.t[lo]),
+            "t_end": float(trace.t[hi - 1]),
+            "warning": warn,
+        }
+        results.append(entry)
         hyp = res.best
         if hyp is None:
             entry["error"] = "no feasible hypothesis for this span"

@@ -22,7 +22,6 @@ from subtrace.evalharness import (
     edit_distance,
     enumerate_subtrips,
     evaluate_subtrips,
-    plan_subtrip,
     predict_subtrip,
     single_model_ensemble,
 )
@@ -150,19 +149,19 @@ def record_featurised(monkeypatch) -> list[list[tuple[bytes, object]]]:
 
 
 def record_rounds(monkeypatch) -> list[list[list[tuple[bytes, object]]]]:
-    """Patch the batch extractor and the harness's classifier to log each
-    ``classify_segments`` call as the list of its ``extract_batch`` calls."""
+    """Patch the batch extractor and the harness's decoder to log each
+    ``decode_spans`` call as the list of its ``extract_batch`` calls."""
     calls = record_featurised(monkeypatch)
     rounds = []
-    real = evalharness.classify_segments
+    real = evalharness.decode_spans
 
-    def logging_classify(series, plans, ensemble):
+    def logging_decode(*args):
         first = len(calls)
-        classified = real(series, plans, ensemble)
+        decoded = real(*args)
         rounds.append(calls[first:])
-        return classified
+        return decoded
 
-    monkeypatch.setattr(evalharness, "classify_segments", logging_classify)
+    monkeypatch.setattr(evalharness, "decode_spans", logging_decode)
     return rounds
 
 
@@ -174,7 +173,9 @@ def every_segment_bytes(corpus, lengths, mode) -> set[bytes]:
         for st in enumerate_subtrips(corpus, lengths):
             if st.trip != trip:
                 continue
-            plan = plan_subtrip(series, st, corpus.network, mode)
+            lo, hi = st.span
+            points, _ = segment.find_final_segment_points(series.hra[lo:hi], corpus.network)
+            plan = infer.plan_span(series, lo, hi, corpus.network, points, mode)
             layouts = [cuts for _, _, cuts in plan.recuts]
             if plan.detected_cuts is not None:
                 layouts.append(plan.detected_cuts)
@@ -185,21 +186,20 @@ def every_segment_bytes(corpus, lengths, mode) -> set[bytes]:
 def record_decoded(monkeypatch) -> list:
     """Patch the scorer to log the ``ToleranceResult`` of every subtrip the harness decodes."""
     results = []
-    real = evalharness.infer_with_segment_tolerance
+    real = infer.infer_with_segment_tolerance
 
     def logging_score(plan, rows, screened):
         results.append(real(plan, rows, screened))
         return results[-1]
 
-    monkeypatch.setattr(evalharness, "infer_with_segment_tolerance", logging_score)
+    monkeypatch.setattr(infer, "infer_with_segment_tolerance", logging_score)
     return results
 
 
 def decode_alone(series, st, ensemble, network, mode):
-    """One subtrip planned, featurised, classified and scored on its own."""
-    plan = plan_subtrip(series, st, network, mode)
-    rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
-    return infer.infer_with_segment_tolerance(plan, rows, screened)
+    """One subtrip decoded on its own."""
+    [(result, _)] = infer.decode_spans(series, [st.span], network, ensemble, mode)
+    return result
 
 
 def separate_results(corpus, ensemble_for, lengths, mode):
@@ -327,9 +327,11 @@ class TestPredictSubtripOutcome:
         st = enumerate_subtrips(small_corpus, (3,))[0]
         series = coord.transform(small_corpus.trips[st.trip])
         monkeypatch.setattr(segment, "find_final_segment_points", too_many_cuts)
-        plan = plan_subtrip(series, st, small_corpus.network, mode)
-        assert plan.detected_cuts is None and plan.recuts == ()
-        assert predict_subtrip(plan, {}, (None, ())) is None
+        [(result, _)] = infer.decode_spans(
+            series, [st.span], small_corpus.network, small_ensemble, mode
+        )
+        assert result == infer.ToleranceResult(best=None, points=(), detected=m + 3)
+        assert predict_subtrip(result) is None
         corpus = replace(small_corpus, trips=small_corpus.trips[:1])
         report = evaluate_subtrips(corpus, lambda _: small_ensemble, (3,), mode=mode)
         hyps = [hyp for _, hyp in report.predictions]
@@ -353,21 +355,22 @@ class TestUnknownModeRejected:
     """A mode other than "full" or "reduced" used to score reduced mode silently."""
 
     @pytest.mark.parametrize("mode", BAD_MODES)
-    def test_predict_subtrip(self, small_corpus, mode):
-        # a subtrip is predicted from its plan, and planning refuses the mode
+    def test_predict_subtrip(self, small_corpus, small_ensemble, mode):
+        # a subtrip is predicted from its decoded span, and planning the span refuses the mode
         st = enumerate_subtrips(small_corpus, (3,))[0]
         series = coord.transform(small_corpus.trips[st.trip])
         with pytest.raises(ValueError, match="unknown attack mode"):
-            plan_subtrip(series, st, small_corpus.network, mode)
+            infer.decode_spans(series, [st.span], small_corpus.network, small_ensemble, mode)
 
     @pytest.mark.parametrize("mode", BAD_MODES)
     def test_evaluate_subtrips_scores_nothing(
         self, small_corpus, small_ensemble, mode, monkeypatch
     ):
+        # refused up front: planning a span refuses the mode too, but only after segmenting it
         def never(*args, **kwargs):
-            pytest.fail("a subtrip was scored under an unknown mode")
+            pytest.fail("a subtrip was segmented under an unknown mode")
 
-        monkeypatch.setattr(evalharness, "predict_subtrip", never)
+        monkeypatch.setattr(segment, "find_final_segment_points", never)
         with pytest.raises(ValueError, match="unknown attack mode"):
             evaluate_subtrips(small_corpus, lambda _: small_ensemble, (3,), mode=mode)
 
@@ -380,8 +383,8 @@ class TestBadLengthsRejected:
         self, small_corpus, small_ensemble, lengths, monkeypatch
     ):
         def never(*args, **kwargs):
-            pytest.fail("a subtrip was scored under bad lengths")
+            pytest.fail("a subtrip was segmented under bad lengths")
 
-        monkeypatch.setattr(evalharness, "predict_subtrip", never)
+        monkeypatch.setattr(segment, "find_final_segment_points", never)
         with pytest.raises(ValueError, match="subtrip lengths must be distinct and at least 1"):
             evaluate_subtrips(small_corpus, lambda _: small_ensemble, lengths)

@@ -18,12 +18,11 @@ import pytest
 
 from dataclasses import replace
 
-from subtrace import coord, features, infer
+from subtrace import coord, features, infer, segment
 from subtrace.evalharness import (
     defended_corpus,
     enumerate_subtrips,
     paired_corpus,
-    plan_subtrip,
     single_model_ensemble,
 )
 from subtrace.features import extract_batch
@@ -221,15 +220,22 @@ def ensemble(small_corpus, small_config):
 
 
 def screen_and_decode(plan, rows):
-    """Screen ``plan`` from ``rows`` and decode it, as ``classify_segments`` and the scorer do."""
+    """Screen ``plan`` from ``rows`` and decode it, as ``_classify`` and the scorer do."""
     return infer.infer_with_segment_tolerance(plan, rows, infer._screen(plan, rows))
 
 
 def decode(series, lo, hi, ensemble, network, points, mode):
-    """Plan, classify and score samples ``[lo, hi)`` of ``series`` on their own."""
+    """Decode samples ``[lo, hi)`` of ``series`` alone, planned at the given ``points``."""
     plan = infer.plan_span(series, lo, hi, network, points, mode)
-    rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
+    rows, (screened,) = infer._classify(series, [plan], ensemble)
     return infer.infer_with_segment_tolerance(plan, rows, screened)
+
+
+def plan_detected(series, span, network, mode):
+    """Plan ``span`` of ``series`` at the segmenter's own cuts, as ``decode_spans`` plans it."""
+    lo, hi = span
+    points, _ = find_final_segment_points(series.hra[lo:hi], network)
+    return infer.plan_span(series, lo, hi, network, points, mode)
 
 
 class TestSegmentTolerance:
@@ -273,6 +279,33 @@ class TestSegmentTolerance:
                 assert whole.best == own.best
                 assert whole.best.score.hex() == own.best.score.hex()
                 assert (whole.points, whole.detected) == (own.points, own.detected)
+
+
+class TestDecodeSpans:
+    """``decode_spans`` decodes each span as planning, classifying and scoring it alone would."""
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_each_span_as_if_decoded_alone(self, small_corpus, ensemble, mode, monkeypatch):
+        network = small_corpus.network
+        series = coord.transform(small_corpus.trips[0])
+        # overlapping subtrips of one trip, longest first, so span order is not sample order
+        spans = [st.span for st in enumerate_subtrips(small_corpus, (2, 3)) if st.trip == 0][::-1]
+        segmented = []
+
+        def logging_segmenter(hra, net):
+            segmented.append(len(hra))
+            return find_final_segment_points(hra, net)
+
+        monkeypatch.setattr(segment, "find_final_segment_points", logging_segmenter)
+        decoded = infer.decode_spans(series, spans, network, ensemble, mode)
+        assert segmented == [hi - lo for lo, hi in spans]
+        assert len(decoded) == len(spans)
+        for (lo, hi), (res, warn) in zip(spans, decoded):
+            points, want_warn = find_final_segment_points(series.hra[lo:hi], network)
+            want = decode(series, lo, hi, ensemble, network, points, mode)
+            assert res == want
+            assert res.best.score.hex() == want.best.score.hex()
+            assert warn is bool(want_warn)
 
 
 def layout_stub(P, seg_len=10):
@@ -417,8 +450,8 @@ def check_corpus(corpus, ensemble, lengths, mode):
     for trip, trace in enumerate(corpus.trips):
         series = coord.transform(trace)
         sts = [st for st in enumerate_subtrips(corpus, lengths) if st.trip == trip]
-        plans = [plan_subtrip(series, st, corpus.network, mode) for st in sts]
-        rows, screens = infer.classify_segments(series, plans, ensemble)
+        plans = [plan_detected(series, st.span, corpus.network, mode) for st in sts]
+        rows, screens = infer._classify(series, plans, ensemble)
         segs = sorted(set().union(*(every_segment(p) for p in plans)))
         X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
         all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
@@ -477,7 +510,7 @@ class TestScreenAgainstExhaustive:
         points = [int(p) for p in np.linspace(0, hi - lo, m + 2)[1:-1]]
         plan = infer.plan_span(series, lo, hi, small_corpus.network, points, "full")
         assert plan.detected_cuts is None and len(plan.recuts) > 1
-        rows, (screened,) = infer.classify_segments(series, [plan], ensemble)
+        rows, (screened,) = infer._classify(series, [plan], ensemble)
         assert rows.keys() == every_segment(plan)
         log = ReadLog(rows)
         assert_same_as_exhaustive(plan, log, rows, screened)

@@ -314,8 +314,13 @@ class TestAttackTrace:
         with pytest.raises(TraceFormatError, match="rate 20 Hz differs from the model's 10 Hz"):
             attack_trace(trace, attack_model, mode=mode)
 
-    def test_unknown_mode_rejected(self, small_corpus, attack_model):
-        with pytest.raises(ValueError):
+    def test_unknown_mode_rejected(self, small_corpus, attack_model, monkeypatch):
+        # refused up front: planning a span refuses the mode too, but only after segmenting it
+        def never(*args, **kwargs):
+            pytest.fail("a span was segmented under an unknown mode")
+
+        monkeypatch.setattr(segment, "find_final_segment_points", never)
+        with pytest.raises(ValueError, match="unknown attack mode"):
             attack_trace(small_corpus.trips[0], attack_model, mode="fast")
 
     @pytest.mark.parametrize("mode", ["full", "reduced"])
@@ -407,7 +412,7 @@ class TestAttackTrace:
             lo, hi = span["span"]
             points, _ = segment.find_final_segment_points(series.hra[lo:hi], net)
             plan = infer.plan_span(series, lo, hi, net, points, "full")
-            alone |= set(infer.classify_segments(series, [plan], attack_model.ensemble)[0])
+            alone |= set(infer._classify(series, [plan], attack_model.ensemble)[0])
             assert plan.detected_cuts is not None
             for cuts in [plan.detected_cuts, *(cuts for _, _, cuts in plan.recuts)]:
                 exhaustive |= set(plan.layout(cuts))
