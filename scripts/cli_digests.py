@@ -10,15 +10,18 @@ whose report holds several spans of one recording, in order, each with its
 segmenter warning, bootstraps a model (printing its exit code) and
 attacks with it, and runs the supervised and semisupervised evaluations.
 Each output file is printed as ``sha256  path``. Those evaluation files
-hold only rounded accuracies, so four more lines follow: the digest of
+hold only rounded accuracies, so five more lines follow: the digest of
 every decoded subtrip of ``evalharness.evaluate_subtrips`` at lengths 1, 2
 and 3 with the trained model's ensemble, one ``trip start_leg length:
 start direction length score`` line per subtrip with the score as
 ``float.hex``, on the generated corpus in full and in reduced mode, then in
 full mode on that corpus under defense noise at factor 1.0
-(``evalharness.defended_corpus``) and on its hand-shake-16 twin
+(``evalharness.defended_corpus``), on its hand-shake-16 twin
 (``evalharness.paired_corpus`` with ``hand_shake_amp=16.0``), where re-cut
-runs win some spans. Then
+runs win some spans, and on that corpus with 16 m/s^2 hand shake added to
+each recorded trip (``evalharness.perturbed_corpus`` with
+``simgen.apply_hand_shake``, seeds ``(11, 10)``; the ``shake perturbation
+16`` line). Then
 it prints every key path of ``model.json``, sorted, one ``model.json key``
 line each, with list indices collapsed
 (``ensemble.forest.trees[].probs``), so a change to the model format shows
@@ -56,7 +59,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subtrace import cli, evalharness, pipeline  # noqa: E402
 from subtrace.model import save_trace  # noqa: E402
-from subtrace.simgen import gen_mixed_day, load_profiles, save_profiles  # noqa: E402
+from subtrace.simgen import apply_hand_shake, gen_mixed_day, load_profiles, save_profiles  # noqa: E402
 
 SMALL_CONFIG = {
     "seed": 11,
@@ -174,12 +177,14 @@ def decoded_subtrips() -> None:
     config = pipeline.PipelineConfig(**SMALL_CONFIG)
     defended, _ = evalharness.defended_corpus(corpus, config, 1.0)
     shaken = evalharness.paired_corpus(config, hand_shake_amp=16.0)
+    perturbed = evalharness.perturbed_corpus(corpus, apply_hand_shake, 16.0, (config.seed, 10))
     lengths = ",".join(map(str, EVAL_LENGTHS))
     for mode, which, decoded in (
         ("full", "", corpus),
         ("reduced", "", corpus),
         ("full", " defended 1.0", defended),
         ("full", " hand shake 16", shaken),
+        ("full", " shake perturbation 16", perturbed),
     ):
         report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
         lines = [

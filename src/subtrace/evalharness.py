@@ -13,7 +13,10 @@ Cut points are scored against the true dwell centres within the fixed
 Semi-supervised: the trips are re-split into random unlabeled rides, labels
 are bootstrapped from two distinctive seed intervals, and one damped-weight
 model is evaluated the same way. Robustness and defense runs reuse the
-subtrip machinery on paired or noise-injected corpora.
+subtrip machinery on paired corpora, rendered again from the same seeds
+with other noise, or on perturbed corpora: ``perturbed_corpus`` applies one
+``simgen.apply_*`` perturbation to every recorded trip, seeding trip i with
+``child_seed(*seed_path, i)``.
 """
 
 from __future__ import annotations
@@ -29,19 +32,18 @@ from . import coord, segment, semisup
 from .classify import IntervalEnsemble, TrainingSet, train_interval_ensemble
 from .features import extract_batch, fit_features
 from .infer import ToleranceResult, TraceHypothesis, check_mode, decode_spans
-from .model import FORWARD, REVERSE, is_integer
+from .model import FORWARD, REVERSE, Trace, is_integer
 from .pipeline import (
     Corpus,
     PipelineConfig,
     build_corpus,
-    child_seed,
     interval_training_rows,
     seed_segments,
     single_model_ensemble,  # re-exported: the benchmark calls it from here
     train_ensemble_on,
     true_trip_layout,
 )
-from .simgen import apply_defense_noise, distinctive_intervals
+from .simgen import apply_defense_noise, child_seed, distinctive_intervals
 
 log = logging.getLogger("subtrace.eval")
 
@@ -415,6 +417,17 @@ def prediction_flips(
     return (n - _same_rides(rep_a, rep_b)) / n
 
 
+def perturbed_corpus(
+    corpus: Corpus,
+    perturb: Callable[[Trace, float, int], Trace],
+    amount: float,
+    seed_path: tuple[int, ...],
+) -> Corpus:
+    """``corpus`` with trip i replaced by ``perturb(trip, amount, child_seed(*seed_path, i))``."""
+    trips = [perturb(t, amount, child_seed(*seed_path, ti)) for ti, t in enumerate(corpus.trips)]
+    return replace(corpus, trips=trips)
+
+
 def defended_corpus(corpus: Corpus, config: PipelineConfig, factor: float = DEFENSE_FACTOR) -> tuple[Corpus, float]:
     """Inject white noise at factor x the corpus mean ride HRA into every trip."""
     hra_means = []
@@ -423,11 +436,7 @@ def defended_corpus(corpus: Corpus, config: PipelineConfig, factor: float = DEFE
         lay = true_trip_layout(trace)
         hra_means.append(float(np.mean(series.hra[lay.span[0] : lay.span[1]])))
     amp = factor * float(np.mean(hra_means))
-    defended = [
-        apply_defense_noise(t, amp, child_seed(config.seed, 9, ti))
-        for ti, t in enumerate(corpus.trips)
-    ]
-    return replace(corpus, trips=defended), amp
+    return perturbed_corpus(corpus, apply_defense_noise, amp, (config.seed, 9)), amp
 
 
 def mode_agreement(

@@ -354,33 +354,39 @@ def _line_problem(obj) -> str:
     return "sample needs t, acc[3], orient[3]"
 
 
-def _sample_arrays(name: str, linenos: list[int], samples: list[tuple]) -> tuple[np.ndarray, ...]:
+def _sample_arrays(
+    name: str, linenos: list[int], samples: list[tuple], maybe_bool: bool
+) -> tuple[np.ndarray, ...]:
     """``t``, ``acc`` and ``orient`` of the samples, one conversion each.
 
-    Only a failed conversion, a wrong shape or a non-finite value (a JSON
-    ``null`` converts to NaN) walks the samples, to name the line of the
+    Only a failed conversion, a wrong shape, a dtype that is not a number's
+    (a string, or a JSON ``null``), a non-finite value, or ``maybe_bool``
+    (a sample line may hold ``true`` or ``false``, which numpy would convert
+    to 1 and 0 among numbers) walks the samples, to name the line of the
     first one that is not a number ``t`` with JSON arrays of 3 numbers. A
     ``NaN`` literal passes the walk, and ``Trace.validate`` refuses it.
     """
     n = len(samples)
     try:
-        arrays = tuple(np.array(col, dtype=float) for col in zip(*samples))
+        arrays = tuple(np.array(col) for col in zip(*samples))
     except (TypeError, ValueError, OverflowError):
         arrays = ()
     shapes_ok = [a.shape for a in arrays] == [(n,), (n, 3), (n, 3)]
-    if shapes_ok and all(np.isfinite(a).all() for a in arrays):
-        return arrays
+    if not maybe_bool and shapes_ok and all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in arrays):
+        return tuple(a.astype(float, copy=False) for a in arrays)
     for lineno, (t, acc, orient) in zip(linenos, samples):
         try:
             if not (isinstance(acc, list) and isinstance(orient, list)):
                 raise TypeError("acc and orient must be JSON arrays")
             for value in (t, *acc, *orient):
+                if type(value) not in (int, float):  # a bool, a string or a null
+                    raise TypeError("sample values must be JSON numbers")
                 float(value)
         except (OverflowError, TypeError, ValueError):
             raise TraceFormatError(f"{name}:{lineno}: sample needs t, acc[3], orient[3]") from None
         if len(acc) != 3 or len(orient) != 3:
             raise TraceFormatError(f"{name}:{lineno}: acc and orient must have 3 entries")
-    return arrays
+    return tuple(np.array(col, dtype=float) for col in zip(*samples))
 
 
 def _decoded_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -404,6 +410,7 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
     samples: list[tuple] = []  # (t, acc, orient) as decoded
     truth: list[TruthRange] = []
     trailer_seen = False
+    maybe_bool = False  # "u" is in "true" and "s" in "false", and in no key or number of a sample
     problem = ""  # the message for the line that stopped the reading
     try:
         for lineno, raw in numbered_lines:
@@ -445,6 +452,7 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
                 else:
                     samples.append(_SAMPLE_KEYS(obj))
                     linenos.append(lineno)
+                    maybe_bool = maybe_bool or "u" in raw or "s" in raw
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                 # a line that decodes but is not a meta, truth or sample object
                 problem = f"{name}:{lineno}: {_line_problem(obj)}"
@@ -453,7 +461,7 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
         problem = str(exc)
 
     if samples:
-        t, acc, orient = _sample_arrays(name, linenos, samples)
+        t, acc, orient = _sample_arrays(name, linenos, samples, maybe_bool)
     if problem:
         raise TraceFormatError(problem)
     if not samples:

@@ -41,6 +41,7 @@ from .simgen import (
     MODES,
     NoiseConfig,
     TrackProfile,
+    child_seed,
     gen_mixed_day,
     gen_network,
     gen_other_mode,
@@ -108,11 +109,6 @@ class PipelineConfig:
                 raise ValueError(f"unknown noise keys: {sorted(bad)}")
             doc["noise"] = NoiseConfig(**noise_doc)
         return cls(**doc)
-
-
-def child_seed(root: int, *path: int) -> int:
-    """Stable derived seed for one corpus artifact."""
-    return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
 
 
 # --- corpus -------------------------------------------------------------------

@@ -7,6 +7,12 @@ those primitives in the world frame, rotate the result into a drifting phone
 frame, and layer seeded noise sources on top.  Every generator is a pure
 function of (config, seed): separate child streams per noise source keep the
 underlying motion identical when a single source is toggled.
+
+A recorded trace is perturbed by an ``apply_<name>(trace, amount, seed)``
+function: ``apply_hand_shake`` adds the render's own burst model and
+``apply_defense_noise`` its white-noise model, so a scenario is a function
+of a trace rather than a config field. Each returns a new trace, leaves its
+input alone and returns equal arrays at amount 0.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ BETA_BOX = 35.0
 VIBRATION_REF_SPEED = 10.0  # m/s at which track vibration reaches full amplitude
 
 DWELL_RANGE = (25.0, 35.0)  # seconds a train stands at a station
+HAND_SHAKE_FREQ = 5.0  # Hz of a hand-shake burst, above the smoothing cutoff
 DISTINCTIVE_FRAC = 0.2  # share of intervals drawn with strong, distinctive curves
 
 
@@ -81,7 +88,6 @@ class NoiseConfig:
     """Amplitudes of every sensing artifact layered onto the clean motion."""
 
     hand_shake_amp: float = 2.0  # m/s^2 burst amplitude
-    hand_shake_freq: float = 5.0  # Hz, above the smoothing cutoff
     orientation_drift_rate: float = 0.3  # deg/s random-walk scale
     sensor_sigma: float = 0.03  # m/s^2 white noise per axis
     track_vibration_amp: float = 0.18  # m/s^2 per axis at the reference speed
@@ -296,15 +302,16 @@ def _smooth3(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_hand_shake(acc: np.ndarray, t: np.ndarray, noise: NoiseConfig, rng) -> None:
-    if noise.hand_shake_amp == 0 or len(t) == 0:
+def _add_hand_shake(acc: np.ndarray, t: np.ndarray, amp: float, rng) -> None:
+    """Add sparse ``HAND_SHAKE_FREQ`` bursts of up to ``amp`` m/s^2 per axis to ``acc`` in place."""
+    if amp == 0 or len(t) == 0:
         return
     dt = t[1] - t[0] if len(t) > 1 else 0.1
     end = t[-1] + dt
     cursor = rng.exponential(20.0)
     while cursor < end:
         dur = rng.uniform(0.4, 0.8)
-        amps = noise.hand_shake_amp * rng.uniform(0.6, 1.0, size=3)
+        amps = amp * rng.uniform(0.6, 1.0, size=3)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
         lo = int(np.searchsorted(t, cursor))
         hi = int(np.searchsorted(t, cursor + dur))
@@ -312,9 +319,14 @@ def _add_hand_shake(acc: np.ndarray, t: np.ndarray, noise: NoiseConfig, rng) -> 
             tt = t[lo:hi] - cursor
             for a in range(3):
                 acc[lo:hi, a] += amps[a] * np.sin(
-                    2.0 * math.pi * noise.hand_shake_freq * tt + phases[a]
+                    2.0 * math.pi * HAND_SHAKE_FREQ * tt + phases[a]
                 )
         cursor += dur + rng.exponential(20.0)
+
+
+def _add_white_noise(acc: np.ndarray, t: np.ndarray, sigma: float, rng) -> None:
+    """Add zero-mean Gaussian noise of ``sigma`` m/s^2 per axis to ``acc`` in place."""
+    acc += rng.standard_normal(acc.shape) * sigma
 
 
 def _phone_frame(orient: np.ndarray, f_world: np.ndarray) -> np.ndarray:
@@ -356,13 +368,18 @@ def _render_phone(
     orient = _orientation_walk(n, dt, noise, orient_rng)
     acc = _phone_frame(orient, world + np.array([0.0, 0.0, GRAVITY]))
 
-    _add_hand_shake(acc, t, noise, shake_rng)
-    acc = acc + white_rng.standard_normal((n, 3)) * noise.sensor_sigma
+    _add_hand_shake(acc, t, noise.hand_shake_amp, shake_rng)
+    _add_white_noise(acc, t, noise.sensor_sigma, white_rng)
     return t, acc, orient
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(n)]
+
+
+def child_seed(root: int, *path: int) -> int:
+    """Stable derived seed for one artifact, such as a corpus trip or a day's piece."""
+    return int(np.random.SeedSequence([root, *path]).generate_state(1)[0])
 
 
 # --- trip and mode generators --------------------------------------------------
@@ -523,7 +540,7 @@ def gen_mixed_day(
         )
     pieces = []
     for idx, entry in enumerate(schedule):
-        child = int(np.random.SeedSequence([int(seed), idx]).generate_state(1)[0])
+        child = child_seed(int(seed), idx)
         kind = entry[0]
         if kind == "trip":
             if network is None or profiles is None:
@@ -556,14 +573,31 @@ def gen_mixed_day(
     )
 
 
+# --- perturbations of a recorded trace ---------------------------------------------
+
+
+def _perturbed(trace: Trace, amount: float, seed: int, tag: int, add) -> Trace:
+    """``trace`` with ``add(acc, t, amount, rng)`` applied to a copy of its ``acc``.
+
+    ``rng`` draws from ``SeedSequence([seed, tag])``, one tag per
+    perturbation; at amount 0 the copy is returned as it is.
+    """
+    if not (is_finite_real(amount) and amount >= 0):
+        raise ValueError(f"perturbation amount must be finite and non-negative, got {amount!r}")
+    acc = np.array(trace.acc, dtype=float)
+    if amount > 0:
+        add(acc, trace.t, amount, np.random.default_rng(np.random.SeedSequence([int(seed), tag])))
+    return replace(trace, acc=acc)
+
+
 def apply_defense_noise(trace: Trace, amp: float, seed: int) -> Trace:
-    """Blend zero-mean white noise into the accelerometer channels."""
-    if amp < 0:
-        raise ValueError("amp must be non-negative")
-    if amp == 0:
-        return replace(trace, acc=trace.acc.copy())
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDEF]))
-    return replace(trace, acc=trace.acc + rng.standard_normal(trace.acc.shape) * amp)
+    """Blend zero-mean white noise of ``amp`` m/s^2 into the accelerometer channels."""
+    return _perturbed(trace, amp, seed, 0xDEF, _add_white_noise)
+
+
+def apply_hand_shake(trace: Trace, amp: float, seed: int) -> Trace:
+    """Add the render's hand-shake bursts, of up to ``amp`` m/s^2, to the accelerometer channels."""
+    return _perturbed(trace, amp, seed, 0x5AE, _add_hand_shake)
 
 
 # --- profile persistence --------------------------------------------------------

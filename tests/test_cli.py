@@ -66,7 +66,7 @@ BAD_NOISE_VALUES = {
     "infinite": ("hand_shake_amp", float("inf")),
     "negative": ("track_vibration_amp", -0.1),
     "bool": ("orientation_drift_rate", True),
-    "null": ("hand_shake_freq", None),
+    "null": ("sensor_sigma", None),
 }
 
 
@@ -596,13 +596,15 @@ class TestDataErrors:
         assert not (tmp_path / "c").exists()
 
     def test_generate_removed_defense_noise_key(self, tmp_path, capsys):
-        # defense noise is simgen.apply_defense_noise alone; NoiseConfig has no such field
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"noise": {"defense_noise_amp": 0.5}}))
-        args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
-        assert cli.main(args) == cli.EXIT_DATA
-        assert capsys.readouterr().err == "subtrace: unknown noise keys: ['defense_noise_amp']\n"
-        assert not (tmp_path / "c").exists()
+        # defense noise is simgen.apply_defense_noise alone, and the hand-shake
+        # frequency is simgen.HAND_SHAKE_FREQ; NoiseConfig has neither field
+        for key, value in (("defense_noise_amp", 0.5), ("hand_shake_freq", 5.0)):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"noise": {key: value}}))
+            args = ["generate", "--out", str(tmp_path / "c"), "--config", str(cfg)]
+            assert cli.main(args) == cli.EXIT_DATA
+            assert capsys.readouterr().err == f"subtrace: unknown noise keys: ['{key}']\n"
+            assert not (tmp_path / "c").exists()
 
     def test_generate_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

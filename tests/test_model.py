@@ -544,10 +544,7 @@ MALFORMED = {
     "null t": [META, sample(0), sample(1, t="null"), sample(2)],
     "null acc entry": [META, sample(0), sample(1, acc="[1.0, null, 3.0]")],
     "null acc": [META, sample(0, acc="null"), sample(1)],
-    "numeric string": [META, sample(0), sample(1, t='"0.04"', acc='["1.5", 2, 3]')],
     "non-numeric string": [META, sample(0), sample(1, acc='["x", 2, 3]')],
-    "true": [META, sample(0), sample(1, acc="[true, false, 3]")],
-    "true timestamp": [META, sample(0), sample(1, t="true")],
     "nan literal": [META, sample(0), sample(1, acc="[NaN, 0, 0]"), sample(2)],
     "infinity literal": [META, sample(0, t="Infinity"), sample(1)],
     "sample is a list": [META, sample(0), "[0.04, 1, 2]"],
@@ -568,10 +565,11 @@ MALFORMED = {
 
 # Files the frozen reader fails on with a bare TypeError, AttributeError,
 # KeyError, OverflowError, RecursionError or ValueError, or reads into wrong
-# values (it takes a string or an object for acc or orient, and lets a later
-# line that is not UTF-8 hide a bad sample); the reader names the line
-# instead. Each value is the file's lines and the line number named, and
-# "\udcff" in a line writes a lone 0xff byte.
+# values (it takes a string or an object for acc or orient, a JSON boolean
+# or a numeric string for a sample value, and lets a later line that is not
+# UTF-8 hide a bad sample); the reader names the line instead. Each value is
+# the file's lines and the line number named, and "\udcff" in a line writes
+# a lone 0xff byte.
 MALFORMED_NAMED = {
     "int too large for a float": ([META, sample(0), sample(1, t="1" + "0" * 400)], 3),
     "bad truth before bad sample": ([META, '{"truth": [{"start": 0}]}', sample(0, t='"x"')], 2),
@@ -595,6 +593,11 @@ MALFORMED_NAMED = {
         [META, sample(0, acc="[1]"), sample(1), sample(2), sample(3).replace('"t"', '"\udcff"')],
         2,
     ),
+    "numeric string": ([META, sample(0), sample(1, t='"0.04"', acc='["1.5", 2, 3]')], 3),
+    "true": ([META, sample(0), sample(1, acc="[true, false, 3]")], 3),
+    "true timestamp": ([META, sample(0), sample(1, t="true")], 3),
+    "every t a numeric string": ([META] + [sample(i, t=f'"{i * 0.04!r}"') for i in range(3)], 2),
+    "every orient false": ([META] + [sample(i, orient="[false, false, false]") for i in range(3)], 2),
 }
 
 

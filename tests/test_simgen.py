@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subtrace import coord
+from subtrace import coord, simgen
 from subtrace.simgen import (
     MODES,
     MotionPrimitive,
     NoiseConfig,
     TrackProfile,
     apply_defense_noise,
+    apply_hand_shake,
     distinctive_intervals,
     gen_mixed_day,
     gen_network,
@@ -21,6 +22,9 @@ from subtrace.simgen import (
     load_profiles,
     save_profiles,
 )
+
+# every perturbation of a recorded trace, found by name
+PERTURBATIONS = sorted(name for name in dir(simgen) if name.startswith("apply_"))
 
 # every sensing artifact off
 QUIET = NoiseConfig(
@@ -276,6 +280,66 @@ class TestNoiseLayering:
         np.testing.assert_array_equal(noisy1.orient, trace.orient)
         with pytest.raises(ValueError):
             apply_defense_noise(trace, -1.0, seed=1)
+
+    def test_hand_shake_is_the_renders_burst_model(self, line):
+        # the render adds its white noise after the shake, so sums round differently
+        net, profiles = line
+        calm = gen_trip(net, profiles, 0, 3, NoiseConfig(hand_shake_amp=0.0), seed=7)
+        shaky = gen_trip(net, profiles, 0, 3, NoiseConfig(hand_shake_amp=16.0), seed=7)
+        shake_rng = simgen._streams(7, 6)[3]  # gen_trip's dwell, scale, orientation, shake, ... streams
+        acc = calm.acc.copy()
+        simgen._add_hand_shake(acc, calm.t, 16.0, shake_rng)
+        np.testing.assert_allclose(acc, shaky.acc, rtol=0.0, atol=4e-15)
+        assert np.mean(acc == shaky.acc) > 0.98
+        assert np.any(acc != calm.acc)
+        np.testing.assert_array_equal(calm.t, shaky.t)
+        np.testing.assert_array_equal(calm.orient, shaky.orient)
+
+    def test_apply_hand_shake_draws_from_its_own_tag(self, line):
+        net, profiles = line
+        trace = gen_trip(net, profiles, 0, 3, NoiseConfig(hand_shake_amp=0.0), seed=7)
+        acc = trace.acc.copy()
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0x5AE]))
+        simgen._add_hand_shake(acc, trace.t, 16.0, rng)
+        np.testing.assert_array_equal(apply_hand_shake(trace, 16.0, seed=5).acc, acc)
+
+
+class TestPerturbationContract:
+    """Each ``apply_*`` is a pure, seeded function of a recorded trace."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, line):
+        net, profiles = line
+        return gen_trip(net, profiles, 0, 3, NoiseConfig(), seed=7)
+
+    def test_every_perturbation_is_found(self):
+        assert PERTURBATIONS == ["apply_defense_noise", "apply_hand_shake"]
+
+    @pytest.mark.parametrize("name", PERTURBATIONS)
+    def test_seeded_and_leaves_input_alone(self, trace, name):
+        perturb = getattr(simgen, name)
+        before = [a.copy() for a in (trace.t, trace.acc, trace.orient)]
+        out = perturb(trace, 4.0, 1)
+        for was, now in zip(before, (trace.t, trace.acc, trace.orient)):
+            np.testing.assert_array_equal(now, was)
+        np.testing.assert_array_equal(out.t, trace.t)
+        np.testing.assert_array_equal(out.orient, trace.orient)
+        assert out.truth == trace.truth
+        assert np.any(out.acc != trace.acc)
+        np.testing.assert_array_equal(perturb(trace, 4.0, 1).acc, out.acc)
+        assert np.any(perturb(trace, 4.0, 2).acc != out.acc)
+
+    @pytest.mark.parametrize("name", PERTURBATIONS)
+    def test_amount_zero_gives_equal_arrays(self, trace, name):
+        out = getattr(simgen, name)(trace, 0.0, 1)
+        np.testing.assert_array_equal(out.acc, trace.acc)
+        assert out.acc is not trace.acc
+
+    @pytest.mark.parametrize("amount", [-1.0, float("nan"), float("inf"), -float("inf"), True, "1"])
+    @pytest.mark.parametrize("name", PERTURBATIONS)
+    def test_bad_amount_refused(self, trace, name, amount):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            getattr(simgen, name)(trace, amount, 1)
 
 
 class TestMixedDay:
