@@ -6,8 +6,8 @@ start interval, direction, and length all match. Each subtrip is decoded
 in its trip's sample coordinates as the attack decodes a ride, by
 ``infer.decode_spans``: one call per (trip, model) segments and plans the
 trip's subtrips, featurises and classifies the distinct segments their
-decoding needs from the trip's ``(n, 3)`` earth-frame array in at most two
-batches, and scores each subtrip from those rows.
+decoding needs from the trip's ``(n, 3)`` earth-frame array, one batch per
+screening round, and scores each subtrip from those rows.
 Cut points are scored against the true dwell centres within the fixed
 ``POINT_TOLERANCE_S``.
 Semi-supervised: the trips are re-split into random unlabeled rides, labels

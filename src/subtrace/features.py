@@ -20,9 +20,9 @@ smoothed blocks. A component's thresholds are the ``NVHT_PERCENTILES`` of
 its pooled absolute values, by numpy's linear rule, bit for bit;
 ``model.percentiles`` places each order statistic they need with a
 single-kth partition of the pooled array. An attack or an evaluation
-featurises the distinct segments it needs from one recording in at most
-two ``extract_batch`` calls (``infer.decode_spans``), each segment once,
-so nothing here remembers a segment between calls.
+featurises the distinct segments it needs from one recording in one
+``extract_batch`` call per screening round (``infer.decode_spans``), each
+segment once, so nothing here remembers a segment between calls.
 
 A batch is sorted by length and cut into chunks that share one FFT length
 and whose padded size stays within ``CHUNK_SAMPLES`` samples. Each chunk is

@@ -9,25 +9,27 @@ hypotheses in case the segmenter missed or invented one stop.
 
 ``decode_spans`` decodes every span of one recording, each a ``[lo, hi)``
 range of its samples, in six phases, so that each segment it needs is
-featurised and classified once, in at most two batches, and each plan is
-screened once:
+featurised and classified once, one batch per screening round:
 
 1. *Segment.* ``segment.find_final_segment_points`` cuts each span at its
    dwells.
 2. *Plan.* ``plan_span`` fixes every cut layout of one span: the detected
    cuts and, in "full" mode, one re-cut layout per candidate run of the n-1
    and n+1 families. "reduced" mode plans the detected layout alone.
-3. *Round 1.* ``_classify`` featurises the detected layouts' segments and
-   each re-cut run's first segment, its *probe*, in one
-   ``features.extract_batch`` call and classifies them in one
-   ``predict_matrix`` call.
-4. *Screen.* A re-cut run is ruled out when its probe alone proves that its
-   mean per-segment score falls below the detected layout's best
-   (``_screen``, which proves the bound). ``_classify`` screens each plan
-   once and returns the results with the rows.
-5. *Round 2.* The other segments of the runs that survive are featurised
-   and classified in one more batch. Reduced mode plans no re-cuts, so it
-   needs no second round.
+3. *Round 1.* ``_classify`` featurises the detected layouts' segments, every
+   segment of a plan without detected cuts, and a greedy cover of the
+   other re-cut runs (``_cover``: segments that give each run at least one
+   classified segment), in one ``features.extract_batch`` call, and
+   classifies them in one ``predict_matrix`` call.
+4. *Screen.* A re-cut run is ruled out when its classified segments alone
+   prove that its mean per-segment score falls below the detected layout's
+   best (``_screen``, which proves the bound).
+5. *Later rounds.* While a run that survives has unclassified segments, a
+   cover of those runs' unclassified segments is featurised and classified
+   in one more batch, and the survivors are screened again. Each round
+   classifies at least one more segment of every open run, so a span takes
+   at most as many rounds as its longest re-cut run has segments. Reduced
+   mode plans no re-cuts, so it needs one round.
 6. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
    plan from the probability rows and its screen result; a span that no
    hypothesis fits is a result whose ``best`` is ``None``, not an error.
@@ -38,8 +40,10 @@ harness a trip's subtrips, through ``decode_spans`` alone.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -196,10 +200,6 @@ class SpanPlan:
         bounds = [self.lo, *(self.lo + c for c in cuts), self.hi]
         return list(zip(bounds[:-1], bounds[1:]))
 
-    def probe(self, cuts: tuple[int, ...]) -> tuple[int, int]:
-        """The first segment ``cuts`` makes, ``layout(cuts)[0]``, without cutting the rest."""
-        return (self.lo, self.lo + cuts[0] if cuts else self.hi)
-
 
 def plan_span(
     series: EnuSeries,
@@ -246,47 +246,85 @@ def plan_span(
 Screened = tuple[TraceHypothesis | None, tuple[tuple[int, str, tuple[int, ...]], ...]]
 
 
-def _screen(plan: SpanPlan, rows: dict[tuple[int, int], np.ndarray]) -> Screened:
-    """The detected layout's best hypothesis and the re-cut runs that could still beat it.
+def _screen(terms: np.ndarray, run: np.ndarray, length: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Which re-cut runs the classified segments cannot rule out, as a mask over the runs.
 
-    Reads the rows of the detected layout's segments and of each re-cut
-    run's first segment (its probe) alone. Runs are kept in plan order. A
-    run of L segments whose probe term is t is ruled out when
+    ``terms`` holds one float per segment of every run: log(p + LOG_EPS)
+    of its row where the segment is classified, T_MAX where it is not.
+    ``run`` names each term's run, ``length`` holds each run's segment count
+    L and ``tau`` the ``mean_score`` of its plan's detected best, or -inf
+    without detected cuts, so that nothing is ruled out. A run whose K
+    classified segments give the terms t_1, ..., t_K is ruled out when
 
-        (t + (L - 1) * T_MAX) / L < tau - BAND,
-
-    tau being the detected best's ``mean_score``. Without detected cuts tau
-    is -inf, so every run is kept.
+        (t_1 + ... + t_K + (L - K) * T_MAX) / L < tau - BAND.
 
     Why a ruled-out run can neither win nor tie. ``predict_matrix`` divides
     each non-negative row by its sum, so p <= 1 + 1e-9, and every real term
-    log(p + LOG_EPS) lies in [log LOG_EPS, T_MAX], below 28 in magnitude.
-    Let e = 2 ** -44, sixteen units in the last place of a float below 32
-    in magnitude. ``np.log`` is within 4 such units and one rounding within
-    half a unit, so each float term, the probe's included, is within e / 2
-    of its real term. A run's sum is one row of ``rank_hypotheses``'
-    row-wise sum or ``score_run``'s sum, both in numpy's pairwise order: L - 1
+    log(p + LOG_EPS) lies in [log LOG_EPS, T*], T* = log(1 + 1e-9 +
+    LOG_EPS), below 28 in magnitude. Let e = 2 ** -44, sixteen units in the
+    last place of a float below 32 in magnitude. ``np.log`` is within 4 such
+    units and one rounding within half a unit, so each float term is within
+    e / 2 of its real term, and T_MAX within e / 2 of T*. A run's sum is one
+    row of ``rank_hypotheses``' row-wise sum or ``score_run``'s sum: L - 1
     roundings, each of a partial sum of j <= L terms, below 32 j, so within
     j e / 16. Left-to-right adding, with j = 2, ..., L, has the largest such
-    total of any order. Summing a run's L float terms therefore rounds by
-    less than (L - 1) L e / 16, and the division by L by e / 32, so its float mean
-    exceeds the real (t + (L - 1) T_MAX) / L by less than e / 2 + L e / 16,
-    t being the probe's real term. The screen's float bound is within e of
-    that real bound. A ruled-out run's float mean is therefore below
-    tau - BAND + (L / 16 + 2) e, which is below tau for any run of fewer
-    than 250,000 segments. The winner's mean is at least tau, since the
-    detected best competes, so the run loses on the first sort key.
+    total of any order. Summing L float terms therefore rounds by less than
+    (L - 1) L e / 16 in any order, and the division by L by e / 32, so a
+    run's float mean is within e / 2 + L e / 16 of the real mean of its
+    terms. The bound sums L floats too, its K terms and L - K copies of
+    T_MAX, so it is within the same distance of the real bound, with T* in
+    place of T_MAX. Every real term is at most T*, so the run's real mean is
+    at most that real bound. A ruled-out run's float mean is therefore below
+    tau - BAND + (L / 8 + 1) e, which is below tau for any run of fewer than
+    100,000 segments. The winner's mean is at least tau, since the detected
+    best competes, so the run loses on the first sort key.
     """
-    if plan.detected_cuts is None:
-        return None, plan.recuts
-    best = rank_hypotheses(_matrix(plan, plan.detected_cuts, rows))[0]
-    if not plan.recuts:
-        return best, ()
-    probe = np.array([rows[plan.probe(cuts)][start] for start, _, cuts in plan.recuts])
-    length = np.array([len(cuts) + 1 for _, _, cuts in plan.recuts])
-    bound = (np.log(probe + LOG_EPS) + (length - 1) * T_MAX) / length
-    keep = bound >= best.mean_score - BAND
-    return best, tuple(run for run, kept in zip(plan.recuts, keep) if kept)
+    bound = np.bincount(run, weights=terms, minlength=len(length)) / length
+    return bound >= tau - BAND
+
+
+def _cover(seg: np.ndarray, run: np.ndarray, samples: np.ndarray) -> list[int]:
+    """Segment ids that between them hold a segment of every run in ``run``: a greedy set cover.
+
+    ``seg`` and ``run`` pair each candidate segment id with a run it is in,
+    grouped by run; ids count in ``(a, b)`` order, and ``samples`` gives
+    each id's length. Each pick is the segment in the most runs not yet
+    covered per sample, ties going to the lower id. Counts only fall, so a
+    popped weight that is out of date is pushed back with its count now.
+    """
+    counts = np.bincount(seg, minlength=len(samples))
+    ids = np.flatnonzero(counts)
+    k_of = (np.cumsum(counts > 0) - 1)[seg]
+    counts = counts[ids]
+    run_ends = np.flatnonzero(np.diff(run, append=-1)) + 1
+    run_of = np.repeat(np.arange(len(run_ends)), np.diff(run_ends, prepend=0))
+    by_seg = run_of[np.argsort(k_of, kind="stable")].tolist()
+    seg_ends = np.cumsum(counts).tolist()
+    runs_of = [by_seg[i:j] for i, j in zip([0, *seg_ends], seg_ends)]
+    ks, run_ends = k_of.tolist(), run_ends.tolist()
+    ks_of = [ks[i:j] for i, j in zip([0, *run_ends], run_ends)]
+    count = counts.tolist()
+    size = samples[ids].tolist()
+    heap = list(zip((-counts / samples[ids]).tolist(), ids.tolist(), range(len(ids))))
+    heapq.heapify(heap)
+    covered = [False] * len(ks_of)
+    left = len(ks_of)
+    picked = []
+    while left:
+        weight, s, k = heapq.heappop(heap)
+        if not count[k]:
+            continue
+        if weight != -count[k] / size[k]:
+            heapq.heappush(heap, (-count[k] / size[k], s, k))
+            continue
+        picked.append(s)
+        for r in runs_of[k]:
+            if not covered[r]:
+                covered[r] = True
+                left -= 1
+                for k2 in ks_of[r]:
+                    count[k2] -= 1
+    return picked
 
 
 def _matrix(
@@ -296,42 +334,107 @@ def _matrix(
     return np.array([rows[seg] for seg in plan.layout(cuts)])
 
 
+def _slots(plans: list[SpanPlan]) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Every re-cut run's segments, run after run in plan order, as ``(segs, seg, col, run)``.
+
+    ``segs`` lists the distinct segments' ``[a, b)`` in ascending order.
+    Slot i of the flat arrays is segment ``segs[seg[i]]`` of run ``run[i]``,
+    the runs counted across ``plans``, and its term is read from column
+    ``col[i]`` of that segment's row.
+    """
+    runs = [r for plan in plans for r in plan.recuts]
+    per_plan = [len(plan.recuts) for plan in plans]
+    length = np.array([len(cuts) + 1 for _, _, cuts in runs], dtype=np.intp)
+    run = np.repeat(np.arange(len(runs)), length)
+    pos = np.arange(len(run)) - (np.cumsum(length) - length)[run]  # place in the ride
+    last = pos == length[run] - 1
+    cuts = np.fromiter(
+        chain.from_iterable(cuts for _, _, cuts in runs), dtype=np.int64, count=len(run) - len(runs)
+    )
+    a = np.repeat(np.array([plan.lo for plan in plans], dtype=np.int64), per_plan)[run]
+    b = a.copy()
+    a[pos > 0] += cuts
+    b[~last] += cuts
+    b[last] = np.repeat(np.array([plan.hi for plan in plans], dtype=np.int64), per_plan)
+    sign = np.array([1 if d == FORWARD else -1 for _, d, _ in runs], dtype=np.intp)
+    col = np.array([s for s, _, _ in runs], dtype=np.intp)[run] + sign[run] * pos
+    width = max((plan.hi for plan in plans), default=0) + 1
+    keys, seg = np.unique(a * width + b, return_inverse=True)
+    return list(zip((keys // width).tolist(), (keys % width).tolist())), seg, col, run
+
+
 def _classify(
     series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
 ) -> tuple[dict[tuple[int, int], np.ndarray], list[Screened]]:
     """The probability row of every segment the plans' decoding reads, and each plan's screen.
 
-    Rows are keyed by their segment's ``[a, b)``. Two rounds, each one
-    ``features.extract_batch`` call under ``ensemble.config`` and one
-    ``predict_matrix`` call over the distinct segments not yet classified:
-    round 1 takes every detected layout's segments and every re-cut run's
-    probe, round 2 the other segments of the runs that ``_screen`` keeps.
-    A segment that several layouts or spans share is computed once; a round
-    with nothing left to classify is skipped, so plans that cut nothing
-    classify nothing. The second value holds ``_screen``'s result for each
-    plan, in order, for ``infer_with_segment_tolerance``.
+    Rows are keyed by their segment's ``[a, b)``. Classification runs in
+    rounds, each one ``features.extract_batch`` call under
+    ``ensemble.config`` and one ``predict_matrix`` call over the distinct
+    segments not yet classified. Round 1 takes every detected layout's
+    segments, every segment of a plan without detected cuts (nothing there
+    can be screened) and a ``_cover`` of the other re-cut runs. After each
+    round ``_screen`` rules out what it can; while a run it keeps has
+    unclassified segments, the next round takes a ``_cover`` of those runs'
+    unclassified segments. A segment that several layouts or spans share is
+    computed once; a round with nothing left to classify is skipped, so
+    plans that cut nothing classify nothing. The second value holds each
+    plan's detected best and kept runs, in order, for
+    ``infer_with_segment_tolerance``.
     """
     rows: dict[tuple[int, int], np.ndarray] = {}
-
-    def classify(segments) -> None:
-        spans = sorted(set(segments) - rows.keys())
-        if spans:
-            X = features.extract_batch([series.enu[a:b] for a, b in spans], ensemble.config)
-            rows.update(zip(spans, ensemble.predict_matrix(X)))
-
-    first: list[tuple[int, int]] = []
+    fresh: set[tuple[int, int]] = set()
     for plan in plans:
         if plan.detected_cuts is not None:
-            first += plan.layout(plan.detected_cuts)
-        first += [plan.probe(cuts) for _, _, cuts in plan.recuts]
-    classify(first)
-    screens = [_screen(plan, rows) for plan in plans]
-    classify(
-        seg
-        for plan, (_, runs) in zip(plans, screens)
-        for _, _, cuts in runs
-        for seg in plan.layout(cuts)
-    )
+            fresh.update(plan.layout(plan.detected_cuts))
+        else:
+            fresh.update(seg for _, _, cuts in plan.recuts for seg in plan.layout(cuts))
+    segs, seg, col, run = _slots(plans)
+    index = {ab: i for i, ab in enumerate(segs)}
+    samples = np.array([b - a for a, b in segs], dtype=np.intp)
+    per_plan = [len(plan.recuts) for plan in plans]
+    length = np.bincount(run, minlength=sum(per_plan)).astype(float)
+    terms = np.full(len(seg), T_MAX)
+    known = np.zeros(len(segs), dtype=bool)
+    kept = np.ones(len(length), dtype=bool)
+    bests = None
+    while True:
+        # each kept run with unclassified segments that this round misses gets one of its own
+        hit = np.zeros(len(segs), dtype=bool)
+        hit[[index[ab] for ab in fresh if ab in index]] = True
+        missed = kept & (np.bincount(run[hit[seg]], minlength=len(length)) == 0)
+        open_ = missed[run] & ~known[seg]
+        fresh.update(segs[s] for s in _cover(seg[open_], run[open_], samples))
+        batch = sorted(fresh - rows.keys())
+        if batch:
+            X = features.extract_batch([series.enu[a:b] for a, b in batch], ensemble.config)
+            P = ensemble.predict_matrix(X)
+            rows.update(zip(batch, P))
+            # the batch row of each segment id, -1 if not in the batch; the extra last
+            # entry takes the batch's segments that no run holds
+            row_of = np.full(len(segs) + 1, -1, dtype=np.intp)
+            row_of[[index.get(ab, len(segs)) for ab in batch]] = np.arange(len(batch))
+            row_of = row_of[:-1]
+            new = row_of[seg] >= 0
+            terms[new] = np.log(P[row_of[seg[new]], col[new]] + LOG_EPS)
+            known |= row_of >= 0
+        if bests is None:
+            bests = [
+                None if p.detected_cuts is None
+                else rank_hypotheses(_matrix(p, p.detected_cuts, rows))[0]
+                for p in plans
+            ]
+            tau = np.repeat([-math.inf if b is None else b.mean_score for b in bests], per_plan)
+        kept &= _screen(terms, run, length, tau)
+        if known[seg[kept[run]]].all():
+            break
+        fresh = set()
+    screens: list[Screened] = []
+    first = 0
+    for plan, best in zip(plans, bests):
+        flags = kept[first : first + len(plan.recuts)].tolist()
+        screens.append((best, tuple(r for r, k in zip(plan.recuts, flags) if k)))
+        first += len(plan.recuts)
     return rows, screens
 
 
@@ -343,8 +446,8 @@ def infer_with_segment_tolerance(
     """Decode one planned span from the probability rows of its segments.
 
     ``rows`` maps each segment's ``[a, b)`` recording samples to its
-    probability row and ``screened`` is the plan's ``_screen`` result, both
-    as ``_classify`` returns them; a row of a run that the screen
+    probability row and ``screened`` is the plan's detected best and kept
+    runs, both as ``_classify`` returns them; a row of a run that the screen
     rules out is never read, and given every row the result is the same.
     The detected layout's best hypothesis (the first of
     ``rank_hypotheses``) and every re-cut run the screen keeps compete on
@@ -385,8 +488,8 @@ def decode_spans(
     """Each ``[lo, hi)`` span of ``series`` decoded, with its segmenter warning, in span order.
 
     Every span is segmented and planned first, so that the spans' segments
-    are featurised and classified together, in at most two batches. An
-    unknown ``mode`` raises ``ValueError`` when the first span is planned.
+    are featurised and classified together, one batch per screening round.
+    An unknown ``mode`` raises ``ValueError`` when the first span is planned.
     """
     plans, warnings = [], []
     for lo, hi in spans:

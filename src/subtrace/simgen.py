@@ -18,6 +18,7 @@ input alone and returns equal arrays at amount 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -202,7 +203,7 @@ def gen_network(
     """Build one line and its pairwise-distinct profiles, one per forward interval."""
     if num_intervals < 1:
         raise ValueError("num_intervals must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E77]))
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(seed), 0x5E77]))
     n_dist = max(1, round(DISTINCTIVE_FRAC * num_intervals)) if num_intervals > 1 else 0
     dist_ids = set(rng.choice(num_intervals, size=n_dist, replace=False).tolist())
 
@@ -373,8 +374,15 @@ def _render_phone(
     return t, acc, orient
 
 
+def _seed(seed: int) -> int:
+    """``seed`` as a Python int; a bool, float, string or other non-integer is refused, not truncated."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(int(seed)).spawn(n)]
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(_seed(seed)).spawn(n)]
 
 
 def child_seed(root: int, *path: int) -> int:
@@ -540,7 +548,7 @@ def gen_mixed_day(
         )
     pieces = []
     for idx, entry in enumerate(schedule):
-        child = child_seed(int(seed), idx)
+        child = child_seed(_seed(seed), idx)
         kind = entry[0]
         if kind == "trip":
             if network is None or profiles is None:
@@ -586,7 +594,7 @@ def _perturbed(trace: Trace, amount: float, seed: int, tag: int, add) -> Trace:
         raise ValueError(f"perturbation amount must be finite and non-negative, got {amount!r}")
     acc = np.array(trace.acc, dtype=float)
     if amount > 0:
-        add(acc, trace.t, amount, np.random.default_rng(np.random.SeedSequence([int(seed), tag])))
+        add(acc, trace.t, amount, np.random.default_rng(np.random.SeedSequence([_seed(seed), tag])))
     return replace(trace, acc=acc)
 
 

@@ -6,8 +6,8 @@ frozen_score_run and frozen_rank are frozen copies of the scorer from before
 all runs of a matrix were scored as one array: one numpy sum per hypothesis,
 whose bits the array ranking must reproduce. exhaustive_decode is a frozen
 copy of the span scorer from before re-cut runs were screened, built on
-them: it scores every layout from every segment's row, so the screened
-two-round decoder must pick the same ride, cuts and score bits.
+them: it scores every layout from every segment's row, so the decoder that
+screens round by round must pick the same ride, cuts and score bits.
 """
 
 import math
@@ -23,6 +23,7 @@ from subtrace.evalharness import (
     defended_corpus,
     enumerate_subtrips,
     paired_corpus,
+    perturbed_corpus,
     single_model_ensemble,
 )
 from subtrace.features import extract_batch
@@ -37,6 +38,7 @@ from subtrace.infer import (
 )
 from subtrace.pipeline import PipelineConfig, true_trip_layout
 from subtrace.segment import find_final_segment_points
+from subtrace.simgen import apply_hand_shake
 
 EPS = 1e-12
 
@@ -219,9 +221,37 @@ def ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
-def screen_and_decode(plan, rows):
-    """Screen ``plan`` from ``rows`` and decode it, as ``_classify`` and the scorer do."""
-    return infer.infer_with_segment_tolerance(plan, rows, infer._screen(plan, rows))
+def decode_unscreened(plan, rows):
+    """Decode ``plan`` with every re-cut run kept: the scorer given every row and no screen."""
+    best = None
+    if plan.detected_cuts is not None:
+        best = rank_hypotheses(np.array([rows[seg] for seg in plan.layout(plan.detected_cuts)]))[0]
+    return infer.infer_with_segment_tolerance(plan, rows, (best, plan.recuts))
+
+
+def stub_classify(plans, all_rows):
+    """``infer._classify`` over plans whose segments' rows are given: ``(rows, screens, batches)``.
+
+    The featuriser and the model are stubs. A series whose sample i holds i
+    lets each featurised segment be read back as its ``[a, b)``, and the
+    model hands each segment its row in ``all_rows``. ``batches`` lists the
+    segments of each ``extract_batch`` call, one call per round.
+    """
+    batches = []
+
+    def featurise(segments, config):
+        batches.append([(int(seg[0, 0]), int(seg[-1, 0]) + 1) for seg in segments])
+        return batches[-1]
+
+    model = SimpleNamespace(
+        config=None, predict_matrix=lambda batch: np.array([all_rows[ab] for ab in batch])
+    )
+    hi = max(plan.hi for plan in plans)
+    series = SimpleNamespace(enu=np.repeat(np.arange(hi)[:, None], 3, axis=1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "extract_batch", featurise)
+        rows, screens = infer._classify(series, plans, model)
+    return rows, screens, batches
 
 
 def decode(series, lo, hi, ensemble, network, points, mode):
@@ -332,9 +362,10 @@ class TestDecodeSpan:
             m = int(rng.integers(1, 31))
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
-            plan, rows, points = layout_stub(P)
-            assert set(plan.layout(plan.detected_cuts)) == set(rows)
-            res = screen_and_decode(plan, rows)
+            plan, all_rows, points = layout_stub(P)
+            rows, (screened,), batches = stub_classify([plan], all_rows)
+            assert rows.keys() == all_rows.keys() and len(batches) == 1
+            res = infer.infer_with_segment_tolerance(plan, rows, screened)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -432,12 +463,12 @@ def assert_same_as_exhaustive(plan, rows, all_rows, screened):
     """The scorer matches the frozen scorer bit for bit.
 
     It is given its own rows with ``screened``, the plan's screen result
-    from them, and every row with the plan screened from every row.
+    from them, and every row with no run screened out.
     """
     want_best, want_points = exhaustive_decode(plan, all_rows)
     for res in (
         infer.infer_with_segment_tolerance(plan, rows, screened),
-        screen_and_decode(plan, all_rows),
+        decode_unscreened(plan, all_rows),
     ):
         assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
         if want_best is not None:
@@ -445,13 +476,25 @@ def assert_same_as_exhaustive(plan, rows, all_rows, screened):
 
 
 def check_corpus(corpus, ensemble, lengths, mode):
-    """Decode every subtrip of ``corpus`` both ways; the counts of segments classified screened and exhaustively."""
-    screened = exhaustive = 0
+    """Decode every subtrip of ``corpus`` both ways.
+
+    Returns the counts of segments classified round by round and
+    exhaustively, and the most rounds one trip's decoding took.
+    """
+    screened = exhaustive = most_rounds = 0
     for trip, trace in enumerate(corpus.trips):
         series = coord.transform(trace)
         sts = [st for st in enumerate_subtrips(corpus, lengths) if st.trip == trip]
         plans = [plan_detected(series, st.span, corpus.network, mode) for st in sts]
-        rows, screens = infer._classify(series, plans, ensemble)
+        rounds = []
+
+        def logging_extract(segments, config):
+            rounds.append(segments)
+            return extract_batch(segments, config)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "extract_batch", logging_extract)
+            rows, screens = infer._classify(series, plans, ensemble)
         segs = sorted(set().union(*(every_segment(p) for p in plans)))
         X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
         all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
@@ -460,7 +503,8 @@ def check_corpus(corpus, ensemble, lengths, mode):
             assert_same_as_exhaustive(plan, rows, all_rows, screen)
         screened += len(rows)
         exhaustive += len(all_rows)
-    return screened, exhaustive
+        most_rounds = max(most_rounds, len(rounds))
+    return screened, exhaustive, most_rounds
 
 
 @pytest.fixture(scope="module")
@@ -475,20 +519,25 @@ def noisy_corpora(small_corpus, small_config):
         "clean": small_corpus,
         "defense": defended_corpus(small_corpus, small_config, 1.0)[0],
         "shake": paired_corpus(small_config, hand_shake_amp=16.0),
+        "hand_shake": perturbed_corpus(small_corpus, apply_hand_shake, 16.0, (small_config.seed, 10)),
     }
 
 
 class TestScreenAgainstExhaustive:
-    """Screened two-round decoding picks what scoring every layout picks, featurising less."""
+    """Decoding screened round by round picks what scoring every layout picks, featurising less."""
 
-    @pytest.mark.parametrize("setting", ["clean", "defense", "shake"])
+    @pytest.mark.parametrize("setting", ["clean", "defense", "shake", "hand_shake"])
     @pytest.mark.parametrize("mode", ["full", "reduced"])
     def test_six_interval_corpus(self, noisy_corpora, ensemble, setting, mode):
-        screened, exhaustive = check_corpus(noisy_corpora[setting], ensemble, (2, 3, 5), mode)
+        screened, exhaustive, rounds = check_corpus(noisy_corpora[setting], ensemble, (2, 3, 5), mode)
         if mode == "reduced":
-            assert screened == exhaustive
-        elif setting == "clean":
+            assert screened == exhaustive and rounds == 1
+        else:
             assert screened < exhaustive
+            # one round per classified segment of the longest run at most: n + 1 = 6
+            assert 2 <= rounds <= 6
+            if setting != "clean":
+                assert rounds > 2
 
     @pytest.mark.parametrize("setting", ["clean", "defense"])
     def test_ten_interval_corpus(self, acceptance_corpus, default_ensemble, setting):
@@ -497,12 +546,12 @@ class TestScreenAgainstExhaustive:
         if setting == "defense":
             corpus = defended_corpus(corpus, PipelineConfig(), 1.0)[0]
         few = replace(corpus, trips=corpus.trips[:3])
-        screened, exhaustive = check_corpus(few, default_ensemble, (3, 5, 7), "full")
+        screened, exhaustive, _ = check_corpus(few, default_ensemble, (3, 5, 7), "full")
         assert screened < exhaustive
 
-    def test_unscreened_without_detected_cuts(self, small_corpus, ensemble):
+    def test_unscreened_without_detected_cuts(self, small_corpus, ensemble, monkeypatch):
         # m + 1 segments: the detected layout fits no ride, so tau is -inf and every
-        # run of the n - 1 family is featurised and scored
+        # run of the n - 1 family is featurised, in round 1, and scored
         m = small_corpus.network.num_intervals
         lay = true_trip_layout(small_corpus.trips[0])
         series = coord.transform(small_corpus.trips[0])
@@ -510,11 +559,50 @@ class TestScreenAgainstExhaustive:
         points = [int(p) for p in np.linspace(0, hi - lo, m + 2)[1:-1]]
         plan = infer.plan_span(series, lo, hi, small_corpus.network, points, "full")
         assert plan.detected_cuts is None and len(plan.recuts) > 1
+        batches = []
+        monkeypatch.setattr(
+            features, "extract_batch", lambda segs, c: batches.append(segs) or extract_batch(segs, c)
+        )
         rows, (screened,) = infer._classify(series, [plan], ensemble)
-        assert rows.keys() == every_segment(plan)
+        assert rows.keys() == every_segment(plan) and len(batches) == 1
         log = ReadLog(rows)
         assert_same_as_exhaustive(plan, log, rows, screened)
         assert log.read == every_segment(plan)
+
+
+class TestFeaturisationVolume:
+    """``decode_spans`` featurises no more than a recorded count of segments and samples.
+
+    Counted over every length-2, 3 and 5 subtrip of the smoke corpus, one
+    ``decode_spans`` call per trip in full mode. ``FIRST_SEGMENT`` is what
+    screening each re-cut run by its first segment, in two rounds,
+    featurised. ``CEILING`` is what probing a greedy cover of the runs and
+    screening on every classified segment featurises; a return to
+    first-segment probes exceeds it.
+    """
+
+    FIRST_SEGMENT = {"clean": (515, 787_436), "defense": (820, 1_339_844)}
+    CEILING = {"clean": (437, 662_987), "defense": (627, 1_064_903)}
+
+    @pytest.mark.parametrize("setting", ["clean", "defense"])
+    def test_segments_and_samples(self, noisy_corpora, ensemble, setting, monkeypatch):
+        corpus = noisy_corpora[setting]
+        batches = []
+
+        def logging_extract(segments, config):
+            batches.append([len(seg) for seg in segments])
+            return extract_batch(segments, config)
+
+        monkeypatch.setattr(features, "extract_batch", logging_extract)
+        subtrips = enumerate_subtrips(corpus, (2, 3, 5))
+        for trip, trace in enumerate(corpus.trips):
+            spans = [st.span for st in subtrips if st.trip == trip]
+            infer.decode_spans(coord.transform(trace), spans, corpus.network, ensemble, "full")
+        counts = (sum(map(len, batches)), sum(map(sum, batches)))
+        for count, ceiling, first in zip(
+            counts, self.CEILING[setting], self.FIRST_SEGMENT[setting]
+        ):
+            assert count <= ceiling < first
 
 
 M = 6
@@ -552,46 +640,79 @@ def onehot(col, p=1.0, m=M):
 
 
 def run_segments(plan, r):
-    """The segments of re-cut run ``r`` (counting from 0), probe first."""
+    """The segments of re-cut run ``r`` (counting from 0), in ride order."""
     return plan.layout(plan.recuts[r][2])
 
 
+def probe(plan, r):
+    """The segment round 1 classifies for run ``r`` when no other run shares one.
+
+    The cover gives each run one segment, the most shared per sample; for a
+    run that shares nothing that is its shortest, ties going to the lower
+    ``(a, b)``.
+    """
+    return min(run_segments(plan, r), key=lambda ab: (ab[1] - ab[0], ab))
+
+
+def cut_plan(detected, start, direction, cuts, run_rows):
+    """``stub_plan`` of the ``detected`` rows with one re-cut run cut at ``cuts``."""
+    plan, rows = stub_plan(detected, [])
+    plan = replace(plan, recuts=((start, direction, tuple(cuts)),))
+    rows.update(zip(plan.layout(plan.recuts[0][2]), (np.asarray(r, dtype=float) for r in run_rows)))
+    return plan, rows
+
+
+def bound(terms, length):
+    """The screen's bound on a run of ``length`` segments of which ``terms`` are known."""
+    return (sum(terms) + (length - len(terms)) * infer.T_MAX) / length
+
+
 class TestScreenEdges:
-    """Plans built at the bound's edges, checked against the frozen exhaustive scorer."""
+    """Plans built at the bound's edges, classified round by round by stubs and
+    checked against the frozen exhaustive scorer."""
 
     def decode_logged(self, plan, all_rows):
-        log = ReadLog(all_rows)
-        assert_same_as_exhaustive(plan, log, all_rows, infer._screen(plan, log))
-        log.read.clear()
-        res = screen_and_decode(plan, log)
-        return res, log.read
+        """The result, the segments classified, the batches and the runs the screen kept."""
+        rows, (screened,), batches = stub_classify([plan], all_rows)
+        assert_same_as_exhaustive(plan, rows, all_rows, screened)
+        res = infer.infer_with_segment_tolerance(plan, rows, screened)
+        return res, set(rows), batches, screened[1]
 
     def test_probe_of_one_is_kept_and_can_win(self):
-        # detected: 0.9 on the ride 0, 1, 2; run: probe p = 1.0 exactly, then certainty
+        # detected: 0.9 on the ride 0, 1, 2; run: certainty, so every round keeps it
+        # and classifies one more of its segments
         detected = [onehot(j, 0.9) for j in range(3)]
         runs = [(1, FORWARD, [onehot(1, 1.0), onehot(2, 1.0), onehot(3, 1.0), onehot(4, 1.0)])]
         plan, rows = stub_plan(detected, runs)
-        res, read = self.decode_logged(plan, rows)
-        assert set(run_segments(plan, 0)) <= read
+        res, classified, batches, _ = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= classified
+        assert [len(set(b) & set(run_segments(plan, 0))) for b in batches] == [1, 1, 1, 1]
         assert (res.best.start_interval, res.best.length) == (1, 4)
 
     def test_probe_of_one_is_kept_and_can_lose(self):
+        # the probe is certain and every other segment gives 0.85: no three known
+        # terms rule the run out, all four do, and it loses to the detected 0.9
         detected = [onehot(j, 0.9) for j in range(3)]
-        runs = [(1, FORWARD, [onehot(1, 1.0), onehot(0, 0.9), onehot(0, 0.9), onehot(0, 0.9)])]
+        runs = [(1, FORWARD, [onehot(j, 0.85) for j in range(1, 5)])]
         plan, rows = stub_plan(detected, runs)
-        res, read = self.decode_logged(plan, rows)
-        assert set(run_segments(plan, 0)) <= read
+        rows[probe(plan, 0)] = onehot(4, 1.0)
+        tau = math.log(0.9)
+        t = math.log(0.85 + infer.LOG_EPS)
+        assert bound([0.0, t, t], 4) >= tau > bound([0.0, t, t, t], 4)
+        res, classified, batches, _ = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= classified and len(batches) == 4
         assert res.best.length == 3 and res.points == plan.detected_cuts
 
     def test_probe_of_zero_is_ruled_out_unread(self):
         # the run's other rows are certain, yet its zero probe alone proves it loses
         detected = [onehot(j, 0.5) for j in range(3)]
-        runs = [(0, FORWARD, [onehot(1, 1.0), onehot(1, 1.0), onehot(2, 1.0), onehot(3, 1.0)])]
+        runs = [(0, FORWARD, [onehot(j, 1.0) for j in range(4)])]
         plan, rows = stub_plan(detected, runs)
-        assert rows[run_segments(plan, 0)[0]][0] == 0.0
-        res, read = self.decode_logged(plan, rows)
-        probe, *rest = run_segments(plan, 0)
-        assert probe in read and not read & set(rest)
+        zero = probe(plan, 0)
+        rows[zero] = onehot(run_segments(plan, 0).index(zero) + 1, 1.0)
+        res, classified, batches, kept = self.decode_logged(plan, rows)
+        assert classified & set(run_segments(plan, 0)) == {zero}
+        assert len(batches) == 1 and kept == ()
         assert res.points == plan.detected_cuts
 
     def test_probe_of_zero_is_kept_when_it_can_still_win(self):
@@ -599,31 +720,57 @@ class TestScreenEdges:
         # still beats a uniform detected layout of eight
         m = 30
         detected = [np.full(m, 1.0 / m)] * 8
-        runs = [(0, FORWARD, [onehot(1, 1.0, m)] + [onehot(j, 1.0, m) for j in range(1, 9)])]
+        runs = [(0, FORWARD, [onehot(j, 1.0, m) for j in range(9)])]
         plan, rows = stub_plan(detected, runs, m)
-        res, read = self.decode_logged(plan, rows)
-        assert set(run_segments(plan, 0)) <= read
+        zero = probe(plan, 0)
+        rows[zero] = onehot(run_segments(plan, 0).index(zero) + 1, 1.0, m)
+        res, classified, _, _ = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= classified
         assert (res.best.start_interval, res.best.length) == (0, 9)
 
+    def test_only_a_middle_segment_rules_the_run_out(self):
+        # the run's first segment is certain, so it alone would keep the run; its
+        # shortest segment, the second, is zero and alone proves that it loses
+        detected = [onehot(j, 0.5) for j in range(3)]
+        certain = [onehot(0, 1.0), onehot(2, 1.0), onehot(2, 1.0), onehot(3, 1.0)]
+        plan, rows = cut_plan(detected, 0, FORWARD, (300, 550, 900), certain)
+        first, middle, *_ = run_segments(plan, 0)
+        assert probe(plan, 0) == middle == (300, 550)
+        tau = math.log(0.5)
+        assert bound([math.log(1.0 + infer.LOG_EPS)], 4) >= tau
+        res, classified, batches, kept = self.decode_logged(plan, rows)
+        assert classified & set(run_segments(plan, 0)) == {middle}
+        assert len(batches) == 1 and kept == ()
+        assert res.points == plan.detected_cuts
+
+    def test_two_terms_rule_the_run_out_where_neither_alone_does(self):
+        # rounds 1 and 2 classify the run's two shortest segments, each at 0.1: either
+        # term alone leaves the bound above tau, both together put it below, so the
+        # other two segments are never classified
+        detected = [onehot(j, 0.5) for j in range(3)]
+        run_rows = [onehot(0, 0.1), onehot(1, 0.1), onehot(2, 1.0), onehot(3, 1.0)]
+        plan, rows = cut_plan(detected, 0, FORWARD, (200, 450, 900), run_rows)
+        tau = math.log(0.5)
+        t = math.log(0.1 + infer.LOG_EPS)
+        assert bound([t], 4) >= tau - infer.BAND > bound([t, t], 4)
+        res, classified, batches, kept = self.decode_logged(plan, rows)
+        bad = set(run_segments(plan, 0)[:2])
+        assert classified & set(run_segments(plan, 0)) == bad
+        assert [set(b) & bad for b in batches] == [{(0, 200)}, {(200, 450)}]
+        assert kept == () and res.points == plan.detected_cuts
+
     @pytest.mark.parametrize("offset, kept", [(-0.5, True), (-2.0, False)])
-    def test_band_edge(self, offset, kept, monkeypatch):
-        # a one-segment run scores its probe term alone; its bound sits just inside
-        # or just outside BAND below the detected best
+    def test_band_edge(self, offset, kept):
+        # a one-segment run's bound is its one term; it sits just inside or just
+        # outside BAND below the detected best
         detected = [onehot(j, 0.7) for j in range(2)]
         tau = infer.rank_hypotheses(np.array(detected))[0].mean_score
         p = math.exp(tau + offset * infer.BAND) - infer.LOG_EPS
         plan, rows = stub_plan(detected, [(2, REVERSE, [onehot(2, p)])])
-        res, read = self.decode_logged(plan, rows)
-        assert (run_segments(plan, 0)[0] in read) and res.points == plan.detected_cuts
+        res, classified, _, kept_runs = self.decode_logged(plan, rows)
+        assert run_segments(plan, 0)[0] in classified and res.points == plan.detected_cuts
         assert res.best.length == 2
-        # the run's only row is its probe: what shows the screen is whether it was scored
-        scored = []
-        real = infer.score_run
-        monkeypatch.setattr(
-            infer, "score_run", lambda P, s, d: scored.append((s, d, len(P))) or real(P, s, d)
-        )
-        screen_and_decode(plan, rows)
-        assert ((2, REVERSE, 1) in scored) == kept
+        assert (plan.recuts[0] in kept_runs) == kept
 
     def test_run_that_ties_the_detected_best_is_scored_and_loses_the_tie(self):
         # uniform rows: a one-segment run's mean t equals the two-segment
@@ -632,8 +779,8 @@ class TestScreenEdges:
         plan, rows = stub_plan([uniform, uniform], [(3, REVERSE, [uniform])])
         tau = infer.rank_hypotheses(np.array([uniform, uniform]))[0].mean_score
         assert tau == infer.score_run(np.array([uniform]), 3, REVERSE)
-        res, read = self.decode_logged(plan, rows)
-        assert set(run_segments(plan, 0)) <= read
+        res, classified, _, kept = self.decode_logged(plan, rows)
+        assert set(run_segments(plan, 0)) <= classified and kept == plan.recuts
         assert res.points == plan.detected_cuts
         assert (res.best.start_interval, res.best.direction) == (0, FORWARD)
 
@@ -649,15 +796,17 @@ class TestScreenEdges:
             (2, FORWARD, certain),
         ]
         plan, rows = stub_plan(weak, runs)
-        res, read = self.decode_logged(plan, rows)
-        assert all(set(run_segments(plan, r)) <= read for r in range(3))
+        res, classified, _, _ = self.decode_logged(plan, rows)
+        assert all(set(run_segments(plan, r)) <= classified for r in range(3))
         assert (res.best.start_interval, res.best.direction) == (2, FORWARD)
         assert res.points == plan.recuts[2][2]
 
     def test_no_detected_cuts_screens_nothing(self):
-        # every probe is zero, yet without a detected best nothing is ruled out
+        # every first row is zero, yet without a detected best nothing is ruled out,
+        # and every segment is classified in round 1
         runs = [(s, FORWARD, [onehot((s + 1) % M, 1.0), onehot(s + 1, 1.0)]) for s in range(3)]
         plan, rows = stub_plan(None, runs)
-        res, read = self.decode_logged(plan, rows)
-        assert read == every_segment(plan)
+        res, classified, batches, kept = self.decode_logged(plan, rows)
+        assert classified == every_segment(plan) and len(batches) == 1
+        assert kept == plan.recuts
         assert res.best.start_interval == 0

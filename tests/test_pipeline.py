@@ -400,8 +400,10 @@ class TestAttackTrace:
         report = attack_trace(day, attack_model, mode="full")
         monkeypatch.undo()
         assert [s.get("intervals") for s in report["spans"]] == [[0, 1, 2], [5, 4, 3]]
-        # both rides' segments in at most two batches, each segment once
-        assert 1 <= len(calls) <= 2
+        # both rides' segments in one batch per screening round, each segment once; a
+        # round classifies one more segment of every open run, and the longest re-cut
+        # run of a three-segment ride has four
+        assert 1 <= len(calls) <= 4
         shared = [seg for call in calls for seg in call]
         assert len(shared) == len(set(shared)) > 0
         # only segments that decoding each ride alone featurises, and fewer samples

@@ -342,6 +342,43 @@ class TestPerturbationContract:
             getattr(simgen, name)(trace, amount, 1)
 
 
+class TestSeeds:
+    """Every generator and perturbation takes an integer seed and refuses any other."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, line):
+        net, profiles = line
+        return gen_trip(net, profiles, 0, 2, NoiseConfig(), seed=7)
+
+    @staticmethod
+    def callers(line, trace):
+        net, profiles = line
+        return {
+            "gen_network": lambda seed: gen_network(3, seed),
+            "gen_trip": lambda seed: gen_trip(net, profiles, 0, 2, QUIET, seed),
+            "gen_other_mode": lambda seed: gen_other_mode("walk", 20.0, QUIET, seed),
+            "gen_mixed_day": lambda seed: gen_mixed_day([("static", 20.0)], QUIET, seed),
+            **{name: lambda seed, f=getattr(simgen, name): f(trace, 1.0, seed) for name in PERTURBATIONS},
+        }
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, np.bool_(True), "1", np.float64(2.0), None])
+    def test_non_integer_refused(self, line, trace, seed):
+        for name, call in self.callers(line, trace).items():
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call(seed)
+
+    def test_numpy_integer_is_its_value(self, line, trace):
+        for name, call in self.callers(line, trace).items():
+            a, b = call(5), call(np.int64(5))
+            if name == "gen_network":
+                assert a[0] == b[0]
+            else:
+                np.testing.assert_array_equal(a.acc, b.acc)
+        assert apply_defense_noise(trace, 1.0, np.uint8(1)).acc.tobytes() == (
+            apply_defense_noise(trace, 1.0, 1).acc.tobytes()
+        )
+
+
 class TestMixedDay:
     def test_concatenation(self, line):
         net, profiles = line
