@@ -27,9 +27,9 @@ featurised and classified once, one batch per screening round:
 5. *Later rounds.* While a run that survives has unclassified segments, a
    cover of those runs' unclassified segments is featurised and classified
    in one more batch, and the survivors are screened again. Each round
-   classifies at least one more segment of every open run, so a span takes
-   at most as many rounds as its longest re-cut run has segments. Reduced
-   mode plans no re-cuts, so it needs one round.
+   classifies at least one more segment of every open run, so there are at
+   most as many rounds as the longest re-cut run has segments. Reduced mode
+   plans no re-cuts, so it needs one round.
 6. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
    plan from the probability rows and its screen result; a span that no
    hypothesis fits is a result whose ``best`` is ``None``, not an error.
