@@ -410,11 +410,11 @@ def _classify(
             X = features.extract_batch([series.enu[a:b] for a, b in batch], ensemble.config)
             P = ensemble.predict_matrix(X)
             rows.update(zip(batch, P))
-            # the batch row of each segment id, -1 if not in the batch; the extra last
-            # entry takes the batch's segments that no run holds
-            row_of = np.full(len(segs) + 1, -1, dtype=np.intp)
-            row_of[[index.get(ab, len(segs)) for ab in batch]] = np.arange(len(batch))
-            row_of = row_of[:-1]
+            # the batch row of each segment id, -1 if not in the batch
+            ids = np.array([index.get(ab, -1) for ab in batch], dtype=np.intp)
+            in_runs = ids >= 0
+            row_of = np.full(len(segs), -1, dtype=np.intp)
+            row_of[ids[in_runs]] = np.flatnonzero(in_runs)
             new = row_of[seg] >= 0
             terms[new] = np.log(P[row_of[seg[new]], col[new]] + LOG_EPS)
             known |= row_of >= 0
