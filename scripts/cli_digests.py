@@ -21,7 +21,10 @@ full mode on that corpus under defense noise at factor 1.0
 runs win some spans, and on that corpus with 16 m/s^2 hand shake added to
 each recorded trip (``evalharness.perturbed_corpus`` with
 ``simgen.apply_hand_shake``, seeds ``(11, 10)``; the ``shake perturbation
-16`` line). Then
+16`` line), then one ``plan_span`` line: the digest of the ``repr`` of
+every span plan, re-cut runs included, that the full-mode clean and
+defended decodings planned, so the planner's output shows even for runs
+that never win. Then
 it prints every key path of ``model.json``, sorted, one ``model.json key``
 line each, with list indices collapsed
 (``ensemble.forest.trees[].probs``), so a change to the model format shows
@@ -57,7 +60,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from subtrace import cli, evalharness, pipeline  # noqa: E402
+from subtrace import cli, evalharness, infer, pipeline  # noqa: E402
 from subtrace.model import save_trace  # noqa: E402
 from subtrace.simgen import apply_hand_shake, gen_mixed_day, load_profiles, save_profiles  # noqa: E402
 
@@ -72,6 +75,8 @@ SMALL_CONFIG = {
 }
 TRIPS = (0, 1, 5)
 EVAL_LENGTHS = (1, 2, 3)
+# the decodings whose plans the plan_span line digests
+PLAN_DIGESTED = (("full", ""), ("full", " defended 1.0"))
 # each malformed copy of trip 0 rewrites its line 401 (a sample line), given
 # line 400 before it
 T_FIELD = re.compile(rb'^\{"t": [^,]+')
@@ -171,7 +176,13 @@ def run_commands() -> int:
 
 
 def decoded_subtrips() -> None:
-    """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode and corpus."""
+    """Print a digest of every subtrip ``evaluate_subtrips`` decodes, per attack mode and corpus.
+
+    Then print one digest of every ``infer.SpanPlan`` (its span, detected
+    cuts and every re-cut run) that decoding the clean and the defended
+    corpus in full mode planned, in planning order, so a change to the
+    planner shows even where no re-cut run wins.
+    """
     corpus = pipeline.load_corpus("corpus")
     ensemble = pipeline.AttackModel.load("model.json").ensemble
     config = pipeline.PipelineConfig(**SMALL_CONFIG)
@@ -179,21 +190,37 @@ def decoded_subtrips() -> None:
     shaken = evalharness.paired_corpus(config, hand_shake_amp=16.0)
     perturbed = evalharness.perturbed_corpus(corpus, apply_hand_shake, 16.0, (config.seed, 10))
     lengths = ",".join(map(str, EVAL_LENGTHS))
-    for mode, which, decoded in (
-        ("full", "", corpus),
-        ("reduced", "", corpus),
-        ("full", " defended 1.0", defended),
-        ("full", " hand shake 16", shaken),
-        ("full", " shake perturbation 16", perturbed),
-    ):
-        report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
-        lines = [
-            f"{st.trip} {st.start_leg} {st.length}: "
-            + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
-            for st, h in report.predictions
-        ]
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
+    plan_span = infer.plan_span
+    planned, kept = [], []
+
+    def recording_plan_span(*args):
+        planned.append(plan_span(*args))
+        return planned[-1]
+
+    infer.plan_span = recording_plan_span
+    try:
+        for mode, which, decoded in (
+            ("full", "", corpus),
+            ("reduced", "", corpus),
+            ("full", " defended 1.0", defended),
+            ("full", " hand shake 16", shaken),
+            ("full", " shake perturbation 16", perturbed),
+        ):
+            planned.clear()
+            report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
+            if (mode, which) in PLAN_DIGESTED:
+                kept.extend(planned)
+            lines = [
+                f"{st.trip} {st.start_leg} {st.length}: "
+                + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
+                for st, h in report.predictions
+            ]
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
+    finally:
+        infer.plan_span = plan_span
+    digest = hashlib.sha256("\n".join(map(repr, kept)).encode()).hexdigest()
+    print(f"{digest}  plan_span full clean and defended 1.0 lengths {lengths}: {len(kept)} plans")
 
 
 def key_paths(doc, prefix: str = "") -> set[str]:

@@ -15,7 +15,10 @@ featurised and classified once, one batch per screening round:
    dwells.
 2. *Plan.* ``plan_span`` fixes every cut layout of one span: the detected
    cuts and, in "full" mode, one re-cut layout per candidate run of the n-1
-   and n+1 families. "reduced" mode plans the detected layout alone.
+   and n+1 families. Each family is planned as arrays, one row per run: its
+   cuts from one running sum per row of nominal durations and dwells
+   (``_family_cuts``), snapped to HRA minima from one gather of every cut's
+   window (``_snap``). "reduced" mode plans the detected layout alone.
 3. *Round 1.* ``_classify`` featurises the detected layouts' segments, every
    segment of a plan without detected cuts, and a greedy cover of the
    other re-cut runs (``_cover``: segments that give each run at least one
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import features, segment
 from .classify import IntervalEnsemble
@@ -103,6 +107,13 @@ def candidate_runs(n: int, m: int) -> list[tuple[int, str]]:
     return fwd + rev
 
 
+def _ride_ids(n: int, m: int) -> np.ndarray:
+    """The undirected ids of every n-interval run on m intervals, one row per run in ``candidate_runs`` order."""
+    forward = np.arange(m - n + 1)[:, None] + np.arange(n)
+    # the reverse run from start s + n - 1 reads forward run s's ids backwards
+    return np.concatenate([forward, forward[:, ::-1]])
+
+
 def score_run(P: np.ndarray, start: int, direction: str) -> float:
     """Log-likelihood of one run under the per-segment distributions."""
     n = len(P)
@@ -124,11 +135,7 @@ def rank_hypotheses(P: np.ndarray) -> list[TraceHypothesis]:
     candidates = candidate_runs(n, m)
     if not candidates:
         raise ValueError(f"no feasible run of {n} segments on {m} intervals")
-    steps = np.arange(n)
-    forward = np.arange(m - n + 1)[:, None] + steps
-    # the reverse run from start s + n - 1 reads forward run s's columns backwards
-    cols = np.concatenate([forward, forward[:, ::-1]])
-    scores = np.log(P + LOG_EPS)[steps, cols].sum(axis=1)
+    scores = np.log(P + LOG_EPS)[np.arange(n), _ride_ids(n, m)].sum(axis=1)
     hyps = [
         TraceHypothesis(s, d, n, score) for (s, d), score in zip(candidates, scores.tolist())
     ]
@@ -146,38 +153,54 @@ class ToleranceResult:
     detected: int  # segment count the segmenter reported
 
 
-def _planned_cuts(
-    durations: list[float], dwell: float, n_samples: int, rate: float
-) -> list[int]:
-    """Interior cut samples for hypothesized legs, scaled to the span.
+def _family_cuts(durations: np.ndarray, dwell: float, n_samples: int, rate: float) -> np.ndarray:
+    """Interior cut samples of each run's legs, one row per run, scaled to the span.
 
-    Legs are separated by nominal dwells; each cut lands on a dwell center.
+    ``durations`` holds each run's nominal leg durations, one row per run.
+    Legs are separated by nominal dwells and each cut lands on a dwell
+    centre. Each row's elapsed time is one running sum of ``d + dwell / 2``,
+    then ``dwell / 2``, leg by leg, and its total the running sum of its
+    durations plus ``dwell * (legs - 1)``, so each cut has the bits of adding
+    the terms one at a time, left to right. The cut is
+    ``(elapsed * scale) * rate`` rounded half to even.
     """
-    total = sum(durations) + dwell * (len(durations) - 1)
+    legs = durations.shape[1]
+    total = np.cumsum(durations, axis=1)[:, -1] + dwell * (legs - 1)
     scale = (n_samples / rate) / total
-    cuts = []
-    elapsed = 0.0
-    for d in durations[:-1]:
-        elapsed += d + 0.5 * dwell
-        cuts.append(int(round(elapsed * scale * rate)))
-        elapsed += 0.5 * dwell
-    return cuts
+    half = 0.5 * dwell
+    steps = np.full((len(durations), 2 * legs - 2), half)
+    steps[:, ::2] = durations[:, :-1] + half
+    elapsed = np.cumsum(steps, axis=1)[:, ::2]
+    return np.rint(elapsed * scale[:, None] * rate).astype(np.intp)
 
 
-def _snap_cuts(cuts: list[int], hra: np.ndarray, w: int) -> tuple[int, ...] | None:
-    """Move each cut to the quietest sample within ``w`` of it; reject crossed layouts."""
-    n = len(hra)
-    snapped = []
-    prev = 0
-    for c in cuts:
-        lo = max(prev + 1, c - w)
-        hi = min(n - 1, c + w + 1)
-        if lo >= hi:
-            return None
-        s = lo + int(np.argmin(hra[lo:hi]))
-        snapped.append(s)
-        prev = s
-    return tuple(snapped)
+def _snap(cuts: np.ndarray, windows: np.ndarray, w: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cuts moved to the quietest sample within ``w`` of each, and which rows keep a layout.
+
+    Cut c snaps to the first minimum of the span's HRA over samples
+    ``[max(prev + 1, c - w), min(n - 1, c + w + 1))``, ``prev`` being the
+    row's previous snap (0 before the first), and a row whose window comes
+    out empty is crossed and not kept. ``windows[c]`` holds samples
+    ``c - w, ..., c + w`` of the span's HRA, +inf outside ``[1, n - 1)``, so
+    every snap is read from it at once as if no previous snap truncated its
+    window. Snaps only move later when a window is truncated, so when none
+    is, every snap stands; otherwise a column pass, cut by cut, snaps again
+    the cuts whose window the previous snap truncates.
+    """
+    lo = np.maximum(cuts - w, 1)
+    hi = np.minimum(cuts + w + 1, n - 1)
+    kept = (lo < hi).all(axis=1)
+    snapped = cuts - w + windows[cuts].argmin(axis=2)
+    if (snapped[:, :-1] >= lo[:, 1:]).any():
+        for j in range(1, cuts.shape[1]):
+            rows = np.flatnonzero(snapped[:, j - 1] >= lo[:, j])
+            first = snapped[rows, j - 1] + 1
+            kept[rows[first >= hi[rows, j]]] = False
+            c = cuts[rows, j]
+            window = windows[c]
+            window[np.arange(2 * w + 1) < (first - (c - w))[:, None]] = np.inf
+            snapped[rows, j] = c - w + window.argmin(axis=1)
+    return snapped, kept
 
 
 @dataclass(frozen=True)
@@ -212,34 +235,48 @@ def plan_span(
     """The cut layouts that decode samples ``[lo, hi)`` of ``series``, allowing one missed or spurious stop.
 
     ``points`` are the detected interior cuts, counted from ``lo``. They give
-    the n-segment layout. In ``"full"`` mode, for n-1 and n+1 segments the
-    span is re-cut per candidate run from nominal interval durations plus
-    dwells, snapped to local HRA minima; ``"reduced"`` mode keeps the
-    detected layout alone. An unknown ``mode`` raises ``ValueError``.
+    the n-segment layout, unless it has more segments than the line has
+    intervals or its sorted cuts do not rise strictly inside ``(0, hi - lo)``;
+    then ``detected_cuts`` is ``None``. In ``"full"`` mode the span is also
+    re-cut per candidate run for n-1 and n+1 segments, each family as arrays
+    in ``candidate_runs`` order: cuts on nominal dwell centres scaled to the
+    span (``_family_cuts``), snapped to HRA minima (``_snap``); a run whose
+    snaps cross is dropped. ``"reduced"`` mode keeps the detected layout
+    alone. An unknown ``mode``, or a span that is not a non-empty range of
+    the recording, raises ``ValueError``.
     """
     check_mode(mode)
+    _check_span(series, lo, hi)
     points = sorted(points)
-
     n_samples = hi - lo
-    hra = series.hra[lo:hi]
-    rate = network.sample_rate
     m = network.num_intervals
     n_detected = len(points) + 1
-
-    detected_cuts = tuple(points)
-    use_detected = n_detected <= m and all(0 < c < n_samples for c in detected_cuts)
+    bounds = [0, *points, n_samples]
+    use_detected = n_detected <= m and all(a < b for a, b in zip(bounds, bounds[1:]))
+    families = [f for f in (n_detected - 1, n_detected + 1) if 1 <= f <= m] if mode == "full" else []
     recuts: list[tuple[int, str, tuple[int, ...]]] = []
-    families = (n_detected - 1, n_detected + 1) if mode == "full" else ()
-    for fam in families:
-        if not 1 <= fam <= m:
-            continue
-        for start, direction in candidate_runs(fam, m):
-            durations = [network.nominal_duration(u) for u in _ride(start, direction, fam)]
-            cuts = _planned_cuts(durations, network.dwell_nominal, n_samples, rate)
-            snapped = _snap_cuts(cuts, hra, network.samples(SNAP_WINDOW_S))
-            if snapped is not None:
-                recuts.append((start, direction, snapped))
-    return SpanPlan(lo, hi, n_detected, detected_cuts if use_detected else None, tuple(recuts))
+    if families:
+        w = network.samples(SNAP_WINDOW_S)
+        # padded[i] is sample i - w of the span; no cut snaps to sample 0 or to n - 1 on
+        padded = np.full(n_samples + 2 * w + 1, np.inf)
+        padded[w + 1 : w + n_samples - 1] = series.hra[lo + 1 : hi - 1]
+        windows = sliding_window_view(padded, 2 * w + 1)
+        nominal = np.array([network.nominal_duration(u) for u in range(m)])
+        for fam in families:
+            durations = nominal[_ride_ids(fam, m)]
+            cuts = _family_cuts(durations, network.dwell_nominal, n_samples, network.sample_rate)
+            snapped, kept = _snap(cuts, windows, w, n_samples)
+            runs = zip(candidate_runs(fam, m), snapped.tolist(), kept.tolist())
+            recuts.extend((start, direction, tuple(row)) for (start, direction), row, k in runs if k)
+    return SpanPlan(lo, hi, n_detected, tuple(points) if use_detected else None, tuple(recuts))
+
+
+def _check_span(series: EnuSeries, lo: int, hi: int) -> None:
+    """Reject a span that is not a non-empty ``[lo, hi)`` range of ``series``' samples."""
+    if not 0 <= lo < hi <= len(series.hra):
+        raise ValueError(
+            f"span [{lo}, {hi}) is not a non-empty range of the recording's {len(series.hra)} samples"
+        )
 
 
 # a plan's screen result: the detected layout's best hypothesis and the re-cut runs kept
@@ -489,8 +526,12 @@ def decode_spans(
 
     Every span is segmented and planned first, so that the spans' segments
     are featurised and classified together, one batch per screening round.
-    An unknown ``mode`` raises ``ValueError`` when the first span is planned.
+    A span that is not a non-empty range of ``series``' samples raises
+    ``ValueError`` naming it before any span is segmented; an unknown
+    ``mode`` raises ``ValueError`` when the first span is planned.
     """
+    for lo, hi in spans:
+        _check_span(series, lo, hi)
     plans, warnings = [], []
     for lo, hi in spans:
         points, warn = segment.find_final_segment_points(series.hra[lo:hi], network)

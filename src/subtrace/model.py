@@ -75,9 +75,12 @@ def percentiles(values: np.ndarray, qs: Iterable[float], overwrite_input: bool =
     next index (both at the last index from ``n - 1`` on, weighted as if from
     index -1), and interpolates as its ``_lerp`` does, from the upper value
     when the weight is at least a half. numpy places every needed order
-    statistic with one multi-kth ``partition``; here each gets a single-kth
-    partition, in ascending order, of what lies above the one before, which
-    costs several times less on long arrays. A copy is partitioned unless
+    statistic with one multi-kth ``partition``; here each, in ascending
+    order, gets a single-kth partition of what lies above the one placed
+    before it, which costs several times less on long arrays. The order
+    statistic at index 0, or right above the last one placed, such as the
+    upper of a pair, is the least of what lies there or above, so it is read
+    with ``min`` and placed by no partition. A copy is partitioned unless
     ``overwrite_input`` is set, in which case ``values`` itself is reordered.
     """
     arr = np.asarray(values, dtype=float) if overwrite_input else np.array(values, dtype=float)
@@ -92,11 +95,16 @@ def percentiles(values: np.ndarray, qs: Iterable[float], overwrite_input: bool =
         else:
             lo = math.floor(virtual)
             plan.append((lo, lo + 1, virtual - lo))
+    value = {}
     start = 0
     for k in sorted({i for lo, hi, _ in plan for i in (lo, hi)}):
+        if k == start:
+            value[k] = float(arr[start:].min())
+            continue
         arr[start:].partition(k - start)
+        value[k] = float(arr[k])
         start = k + 1
-    return tuple(_lerp(float(arr[lo]), float(arr[hi]), t) for lo, hi, t in plan)
+    return tuple(_lerp(value[lo], value[hi], t) for lo, hi, t in plan)
 
 
 def _lerp(a: float, b: float, t: float) -> float:

@@ -11,6 +11,7 @@ screens round by round must pick the same ride, cuts and score bits.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from dataclasses import replace
 
 from subtrace import coord, features, infer, segment
 from subtrace.evalharness import (
+    DEFAULT_LENGTHS,
     defended_corpus,
     enumerate_subtrips,
     paired_corpus,
@@ -336,6 +338,53 @@ class TestDecodeSpans:
             assert res == want
             assert res.best.score.hex() == want.best.score.hex()
             assert warn is bool(want_warn)
+
+
+class TestSpanBounds:
+    """A span must be a non-empty range of the recording's samples, and detected cuts must rise."""
+
+    @pytest.mark.parametrize("span", ["empty", "reversed", "before", "past", "stub past"])
+    def test_bad_span_refused_before_segmenting(self, small_corpus, ensemble, span, monkeypatch):
+        series = coord.transform(small_corpus.trips[0])
+        n = len(series.hra)
+        lo, hi = {
+            "empty": (0, 0),
+            "reversed": (500, 100),
+            "before": (-100, 2000),
+            "past": (0, n + 500),
+            "stub past": (n - 10, n + 5000),
+        }[span]
+
+        def never(hra, network):
+            pytest.fail("a span was segmented before every span was checked")
+
+        monkeypatch.setattr(segment, "find_final_segment_points", never)
+        # a good span first: nothing is segmented until every span is checked
+        for mode in ("full", "reduced"):
+            with pytest.raises(ValueError, match=rf"span \[{lo}, {hi}\)"):
+                infer.decode_spans(series, [(0, n), (lo, hi)], small_corpus.network, ensemble, mode)
+        with pytest.raises(ValueError, match=rf"span \[{lo}, {hi}\)"):
+            infer.plan_span(series, lo, hi, small_corpus.network, [], "full")
+
+    def test_whole_recording_is_a_span(self, small_corpus, ensemble):
+        series = coord.transform(small_corpus.trips[0])
+        n = len(series.hra)
+        ((res, _),) = infer.decode_spans(series, [(0, n)], small_corpus.network, ensemble, "full")
+        assert res.best is not None
+
+    @pytest.mark.parametrize("points", [[1000, 1000], [0, 1000], [1000, 2000, 2000, 3000]])
+    def test_detected_cuts_must_rise_inside_the_span(self, small_corpus, ensemble, points):
+        # cuts that repeat or touch the span's start fit no ride, as cuts outside it do;
+        # the re-cut families still decode the span
+        network = small_corpus.network
+        lay = true_trip_layout(small_corpus.trips[0])
+        series = coord.transform(small_corpus.trips[0])
+        lo, hi = lay.span
+        plan = infer.plan_span(series, lo, hi, network, points, "full")
+        assert plan.detected_cuts is None and plan.detected == len(points) + 1
+        assert plan.recuts
+        res = decode(series, lo, hi, ensemble, network, points, "full")
+        assert res.best is not None and res.best.length != res.detected
 
 
 def layout_stub(P, seg_len=10):
@@ -810,3 +859,121 @@ class TestScreenEdges:
         assert classified == every_segment(plan) and len(batches) == 1
         assert kept == plan.recuts
         assert res.best.start_interval == 0
+
+
+# --- the array planner against a frozen loop planner ---------------------------
+
+
+def frozen_planned_cuts(durations, dwell, n_samples, rate):
+    """Interior cut samples for hypothesized legs, scaled to the span, one leg at a time."""
+    total = sum(durations) + dwell * (len(durations) - 1)
+    scale = (n_samples / rate) / total
+    cuts = []
+    elapsed = 0.0
+    for d in durations[:-1]:
+        elapsed += d + 0.5 * dwell
+        cuts.append(int(round(elapsed * scale * rate)))
+        elapsed += 0.5 * dwell
+    return cuts
+
+
+def frozen_snap_cuts(cuts, hra, w, events):
+    """Each cut moved to the quietest sample within ``w`` of it, or ``None`` for a crossed layout.
+
+    ``events`` counts the windows the span's ends clip, those the previous
+    snap truncates, and the layouts rejected.
+    """
+    n = len(hra)
+    snapped = []
+    prev = 0
+    for c in cuts:
+        lo = max(prev + 1, c - w)
+        hi = min(n - 1, c + w + 1)
+        events["clipped"] += c - w < 1 or c + w + 1 > n - 1
+        events["truncated"] += prev + 1 > c - w and prev > 0
+        if lo >= hi:
+            events["rejected"] += 1
+            return None
+        s = lo + int(np.argmin(hra[lo:hi]))
+        snapped.append(s)
+        prev = s
+    return tuple(snapped)
+
+
+def frozen_plan(series, lo, hi, network, points, events):
+    """``plan_span`` in full mode as it was before the array planner: one loop per re-cut run."""
+    points = sorted(points)
+    n_samples = hi - lo
+    hra = series.hra[lo:hi]
+    m = network.num_intervals
+    n_detected = len(points) + 1
+    use_detected = n_detected <= m and all(0 < c < n_samples for c in points)
+    recuts = []
+    for fam in (n_detected - 1, n_detected + 1):
+        if not 1 <= fam <= m:
+            continue
+        events[f"family of {fam}"] += 1
+        for start, direction in candidate_runs(fam, m):
+            ride = range(start, start + fam) if direction == FORWARD else range(start, start - fam, -1)
+            durations = [network.nominal_duration(u) for u in ride]
+            cuts = frozen_planned_cuts(durations, network.dwell_nominal, n_samples, network.sample_rate)
+            snapped = frozen_snap_cuts(cuts, hra, network.samples(infer.SNAP_WINDOW_S), events)
+            if snapped is not None:
+                recuts.append((start, direction, snapped))
+    return SpanPlan(lo, hi, n_detected, tuple(points) if use_detected else None, tuple(recuts))
+
+
+def assert_plans_match(series, lo, hi, network, points, events):
+    """``plan_span`` gives the frozen planner's plan, field for field, its cuts as Python ints."""
+    plan = infer.plan_span(series, lo, hi, network, points, "full")
+    want = frozen_plan(series, lo, hi, network, points, events)
+    assert plan == want
+    assert all(type(c) is int for _, _, cuts in plan.recuts for c in cuts)
+
+
+class TestPlannerMatchesFrozenLoop:
+    """Each family planned as arrays gives the plan of one ``_planned_cuts`` / ``_snap_cuts`` call per run."""
+
+    @pytest.mark.parametrize("setting", ["clean", "defense"])
+    def test_default_corpus(self, acceptance_corpus, setting):
+        corpus = acceptance_corpus
+        if setting == "defense":
+            corpus = defended_corpus(corpus, PipelineConfig(), 1.0)[0]
+        events = Counter()
+        subtrips = enumerate_subtrips(corpus, DEFAULT_LENGTHS)
+        for trip, trace in enumerate(corpus.trips):
+            series = coord.transform(trace)
+            for st in subtrips:
+                if st.trip == trip:
+                    lo, hi = st.span
+                    points, _ = find_final_segment_points(series.hra[lo:hi], corpus.network)
+                    assert_plans_match(series, lo, hi, corpus.network, points, events)
+                    events["plans"] += 1
+        assert events["plans"] == len(subtrips) == 720
+        # the default corpus clips, truncates and rejects no snap window
+        assert events["clipped"] == events["truncated"] == events["rejected"] == 0
+
+    def test_random_spans_reach_every_edge(self, small_corpus):
+        # random HRA on the six-interval line: spans from 1 sample to well past every
+        # nominal layout, detected counts from 1 to m + 1, and spans that do not start
+        # the recording; short spans crowd cuts into one another's windows, and in a
+        # span of 1 or 2 samples every window is empty
+        network = small_corpus.network
+        m = network.num_intervals
+        w = network.samples(infer.SNAP_WINDOW_S)
+        rng = np.random.default_rng(408)
+        series = SimpleNamespace(hra=rng.random(6000))
+        tiny = [(n, detected) for n in (1, 2, 3) for detected in range(1, m + 2)]
+        drawn = [
+            (int(rng.choice([rng.integers(4, 2 * w + 2), rng.integers(2 * w + 2, 5000)])),
+             int(rng.integers(1, m + 2)))
+            for _ in range(400)
+        ]
+        events = Counter()
+        for n, detected in tiny + drawn:
+            lo = int(rng.integers(0, len(series.hra) - n + 1))
+            points = sorted(rng.choice(np.arange(1, n), size=min(detected, n) - 1, replace=False))
+            assert_plans_match(series, lo, lo + n, network, [int(p) for p in points], events)
+        assert min(n for n, _ in drawn) < 2 * w + 2 <= max(n for n, _ in drawn)
+        assert events["family of 1"] > 0 and events[f"family of {m}"] > 0
+        assert events["clipped"] > 0 and events["truncated"] > 0 and events["rejected"] > 0
