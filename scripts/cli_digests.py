@@ -198,27 +198,25 @@ def decoded_subtrips() -> None:
         return planned[-1]
 
     infer.plan_span = recording_plan_span
-    try:
-        for mode, which, decoded in (
-            ("full", "", corpus),
-            ("reduced", "", corpus),
-            ("full", " defended 1.0", defended),
-            ("full", " hand shake 16", shaken),
-            ("full", " shake perturbation 16", perturbed),
-        ):
-            planned.clear()
-            report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
-            if (mode, which) in PLAN_DIGESTED:
-                kept.extend(planned)
-            lines = [
-                f"{st.trip} {st.start_leg} {st.length}: "
-                + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
-                for st, h in report.predictions
-            ]
-            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-            print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
-    finally:
-        infer.plan_span = plan_span
+    for mode, which, decoded in (
+        ("full", "", corpus),
+        ("reduced", "", corpus),
+        ("full", " defended 1.0", defended),
+        ("full", " hand shake 16", shaken),
+        ("full", " shake perturbation 16", perturbed),
+    ):
+        planned.clear()
+        report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
+        if (mode, which) in PLAN_DIGESTED:
+            kept.extend(planned)
+        lines = [
+            f"{st.trip} {st.start_leg} {st.length}: "
+            + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
+            for st, h in report.predictions
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
+    infer.plan_span = plan_span
     digest = hashlib.sha256("\n".join(map(repr, kept)).encode()).hexdigest()
     print(f"{digest}  plan_span full clean and defended 1.0 lengths {lengths}: {len(kept)} plans")
 

@@ -8,6 +8,9 @@ whose bits the array ranking must reproduce. exhaustive_decode is a frozen
 copy of the span scorer from before re-cut runs were screened, built on
 them: it scores every layout from every segment's row, so the decoder that
 screens round by round must pick the same ride, cuts and score bits.
+frozen_plan is a frozen copy of the planner from before each re-cut family
+was planned as arrays: one cut placement and one snap loop per run, whose
+plans the array planner must reproduce field for field.
 """
 
 import math
