@@ -24,7 +24,10 @@ each recorded trip (``evalharness.perturbed_corpus`` with
 16`` line), then one ``plan_span`` line: the digest of the ``repr`` of
 every span plan, re-cut runs included, that the full-mode clean and
 defended decodings planned, so the planner's output shows even for runs
-that never win. Then
+that never win, and one ``extract_batch`` line: the digest of the
+segments of every ``features.extract_batch`` call those same decodings
+made, call by call, with the call and segment counts, so a change to what
+a screening round featurises shows even where no decoded ride moves. Then
 it prints every key path of ``model.json``, sorted, one ``model.json key``
 line each, with list indices collapsed
 (``ensemble.forest.trees[].probs``), so a change to the model format shows
@@ -60,7 +63,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from subtrace import cli, evalharness, infer, pipeline  # noqa: E402
+from subtrace import cli, evalharness, features, infer, pipeline  # noqa: E402
 from subtrace.model import save_trace  # noqa: E402
 from subtrace.simgen import apply_hand_shake, gen_mixed_day, load_profiles, save_profiles  # noqa: E402
 
@@ -75,7 +78,7 @@ SMALL_CONFIG = {
 }
 TRIPS = (0, 1, 5)
 EVAL_LENGTHS = (1, 2, 3)
-# the decodings whose plans the plan_span line digests
+# the decodings whose plans and featurisation batches the plan_span and extract_batch lines digest
 PLAN_DIGESTED = (("full", ""), ("full", " defended 1.0"))
 # each malformed copy of trip 0 rewrites its line 401 (a sample line), given
 # line 400 before it
@@ -181,7 +184,9 @@ def decoded_subtrips() -> None:
     Then print one digest of every ``infer.SpanPlan`` (its span, detected
     cuts and every re-cut run) that decoding the clean and the defended
     corpus in full mode planned, in planning order, so a change to the
-    planner shows even where no re-cut run wins.
+    planner shows even where no re-cut run wins, and one digest of the
+    segments of every ``features.extract_batch`` call of those decodings,
+    call by call.
     """
     corpus = pipeline.load_corpus("corpus")
     ensemble = pipeline.AttackModel.load("model.json").ensemble
@@ -190,14 +195,19 @@ def decoded_subtrips() -> None:
     shaken = evalharness.paired_corpus(config, hand_shake_amp=16.0)
     perturbed = evalharness.perturbed_corpus(corpus, apply_hand_shake, 16.0, (config.seed, 10))
     lengths = ",".join(map(str, EVAL_LENGTHS))
-    plan_span = infer.plan_span
+    plan_span, extract_batch = infer.plan_span, features.extract_batch
     planned, kept = [], []
+    calls, batches = [], []  # each extract_batch call's segments, as bytes
 
     def recording_plan_span(*args):
         planned.append(plan_span(*args))
         return planned[-1]
 
-    infer.plan_span = recording_plan_span
+    def recording_extract_batch(segments, config):
+        calls.append([seg.tobytes() for seg in segments])
+        return extract_batch(segments, config)
+
+    infer.plan_span, features.extract_batch = recording_plan_span, recording_extract_batch
     for mode, which, decoded in (
         ("full", "", corpus),
         ("reduced", "", corpus),
@@ -206,9 +216,11 @@ def decoded_subtrips() -> None:
         ("full", " shake perturbation 16", perturbed),
     ):
         planned.clear()
+        calls.clear()
         report = evalharness.evaluate_subtrips(decoded, lambda _: ensemble, EVAL_LENGTHS, mode=mode)
         if (mode, which) in PLAN_DIGESTED:
             kept.extend(planned)
+            batches.extend(calls)
         lines = [
             f"{st.trip} {st.start_leg} {st.length}: "
             + ("none" if h is None else f"{h.start_interval} {h.direction} {h.length} {h.score.hex()}")
@@ -216,9 +228,18 @@ def decoded_subtrips() -> None:
         ]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         print(f"{digest}  evaluate_subtrips {mode}{which} lengths {lengths}: {len(lines)} subtrips")
-    infer.plan_span = plan_span
+    infer.plan_span, features.extract_batch = plan_span, extract_batch
     digest = hashlib.sha256("\n".join(map(repr, kept)).encode()).hexdigest()
     print(f"{digest}  plan_span full clean and defended 1.0 lengths {lengths}: {len(kept)} plans")
+    sha = hashlib.sha256()
+    for call in batches:
+        sha.update(f"call of {len(call)}\n".encode())
+        for seg in call:
+            sha.update(f"{len(seg)} bytes\n".encode() + seg)
+    print(
+        f"{sha.hexdigest()}  extract_batch full clean and defended 1.0 lengths {lengths}: "
+        f"{len(batches)} calls, {sum(map(len, batches))} segments"
+    )
 
 
 def key_paths(doc, prefix: str = "") -> set[str]:

@@ -19,23 +19,30 @@ featurised and classified once, one batch per screening round:
    cuts from one running sum per row of nominal durations and dwells
    (``_family_cuts``), snapped to HRA minima from one gather of every cut's
    window (``_snap``). "reduced" mode plans the detected layout alone.
-3. *Round 1.* ``_classify`` featurises the detected layouts' segments, every
-   segment of a plan without detected cuts, and a greedy cover of the
-   other re-cut runs (``_cover``: segments that give each run at least one
-   classified segment), in one ``features.extract_batch`` call, and
+3. *Round 1.* ``_table`` gives every segment that a layout of a plan cuts,
+   detected or re-cut, one id, in ``(a, b)`` order, and ``_classify`` keeps
+   one probability row per id, with a mask of the rows known. Round 1
+   featurises the detected layouts' segments, every segment of a plan
+   without detected cuts, and a greedy cover of the other re-cut runs
+   (``_cover``: segments that give each run at least one classified
+   segment), in id order in one ``features.extract_batch`` call, and
    classifies them in one ``predict_matrix`` call.
-4. *Screen.* A re-cut run is ruled out when its classified segments alone
-   prove that its mean per-segment score falls below the detected layout's
-   best (``_screen``, which proves the bound).
+4. *Screen.* Each re-cut run's segments are slots of one flat array of
+   terms, log(p + LOG_EPS) where the segment is classified. A run is ruled
+   out when its classified segments alone prove that its mean per-segment
+   score falls below the detected layout's best (``_screen``, which proves
+   the bound).
 5. *Later rounds.* While a run that survives has unclassified segments, a
    cover of those runs' unclassified segments is featurised and classified
    in one more batch, and the survivors are screened again. Each round
    classifies at least one more segment of every open run, so there are at
    most as many rounds as the longest re-cut run has segments. Reduced mode
    plans no re-cuts, so it needs one round.
-6. *Score.* ``infer_with_segment_tolerance``, the one scorer, decodes each
-   plan from the probability rows and its screen result; a span that no
-   hypothesis fits is a result whose ``best`` is ``None``, not an error.
+6. *Score.* Each detected best is the first of ``rank_hypotheses`` over its
+   layout's rows, and each kept run's score the sum of its slots' terms.
+   ``infer_with_segment_tolerance``, the one scorer, picks each plan's
+   winner from them; a span that no hypothesis fits is a result whose
+   ``best`` is ``None``, not an error.
 
 The attack decodes a recording's extracted rides, and the evaluation
 harness a trip's subtrips, through ``decode_spans`` alone.
@@ -46,7 +53,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -279,10 +286,6 @@ def _check_span(series: EnuSeries, lo: int, hi: int) -> None:
         )
 
 
-# a plan's screen result: the detected layout's best hypothesis and the re-cut runs kept
-Screened = tuple[TraceHypothesis | None, tuple[tuple[int, str, tuple[int, ...]], ...]]
-
-
 def _screen(terms: np.ndarray, run: np.ndarray, length: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Which re-cut runs the classified segments cannot rule out, as a mask over the runs.
 
@@ -302,10 +305,11 @@ def _screen(terms: np.ndarray, run: np.ndarray, length: np.ndarray, tau: np.ndar
     last place of a float below 32 in magnitude. ``np.log`` is within 4 such
     units and one rounding within half a unit, so each float term is within
     e / 2 of its real term, and T_MAX within e / 2 of T*. A run's sum is one
-    row of ``rank_hypotheses``' row-wise sum or ``score_run``'s sum: L - 1
-    roundings, each of a partial sum of j <= L terms, below 32 j, so within
-    j e / 16. Left-to-right adding, with j = 2, ..., L, has the largest such
-    total of any order. Summing L float terms therefore rounds by less than
+    row of ``rank_hypotheses``' row-wise sum or, for a kept re-cut run, the
+    sum of its slots' terms, all real by then: L - 1 roundings, each of a
+    partial sum of j <= L terms, below 32 j, so within j e / 16.
+    Left-to-right adding, with j = 2, ..., L, has the largest such total of
+    any order. Summing L float terms therefore rounds by less than
     (L - 1) L e / 16 in any order, and the division by L by e / 32, so a
     run's float mean is within e / 2 + L e / 16 of the real mean of its
     terms. The bound sums L floats too, its K terms and L - K copies of
@@ -364,142 +368,117 @@ def _cover(seg: np.ndarray, run: np.ndarray, samples: np.ndarray) -> list[int]:
     return picked
 
 
-def _matrix(
-    plan: SpanPlan, cuts: tuple[int, ...], rows: dict[tuple[int, int], np.ndarray]
-) -> np.ndarray:
-    """The (segments, intervals) probability matrix of one cut layout of ``plan``."""
-    return np.array([rows[seg] for seg in plan.layout(cuts)])
+def _table(
+    plans: list[SpanPlan],
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None], np.ndarray, np.ndarray, np.ndarray]:
+    """Every segment a layout of ``plans`` cuts, as ``(a, b, detected, seg, col, run)``.
 
-
-def _slots(plans: list[SpanPlan]) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """Every re-cut run's segments, run after run in plan order, as ``(segs, seg, col, run)``.
-
-    ``segs`` lists the distinct segments' ``[a, b)`` in ascending order.
-    Slot i of the flat arrays is segment ``segs[seg[i]]`` of run ``run[i]``,
-    the runs counted across ``plans``, and its term is read from column
-    ``col[i]`` of that segment's row.
+    Segment id i is recording samples ``[a[i], b[i])``, the ids counting in
+    ``(a, b)`` order. ``detected`` holds each plan's detected layout as ids
+    in ride order, ``None`` without detected cuts. The flat arrays hold
+    every re-cut run's segments, run after run in plan order: slot i is
+    segment ``seg[i]`` of run ``run[i]``, the runs counted across ``plans``,
+    and its term is read from column ``col[i]`` of that segment's row.
     """
     runs = [r for plan in plans for r in plan.recuts]
-    per_plan = [len(plan.recuts) for plan in plans]
-    length = np.array([len(cuts) + 1 for _, _, cuts in runs], dtype=np.intp)
-    run = np.repeat(np.arange(len(runs)), length)
-    pos = np.arange(len(run)) - (np.cumsum(length) - length)[run]  # place in the ride
-    last = pos == length[run] - 1
+    layouts = [(plan, cuts) for plan in plans for _, _, cuts in plan.recuts]
+    layouts += [(plan, plan.detected_cuts) for plan in plans if plan.detected_cuts is not None]
+    length = np.array([len(cuts) + 1 for _, cuts in layouts], dtype=np.intp)
+    owner = np.repeat(np.arange(len(layouts)), length)
+    pos = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]  # place in the ride
+    last = pos == length[owner] - 1
     cuts = np.fromiter(
-        chain.from_iterable(cuts for _, _, cuts in runs), dtype=np.int64, count=len(run) - len(runs)
+        chain.from_iterable(cuts for _, cuts in layouts), dtype=np.int64, count=len(owner) - len(layouts)
     )
-    a = np.repeat(np.array([plan.lo for plan in plans], dtype=np.int64), per_plan)[run]
+    a = np.array([plan.lo for plan, _ in layouts], dtype=np.int64)[owner]
     b = a.copy()
     a[pos > 0] += cuts
     b[~last] += cuts
-    b[last] = np.repeat(np.array([plan.hi for plan in plans], dtype=np.int64), per_plan)
-    sign = np.array([1 if d == FORWARD else -1 for _, d, _ in runs], dtype=np.intp)
-    col = np.array([s for s, _, _ in runs], dtype=np.intp)[run] + sign[run] * pos
+    b[last] = [plan.hi for plan, _ in layouts]
     width = max((plan.hi for plan in plans), default=0) + 1
-    keys, seg = np.unique(a * width + b, return_inverse=True)
-    return list(zip((keys // width).tolist(), (keys % width).tolist())), seg, col, run
+    keys, ids = np.unique(a * width + b, return_inverse=True)
+    slots = int(length[: len(runs)].sum())
+    layout_ids = iter(np.split(ids[slots:], np.cumsum(length[len(runs) :])[:-1]))
+    detected = [None if plan.detected_cuts is None else next(layout_ids) for plan in plans]
+    run = owner[:slots]
+    sign = np.array([1 if d == FORWARD else -1 for _, d, _ in runs], dtype=np.intp)
+    col = np.array([s for s, _, _ in runs], dtype=np.intp)[run] + sign[run] * pos[:slots]
+    return keys // width, keys % width, detected, ids[:slots], col, run
 
 
 def _classify(
     series: EnuSeries, plans: list[SpanPlan], ensemble: IntervalEnsemble
-) -> tuple[dict[tuple[int, int], np.ndarray], list[Screened]]:
-    """The probability row of every segment the plans' decoding reads, and each plan's screen.
+) -> list[tuple[TraceHypothesis | None, list[tuple[TraceHypothesis, tuple[int, ...]]]]]:
+    """Each plan's detected best, and each re-cut run the screen keeps, scored, with its cuts.
 
-    Rows are keyed by their segment's ``[a, b)``. Classification runs in
-    rounds, each one ``features.extract_batch`` call under
-    ``ensemble.config`` and one ``predict_matrix`` call over the distinct
-    segments not yet classified. Round 1 takes every detected layout's
-    segments, every segment of a plan without detected cuts (nothing there
-    can be screened) and a ``_cover`` of the other re-cut runs. After each
-    round ``_screen`` rules out what it can; while a run it keeps has
-    unclassified segments, the next round takes a ``_cover`` of those runs'
+    Row i of ``P`` is the probability row of ``_table``'s segment id i once
+    ``known[i]``. Classification runs in rounds, each one
+    ``features.extract_batch`` call under ``ensemble.config`` and one
+    ``predict_matrix`` call over the segments the round wants that are not
+    yet known, in id order. Round 1 wants every detected layout's segments,
+    every segment of a plan without detected cuts (nothing there can be
+    screened) and a ``_cover`` of the other re-cut runs. After each round
+    ``_screen`` rules out what it can; while a run it keeps has
+    unclassified segments, the next round wants a ``_cover`` of those runs'
     unclassified segments. A segment that several layouts or spans share is
     computed once; a round with nothing left to classify is skipped, so
-    plans that cut nothing classify nothing. The second value holds each
-    plan's detected best and kept runs, in order, for
-    ``infer_with_segment_tolerance``.
+    plans that cut nothing classify nothing. A plan without detected cuts
+    has no detected best (``None``).
     """
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    fresh: set[tuple[int, int]] = set()
-    for plan in plans:
-        if plan.detected_cuts is not None:
-            fresh.update(plan.layout(plan.detected_cuts))
-        else:
-            fresh.update(seg for _, _, cuts in plan.recuts for seg in plan.layout(cuts))
-    segs, seg, col, run = _slots(plans)
-    index = {ab: i for i, ab in enumerate(segs)}
-    samples = np.array([b - a for a, b in segs], dtype=np.intp)
+    a, b, detected, seg, col, run = _table(plans)
     per_plan = [len(plan.recuts) for plan in plans]
-    length = np.bincount(run, minlength=sum(per_plan)).astype(float)
+    length = np.bincount(run, minlength=sum(per_plan))
     terms = np.full(len(seg), T_MAX)
-    known = np.zeros(len(segs), dtype=bool)
+    P = np.empty((len(a), ensemble.n_classes))
+    known = np.zeros(len(a), dtype=bool)
+    want = known.copy()
+    want[[i for ids in detected if ids is not None for i in ids]] = True
+    unscreened = np.repeat(np.array([ids is None for ids in detected], dtype=bool), per_plan)
+    want[seg[unscreened[run]]] = True
     kept = np.ones(len(length), dtype=bool)
-    bests = None
+    tau = None
     while True:
         # each kept run with unclassified segments that this round misses gets one of its own
-        hit = np.zeros(len(segs), dtype=bool)
-        hit[[index[ab] for ab in fresh if ab in index]] = True
-        missed = kept & (np.bincount(run[hit[seg]], minlength=len(length)) == 0)
+        missed = kept & (np.bincount(run[want[seg]], minlength=len(length)) == 0)
         open_ = missed[run] & ~known[seg]
-        fresh.update(segs[s] for s in _cover(seg[open_], run[open_], samples))
-        batch = sorted(fresh - rows.keys())
-        if batch:
-            X = features.extract_batch([series.enu[a:b] for a, b in batch], ensemble.config)
-            P = ensemble.predict_matrix(X)
-            rows.update(zip(batch, P))
-            # the batch row of each segment id, -1 if not in the batch
-            ids = np.array([index.get(ab, -1) for ab in batch], dtype=np.intp)
-            in_runs = ids >= 0
-            row_of = np.full(len(segs), -1, dtype=np.intp)
-            row_of[ids[in_runs]] = np.flatnonzero(in_runs)
-            new = row_of[seg] >= 0
-            terms[new] = np.log(P[row_of[seg[new]], col[new]] + LOG_EPS)
-            known |= row_of >= 0
-        if bests is None:
-            bests = [
-                None if p.detected_cuts is None
-                else rank_hypotheses(_matrix(p, p.detected_cuts, rows))[0]
-                for p in plans
-            ]
-            tau = np.repeat([-math.inf if b is None else b.mean_score for b in bests], per_plan)
+        want[_cover(seg[open_], run[open_], b - a)] = True
+        batch = np.flatnonzero(want)  # a round wants no classified segment
+        if len(batch):
+            segments = [series.enu[i:j] for i, j in zip(a[batch].tolist(), b[batch].tolist())]
+            P[batch] = ensemble.predict_matrix(features.extract_batch(segments, ensemble.config))
+            new = want[seg]
+            terms[new] = np.log(P[seg[new], col[new]] + LOG_EPS)
+            known |= want
+        if tau is None:
+            bests = [None if ids is None else rank_hypotheses(P[ids])[0] for ids in detected]
+            tau = np.repeat([-math.inf if h is None else h.mean_score for h in bests], per_plan)
         kept &= _screen(terms, run, length, tau)
         if known[seg[kept[run]]].all():
             break
-        fresh = set()
-    screens: list[Screened] = []
-    first = 0
-    for plan, best in zip(plans, bests):
-        flags = kept[first : first + len(plan.recuts)].tolist()
-        screens.append((best, tuple(r for r, k in zip(plan.recuts, flags) if k)))
-        first += len(plan.recuts)
-    return rows, screens
+        want[:] = False
+    # every slot of a kept run holds a real term now, and the run's score is their sum
+    scored = iter(
+        (TraceHypothesis(s, d, len(cuts) + 1, float(terms[end - len(cuts) - 1 : end].sum())), cuts)
+        if k else None
+        for (s, d, cuts), end, k in zip(chain(*(p.recuts for p in plans)), np.cumsum(length).tolist(), kept)
+    )
+    return [(best, [r for r in islice(scored, n) if r]) for best, n in zip(bests, per_plan)]
 
 
 def infer_with_segment_tolerance(
     plan: SpanPlan,
-    rows: dict[tuple[int, int], np.ndarray],
-    screened: Screened,
+    detected_best: TraceHypothesis | None,
+    runs: list[tuple[TraceHypothesis, tuple[int, ...]]],
 ) -> ToleranceResult:
-    """Decode one planned span from the probability rows of its segments.
+    """The winner of one planned span: its detected best or one of its scored re-cut runs.
 
-    ``rows`` maps each segment's ``[a, b)`` recording samples to its
-    probability row and ``screened`` is the plan's detected best and kept
-    runs, both as ``_classify`` returns them; a row of a run that the screen
-    rules out is never read, and given every row the result is the same.
-    The detected layout's best hypothesis (the first of
-    ``rank_hypotheses``) and every re-cut run the screen keeps compete on
+    ``detected_best`` and ``runs`` are the plan's detected best and its kept
+    runs, each with its cuts, as ``_classify`` returns them. They compete on
     mean per-segment score, with ties going to the layout that matches the
     detected count, then the lower start interval, then forward. When no
     layout fits, ``best`` is ``None``.
     """
-    detected_best, runs = screened
-    scored: list[tuple[TraceHypothesis, tuple[int, ...]]] = []
-    if detected_best is not None:
-        scored.append((detected_best, plan.detected_cuts))
-    for start, direction, cuts in runs:
-        P = _matrix(plan, cuts, rows)
-        h = TraceHypothesis(start, direction, len(cuts) + 1, score_run(P, start, direction))
-        scored.append((h, cuts))
+    scored = runs if detected_best is None else [(detected_best, plan.detected_cuts), *runs]
     if not scored:
         return ToleranceResult(best=None, points=(), detected=plan.detected)
 
@@ -537,10 +516,9 @@ def decode_spans(
         points, warn = segment.find_final_segment_points(series.hra[lo:hi], network)
         plans.append(plan_span(series, lo, hi, network, points, mode))
         warnings.append(bool(warn))
-    rows, screens = _classify(series, plans, ensemble)
     return [
-        (infer_with_segment_tolerance(plan, rows, screened), warn)
-        for plan, screened, warn in zip(plans, screens, warnings)
+        (infer_with_segment_tolerance(plan, best, runs), warn)
+        for plan, (best, runs), warn in zip(plans, _classify(series, plans, ensemble), warnings)
     ]
 
 

@@ -68,7 +68,11 @@ def is_finite_real(value) -> bool:
 
 
 def percentiles(values: np.ndarray, qs: Iterable[float], overwrite_input: bool = False) -> tuple[float, ...]:
-    """``np.percentile(values, q)`` for each q in ``qs``, bit for bit, of non-empty finite 1-d values.
+    """``np.percentile(values, q)`` for each q in ``qs`` of non-empty finite 1-d values.
+
+    Each result has numpy's bits, except that where ``values`` mix 0.0 and
+    -0.0 the sign of a zero result may differ from numpy's; it is still
+    equal to numpy's in value.
 
     numpy's linear rule puts percentile q at the virtual index
     ``(n - 1) * q / 100``, between the order statistics at its floor and the
@@ -445,7 +449,10 @@ def _read_trace(name: str, numbered_lines: Iterable[tuple[int, str]]) -> Trace:
                         break
                     meta = obj["meta"]
                     device_id = str(meta.get("device_id", ""))
-                    sample_rate = float(meta.get("sample_rate", 0.0))
+                    sample_rate = meta.get("sample_rate", 0.0)
+                    if type(sample_rate) not in (int, float):  # a bool, a string or a null
+                        raise TypeError("sample_rate must be a JSON number")
+                    sample_rate = float(sample_rate)
                 elif "truth" in obj:
                     if trailer_seen:
                         problem = f"{name}:{lineno}: duplicate truth trailer"

@@ -188,8 +188,8 @@ def record_decoded(monkeypatch) -> list:
     results = []
     real = infer.infer_with_segment_tolerance
 
-    def logging_score(plan, rows, screened):
-        results.append(real(plan, rows, screened))
+    def logging_score(plan, detected_best, runs):
+        results.append(real(plan, detected_best, runs))
         return results[-1]
 
     monkeypatch.setattr(infer, "infer_with_segment_tolerance", logging_score)

@@ -226,16 +226,8 @@ def ensemble(small_corpus, small_config):
     return single_model_ensemble(small_corpus, small_config)
 
 
-def decode_unscreened(plan, rows):
-    """Decode ``plan`` with every re-cut run kept: the scorer given every row and no screen."""
-    best = None
-    if plan.detected_cuts is not None:
-        best = rank_hypotheses(np.array([rows[seg] for seg in plan.layout(plan.detected_cuts)]))[0]
-    return infer.infer_with_segment_tolerance(plan, rows, (best, plan.recuts))
-
-
 def stub_classify(plans, all_rows):
-    """``infer._classify`` over plans whose segments' rows are given: ``(rows, screens, batches)``.
+    """``infer._classify`` over plans whose segments' rows are given: ``(screens, batches)``.
 
     The featuriser and the model are stubs. A series whose sample i holds i
     lets each featurised segment be read back as its ``[a, b)``, and the
@@ -249,21 +241,23 @@ def stub_classify(plans, all_rows):
         return batches[-1]
 
     model = SimpleNamespace(
-        config=None, predict_matrix=lambda batch: np.array([all_rows[ab] for ab in batch])
+        config=None,
+        n_classes=len(next(iter(all_rows.values()))),
+        predict_matrix=lambda batch: np.array([all_rows[ab] for ab in batch]),
     )
     hi = max(plan.hi for plan in plans)
     series = SimpleNamespace(enu=np.repeat(np.arange(hi)[:, None], 3, axis=1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(features, "extract_batch", featurise)
-        rows, screens = infer._classify(series, plans, model)
-    return rows, screens, batches
+        screens = infer._classify(series, plans, model)
+    return screens, batches
 
 
 def decode(series, lo, hi, ensemble, network, points, mode):
     """Decode samples ``[lo, hi)`` of ``series`` alone, planned at the given ``points``."""
     plan = infer.plan_span(series, lo, hi, network, points, mode)
-    rows, (screened,) = infer._classify(series, [plan], ensemble)
-    return infer.infer_with_segment_tolerance(plan, rows, screened)
+    ((best, runs),) = infer._classify(series, [plan], ensemble)
+    return infer.infer_with_segment_tolerance(plan, best, runs)
 
 
 def plan_detected(series, span, network, mode):
@@ -393,8 +387,8 @@ class TestSpanBounds:
 def layout_stub(P, seg_len=10):
     """A planned span of len(P) equal segments whose segment j has row j of ``P``.
 
-    The rows go straight to the scoring phase, so the scorer sees exactly
-    the rows of ``P``.
+    Reduced mode plans the detected layout alone, so ``stub_classify`` hands
+    the ranking exactly the rows of ``P``.
     """
     n, m = P.shape
     points = [seg_len * j for j in range(1, n)]
@@ -415,9 +409,9 @@ class TestDecodeSpan:
             n = int(rng.integers(1, min(m, 10) + 1))
             P = random_matrix(rng, n, m)
             plan, all_rows, points = layout_stub(P)
-            rows, (screened,), batches = stub_classify([plan], all_rows)
-            assert rows.keys() == all_rows.keys() and len(batches) == 1
-            res = infer.infer_with_segment_tolerance(plan, rows, screened)
+            ((best, runs),), batches = stub_classify([plan], all_rows)
+            assert batches == [sorted(all_rows)] and runs == []
+            res = infer.infer_with_segment_tolerance(plan, best, runs)
             want = rank_hypotheses(P)
             assert res.best == want[0]
             assert res.best.score.hex() == want[0].score.hex()
@@ -466,6 +460,12 @@ def every_segment(plan):
     return {seg for cuts in layouts for seg in plan.layout(cuts)}
 
 
+def layout_matrix(plan, cuts, rows):
+    """The rows of the segments ``cuts`` makes in ``plan``, in ride order."""
+    bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
+    return np.array([rows[sp] for sp in zip(bounds[:-1], bounds[1:])])
+
+
 def exhaustive_decode(plan, rows):
     """``(best, points)`` of ``plan`` with every layout scored, as the scorer did before screening.
 
@@ -474,16 +474,12 @@ def exhaustive_decode(plan, rows):
     forward. Every run is scored one at a time by the frozen scorer.
     ``rows`` must hold every segment's row.
     """
-    def matrix_for(cuts):
-        bounds = [plan.lo, *(plan.lo + c for c in cuts), plan.hi]
-        return np.array([rows[sp] for sp in zip(bounds[:-1], bounds[1:])])
-
     scored = []
     if plan.detected_cuts is not None:
-        for h in frozen_rank(matrix_for(plan.detected_cuts))[:3]:
+        for h in frozen_rank(layout_matrix(plan, plan.detected_cuts, rows))[:3]:
             scored.append((h, plan.detected_cuts))
     for start, direction, cuts in plan.recuts:
-        score = frozen_score_run(matrix_for(cuts), start, direction)
+        score = frozen_score_run(layout_matrix(plan, cuts, rows), start, direction)
         h = TraceHypothesis(start, direction, len(cuts) + 1, score)
         scored.append((h, cuts))
     if not scored:
@@ -499,39 +495,40 @@ def exhaustive_decode(plan, rows):
     return scored[0]
 
 
-class ReadLog(dict):
-    """Probability rows that remember which of them the scorer read."""
+def assert_same_as_exhaustive(plan, all_rows, screen):
+    """The plan's screen result and its decoding match the frozen scorers bit for bit.
 
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.read = set()
-
-    def __getitem__(self, seg):
-        self.read.add(seg)
-        return super().__getitem__(seg)
-
-
-def assert_same_as_exhaustive(plan, rows, all_rows, screened):
-    """The scorer matches the frozen scorer bit for bit.
-
-    It is given its own rows with ``screened``, the plan's screen result
-    from them, and every row with no run screened out.
+    ``screen`` is the plan's detected best and kept runs as ``_classify``
+    returns them. The detected best is ``frozen_rank``'s first, each kept
+    run scores ``frozen_score_run``'s bits, and the scorer picks
+    ``exhaustive_decode``'s ride, cuts and score from them.
     """
+    best, runs = screen
+    if plan.detected_cuts is None:
+        assert best is None
+    else:
+        want = frozen_rank(layout_matrix(plan, plan.detected_cuts, all_rows))[0]
+        assert best == want and best.score.hex() == want.score.hex()
+    kept = [(h.start_interval, h.direction, cuts) for h, cuts in runs]
+    assert kept == [run for run in plan.recuts if run in kept]
+    for h, cuts in runs:
+        want = frozen_score_run(layout_matrix(plan, cuts, all_rows), h.start_interval, h.direction)
+        assert h.length == len(cuts) + 1 and h.score.hex() == want.hex()
     want_best, want_points = exhaustive_decode(plan, all_rows)
-    for res in (
-        infer.infer_with_segment_tolerance(plan, rows, screened),
-        decode_unscreened(plan, all_rows),
-    ):
-        assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
-        if want_best is not None:
-            assert res.best.score.hex() == want_best.score.hex()
+    res = infer.infer_with_segment_tolerance(plan, best, runs)
+    assert (res.best, res.points, res.detected) == (want_best, want_points, plan.detected)
+    if want_best is not None:
+        assert res.best.score.hex() == want_best.score.hex()
 
 
 def check_corpus(corpus, ensemble, lengths, mode):
     """Decode every subtrip of ``corpus`` both ways.
 
-    Returns the counts of segments classified round by round and
-    exhaustively, and the most rounds one trip's decoding took.
+    Each round's batch is read back from an ``extract_batch`` log: its
+    segments come in ``(a, b)`` order, are cut by some layout, and no
+    segment is featurised twice in one trip's decoding. Returns the counts
+    of segments classified round by round and exhaustively, and the most
+    rounds one trip's decoding took.
     """
     screened = exhaustive = most_rounds = 0
     for trip, trace in enumerate(corpus.trips):
@@ -546,14 +543,18 @@ def check_corpus(corpus, ensemble, lengths, mode):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "extract_batch", logging_extract)
-            rows, screens = infer._classify(series, plans, ensemble)
+            screens = infer._classify(series, plans, ensemble)
         segs = sorted(set().union(*(every_segment(p) for p in plans)))
         X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
         all_rows = dict(zip(segs, ensemble.predict_matrix(X)))
-        assert rows.keys() <= all_rows.keys()
+        cut_at = {series.enu[a:b].tobytes(): (a, b) for a, b in segs}
+        batches = [[cut_at[seg.tobytes()] for seg in batch] for batch in rounds]
+        assert all(batch == sorted(batch) for batch in batches)
+        classified = [ab for batch in batches for ab in batch]
+        assert len(classified) == len(set(classified))
         for plan, screen in zip(plans, screens):
-            assert_same_as_exhaustive(plan, rows, all_rows, screen)
-        screened += len(rows)
+            assert_same_as_exhaustive(plan, all_rows, screen)
+        screened += len(classified)
         exhaustive += len(all_rows)
         most_rounds = max(most_rounds, len(rounds))
     return screened, exhaustive, most_rounds
@@ -615,11 +616,14 @@ class TestScreenAgainstExhaustive:
         monkeypatch.setattr(
             features, "extract_batch", lambda segs, c: batches.append(segs) or extract_batch(segs, c)
         )
-        rows, (screened,) = infer._classify(series, [plan], ensemble)
-        assert rows.keys() == every_segment(plan) and len(batches) == 1
-        log = ReadLog(rows)
-        assert_same_as_exhaustive(plan, log, rows, screened)
-        assert log.read == every_segment(plan)
+        (screen,) = infer._classify(series, [plan], ensemble)
+        segs = sorted(every_segment(plan))
+        want = [[series.enu[a:b].tobytes() for a, b in segs]]
+        assert [[seg.tobytes() for seg in batch] for batch in batches] == want
+        X = extract_batch([series.enu[a:b] for a, b in segs], ensemble.config)
+        assert_same_as_exhaustive(plan, dict(zip(segs, ensemble.predict_matrix(X))), screen)
+        # nothing is ruled out, so every run is scored
+        assert [(h.start_interval, h.direction, cuts) for h, cuts in screen[1]] == list(plan.recuts)
 
 
 class TestFeaturisationVolume:
@@ -725,10 +729,13 @@ class TestScreenEdges:
 
     def decode_logged(self, plan, all_rows):
         """The result, the segments classified, the batches and the runs the screen kept."""
-        rows, (screened,), batches = stub_classify([plan], all_rows)
-        assert_same_as_exhaustive(plan, rows, all_rows, screened)
-        res = infer.infer_with_segment_tolerance(plan, rows, screened)
-        return res, set(rows), batches, screened[1]
+        (screen,), batches = stub_classify([plan], all_rows)
+        assert_same_as_exhaustive(plan, all_rows, screen)
+        classified = [ab for batch in batches for ab in batch]
+        assert len(classified) == len(set(classified))
+        res = infer.infer_with_segment_tolerance(plan, *screen)
+        kept = tuple((h.start_interval, h.direction, cuts) for h, cuts in screen[1])
+        return res, set(classified), batches, kept
 
     def test_probe_of_one_is_kept_and_can_win(self):
         # detected: 0.9 on the ride 0, 1, 2; run: certainty, so every round keeps it

@@ -578,6 +578,8 @@ MALFORMED_NAMED = {
     "meta not an object": (['{"meta": 5}', sample(0)], 1),
     "meta rate not a number": (['{"meta": {"sample_rate": "fast"}}', sample(0)], 1),
     "meta rate too large": (['{"meta": {"sample_rate": 1' + "0" * 400 + "}}", sample(0)], 1),
+    "meta rate a numeric string": (['{"meta": {"sample_rate": "25"}}', sample(0)], 1),
+    "meta rate true": (['{"meta": {"sample_rate": true}}', sample(0), sample(1)], 1),
     "truth entry without end": ([META, sample(0), '{"truth": [{"start": 0, "label": "m"}]}'], 3),
     "truth not a list": ([META, sample(0), '{"truth": 5}'], 3),
     "integer past the digit limit": ([META, sample(0), sample(1, t="1" * 5000)], 3),
@@ -716,6 +718,14 @@ class TestPercentiles:
         for n in [1, 2, 3, 10, 101]:
             for qs in QUANTILE_SETS:
                 assert_numpys(np.full(n, -0.0), qs)
+
+    def test_mixed_zeros_equal_in_value(self):
+        # where 0.0 and -0.0 mix, only the sign of a zero result may differ from numpy's
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            values = rng.choice([-1.0, -0.0, 0.0, 1.0], size=int(rng.integers(2, 40)))
+            qs = tuple(rng.uniform(0.0, 100.0, size=3))
+            assert list(percentiles(values, qs)) == np.percentile(values, list(qs)).tolist()
 
     def test_copy_left_in_order(self):
         values = np.random.default_rng(1).normal(size=500)

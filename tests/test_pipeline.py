@@ -398,27 +398,29 @@ class TestAttackTrace:
 
         monkeypatch.setattr(features, "extract_batch", logging_extract)
         report = attack_trace(day, attack_model, mode="full")
-        monkeypatch.undo()
+        shared = [seg for call in calls for seg in call]
+        attack_calls = len(calls)
         assert [s.get("intervals") for s in report["spans"]] == [[0, 1, 2], [5, 4, 3]]
         # both rides' segments in one batch per screening round, each segment once; a
         # round classifies one more segment of every open run, and the longest re-cut
         # run of a three-segment ride has four
-        assert 1 <= len(calls) <= 4
-        shared = [seg for call in calls for seg in call]
+        assert 1 <= attack_calls <= 4
         assert len(shared) == len(set(shared)) > 0
-        # only segments that decoding each ride alone featurises, and fewer samples
-        # than every cut layout's segments
+        # only segments that decoding each ride alone featurises, read from the same
+        # log, and fewer samples than every cut layout's segments
         series = coord.transform(day)
-        alone, exhaustive = set(), set()
+        exhaustive = set()
         for span in report["spans"]:
             lo, hi = span["span"]
             points, _ = segment.find_final_segment_points(series.hra[lo:hi], net)
             plan = infer.plan_span(series, lo, hi, net, points, "full")
-            alone |= set(infer._classify(series, [plan], attack_model.ensemble)[0])
+            infer._classify(series, [plan], attack_model.ensemble)
             assert plan.detected_cuts is not None
             for cuts in [plan.detected_cuts, *(cuts for _, _, cuts in plan.recuts)]:
                 exhaustive |= set(plan.layout(cuts))
-        assert set(shared) <= {series.enu[a:b].tobytes() for a, b in alone}
+        monkeypatch.undo()
+        alone = {seg for call in calls[attack_calls:] for seg in call}
+        assert set(shared) <= alone
         assert sum(map(len, shared)) < sum(series.enu[a:b].nbytes for a, b in exhaustive)
 
     def test_walk_only_trace_yields_nothing(self, small_config, attack_model):
